@@ -10,18 +10,18 @@ the truncation size.
 
 from .polynomials import (InternalConsistencyError, MvtCheck, NotchFunction, Polynomial,
                           approximate_with_derivative, divide_shifted, evaluate_on_grid,
-                          mvt_bound_check, notch, poly_eval, sup_norm, unit_notch)
+                          mvt_bound_check, notch, sup_norm, unit_notch)
 from .reports import ConvergenceReport, write_report
 from .scalars import as_fraction, exact_sqrt, is_exact_zero, to_float
 from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence,
-                       apply_poly_to_block, block_power, build_T, build_shifted_T,
-                       functional_calculus, make_spectrum, operator_norm)
+                       apply_poly_to_block, build_T, build_shifted_T, make_spectrum,
+                       operator_norm)
 from .amenability import (AlgebraElement, ApproximationStep, DerivationSpace,
-                          approximate_identity_sequence, approximate_identity_step,
-                          approximate_identity_steps, bai_defect, character_value,
-                          derivation_space, generation_defect, idempotent_E,
-                          idempotent_partial_sum, membership_residual, report_from_steps,
-                          unit_approximation_T, unit_approximation_step,
+                          approximate_identity_step, approximate_identity_steps, bai_defect,
+                          character_value, derivation_space, generation_defect,
+                          generation_defect_closed_form, idempotent_E,
+                          idempotent_norm_closed_form, idempotent_partial_sum,
+                          membership_residual, report_from_steps, unit_approximation_step,
                           unit_approximation_steps)
 from .similarity import (IntertwinerSolve, conjugate_by_upper_unipotent,
                          minimal_intertwiner, similarity_growth_sweep)
@@ -32,14 +32,12 @@ __all__ = [
     "AlgebraElement", "ApproximationStep", "BlockOperator", "ConvergenceReport",
     "DerivationSpace", "DiagonalOperator", "InternalConsistencyError", "IntertwinerSolve",
     "MvtCheck", "NotchFunction", "Polynomial", "SpectrumSequence",
-    "approximate_identity_sequence", "approximate_identity_step", "approximate_identity_steps",
-    "approximate_with_derivative", "apply_poly_to_block", "as_fraction", "bai_defect",
-    "block_power", "build_T", "build_shifted_T", "character_value",
-    "conjugate_by_upper_unipotent", "derivation_space", "divide_shifted", "evaluate_on_grid",
-    "exact_sqrt", "functional_calculus", "generation_defect", "idempotent_E",
-    "idempotent_partial_sum", "is_exact_zero", "make_spectrum", "membership_residual",
-    "minimal_intertwiner", "mvt_bound_check", "notch", "operator_norm", "poly_eval",
-    "report_from_steps", "similarity_growth_sweep", "sup_norm", "to_float",
-    "unit_approximation_T", "unit_approximation_step", "unit_approximation_steps",
-    "unit_notch", "write_report",
+    "approximate_identity_step", "approximate_identity_steps", "approximate_with_derivative",
+    "apply_poly_to_block", "as_fraction", "bai_defect", "build_T", "build_shifted_T",
+    "character_value", "conjugate_by_upper_unipotent", "derivation_space", "divide_shifted",
+    "evaluate_on_grid", "exact_sqrt", "generation_defect", "generation_defect_closed_form",
+    "idempotent_E", "idempotent_norm_closed_form", "idempotent_partial_sum", "is_exact_zero",
+    "make_spectrum", "membership_residual", "minimal_intertwiner", "mvt_bound_check", "notch",
+    "operator_norm", "report_from_steps", "similarity_growth_sweep", "sup_norm", "to_float",
+    "unit_approximation_step", "unit_approximation_steps", "unit_notch", "write_report",
 ]

@@ -20,9 +20,6 @@ from .scalars import as_fraction, exact_sqrt, to_float
 from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence,
                        apply_poly_to_block, build_T, build_shifted_T, operator_norm)
 
-DEFAULT_ANALYTIC_TOL = 1e-3
-DEFAULT_ALGEBRAIC_TOL = 1e-12
-
 
 def _sqrt_times(lam: Fraction, g):
     """sqrt(lam) * g staying exact for exact g, float for float g."""
@@ -78,23 +75,35 @@ def idempotent_E(n: int, spectrum: SpectrumSequence) -> AlgebraElement:
 
 def idempotent_partial_sum(m: int, spectrum: SpectrumSequence) -> BlockOperator:
     """Sum of the first m idempotents weighted by their spectrum values; at
-    m = M this reconstructs the generator exactly."""
+    m = M this reconstructs the generator exactly.  The sum is the algebra
+    element with symbol lambda_n / sqrt(lambda_n) for n <= m and 0 beyond."""
     if not 1 <= m <= len(spectrum):
         raise ValueError(f"m out of range: {m}")
-    total = BlockOperator.zeros(len(spectrum))
-    for n in range(1, m + 1):
-        total = total + idempotent_E(n, spectrum).operator.scale(spectrum.lam(n))
-    return total
+    symbol = [lam / exact_sqrt(lam) if n <= m else Fraction(0)
+              for n, lam in enumerate(spectrum.values, start=1)]
+    return AlgebraElement.from_symbol(spectrum, symbol).operator
 
 
 def generation_defect(m: int, spectrum: SpectrumSequence) -> float:
     """Norm of the generator minus the m-term weighted idempotent sum.
 
-    On a truncation of size M this equals sqrt(lambda_{m+1} + lambda_{m+1}^2)
-    for m < M and vanishes at m = M.
+    On a truncation of size M this equals `generation_defect_closed_form`.
     """
     remainder = build_T(spectrum) - idempotent_partial_sum(m, spectrum)
     return operator_norm(remainder.to_float())
+
+
+def generation_defect_closed_form(m: int, spectrum: SpectrumSequence) -> float:
+    """sqrt(lambda_{m+1} + lambda_{m+1}^2) for m < M, and 0 at m = M."""
+    if m == len(spectrum):
+        return 0.0
+    lam = spectrum.lam(m + 1)
+    return float(lam + lam ** 2) ** 0.5
+
+
+def idempotent_norm_closed_form(n: int, spectrum: SpectrumSequence) -> float:
+    """||E_n|| = sqrt(1/lambda_n + 1)."""
+    return float(1 / spectrum.lam(n) + 1) ** 0.5
 
 
 def character_value(a, n: int):
@@ -382,14 +391,6 @@ def report_from_steps(steps: Sequence[ApproximationStep], tolerance: float | Non
                              rows, met, bounded, tol_field)
 
 
-def approximate_identity_sequence(n: int, spectrum: SpectrumSequence, degrees: Sequence[int], *,
-                                  tolerance: float = DEFAULT_ANALYTIC_TOL) -> ConvergenceReport:
-    """Approximate-identity sweep for the n-th kernel algebra over increasing
-    Bernstein degrees; verdicts: residual below tolerance at the top degree,
-    and element norms below the certified bound."""
-    return report_from_steps(approximate_identity_steps(n, spectrum, degrees), tolerance)
-
-
 def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence) -> ApproximationStep:
     """One sweep step against the generator itself: u = p(T), residual ||Tu - T||."""
     lam_1 = spectrum.lam(1)
@@ -414,18 +415,6 @@ def unit_approximation_steps(spectrum: SpectrumSequence,
         p = approximate_with_derivative(f, k)
         steps.append(unit_approximation_step(p, spectrum)._replace(degree=k))
     return steps
-
-
-def unit_approximation_T(spectrum: SpectrumSequence, degrees: Sequence[int], *,
-                         tolerance: float | None = None) -> ConvergenceReport:
-    """Approximate-identity sweep for the algebra of the generator itself.
-
-    The dip of its notch sits below the smallest truncated spectrum point, so
-    at desk-scale degrees the meaningful verdict is the decreasing residual
-    trend (tolerance None); the truncation identity itself is exact and is
-    checked separately through the unweighted idempotent sum.
-    """
-    return report_from_steps(unit_approximation_steps(spectrum, degrees), tolerance)
 
 
 def _validate_degrees(degrees: Sequence[int]):

@@ -19,9 +19,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .amenability import (approximate_identity_steps, bai_defect, idempotent_E,
-                          idempotent_partial_sum, membership_residual, report_from_steps,
-                          derivation_space, generation_defect, unit_approximation_steps)
+from .amenability import (approximate_identity_steps, bai_defect, derivation_space,
+                          generation_defect, generation_defect_closed_form, idempotent_E,
+                          idempotent_norm_closed_form, idempotent_partial_sum,
+                          membership_residual, report_from_steps, unit_approximation_steps)
 from .polynomials import Polynomial, sup_norm
 from .reports import ConvergenceReport, write_report
 from .scalars import as_fraction, exact_sqrt
@@ -219,7 +220,7 @@ def _verify_weak(cfg: RunConfig):
         resid = operator_norm(defect_op.to_float())
         worst = max(worst, resid)
         norm = operator_norm(e_n.to_float())
-        closed = float(1 / spectrum.lam(n) + 1) ** 0.5
+        closed = idempotent_norm_closed_form(n, spectrum)
         norm_dev = max(norm_dev, abs(norm - closed))
         rows.append((n, resid, norm, closed))
     idem_report = ConvergenceReport(("index", "residual", "u_norm", "q_bound"),
@@ -253,16 +254,13 @@ def _verify_weak(cfg: RunConfig):
     gen_rows = []
     closed_dev = 0.0
     defects = []
-    running_sum = None
     for part in range(1, m + 1):
         d = generation_defect(part, spectrum)
         defects.append(d)
-        tail = 0.0 if part == m else \
-            float(spectrum.lam(part + 1) + spectrum.lam(part + 1) ** 2) ** 0.5
+        tail = generation_defect_closed_form(part, spectrum)
         closed_dev = max(closed_dev, abs(d - tail))
-        term = idempotent_E(part, spectrum).operator.scale(spectrum.lam(part))
-        running_sum = term if running_sum is None else running_sum + term
-        gen_rows.append((part, d, operator_norm(running_sum.to_float()), tail))
+        partial_norm = operator_norm(idempotent_partial_sum(part, spectrum).to_float())
+        gen_rows.append((part, d, partial_norm, tail))
     decreasing = all(b < a for a, b in zip(defects, defects[1:]))
     reconstructed = (build_T(spectrum) - idempotent_partial_sum(m, spectrum)).is_zero()
     gen_report = ConvergenceReport(("index", "residual", "u_norm", "q_bound"),
@@ -436,10 +434,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     print(f"||T|| = {operator_norm(build_T(spectrum).to_float())!r}")
     print("  n  lambda_n  ||E_n||  tail_norm")
     for n in range(1, m + 1):
-        lam = spectrum.lam(n)
-        e_norm = float(1 / lam + 1) ** 0.5
-        tail = 0.0 if n == m else float(spectrum.lam(n + 1) + spectrum.lam(n + 1) ** 2) ** 0.5
-        print(f"  {n}  {float(lam)!r}  {e_norm!r}  {tail!r}")
+        e_norm = idempotent_norm_closed_form(n, spectrum)
+        tail = generation_defect_closed_form(n, spectrum)
+        print(f"  {n}  {float(spectrum.lam(n))!r}  {e_norm!r}  {tail!r}")
     return 0
 
 

@@ -133,11 +133,6 @@ class Polynomial:
         return cls(tuple(Fraction(s) for s in items))
 
 
-def poly_eval(p: Polynomial, z):
-    """Evaluate p at z (exact for rational z)."""
-    return p(z)
-
-
 @dataclass(frozen=True)
 class NotchFunction:
     """C^1 piecewise-cubic function on [a, b]: 0 at the origin, 1 outside the

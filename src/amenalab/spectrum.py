@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -232,74 +232,34 @@ def build_shifted_T(spectrum: SpectrumSequence, n: int) -> BlockOperator:
     )
 
 
-def block_power(X: BlockOperator, k: int) -> BlockOperator:
-    """k-th power of an upper-triangular block operator with commuting blocks.
-
-    The off-diagonal block of the power is A_k N2 where A_k is the divided
-    difference (N1^k - N3^k) / (N1 - N3), computed entrywise as the power sum
-    so that the confluent case needs no branch.  k = 0 is rejected: the
-    identity lies outside the non-unital algebra model.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1; the algebra model is non-unital")
-    if not X.b21.is_zero():
-        raise ValueError("block_power requires a vanishing lower-left block")
-    n1, n2, n3 = X.b11.diag, X.b12.diag, X.b22.diag
-    m = X.dim
-    top, bot, acc = [], [], []
-    for i in range(m):
-        a, c = n1[i], n3[i]
-        # A_k = sum_{j=0}^{k-1} a^j c^(k-1-j); equals k a^(k-1) when a == c
-        s = sum((a ** j) * (c ** (k - 1 - j)) for j in range(k))
-        top.append(a ** k)
-        bot.append(c ** k)
-        acc.append(s * n2[i])
-    return BlockOperator(DiagonalOperator(tuple(top)), DiagonalOperator(tuple(acc)),
-                         DiagonalOperator.zeros(m), DiagonalOperator(tuple(bot)))
-
-
 def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperator:
     """Evaluate sum_k c_k X^k (ascending coefficients, zero constant term).
 
-    Linearity over `block_power`; the divided-difference factors are
-    accumulated with the recurrence A_{k+1} = N1 A_k + N3^k, which keeps all
-    scalar work in the rational tier until the final off-diagonal product.
+    X is upper triangular with diagonal blocks, so each coordinate n is the
+    2x2 matrix [[a, b], [0, c]] = [[b11[n], b12[n]], [0, b22[n]]], and
+    p(X)_n = [[p(a), b Dp], [0, p(c)]] with the divided difference
+    Dp = (p(a) - p(c)) / (a - c), or p'(a) when a == c.  One Horner pass per
+    coordinate yields p(a), p(c) and Dp together through
+    Dp_j = Dp_{j+1} a + p_{j+1}(c), so the confluent case needs no branch and
+    every scalar stays in the tier of a and c until the single product with b.
     """
-    coeffs = list(coefficients)
-    if coeffs and not is_exact_zero(coeffs[0]):
+    coeffs = tuple(reversed(coefficients))
+    if coeffs and not is_exact_zero(coeffs[-1]):
         raise ValueError("constant term must vanish; the algebra model is non-unital")
     if not X.b21.is_zero():
         raise ValueError("polynomial application requires a vanishing lower-left block")
-    n1, n2, n3 = X.b11.diag, X.b12.diag, X.b22.diag
-    m = X.dim
-    s11 = [0] * m
-    s22 = [0] * m
-    s_acc = [0] * m
-    p1 = list(n1)
-    p3_prev = [1] * m  # N3^(k-1)
-    a_k = [1] * m      # divided difference factor at current k
-    p3 = list(n3)
-    for k in range(1, len(coeffs)):
-        c = coeffs[k]
-        if not is_exact_zero(c):
-            for i in range(m):
-                s11[i] = s11[i] + c * p1[i]
-                s22[i] = s22[i] + c * p3[i]
-                s_acc[i] = s_acc[i] + c * a_k[i]
-        if k < len(coeffs) - 1:
-            for i in range(m):
-                p3_prev[i] = p3_prev[i] * n3[i]
-                a_k[i] = n1[i] * a_k[i] + p3_prev[i]
-                p1[i] = p1[i] * n1[i]
-                p3[i] = p3[i] * n3[i]
-    b12 = tuple(s_acc[i] * n2[i] for i in range(m))
-    return BlockOperator(DiagonalOperator(tuple(s11)), DiagonalOperator(b12),
-                         DiagonalOperator.zeros(m), DiagonalOperator(tuple(s22)))
-
-
-def functional_calculus(N: DiagonalOperator, f: Callable) -> DiagonalOperator:
-    """Apply a scalar function (or polynomial) entrywise to a diagonal operator."""
-    return DiagonalOperator(tuple(f(d) for d in N.diag))
+    top, acc, bot = [], [], []
+    for a, b, c in zip(X.b11.diag, X.b12.diag, X.b22.diag):
+        pa = pc = dp = 0
+        for coeff in coeffs:
+            dp = dp * a + pc
+            pa = pa * a + coeff
+            pc = pc * c + coeff
+        top.append(pa)
+        acc.append(dp * b)
+        bot.append(pc)
+    return BlockOperator(DiagonalOperator(tuple(top)), DiagonalOperator(tuple(acc)),
+                         DiagonalOperator.zeros(X.dim), DiagonalOperator(tuple(bot)))
 
 
 def operator_norm(X: BlockOperator) -> float:

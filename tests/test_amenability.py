@@ -8,8 +8,9 @@ import pytest
 from amenalab import (AlgebraElement, ApproximationStep, Polynomial, apply_poly_to_block,
                       approximate_identity_step, approximate_identity_steps, bai_defect,
                       build_T, build_shifted_T, character_value, derivation_space,
-                      generation_defect, idempotent_E, idempotent_partial_sum,
-                      make_spectrum, membership_residual, operator_norm, report_from_steps,
+                      generation_defect, generation_defect_closed_form, idempotent_E,
+                      idempotent_norm_closed_form, idempotent_partial_sum, make_spectrum,
+                      membership_residual, operator_norm, report_from_steps,
                       unit_approximation_step, unit_approximation_steps)
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from oracle_utils import (derivation_dimension_oracle, jordan_block, matmul_exact,
@@ -58,6 +59,7 @@ def test_idempotent_norm_closed_form_and_svd():
         e = idempotent_E(n, s).operator
         expected = math.sqrt(1 / float(s.lam(n)) + 1)
         assert operator_norm(e.to_float()) == pytest.approx(expected, abs=1e-12)
+        assert idempotent_norm_closed_form(n, s) == pytest.approx(expected, abs=1e-12)
         assert spectral_norm_oracle(e.to_dense()) == pytest.approx(expected, abs=1e-10)
 
 
@@ -66,6 +68,8 @@ def test_generation_defect_frozen_value():
     s = make_spectrum("geometric", 8)
     assert generation_defect(3, s) == pytest.approx(math.sqrt(17) / 16, abs=1e-14)
     assert generation_defect(8, s) == 0.0
+    assert generation_defect_closed_form(3, s) == pytest.approx(math.sqrt(17) / 16, abs=1e-14)
+    assert generation_defect_closed_form(8, s) == 0.0
 
 
 def test_generation_defect_monotone():
@@ -77,6 +81,16 @@ def test_generation_defect_monotone():
 def test_reconstruction_identity_exact():
     s = make_spectrum("geometric", 8)
     assert (build_T(s) - idempotent_partial_sum(8, s)).is_zero()
+
+
+@pytest.mark.parametrize("kind", ["geometric", "harmonic"])
+def test_partial_sum_matches_explicit_block_sum(kind):
+    s = make_spectrum(kind, 8)
+    for m in range(1, 9):
+        expected = BlockOperator.zeros(8)
+        for n in range(1, m + 1):
+            expected = expected + idempotent_E(n, s).operator.scale(s.lam(n))
+        assert (idempotent_partial_sum(m, s) - expected).is_zero()
 
 
 # --- characters -------------------------------------------------------------------

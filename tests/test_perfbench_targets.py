@@ -1,0 +1,47 @@
+"""Guard for the traced benchmark: every name that perfbench/tracing.py wraps
+must still resolve after `import amenalab.cli`, the only import its children
+make.  The check runs in a fresh interpreter, so modules that other tests
+import do not hide a name the CLI no longer loads."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+RESOLVE = """
+import json, sys
+import amenalab.cli
+missing = []
+for module, path in json.loads(sys.argv[1]):
+    owner = sys.modules.get(module)
+    for part in path.split("."):
+        owner = getattr(owner, part, None)
+    if owner is None:
+        missing.append(f"{module}:{path}")
+print(json.dumps({"missing": missing, "runners": sorted(amenalab.cli.RUNNERS)}))
+"""
+
+
+def traced_targets() -> list[tuple[str, str]]:
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return [(module, path) for _, module, path in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_traced_targets_resolve_after_cli_import():
+    targets = traced_targets()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", RESOLVE, json.dumps(targets)],
+                         capture_output=True, text=True, env=env, check=True)
+    got = json.loads(out.stdout)
+    assert got["missing"] == []
+    assert {"weak", "character", "similarity", "derivations"} <= set(got["runners"])

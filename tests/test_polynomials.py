@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from amenalab import (InternalConsistencyError, Polynomial, approximate_with_derivative,
                       divide_shifted, evaluate_on_grid, make_spectrum, mvt_bound_check,
-                      notch, poly_eval, sup_norm, unit_notch)
+                      notch, sup_norm, unit_notch)
 from amenalab.scalars import as_fraction
 from oracle_utils import poly_to_sympy, random_rational_poly
 
@@ -33,9 +33,9 @@ class PlainFunction:
 
 def test_poly_eval_examples():
     p = Polynomial((0, 6, -8))
-    assert poly_eval(p, Fraction(1, 4)) == 1  # 6/4 - 8/16
-    assert poly_eval(Polynomial((0, 1)), 0) == 0
-    assert poly_eval(Polynomial((0, 0, 1)), Fraction(1, 2)) == Fraction(1, 4)
+    assert p(Fraction(1, 4)) == 1  # 6/4 - 8/16
+    assert Polynomial((0, 1))(0) == 0
+    assert Polynomial((0, 0, 1))(Fraction(1, 2)) == Fraction(1, 4)
 
 
 def test_poly_arithmetic_and_derivative():

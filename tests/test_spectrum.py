@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amenalab import (BlockOperator, DiagonalOperator, Polynomial, apply_poly_to_block,
-                      block_power, build_T, build_shifted_T, functional_calculus,
-                      make_spectrum, operator_norm)
+                      build_T, build_shifted_T, make_spectrum, operator_norm)
 from oracle_utils import dense_exact, matpow_exact, spectral_norm_oracle
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -72,9 +71,14 @@ def test_T_norm_closed_form_decreasing_spectra(count):
         math.sqrt(lam1 + lam1 ** 2), abs=1e-12)
 
 
+def kth_power(X: BlockOperator, k: int) -> BlockOperator:
+    """X^k as the monomial case of the one polynomial application."""
+    return apply_poly_to_block(Polynomial.monomial(k).coefficients, X)
+
+
 def test_block_power_of_T_is_power_of_spectrum():
     s = make_spectrum("geometric", 2)
-    squared = block_power(build_T(s), 2)
+    squared = kth_power(build_T(s), 2)
     # upper-right block carries lambda^(3/2), lower-right lambda^2
     for lam, x12, x22 in zip(s.values, squared.b12.diag, squared.b22.diag):
         assert x22 == lam * lam
@@ -85,7 +89,7 @@ def test_block_power_of_T_is_power_of_spectrum():
 def test_block_power_confluent_case():
     d = DiagonalOperator((Fraction(1, 3), Fraction(2)))
     X = BlockOperator(d, d, DiagonalOperator.zeros(2), d)
-    squared = block_power(X, 2)
+    squared = kth_power(X, 2)
     assert squared.b11.diag == tuple(v * v for v in d.diag)
     assert squared.b12.diag == tuple(2 * v * v for v in d.diag)
     assert squared.b22.diag == tuple(v * v for v in d.diag)
@@ -94,23 +98,34 @@ def test_block_power_confluent_case():
 def test_block_power_rejects_zeroth_power_and_lower_left():
     s = make_spectrum("geometric", 2)
     T = build_T(s)
+    # the zeroth power arrives as the nonzero constant term 1
     with pytest.raises(ValueError, match="non-unital"):
-        block_power(T, 0)
+        kth_power(T, 0)
     bad = BlockOperator(T.b11, T.b12, DiagonalOperator.ones(2), T.b22)
     with pytest.raises(ValueError, match="lower-left"):
-        block_power(bad, 1)
+        kth_power(bad, 1)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(rationals, rationals, rationals), min_size=1, max_size=3),
-       st.integers(min_value=1, max_value=5))
-def test_block_power_matches_naive_product(entries, k):
+@given(st.lists(st.tuples(rationals, rationals, rationals), max_size=2),
+       st.tuples(rationals, rationals), st.integers(min_value=0, max_value=2),
+       st.lists(rationals, min_size=1, max_size=5))
+def test_block_power_matches_naive_product(entries, confluent, position, coeffs):
+    # 1-3 coordinates, at least one of them confluent (a == c)
+    a, b = confluent
+    entries = [*entries[:position], (a, b, a), *entries[position:]]
     m = len(entries)
     X = BlockOperator(DiagonalOperator(tuple(e[0] for e in entries)),
                       DiagonalOperator(tuple(e[1] for e in entries)),
                       DiagonalOperator.zeros(m),
                       DiagonalOperator(tuple(e[2] for e in entries)))
-    assert dense_exact(block_power(X, k)) == matpow_exact(dense_exact(X), k)
+    dense = dense_exact(X)
+    expected = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
+    for k, c in enumerate(coeffs, start=1):
+        power = matpow_exact(dense, k)
+        expected = [[e + c * x for e, x in zip(erow, prow)]
+                    for erow, prow in zip(expected, power)]
+    assert dense_exact(apply_poly_to_block((Fraction(0), *coeffs), X)) == expected
 
 
 def test_block_power_large_truncation_matches_repeated_multiplication():
@@ -124,7 +139,7 @@ def test_block_power_large_truncation_matches_repeated_multiplication():
     repeated = X
     for _ in range(15):
         repeated = repeated @ X
-    assert (block_power(X, 16) - repeated).is_zero()
+    assert (kth_power(X, 16) - repeated).is_zero()
 
 
 def test_apply_poly_matches_naive_dense_sum():
@@ -146,10 +161,11 @@ def test_apply_poly_rejects_constant_term():
 
 
 def test_functional_calculus_entrywise():
+    # a polynomial of a diagonal operator acts entrywise
     N = DiagonalOperator((Fraction(1, 2), Fraction(1, 4)))
-    assert functional_calculus(N, lambda z: z).diag == N.diag
+    assert tuple(Polynomial((0, 1))(d) for d in N.diag) == N.diag
     p = Polynomial((0, 6, -8))
-    assert functional_calculus(N, p).diag == (Fraction(1), Fraction(1))
+    assert tuple(p(d) for d in N.diag) == (Fraction(1), Fraction(1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,8 +175,9 @@ def test_functional_calculus_entrywise():
 def test_functional_calculus_multiplicative(pc, qc, diag):
     N = DiagonalOperator(tuple(diag))
     p, q = Polynomial(tuple(pc)), Polynomial(tuple(qc))
-    product = functional_calculus(N, p * q)
-    composed = functional_calculus(N, p) @ functional_calculus(N, q)
+    product = DiagonalOperator(tuple((p * q)(d) for d in N.diag))
+    composed = DiagonalOperator(tuple(p(d) for d in N.diag)) @ \
+        DiagonalOperator(tuple(q(d) for d in N.diag))
     assert product.diag == composed.diag
 
 

@@ -37,10 +37,6 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     return mat[:r], pivots
 
 
-def rank(rows: Matrix) -> int:
-    return len(rref(rows)[0])
-
-
 def nullspace(rows: Matrix, ncols: int | None = None) -> list[Vector]:
     """Basis of the right nullspace of the matrix (exact)."""
     if not rows:
@@ -72,15 +68,3 @@ def solve_in_span(basis: Sequence[Vector], target: Vector) -> Vector | None:
         coeffs[pc] = reduced[r][-1]
     return coeffs
 
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]

@@ -140,7 +140,7 @@ def _vec(m: ExactMatrix) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Nullspace basis of the Leibniz constraint system.
+    """Nullspace basis of the Leibniz system on an algebra basis.
 
     Each basis element is one derivation, recorded by its values on the
     generators (one module element per generator); those values determine the
@@ -158,36 +158,25 @@ class DerivationSpace:
         return len(self.basis)
 
 
-def _word_layers(gens: Sequence[ExactMatrix], max_degree: int):
-    """Words (multi-index -> matrix) of total degree 1..max_degree."""
-    r = len(gens)
-    words: dict[tuple[int, ...], ExactMatrix] = {}
-    layer = {}
-    for i, g in enumerate(gens):
-        idx = tuple(1 if j == i else 0 for j in range(r))
-        layer[idx] = g
-    words.update(layer)
-    for _ in range(max_degree - 1):
-        nxt = {}
-        for idx, mat in layer.items():
-            for i, g in enumerate(gens):
-                jdx = tuple(v + (1 if j == i else 0) for j, v in enumerate(idx))
-                if jdx not in words and jdx not in nxt:
-                    nxt[jdx] = _mat_mul(mat, g)
-        words.update(nxt)
-        layer = nxt
-    return words
+def _combination(coeffs: Sequence[Fraction], mats: Sequence[ExactMatrix]) -> ExactMatrix:
+    """sum_t coeffs[t] * mats[t] for a nonempty list of matrices."""
+    size = len(mats[0])
+    return tuple(tuple(sum(c * m[p][q] for c, m in zip(coeffs, mats))
+                       for q in range(size)) for p in range(size))
 
 
 def derivation_space(generators, bimodule=None) -> DerivationSpace:
     """Basis of derivations from the (non-unital) algebra generated by the
     commuting matrices into a commutative bimodule.
 
-    A derivation is determined by its values on the generators; the linear
-    constraints come from every dependence among products of generators up to
-    twice the spanning degree.  The returned basis is Leibniz-validated on all
-    pairs of algebra basis elements, in exact rational arithmetic.  The
-    bimodule defaults to the algebra itself acting by multiplication.
+    The algebra basis b_1..b_s collects independent products of the
+    generators, breadth first; only independent elements are multiplied
+    further, which spans the algebra.  The unknowns are the module
+    coordinates of D(b_t), and every pair i <= j contributes the Leibniz
+    equation D(b_i b_j) = b_i D(b_j) + b_j D(b_i), with b_i b_j expanded in
+    the basis.  Leibniz on basis pairs implies it everywhere, so the exact
+    rational nullspace is the derivation space.  The bimodule defaults to the
+    algebra itself acting by multiplication.
     """
     gens = tuple(_to_exact_matrix(g) for g in generators)
     if not gens:
@@ -197,37 +186,23 @@ def derivation_space(generators, bimodule=None) -> DerivationSpace:
             if _mat_mul(gens[i], gens[j]) != _mat_mul(gens[j], gens[i]):
                 raise ValueError("generators must commute pairwise")
 
-    r = len(gens)
-    size = len(gens[0])
-    # spanning degree: the first layer that adds no rank
-    spanning = 1
-    seen_rank = 0
-    for d in range(1, size * size + 2):
-        wl = _word_layers(gens, d)
-        rk = rl.rank([_vec(m) for m in wl.values()])
-        if rk == seen_rank:
-            break
-        seen_rank = rk
-        spanning = d
-    max_degree = 2 * spanning
-    words = _word_layers(gens, max_degree)
-    order = sorted(words)  # by multi-index, deterministic
-    order.sort(key=lambda idx: (sum(idx), idx))
+    algebra: list[ExactMatrix] = []
+    algebra_vecs: list[list[Fraction]] = []
+    layer = list(gens)
+    while layer:
+        fresh = []
+        for m in layer:
+            v = _vec(m)
+            if rl.solve_in_span(algebra_vecs, v) is None:
+                algebra.append(m)
+                algebra_vecs.append(v)
+                fresh.append(m)
+        layer = [_mat_mul(m, g) for m in fresh for g in gens]
+    algebra_dim = len(algebra)
 
-    # algebra basis: greedy independent subset of words
-    basis_idx: list[tuple[int, ...]] = []
-    basis_vecs: list[list[Fraction]] = []
-    for idx in order:
-        v = _vec(words[idx])
-        if rl.solve_in_span(basis_vecs, v) is None:
-            basis_idx.append(idx)
-            basis_vecs.append(v)
-    algebra_dim = len(basis_idx)
-
-    # module basis and generator actions
     if bimodule is None:
         module_kind = "algebra"
-        module = tuple(words[idx] for idx in basis_idx)
+        module = tuple(algebra)
     else:
         module_kind = "supplied"
         module = tuple(_to_exact_matrix(x) for x in bimodule)
@@ -238,97 +213,39 @@ def derivation_space(generators, bimodule=None) -> DerivationSpace:
     module_vecs = [_vec(x) for x in module]
     s_x = len(module)
 
-    def action_matrix(g: ExactMatrix) -> rl.Matrix:
+    def action_matrix(b: ExactMatrix) -> rl.Matrix:
         cols = []
         for x in module:
-            coeffs = rl.solve_in_span(module_vecs, _vec(_mat_mul(g, x)))
+            coeffs = rl.solve_in_span(module_vecs, _vec(_mat_mul(b, x)))
             if coeffs is None:
                 raise ValueError("bimodule is not invariant under the generators")
             cols.append(coeffs)
-        return [[cols[j][i] for j in range(s_x)] for i in range(s_x)]
+        return [[cols[q][p] for q in range(s_x)] for p in range(s_x)]
 
-    rho_gen = [action_matrix(g) for g in gens]
-    rho_cache: dict[tuple[int, ...], rl.Matrix] = {tuple([0] * r): rl.identity(s_x)}
+    rho = [action_matrix(b) for b in algebra]
 
-    def rho(idx: tuple[int, ...]) -> rl.Matrix:
-        if idx in rho_cache:
-            return rho_cache[idx]
-        i = next(j for j, v in enumerate(idx) if v > 0)
-        prev = tuple(v - (1 if j == i else 0) for j, v in enumerate(idx))
-        out = rl.mat_mul(rho_gen[i], rho(prev))
-        rho_cache[idx] = out
-        return out
+    # unknown t * s_x + p is coordinate p of D(b_t)
+    rows: rl.Matrix = []
+    for i in range(algebra_dim):
+        for j in range(i, algebra_dim):
+            mu = rl.solve_in_span(algebra_vecs, _vec(_mat_mul(algebra[i], algebra[j])))
+            if mu is None:
+                raise InternalConsistencyError("algebra basis is not closed under products")
+            for p in range(s_x):
+                row = [Fraction(0)] * (algebra_dim * s_x)
+                for t, m_t in enumerate(mu):
+                    row[t * s_x + p] += m_t
+                for q in range(s_x):
+                    row[j * s_x + q] -= rho[i][p][q]
+                    row[i * s_x + q] -= rho[j][p][q]
+                rows.append(row)
 
-    if algebra_dim == 0 or s_x == 0:
-        return DerivationSpace(gens, module_kind, module, (), algebra_dim)
-
-    # relations among words, then Leibniz constraints on generator values
-    word_cols = [_vec(words[idx]) for idx in order]
-    coord_rows = [[word_cols[w][c] for w in range(len(order))] for c in range(size * size)]
-    relations = rl.nullspace(coord_rows, len(order))
-
-    constraint_rows: rl.Matrix = []
-    for c_vec in relations:
-        blocks: list[rl.Matrix] = []
-        for i in range(r):
-            coef = [[Fraction(0)] * s_x for _ in range(s_x)]
-            for w, idx in enumerate(order):
-                if c_vec[w] == 0 or idx[i] == 0:
-                    continue
-                shrunk = tuple(v - (1 if j == i else 0) for j, v in enumerate(idx))
-                act = rho(shrunk)
-                factor = c_vec[w] * idx[i]
-                for p in range(s_x):
-                    for q in range(s_x):
-                        coef[p][q] += factor * act[p][q]
-            blocks.append(coef)
-        for p in range(s_x):
-            constraint_rows.append([blocks[i][p][q] for i in range(r) for q in range(s_x)])
-
-    solutions = (rl.nullspace(constraint_rows, r * s_x) if constraint_rows
-                 else [[Fraction(int(t == s)) for t in range(r * s_x)] for s in range(r * s_x)])
-
-    def coords_to_matrix(coords: Sequence[Fraction]) -> ExactMatrix:
-        acc = [[Fraction(0)] * size for _ in range(size)]
-        for c, x in zip(coords, module):
-            if c:
-                for p in range(size):
-                    for q in range(size):
-                        acc[p][q] += c * x[p][q]
-        return tuple(tuple(row) for row in acc)
-
-    basis = tuple(tuple(coords_to_matrix(sol[i * s_x:(i + 1) * s_x]) for i in range(r))
-                  for sol in solutions)
-
-    # Leibniz validation on all pairs of algebra basis elements
-    def value_on_word(sol: Sequence[Fraction], idx: tuple[int, ...]) -> rl.Vector:
-        out = [Fraction(0)] * s_x
-        for i in range(r):
-            if idx[i] == 0:
-                continue
-            shrunk = tuple(v - (1 if j == i else 0) for j, v in enumerate(idx))
-            contrib = rl.mat_vec(rho(shrunk), list(sol[i * s_x:(i + 1) * s_x]))
-            out = [a + idx[i] * b for a, b in zip(out, contrib)]
-        return out
-
-    for sol in solutions:
-        word_values = {idx: value_on_word(sol, idx) for idx in basis_idx}
-        for ia, idx_a in enumerate(basis_idx):
-            for idx_b in basis_idx[ia:]:
-                product = _mat_mul(words[idx_a], words[idx_b])
-                mu = rl.solve_in_span(basis_vecs, _vec(product))
-                if mu is None:
-                    raise InternalConsistencyError("algebra basis is not closed under products")
-                lhs = [Fraction(0)] * s_x
-                for m_c, idx_t in zip(mu, basis_idx):
-                    if m_c:
-                        lhs = [a + m_c * b for a, b in zip(lhs, word_values[idx_t])]
-                rhs_a = rl.mat_vec(rho(idx_a), word_values[idx_b])
-                rhs_b = rl.mat_vec(rho(idx_b), word_values[idx_a])
-                if lhs != [a + b for a, b in zip(rhs_a, rhs_b)]:
-                    raise InternalConsistencyError("derivation candidate violates the Leibniz rule")
-
-    return DerivationSpace(gens, module_kind, module, basis, algebra_dim)
+    gen_coords = [rl.solve_in_span(algebra_vecs, _vec(g)) for g in gens]
+    basis = []
+    for sol in rl.nullspace(rows, algebra_dim * s_x):
+        images = [_combination(sol[t * s_x:(t + 1) * s_x], module) for t in range(algebra_dim)]
+        basis.append(tuple(_combination(c, images) for c in gen_coords))
+    return DerivationSpace(gens, module_kind, module, tuple(basis), algebra_dim)
 
 
 # --- approximate identities --------------------------------------------------
@@ -358,8 +275,7 @@ def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence)
     element_norm = operator_norm(u.to_float())
     q = divide_shifted(p, lam_n)
     check = mvt_bound_check(p, q, lam_n, spectrum)
-    p_sup = sup_norm(p, (lam_n - lam_1, lam_n))
-    certified = p_sup + math.sqrt(float(lam_1)) * (check.rhs + p_sup) / float(lam_n)
+    certified = check.p_sup + math.sqrt(float(lam_1)) * (check.rhs + check.p_sup) / float(lam_n)
     return ApproximationStep(max(p.degree, 0), residual, element_norm,
                              check.rhs, check.ok, certified)
 

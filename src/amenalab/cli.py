@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -83,14 +84,38 @@ class Check(NamedTuple):
     test_ref: str
 
 
-def _parse_int_list(text: str, field: str) -> tuple[int, ...]:
-    try:
-        items = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"{field}: expected a comma-separated integer list")
-    if not items:
+def _as_int(value, field: str) -> int:
+    """An integer field: a JSON integer or a decimal string."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{field}: expected an integer, got {value!r}")
+
+
+def _int_list(items, field: str) -> tuple[int, ...]:
+    """A list field, given as a JSON list or a comma-separated string."""
+    if isinstance(items, str):
+        items = [part for part in items.split(",") if part.strip()]
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"{field}: expected a list of integers")
+    out = tuple(_as_int(x, field) for x in items)
+    if not out:
         raise ConfigError(f"{field}: must not be empty")
-    return items
+    return out
+
+
+def _tolerance(value, field: str) -> float:
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: not a number")
+    if not math.isfinite(tol):
+        raise ConfigError(f"{field}: must be finite")
+    if tol <= 0:
+        raise ConfigError(f"{field}: must be positive")
+    return tol
 
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
@@ -108,7 +133,7 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
             out.append(k)
             k *= 2
         return tuple(out)
-    return _parse_int_list(text, "degrees")
+    return _int_list(text, "degrees")
 
 
 def _validate_increasing(items: Sequence[int], field: str):
@@ -127,7 +152,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config: file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON ({exc})")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config: expected a JSON object")
     spec_cfg = file_cfg.get("spectrum", {})
+    if not isinstance(spec_cfg, dict):
+        raise ConfigError("spectrum: expected a JSON object")
 
     kind = args.kind or spec_cfg.get("kind", "geometric")
     if kind not in ("geometric", "harmonic", "explicit"):
@@ -135,47 +164,50 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     ratio_raw = args.ratio if args.ratio is not None else spec_cfg.get("ratio", 0.5)
     try:
         ratio = as_fraction(ratio_raw)
-    except (TypeError, ValueError):
-        raise ConfigError("spectrum.ratio: not a number")
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("spectrum.ratio: not a finite number")
     count = args.count if args.count is not None else spec_cfg.get("count")
     if count is not None:
-        count = int(count)
+        count = _as_int(count, "count")
         if count < 1:
             raise ConfigError("count: must be a positive integer")
     values = spec_cfg.get("values")
     if values is not None:
-        values = tuple(as_fraction(v) for v in values)
+        try:
+            if not isinstance(values, list):
+                raise TypeError
+            values = tuple(as_fraction(v) for v in values)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("spectrum.values: expected a list of finite numbers")
 
     if args.truncations is not None:
-        truncations = _parse_int_list(args.truncations, "truncations")
+        truncations = _int_list(args.truncations, "truncations")
     else:
-        truncations = tuple(int(x) for x in file_cfg.get("truncations", (4, 8, 16, 20)))
+        truncations = _int_list(file_cfg.get("truncations", (4, 8, 16, 20)), "truncations")
     _validate_increasing(truncations, "truncations")
 
     if args.degrees is not None:
         degrees = _parse_degrees(args.degrees)
     else:
-        degrees = tuple(int(x) for x in file_cfg.get("degrees", (8, 16, 32, 64)))
+        degrees = _int_list(file_cfg.get("degrees", (8, 16, 32, 64)), "degrees")
     _validate_increasing(degrees, "degrees")
     if any(k < 2 for k in degrees):
         raise ConfigError("degrees: entries must be at least 2")
 
-    tol_algebraic = args.tol_algebraic if args.tol_algebraic is not None \
-        else float(file_cfg.get("tol_algebraic", 1e-12))
-    tol_analytic = args.tol_analytic if args.tol_analytic is not None \
-        else float(file_cfg.get("tol_analytic", 1e-3))
-    if tol_algebraic <= 0:
-        raise ConfigError("tol_algebraic: must be positive")
-    if tol_analytic <= 0:
-        raise ConfigError("tol_analytic: must be positive")
+    tol_algebraic = _tolerance(args.tol_algebraic if args.tol_algebraic is not None
+                               else file_cfg.get("tol_algebraic", 1e-12), "tol_algebraic")
+    tol_analytic = _tolerance(args.tol_analytic if args.tol_analytic is not None
+                              else file_cfg.get("tol_analytic", 1e-3), "tol_analytic")
 
     fmt = args.format or file_cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: must be 'csv' or 'json', got {fmt!r}")
     out = args.out or file_cfg.get("out", "reports")
+    if not isinstance(out, str):
+        raise ConfigError("out: expected a directory path")
 
     cfg = RunConfig(kind, ratio, count, values, truncations, degrees,
-                    float(tol_algebraic), float(tol_analytic), fmt, str(out))
+                    tol_algebraic, tol_analytic, fmt, out)
     _spectrum_at(cfg, _default_count(cfg, SPECTRUM_DEFAULT_COUNT))  # validates spectrum fields
     return cfg
 

@@ -307,26 +307,15 @@ def evaluate_on_grid(p: Polynomial, a, b, num: int) -> np.ndarray:
 Domain = Union[SpectrumSequence, tuple]
 
 
-def sup_norm(f, domain: Domain, *, grid: int = DEFAULT_GRID) -> float:
-    """Supremum of |f| over a spectrum (its points plus the origin, exactly) or
+def sup_norm(p: Polynomial, domain: Domain, *, grid: int = DEFAULT_GRID) -> float:
+    """Supremum of |p| over a spectrum (its points plus the origin, exactly) or
     over an interval (a, b) sampled on a uniform grid of at least 1000 points."""
     if isinstance(domain, SpectrumSequence):
-        pts = [Fraction(0)] + list(domain.values)
-        if isinstance(f, (Polynomial, NotchFunction)):
-            values = [f.value(z) if isinstance(f, NotchFunction) else f(z) for z in pts]
-        else:
-            values = [f(z) for z in pts]
-        return max((abs(float(v)) for v in values), default=0.0)
+        return max(abs(float(p(z))) for z in (Fraction(0), *domain.values))
     a, b = domain
     if grid < 1000:
         raise ValueError("grid resolution must be at least 1000 points")
-    if isinstance(f, Polynomial):
-        vals = evaluate_on_grid(f, a, b, grid)
-    elif isinstance(f, NotchFunction):
-        vals = f.value_array(np.linspace(float(a), float(b), grid))
-    else:
-        vals = np.asarray([f(z) for z in np.linspace(float(a), float(b), grid)], float)
-    return float(np.max(np.abs(vals))) if len(vals) else 0.0
+    return float(np.max(np.abs(evaluate_on_grid(p, a, b, grid))))
 
 
 def divide_shifted(p: Polynomial, lam) -> Polynomial:
@@ -345,15 +334,16 @@ class MvtCheck(NamedTuple):
     ok: bool
     lhs: float
     rhs: float
+    p_sup: float
 
 
-def mvt_bound_check(p: Polynomial, q: Polynomial, lam, spectrum: SpectrumSequence, *,
-                    tol: float = 1e-12, grid: int = DEFAULT_GRID) -> MvtCheck:
+def mvt_bound_check(p: Polynomial, q: Polynomial, lam, spectrum: SpectrumSequence) -> MvtCheck:
     """Mean-value bound for the divided polynomial: the sup of |q| over the
     spectrum (plus origin) must not exceed sup|p| + lam * sup|p'| over
-    [lam - lambda_1, lam].  Returns the verdict with both sides."""
+    [lam - lambda_1, lam].  Returns the verdict with both sides and sup|p|."""
     lam = as_fraction(lam)
     a, b = lam - spectrum.lam(1), lam
     lhs = sup_norm(q, spectrum)
-    rhs = sup_norm(p, (a, b), grid=grid) + float(lam) * sup_norm(p.derivative(), (a, b), grid=grid)
-    return MvtCheck(lhs <= rhs + tol, lhs, rhs)
+    p_sup = sup_norm(p, (a, b))
+    rhs = p_sup + float(lam) * sup_norm(p.derivative(), (a, b))
+    return MvtCheck(lhs <= rhs + 1e-12, lhs, rhs, p_sup)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from amenalab import (AlgebraElement, ApproximationStep, Polynomial, apply_poly_to_block,
                       approximate_identity_step, approximate_identity_steps, bai_defect,
@@ -146,6 +147,34 @@ def test_derivation_jordan_self_module_matches_oracle():
     for size in (2, 3, 4):
         q = jordan_block(size)
         assert derivation_space([q]).dimension == derivation_dimension_oracle(q) >= 1
+
+
+@pytest.mark.parametrize("q, module", [
+    (jordan_block(2), None), (jordan_block(3), None), (jordan_block(4), None),
+    ([[2, 1], [0, 2]], None), (jordan_block(2), [jordan_block(2)]),
+], ids=["J2", "J3", "J4", "2I+N", "J2-supplied"])
+def test_derivation_basis_respects_power_relations(q, module):
+    """A derivation of a singly generated algebra sends q^k to k q^(k-1) D(q)
+    in a commutative bimodule, so every linear relation among q, ..., q^(n+1)
+    must annihilate those images too."""
+    space = derivation_space([q], bimodule=module)
+    assert space.dimension == derivation_dimension_oracle(q, module=module)
+    n = len(q)
+    Q = sympy.Matrix(q)
+    stacked = sympy.Matrix.hstack(*((Q ** k).reshape(n * n, 1) for k in range(1, n + 2)))
+    relations = stacked.nullspace()
+    module_cols = [sympy.Matrix(x).reshape(n * n, 1) for x in space.module_basis]
+    values = []
+    for (dq,) in space.basis:
+        dq = sympy.Matrix(dq)
+        images = [k * Q ** (k - 1) * dq for k in range(1, n + 2)]
+        for c in relations:
+            assert sum((c[k] * images[k] for k in range(n + 1)), sympy.zeros(n, n)) \
+                == sympy.zeros(n, n)
+        in_module = sympy.Matrix.hstack(*module_cols, dq.reshape(n * n, 1))
+        assert in_module.rank() == len(module_cols)
+        values.append(dq.reshape(n * n, 1))
+    assert sympy.Matrix.hstack(*values).rank() == len(values)
 
 
 def test_derivation_zero_algebra():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from amenalab.cli import main
 
 
@@ -47,6 +49,31 @@ def test_verify_rejects_unsorted_degrees(capsys):
 def test_verify_rejects_bad_tolerance(capsys):
     assert run(["verify", "weak", "--tol-algebraic", "-1"]) == 2
     assert "tol_algebraic: must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, flags, field", [
+    ({"spectrum": {"count": "abc"}}, [], "count:"),
+    ({"tol_algebraic": "x"}, [], "tol_algebraic:"),
+    ({"truncations": ["a"]}, [], "truncations:"),
+    ({"truncations": []}, [], "truncations:"),
+    ({"degrees": 5}, [], "degrees:"),
+    ([1, 2], [], "config:"),
+    ({"spectrum": 5}, [], "spectrum:"),
+    ({"spectrum": {"kind": "explicit", "values": ["x"]}}, [], "spectrum.values:"),
+    (None, ["--ratio", "inf"], "spectrum.ratio:"),
+    (None, ["--tol-algebraic", "nan"], "tol_algebraic:"),
+    (None, ["--tol-analytic", "inf"], "tol_analytic:"),
+])
+def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field):
+    argv = ["verify", "similarity", "--out", str(tmp_path / "r"), *flags]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_degree_range_expansion(tmp_path, capsys):

@@ -1,14 +1,19 @@
-"""Guard for the traced benchmark: every name that perfbench/tracing.py wraps
-must still resolve after `import amenalab.cli`, the only import its children
-make.  The check runs in a fresh interpreter, so modules that other tests
-import do not hide a name the CLI no longer loads."""
+"""Guards for the benchmark.  Every name that perfbench/tracing.py wraps must
+still resolve after `import amenalab.cli`, the only import its children make;
+that check runs in a fresh interpreter, so modules that other tests import do
+not hide a name the CLI no longer loads.  The reports of the `all_harm8`
+workload must match the digests and verdicts in perfbench/reference.json,
+which the benchmark's correctness gate compares against."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from amenalab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,3 +50,15 @@ def test_traced_targets_resolve_after_cli_import():
     got = json.loads(out.stdout)
     assert got["missing"] == []
     assert {"weak", "character", "similarity", "derivations"} <= set(got["runners"])
+
+
+def test_all_harm8_reports_match_reference(tmp_path, capsys):
+    ref = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))
+    ref = ref["workloads"]["all_harm8"]
+    out_dir = tmp_path / "reports"
+    main([*ref["argv"], "--out", str(out_dir)])
+    printed = capsys.readouterr().out
+    for name, verdict in ref["checks"].items():
+        assert f"[{verdict}] {name}:" in printed
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out_dir.iterdir()}
+    assert got == ref["reports"]

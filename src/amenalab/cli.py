@@ -16,6 +16,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -106,6 +107,28 @@ def _int_list(items, field: str) -> tuple[int, ...]:
     return out
 
 
+def _exact_number(value, field: str) -> Fraction:
+    """A ratio or explicit value, exact from its decimal text: a JSON number
+    (read as Decimal), a decimal or 'p/q' string, or an integer.  A decimal
+    that no float can hold is rejected before its exact value is built."""
+    if isinstance(value, str):
+        try:
+            value = Decimal(value)
+        except InvalidOperation:
+            pass  # a 'p/q' string, or malformed text that as_fraction rejects
+    if isinstance(value, Decimal):
+        if not value.is_finite():
+            raise ConfigError(f"{field}: not a finite number")
+        approx = float(value)
+        if math.isinf(approx) or (approx == 0 and value != 0):
+            raise ConfigError(f"{field}: outside the float range")
+        return Fraction(value)
+    try:
+        return as_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"{field}: not a finite number")
+
+
 def _tolerance(value, field: str) -> float:
     try:
         tol = float(value)
@@ -147,10 +170,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_cfg: dict = {}
     if getattr(args, "config", None):
         try:
-            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"),
+                                  parse_float=Decimal)
         except FileNotFoundError:
             raise ConfigError(f"config: file not found: {args.config}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an undecodable file or an oversized integer
             raise ConfigError(f"config: invalid JSON ({exc})")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config: expected a JSON object")
@@ -161,11 +185,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     kind = args.kind or spec_cfg.get("kind", "geometric")
     if kind not in ("geometric", "harmonic", "explicit"):
         raise ConfigError(f"spectrum.kind: unknown kind {kind!r}")
-    ratio_raw = args.ratio if args.ratio is not None else spec_cfg.get("ratio", 0.5)
-    try:
-        ratio = as_fraction(ratio_raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("spectrum.ratio: not a finite number")
+    ratio = _exact_number(args.ratio if args.ratio is not None else spec_cfg.get("ratio", "0.5"),
+                          "spectrum.ratio")
     count = args.count if args.count is not None else spec_cfg.get("count")
     if count is not None:
         count = _as_int(count, "count")
@@ -173,12 +194,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("count: must be a positive integer")
     values = spec_cfg.get("values")
     if values is not None:
-        try:
-            if not isinstance(values, list):
-                raise TypeError
-            values = tuple(as_fraction(v) for v in values)
-        except (TypeError, ValueError, OverflowError):
+        if not isinstance(values, list):
             raise ConfigError("spectrum.values: expected a list of finite numbers")
+        values = tuple(_exact_number(v, "spectrum.values") for v in values)
 
     if args.truncations is not None:
         truncations = _int_list(args.truncations, "truncations")
@@ -227,10 +245,18 @@ def _spectrum_at(cfg: RunConfig, count: int) -> SpectrumSequence:
                 raise ConfigError("spectrum.values: required for an explicit spectrum")
             if count > len(cfg.values):
                 raise ConfigError("truncations: exceed the explicit spectrum length")
-            return make_spectrum("explicit", values=cfg.values[:count])
-        return make_spectrum(cfg.kind, count, ratio=cfg.ratio)
+            spectrum = make_spectrum("explicit", values=cfg.values[:count])
+        else:
+            spectrum = make_spectrum(cfg.kind, count, ratio=cfg.ratio)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    # The float tier prints ||E_n|| = sqrt(1/lambda_n + 1) and the tails
+    # sqrt(lambda_n + lambda_n^2); both must stay below the largest float.
+    top, bottom = spectrum.lam(1), spectrum.lam(len(spectrum))
+    if max(top + top ** 2, 1 / bottom + 1) > sys.float_info.max:
+        field = "spectrum.values" if cfg.kind == "explicit" else "spectrum.ratio"
+        raise ConfigError(f"{field}: the spectrum leaves the float range")
+    return spectrum
 
 
 # --- verify pipelines ---------------------------------------------------------
@@ -483,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("target", choices=[*VERIFY_TARGETS, "all"])
     for p in (spectrum_p, verify_p):
         p.add_argument("--kind", choices=["geometric", "harmonic", "explicit"])
-        p.add_argument("--ratio", type=float)
+        p.add_argument("--ratio", help="decimal or fraction, e.g. 0.9 or 9/10")
         p.add_argument("--count", type=int)
         p.add_argument("--truncations", help="comma-separated truncation sizes, e.g. 4,8,16")
         p.add_argument("--degrees", help="comma list or doubling range a:b, e.g. 8:64")

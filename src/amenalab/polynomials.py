@@ -6,13 +6,16 @@ Coefficients are Fractions in ascending degree, so every algebraic identity
 evaluation converts to Bernstein form on the interval of interest and runs a
 float de Casteljau sweep: high-degree monomial Horner in float is unusable
 here because the exact coefficients grow combinatorially large.
+The exact kernels (affine composition, Bernstein/monomial conversion) run
+their inner loops on integer numerators over one common denominator and
+normalize each output coefficient once; the sweep updates one array in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -21,11 +24,19 @@ from .scalars import as_fraction
 from .spectrum import SpectrumSequence
 
 DEFAULT_GRID = 4096
+GRID_BLOCK = 1024
 NOTCH_WIDTH_DIVISOR = 64
 
 
 class InternalConsistencyError(RuntimeError):
     """An algebraic identity that must hold exactly failed to hold."""
+
+
+def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators N_i and their common denominator L, v_i = N_i / L."""
+    values = [as_fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass(frozen=True)
@@ -103,17 +114,26 @@ class Polynomial:
         return Polynomial(tuple(i * c for i, c in enumerate(self.coefficients) if i >= 1))
 
     def compose_affine(self, alpha, beta) -> "Polynomial":
-        """Exact composition p(alpha + beta * z)."""
+        """Exact composition p(alpha + beta * z).
+
+        With c_i = N_i / L, alpha = u / E and beta = v / E, Horner runs on the
+        integer polynomial sum_i N_i E^(k-i) (u + v z)^i, which is divided by
+        L E^k once per output coefficient.
+        """
+        if not self.coefficients:
+            return Polynomial.zero()
         alpha, beta = as_fraction(alpha), as_fraction(beta)
-        res = [Fraction(0)]
-        for c in reversed(self.coefficients):
-            nxt = [Fraction(0)] * (len(res) + 1)
-            for i, r in enumerate(res):
-                nxt[i] += r * alpha
-                nxt[i + 1] += r * beta
-            nxt[0] += c
-            res = nxt
-        return Polynomial(tuple(res))
+        nums, den = _common_denominator(self.coefficients)
+        e = lcm(alpha.denominator, beta.denominator)
+        u, v = alpha.numerator * (e // alpha.denominator), beta.numerator * (e // beta.denominator)
+        acc = [nums[-1]]
+        scale = 1
+        for n in reversed(nums[:-1]):
+            scale *= e
+            acc = ([acc[0] * u + n * scale]
+                   + [x * u + y * v for x, y in zip(acc[1:], acc)] + [acc[-1] * v])
+        den *= scale
+        return Polynomial(tuple(Fraction(x, den) for x in acc))
 
     def divided_by_z(self) -> "Polynomial":
         """Exact division by z; the constant term must vanish identically."""
@@ -218,14 +238,13 @@ def unit_notch(spectrum: SpectrumSequence) -> NotchFunction:
 def _bernstein_to_monomial(values: Sequence[Fraction], a: Fraction, b: Fraction) -> Polynomial:
     """Exact monomial form of sum_j v_j C(k,j) t^j (1-t)^(k-j), t = (z-a)/(b-a)."""
     k = len(values) - 1
-    coeff_t = [Fraction(0)] * (k + 1)
-    for j, v in enumerate(values):
-        if v == 0:
-            continue
-        cj = comb(k, j)
-        for m in range(j, k + 1):
-            term = v * cj * comb(k - j, m - j)
-            coeff_t[m] += -term if (m - j) % 2 else term
+    # The t^m coefficient is C(k, m) times the m-th forward difference of the
+    # values, taken on their numerators over one common denominator.
+    row, den = _common_denominator(values)
+    coeff_t = []
+    for m in range(k + 1):
+        coeff_t.append(Fraction(comb(k, m) * row[0], den))
+        row = [y - x for x, y in zip(row, row[1:])]
     width = b - a
     return Polynomial(tuple(coeff_t)).compose_affine(-a / width, 1 / width)
 
@@ -239,10 +258,11 @@ def _zero_pin(f, degree: int) -> Polynomial:
     would be size O(1) whenever the dip sits below the Bernstein resolution.
     """
     width = f.b - f.a
+    anchors = getattr(f, "anchors", ())
     ell = Polynomial.constant(1)
-    for g in getattr(f, "anchors", ()):
+    for g in anchors:
         ell = ell * Polynomial((Fraction(1), -1 / as_fraction(g)))
-    m = max(degree - len(f.anchors), 0)
+    m = max(degree - len(anchors), 0)
     t0 = -f.a / width
     j0 = min(max(int(round(t0 * m)), 0), m)
     bump_t = [Fraction(0)] * (m + 1)
@@ -286,10 +306,16 @@ def _bernstein_controls(p: Polynomial, a, b) -> list[Fraction]:
         return [Fraction(0)]
     g = p.compose_affine(a, b - a)
     d = p.degree
-    c = list(g.coefficients) + [Fraction(0)] * (d + 1 - len(g.coefficients))
+    nums, den = _common_denominator(g.coefficients)
+    nums += [0] * (d + 1 - len(nums))
+    # ctrl_i = sum_m C(i, m) / C(d, m) g_m = (1 / (L d!)) sum_m C(i, m) m! (d - m)! G_m;
+    # the binomial sums over m are the first entries of a Pascal-style triangle.
+    row = [factorial(m) * factorial(d - m) * n for m, n in enumerate(nums)]
+    den *= factorial(d)
     ctrl = []
-    for i in range(d + 1):
-        ctrl.append(sum(Fraction(comb(i, m), comb(d, m)) * c[m] for m in range(i + 1)))
+    for _ in range(d + 1):
+        ctrl.append(Fraction(row[0], den))
+        row = [x + y for x, y in zip(row, row[1:])]
     return ctrl
 
 
@@ -298,10 +324,23 @@ def evaluate_on_grid(p: Polynomial, a, b, num: int) -> np.ndarray:
     vectorized float de Casteljau sweep over a uniform grid (endpoints included)."""
     ctrl = np.array([float(c) for c in _bernstein_controls(p, a, b)])
     t = np.linspace(0.0, 1.0, num)
-    beta = np.repeat(ctrl[:, None], num, axis=1)
-    for _ in range(len(ctrl) - 1):
-        beta = beta[:-1] * (1 - t) + beta[1:] * t
-    return beta[0]
+    s = 1 - t
+    k = len(ctrl) - 1
+    out = np.empty(num)
+    beta = np.empty((k + 1, min(num, GRID_BLOCK)))
+    scratch = np.empty((k, beta.shape[1]))
+    # In place, block by block: each step is still round(beta_i * s) +
+    # round(beta_(i+1) * t), so the floats equal those of the plain sweep.
+    for lo in range(0, num, GRID_BLOCK):
+        tb, sb = t[lo:lo + GRID_BLOCK], s[lo:lo + GRID_BLOCK]
+        w = len(tb)
+        beta[:, :w] = ctrl[:, None]
+        for r in range(k, 0, -1):
+            np.multiply(beta[1:r + 1, :w], tb, out=scratch[:r, :w])
+            beta[:r, :w] *= sb
+            beta[:r, :w] += scratch[:r, :w]
+        out[lo:lo + w] = beta[0, :w]
+    return out
 
 
 Domain = Union[SpectrumSequence, tuple]

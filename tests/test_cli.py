@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amenalab.cli import main
 
@@ -15,6 +19,16 @@ def test_spectrum_command_output(capsys):
     assert "spectrum: geometric(ratio=1/2,count=3)" in out
     assert "0.8660254037844387" in out  # ||T||
     assert "2.23606797749979" in out    # ||E_2||
+
+
+def test_spectrum_ratio_decimal_is_exact(tmp_path, capsys):
+    assert run(["spectrum", "--ratio", "0.9", "--count", "2"]) == 0
+    flag_out = capsys.readouterr().out
+    assert "spectrum: geometric(ratio=9/10,count=2)" in flag_out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"spectrum": {"ratio": 0.9, "count": 2}}')
+    assert run(["spectrum", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == flag_out  # same ratio, same config hash
 
 
 def test_spectrum_rejects_zero_count(capsys):
@@ -63,6 +77,12 @@ def test_verify_rejects_bad_tolerance(capsys):
     (None, ["--ratio", "inf"], "spectrum.ratio:"),
     (None, ["--tol-algebraic", "nan"], "tol_algebraic:"),
     (None, ["--tol-analytic", "inf"], "tol_analytic:"),
+    (None, ["--ratio", "nan"], "spectrum.ratio:"),
+    ({"spectrum": {"ratio": "1/0"}}, [], "spectrum.ratio:"),
+    ({"spectrum": {"ratio": "1e-999999999"}}, [], "spectrum.ratio:"),
+    ({"spectrum": {"ratio": 1e-5, "count": 64}}, [], "spectrum.ratio:"),
+    ({"spectrum": {"kind": "explicit", "values": [1e200]}}, [], "spectrum.values:"),
+    ({"spectrum": {"kind": "explicit", "values": [5e-324]}}, [], "spectrum.values:"),
 ])
 def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field):
     argv = ["verify", "similarity", "--out", str(tmp_path / "r"), *flags]
@@ -131,3 +151,57 @@ def test_verify_derivations(tmp_path, capsys):
     assert run(["verify", "derivations", "--out", str(out_dir)]) == 0
     assert "[PASS] derivations.dichotomy" in capsys.readouterr().out
     assert (out_dir / "derivations_dichotomy.csv").exists()
+
+
+# Numbers of each JSON type, some at the ends of the float range, and text
+# that parses as a decimal or fraction, some of it degenerate.
+extreme_floats = st.sampled_from([5e-324, 1e-30, 1e200, 1.7e308])
+json_numbers = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6), st.floats(allow_nan=True, allow_infinity=True), extreme_floats,
+    st.sampled_from(["0.9", "9/10", "1/0", "inf", "-nan", "1e-999999999", "1e400"]))
+# No nested key is "count": an integer count stays <= 64, where json_values
+# would reach 10**6 and build a spectrum that large.
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), json_numbers, st.text(max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(st.text(max_size=6).filter(lambda k: k != "count"),
+                                            inner, max_size=4)),
+    max_leaves=12)
+
+
+def field(valid):
+    """A config field: mostly a well-formed value, so that a run gets past the
+    other fields to the one under test, otherwise any JSON value."""
+    return st.one_of(valid, valid, valid, json_values)
+
+
+def ascending(lo, hi):
+    return st.lists(st.integers(lo, hi), min_size=1, max_size=4, unique=True).map(sorted)
+
+
+spectrum_objects = st.fixed_dictionaries({}, optional={
+    "kind": field(st.sampled_from(["geometric", "harmonic", "explicit"])),
+    "ratio": field(st.one_of(st.floats(0, 1), extreme_floats, json_numbers)),
+    "count": st.one_of(st.integers(-2, 64), json_values.filter(lambda v: not isinstance(v, int))),
+    "values": field(st.lists(st.one_of(st.floats(0, 2), extreme_floats), max_size=6,
+                             unique=True).map(lambda v: sorted(v, reverse=True))),
+})
+config_objects = st.fixed_dictionaries({}, optional={
+    "spectrum": field(spectrum_objects),
+    "truncations": field(ascending(1, 64)),
+    "degrees": field(st.one_of(ascending(2, 256), st.just("8:64"))),
+    "tol_algebraic": field(st.one_of(st.floats(1e-15, 1), json_numbers)),
+    "tol_analytic": field(st.one_of(st.floats(1e-15, 1), json_numbers)),
+    "format": field(st.sampled_from(["csv", "json"])),
+    "out": field(st.text(max_size=8)),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(config_objects, st.fixed_dictionaries({"spectrum": spectrum_objects}),
+                 json_values))
+def test_spectrum_fuzzed_config_exits_cleanly(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["spectrum", "--config", str(path)]) in (0, 2)

@@ -1,9 +1,10 @@
 """Guards for the benchmark.  Every name that perfbench/tracing.py wraps must
 still resolve after `import amenalab.cli`, the only import its children make;
 that check runs in a fresh interpreter, so modules that other tests import do
-not hide a name the CLI no longer loads.  The reports of the `all_harm8`
-workload must match the digests and verdicts in perfbench/reference.json,
-which the benchmark's correctness gate compares against."""
+not hide a name the CLI no longer loads.  The reports of the `all_harm8` and
+`char_geo16_d128` workloads (the latter reaches Bernstein degree 128) must
+match the digests and verdicts in perfbench/reference.json, which the
+benchmark's correctness gate compares against."""
 
 import ast
 import hashlib
@@ -52,9 +53,9 @@ def test_traced_targets_resolve_after_cli_import():
     assert {"weak", "character", "similarity", "derivations"} <= set(got["runners"])
 
 
-def test_all_harm8_reports_match_reference(tmp_path, capsys):
+def assert_matches_reference(workload, tmp_path, capsys):
     ref = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))
-    ref = ref["workloads"]["all_harm8"]
+    ref = ref["workloads"][workload]
     out_dir = tmp_path / "reports"
     main([*ref["argv"], "--out", str(out_dir)])
     printed = capsys.readouterr().out
@@ -62,3 +63,11 @@ def test_all_harm8_reports_match_reference(tmp_path, capsys):
         assert f"[{verdict}] {name}:" in printed
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out_dir.iterdir()}
     assert got == ref["reports"]
+
+
+def test_all_harm8_reports_match_reference(tmp_path, capsys):
+    assert_matches_reference("all_harm8", tmp_path, capsys)
+
+
+def test_char_geo16_d128_reports_match_reference(tmp_path, capsys):
+    assert_matches_reference("char_geo16_d128", tmp_path, capsys)

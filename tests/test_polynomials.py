@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from amenalab import (InternalConsistencyError, Polynomial, approximate_with_derivative,
                       divide_shifted, evaluate_on_grid, make_spectrum, mvt_bound_check,
                       notch, sup_norm, unit_notch)
+from amenalab.polynomials import _bernstein_controls, _bernstein_to_monomial
 from amenalab.scalars import as_fraction
 from oracle_utils import poly_to_sympy, random_rational_poly
 
@@ -52,6 +53,81 @@ def test_compose_affine_exact():
     p = Polynomial((0, 0, 1))  # z^2
     shifted = p.compose_affine(Fraction(1, 2), Fraction(-1))  # (1/2 - z)^2
     assert shifted.coefficients == (Fraction(1, 4), Fraction(-1), Fraction(1))
+
+
+# Coefficient lists that include the zero polynomial, constants and lists whose
+# trailing zeros trim away (degree drop).
+coefficient_lists = st.one_of(
+    st.lists(rationals, max_size=9),
+    st.lists(rationals, max_size=6).map(lambda c: c + [Fraction(0)] * 3),
+    st.lists(st.just(Fraction(0)), max_size=4),
+)
+z_sym, t_sym = sympy.symbols("z t")
+
+
+def as_sympy(x: Fraction) -> sympy.Rational:
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def in_z(p: Polynomial) -> sympy.Expr:
+    return sympy.sympify(poly_to_sympy(p, z_sym))
+
+
+@settings(max_examples=80, deadline=None)
+@given(coefficient_lists, rationals, st.one_of(st.just(Fraction(0)), rationals))
+def test_compose_affine_matches_sympy_expansion(coeffs, alpha, beta):
+    p = Polynomial(tuple(coeffs))
+    got = p.compose_affine(alpha, beta)
+    want = sympy.expand(in_z(p).subs(z_sym, as_sympy(alpha) + as_sympy(beta) * z_sym))
+    assert sympy.expand(in_z(got) - want) == 0
+    assert all(type(c) is Fraction for c in got.coefficients)
+    assert not got.coefficients or got.coefficients[-1] != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_lists, rationals, st.fractions(min_value=Fraction(1, 8), max_value=5,
+                                                  max_denominator=12))
+def test_bernstein_controls_match_sympy_bernstein_sum(coeffs, a, width):
+    p = Polynomial(tuple(coeffs))
+    ctrl = _bernstein_controls(p, a, a + width)
+    d = max(p.degree, 0)
+    assert len(ctrl) == d + 1
+    bernstein_sum = sum(as_sympy(c) * sympy.binomial(d, i) * t_sym ** i * (1 - t_sym) ** (d - i)
+                        for i, c in enumerate(ctrl))
+    on_interval = in_z(p).subs(z_sym, as_sympy(a) + as_sympy(width) * t_sym)
+    assert sympy.expand(bernstein_sum) == sympy.expand(on_interval)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.lists(rationals, min_size=1, max_size=9),
+                 st.tuples(rationals, st.integers(0, 8)).map(lambda ck: [ck[0]] * (ck[1] + 1)),
+                 st.tuples(rationals, rationals, st.integers(0, 8)).map(
+                     lambda abk: [abk[0] + j * abk[1] for j in range(abk[2] + 1)])),
+       rationals, st.fractions(min_value=Fraction(1, 8), max_value=5, max_denominator=12))
+def test_bernstein_to_monomial_round_trip(values, a, width):
+    # Constant and affine value lists give monomial forms of degree 0 and 1.
+    p = _bernstein_to_monomial(values, a, a + width)
+    k = len(values) - 1
+    t = (z_sym - as_sympy(a)) / as_sympy(width)
+    direct = sum(as_sympy(v) * sympy.binomial(k, j) * t ** j * (1 - t) ** (k - j)
+                 for j, v in enumerate(values))
+    assert sympy.expand(in_z(p) - direct) == 0
+    assert _bernstein_to_monomial(_bernstein_controls(p, a, a + width), a, a + width) == p
+
+
+@pytest.mark.parametrize("num", [1000, 1024, 1025, 4097])
+@pytest.mark.parametrize("degree", [0, 1, 7, 128])
+def test_evaluate_on_grid_matches_plain_sweep(num, degree):
+    rng = random.Random(degree * 10007 + num)
+    p = Polynomial(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree))
+                   + (Fraction(rng.randint(1, 9), rng.randint(1, 9)),))
+    a, b = Fraction(-1, 3), Fraction(5, 7)
+    beta = np.array([float(c) for c in _bernstein_controls(p, a, b)])[:, None]
+    t = np.linspace(0.0, 1.0, num)
+    for _ in range(degree):
+        beta = beta[:-1] * (1 - t) + beta[1:] * t
+    expected = np.broadcast_to(beta[0], (num,))
+    assert np.array_equal(evaluate_on_grid(p, a, b, num), expected)
 
 
 def test_divided_by_z_guard():
@@ -144,6 +220,13 @@ def test_bernstein_square_direct_summation_oracle():
     f = PlainFunction(Fraction(0), Fraction(1), lambda t: t * t)
     ours = poly_to_sympy(approximate_with_derivative(f, k), x)
     assert sympy.expand(ours - direct) == 0
+
+
+def test_zero_pin_without_anchors():
+    # a duck-typed function has no `anchors`; the origin is inside its interval
+    f = PlainFunction(Fraction(-1), Fraction(1), lambda x: x * x + 1)
+    p = approximate_with_derivative(f, 4)
+    assert p(Fraction(0)) == 0
 
 
 def test_bernstein_rejects_tiny_degree():

@@ -16,7 +16,7 @@ from .scalars import as_fraction, exact_sqrt, is_exact_zero, to_float
 from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence,
                        apply_poly_to_block, build_T, build_shifted_T, make_spectrum,
                        operator_norm)
-from .amenability import (AlgebraElement, ApproximationStep, DerivationSpace,
+from .amenability import (ApproximationStep, DerivationSpace, algebra_element,
                           approximate_identity_step, approximate_identity_steps, bai_defect,
                           character_value, derivation_space, generation_defect,
                           generation_defect_closed_form, idempotent_E,
@@ -29,9 +29,9 @@ from .similarity import (IntertwinerSolve, conjugate_by_upper_unipotent,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "ApproximationStep", "BlockOperator", "ConvergenceReport",
+    "ApproximationStep", "BlockOperator", "ConvergenceReport",
     "DerivationSpace", "DiagonalOperator", "InternalConsistencyError", "IntertwinerSolve",
-    "MvtCheck", "NotchFunction", "Polynomial", "SpectrumSequence",
+    "MvtCheck", "NotchFunction", "Polynomial", "SpectrumSequence", "algebra_element",
     "approximate_identity_step", "approximate_identity_steps", "approximate_with_derivative",
     "apply_poly_to_block", "as_fraction", "bai_defect", "build_T", "build_shifted_T",
     "character_value", "conjugate_by_upper_unipotent", "derivation_space", "divide_shifted",

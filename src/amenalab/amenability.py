@@ -28,29 +28,19 @@ def _sqrt_times(lam: Fraction, g):
     return exact_sqrt(lam) * g
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Element of the column-block algebra: symbol values g at the spectrum
-    points, realized as the operator with top block g(N) and bottom block
-    N^(1/2) g(N)."""
-
-    spectrum: SpectrumSequence
-    symbol: tuple
-    operator: BlockOperator
-
-    @classmethod
-    def from_symbol(cls, spectrum: SpectrumSequence, symbol: Sequence) -> "AlgebraElement":
-        symbol = tuple(symbol)
-        if len(symbol) != len(spectrum):
-            raise ValueError("symbol length must match the truncation")
-        top = DiagonalOperator(symbol)
-        bottom = DiagonalOperator(tuple(_sqrt_times(l, g)
-                                        for l, g in zip(spectrum.values, symbol)))
-        return cls(spectrum, symbol, BlockOperator.column_block(top, bottom))
+def algebra_element(spectrum: SpectrumSequence, symbol: Sequence) -> BlockOperator:
+    """Element of the column-block algebra with symbol values g at the
+    spectrum points: top block g(N), bottom block N^(1/2) g(N)."""
+    symbol = tuple(symbol)
+    if len(symbol) != len(spectrum):
+        raise ValueError("symbol length must match the truncation")
+    top = DiagonalOperator(symbol)
+    bottom = DiagonalOperator(tuple(_sqrt_times(l, g) for l, g in zip(spectrum.values, symbol)))
+    return BlockOperator.column_block(top, bottom)
 
 
 def membership_residual(X: BlockOperator, spectrum: SpectrumSequence) -> float:
-    """Distance of X from the algebra shape: norm of the two left blocks plus
+    """Distance of X from the algebra shape: norm of the upper-left block plus
     the worst violation of B22[n] = sqrt(lambda_n) B12[n].  Zero exactly iff X
     realizes an algebra element."""
     if X.dim != len(spectrum):
@@ -59,18 +49,18 @@ def membership_residual(X: BlockOperator, spectrum: SpectrumSequence) -> float:
     for lam, x12, x22 in zip(spectrum.values, X.b12.diag, X.b22.diag):
         deviation = x22 - _sqrt_times(lam, x12)
         worst = max(worst, abs(to_float(deviation)))
-    return X.b11.norm() + X.b21.norm() + worst
+    return X.b11.norm() + worst
 
 
-def idempotent_E(n: int, spectrum: SpectrumSequence) -> AlgebraElement:
+def idempotent_E(n: int, spectrum: SpectrumSequence) -> BlockOperator:
     """The n-th idempotent: symbol 1/sqrt(lambda_n) at lambda_n, zero elsewhere.
 
-    Its realized operator squares to itself exactly.
+    It squares to itself exactly.
     """
     lam_n = spectrum.lam(n)
     symbol = [Fraction(0)] * len(spectrum)
     symbol[n - 1] = 1 / exact_sqrt(lam_n)
-    return AlgebraElement.from_symbol(spectrum, tuple(symbol))
+    return algebra_element(spectrum, symbol)
 
 
 def idempotent_partial_sum(m: int, spectrum: SpectrumSequence) -> BlockOperator:
@@ -81,7 +71,7 @@ def idempotent_partial_sum(m: int, spectrum: SpectrumSequence) -> BlockOperator:
         raise ValueError(f"m out of range: {m}")
     symbol = [lam / exact_sqrt(lam) if n <= m else Fraction(0)
               for n, lam in enumerate(spectrum.values, start=1)]
-    return AlgebraElement.from_symbol(spectrum, symbol).operator
+    return algebra_element(spectrum, symbol)
 
 
 def generation_defect(m: int, spectrum: SpectrumSequence) -> float:
@@ -106,13 +96,12 @@ def idempotent_norm_closed_form(n: int, spectrum: SpectrumSequence) -> float:
     return float(1 / spectrum.lam(n) + 1) ** 0.5
 
 
-def character_value(a, n: int):
+def character_value(X: BlockOperator, n: int):
     """The n-th multiplicative functional: the n-th entry of the lower-right
-    block.  Accepts an AlgebraElement or a raw BlockOperator."""
-    op = a.operator if isinstance(a, AlgebraElement) else a
-    if not 1 <= n <= op.dim:
+    block."""
+    if not 1 <= n <= X.dim:
         raise ValueError(f"n out of range: {n}")
-    return op.b22.diag[n - 1]
+    return X.b22.diag[n - 1]
 
 
 # --- derivation spaces -------------------------------------------------------
@@ -346,7 +335,10 @@ def _spectral(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def bai_defect(generator, bound: float, *, search_tol: float = 1e-9) -> float:
+BAI_SEARCH_TOL = 1e-9  # relative gap to the norm cap that ends the ridge search
+
+
+def bai_defect(generator, bound: float) -> float:
     """min ||Q u - Q|| over u in the span of positive powers of Q with
     ||u|| <= bound (operator norms).
 
@@ -390,7 +382,7 @@ def bai_defect(generator, bound: float, *, search_tol: float = 1e-9) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         norm_mid = _spectral(ridge(mid))
-        if abs(norm_mid - bound) <= search_tol * bound:
+        if abs(norm_mid - bound) <= BAI_SEARCH_TOL * bound:
             lo = hi = mid
             break
         if norm_mid > bound:

@@ -21,9 +21,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .amenability import (approximate_identity_steps, bai_defect, derivation_space,
-                          generation_defect, generation_defect_closed_form, idempotent_E,
-                          idempotent_norm_closed_form, idempotent_partial_sum,
+from .amenability import (algebra_element, approximate_identity_steps, bai_defect,
+                          derivation_space, generation_defect, generation_defect_closed_form,
+                          idempotent_E, idempotent_norm_closed_form, idempotent_partial_sum,
                           membership_residual, report_from_steps, unit_approximation_steps)
 from .polynomials import Polynomial, sup_norm
 from .reports import ConvergenceReport, write_report
@@ -37,6 +37,9 @@ CHARACTER_DEFAULT_COUNT = 16
 SPECTRUM_DEFAULT_COUNT = 16
 MEMBERSHIP_TRIALS = 100
 MEMBERSHIP_SEED = 7
+# Largest count, truncation or degree a config may ask for: four times the
+# M = 1024 scale goal, and small enough that every size is built in bounded time.
+MAX_SIZE = 4096
 VERIFY_TARGETS = ("weak", "character", "similarity", "derivations")
 
 
@@ -111,6 +114,8 @@ def _exact_number(value, field: str) -> Fraction:
     """A ratio or explicit value, exact from its decimal text: a JSON number
     (read as Decimal), a decimal or 'p/q' string, or an integer.  A decimal
     that no float can hold is rejected before its exact value is built."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{field}: expected a number, got a boolean")
     if isinstance(value, str):
         try:
             value = Decimal(value)
@@ -130,6 +135,8 @@ def _exact_number(value, field: str) -> Fraction:
 
 
 def _tolerance(value, field: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{field}: expected a number, got a boolean")
     try:
         tol = float(value)
     except (TypeError, ValueError):
@@ -164,6 +171,8 @@ def _validate_increasing(items: Sequence[int], field: str):
         raise ConfigError(f"{field}: must be strictly increasing")
     if any(x < 1 for x in items):
         raise ConfigError(f"{field}: entries must be positive")
+    if any(x > MAX_SIZE for x in items):
+        raise ConfigError(f"{field}: entries must not exceed {MAX_SIZE}")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -192,6 +201,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         count = _as_int(count, "count")
         if count < 1:
             raise ConfigError("count: must be a positive integer")
+        if count > MAX_SIZE:
+            raise ConfigError(f"count: must not exceed {MAX_SIZE}")
     values = spec_cfg.get("values")
     if values is not None:
         if not isinstance(values, list):
@@ -271,7 +282,7 @@ def _verify_weak(cfg: RunConfig):
     worst = 0.0
     norm_dev = 0.0
     for n in range(1, m + 1):
-        e_n = idempotent_E(n, spectrum).operator
+        e_n = idempotent_E(n, spectrum)
         defect_op = (e_n @ e_n) - e_n
         if defect_op.is_zero():
             exact_zero += 1
@@ -366,9 +377,8 @@ def _verify_character(cfg: RunConfig):
                         "tests/test_amenability.py::test_unit_approximation_trend"))
     files.append(("character_unit", unit_report))
 
-    identity_sum = idempotent_E(1, spectrum).operator
-    for n in range(2, m + 1):
-        identity_sum = identity_sum + idempotent_E(n, spectrum).operator
+    # the sum of all idempotents E_n: symbol 1/sqrt(lambda_n) everywhere
+    identity_sum = algebra_element(spectrum, [1 / exact_sqrt(v) for v in spectrum.values])
     T = build_T(spectrum)
     unit_exact = ((T @ identity_sum) - T).is_zero()
     checks.append(Check("character.unit_exact_identity", unit_exact,
@@ -473,8 +483,11 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
     digest = config_hash(cfg)
     comment = f"amenalab verify {target} {digest}"
     out_dir = Path(cfg.out)
-    for stem, report in pending:
-        write_report(report, out_dir / f"{stem}.{cfg.fmt}", cfg.fmt, comment)
+    try:
+        for stem, report in pending:
+            write_report(report, out_dir / f"{stem}.{cfg.fmt}", cfg.fmt, comment)
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}")
     for check in checks:
         flag = "PASS" if check.passed else "FAIL"
         print(f"[{flag}] {check.name}: {check.detail}  -> {check.test_ref}")

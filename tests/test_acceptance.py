@@ -37,7 +37,7 @@ def criterion(label):
 def test_c01_idempotency():
     s = make_spectrum("geometric", 64)
     for n in range(1, 65):
-        e_n = idempotent_E(n, s).operator
+        e_n = idempotent_E(n, s)
         defect = (e_n @ e_n) - e_n
         assert defect.is_zero()                                  # exact arithmetic
         assert operator_norm(defect.to_float()) <= 1e-12         # floating point

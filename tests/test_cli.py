@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amenalab.cli import main
+from amenalab.cli import MAX_SIZE, main
 
 
 def run(argv):
@@ -83,6 +83,15 @@ def test_verify_rejects_bad_tolerance(capsys):
     ({"spectrum": {"ratio": 1e-5, "count": 64}}, [], "spectrum.ratio:"),
     ({"spectrum": {"kind": "explicit", "values": [1e200]}}, [], "spectrum.values:"),
     ({"spectrum": {"kind": "explicit", "values": [5e-324]}}, [], "spectrum.values:"),
+    ({"spectrum": {"count": MAX_SIZE + 1}}, [], "count:"),
+    ({"spectrum": {"count": 10 ** 30}}, [], "count:"),
+    (None, ["--count", str(10 ** 30)], "count:"),
+    ({"truncations": [4, MAX_SIZE + 1]}, [], "truncations:"),
+    ({"degrees": [8, 10 ** 30]}, [], "degrees:"),
+    (None, ["--degrees", f"8:{MAX_SIZE * 2}"], "degrees:"),
+    ({"tol_algebraic": True}, [], "tol_algebraic:"),
+    ({"spectrum": {"kind": "explicit", "values": [True]}}, [], "spectrum.values:"),
+    ({"spectrum": {"ratio": False}}, [], "spectrum.ratio:"),
 ])
 def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field):
     argv = ["verify", "similarity", "--out", str(tmp_path / "r"), *flags]
@@ -94,6 +103,15 @@ def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}") and "Traceback" not in err
     assert not (tmp_path / "r").exists()
+
+
+def test_verify_rejects_unwritable_out(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert run(["verify", "similarity", "--truncations", "4,8", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out: ") and "Traceback" not in err
+    assert taken.read_text() == "not a directory"
 
 
 def test_degree_range_expansion(tmp_path, capsys):
@@ -159,8 +177,8 @@ extreme_floats = st.sampled_from([5e-324, 1e-30, 1e200, 1.7e308])
 json_numbers = st.one_of(
     st.integers(-10 ** 6, 10 ** 6), st.floats(allow_nan=True, allow_infinity=True), extreme_floats,
     st.sampled_from(["0.9", "9/10", "1/0", "inf", "-nan", "1e-999999999", "1e400"]))
-# No nested key is "count": an integer count stays <= 64, where json_values
-# would reach 10**6 and build a spectrum that large.
+# No nested key is "count": an integer count within the size cap stays <= 64,
+# where json_values would ask for spectra of thousands of points.
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), json_numbers, st.text(max_size=8)),
     lambda inner: st.one_of(st.lists(inner, max_size=5),
@@ -182,7 +200,8 @@ def ascending(lo, hi):
 spectrum_objects = st.fixed_dictionaries({}, optional={
     "kind": field(st.sampled_from(["geometric", "harmonic", "explicit"])),
     "ratio": field(st.one_of(st.floats(0, 1), extreme_floats, json_numbers)),
-    "count": st.one_of(st.integers(-2, 64), json_values.filter(lambda v: not isinstance(v, int))),
+    "count": st.one_of(st.integers(-2, 64), st.integers(MAX_SIZE + 1, 10 ** 30),
+                       json_values.filter(lambda v: not isinstance(v, int))),
     "values": field(st.lists(st.one_of(st.floats(0, 2), extreme_floats), max_size=6,
                              unique=True).map(lambda v: sorted(v, reverse=True))),
 })

@@ -304,11 +304,6 @@ def test_sup_norm_spectrum_and_interval():
     assert sup_norm(Polynomial.zero(), (0, 1)) == 0.0
 
 
-def test_sup_norm_rejects_coarse_grid():
-    with pytest.raises(ValueError, match="grid"):
-        sup_norm(Polynomial((0, 1)), (0, 1), grid=100)
-
-
 def test_mvt_bound_linear_case():
     s = make_spectrum("geometric", 4)
     lam = Fraction(1, 2)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from amenalab import (BlockOperator, DiagonalOperator, Polynomial, apply_poly_to_block,
                       build_T, build_shifted_T, make_spectrum, operator_norm)
-from oracle_utils import dense_exact, matpow_exact, spectral_norm_oracle
+from oracle_utils import dense_exact, matmul_exact, matpow_exact, spectral_norm_oracle
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -46,7 +46,7 @@ def test_build_T_single_point():
     T = build_T(s)
     assert T.b12.diag == (Fraction(1, 2),)
     assert T.b22.diag == (Fraction(1, 4),)
-    assert T.b11.is_zero() and T.b21.is_zero()
+    assert T.b11.is_zero()
 
 
 def test_build_T_norm_against_svd_oracle():
@@ -88,22 +88,19 @@ def test_block_power_of_T_is_power_of_spectrum():
 
 def test_block_power_confluent_case():
     d = DiagonalOperator((Fraction(1, 3), Fraction(2)))
-    X = BlockOperator(d, d, DiagonalOperator.zeros(2), d)
+    X = BlockOperator(d, d, d)
     squared = kth_power(X, 2)
     assert squared.b11.diag == tuple(v * v for v in d.diag)
     assert squared.b12.diag == tuple(2 * v * v for v in d.diag)
     assert squared.b22.diag == tuple(v * v for v in d.diag)
 
 
-def test_block_power_rejects_zeroth_power_and_lower_left():
+def test_block_power_rejects_zeroth_power():
     s = make_spectrum("geometric", 2)
     T = build_T(s)
     # the zeroth power arrives as the nonzero constant term 1
     with pytest.raises(ValueError, match="non-unital"):
         kth_power(T, 0)
-    bad = BlockOperator(T.b11, T.b12, DiagonalOperator.ones(2), T.b22)
-    with pytest.raises(ValueError, match="lower-left"):
-        kth_power(bad, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,7 +114,6 @@ def test_block_power_matches_naive_product(entries, confluent, position, coeffs)
     m = len(entries)
     X = BlockOperator(DiagonalOperator(tuple(e[0] for e in entries)),
                       DiagonalOperator(tuple(e[1] for e in entries)),
-                      DiagonalOperator.zeros(m),
                       DiagonalOperator(tuple(e[2] for e in entries)))
     dense = dense_exact(X)
     expected = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
@@ -128,13 +124,31 @@ def test_block_power_matches_naive_product(entries, confluent, position, coeffs)
     assert dense_exact(apply_poly_to_block((Fraction(0), *coeffs), X)) == expected
 
 
+def upper_triangular(m: int):
+    diag = st.lists(rationals, min_size=m, max_size=m).map(lambda v: DiagonalOperator(tuple(v)))
+    return st.builds(BlockOperator, diag, diag, diag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+           lambda m: st.tuples(upper_triangular(m), upper_triangular(m))),
+       rationals)
+def test_block_arithmetic_matches_dense_oracle(pair, c):
+    X, Y = pair
+    dx, dy = dense_exact(X), dense_exact(Y)
+    assert dense_exact(X @ Y) == matmul_exact(dx, dy)
+    assert dense_exact(X + Y) == [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(dx, dy)]
+    assert dense_exact(X - Y) == [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(dx, dy)]
+    assert dense_exact(X.scale(c)) == [[c * a for a in row] for row in dx]
+    assert dense_exact(-X) == [[-a for a in row] for row in dx]
+
+
 def test_block_power_large_truncation_matches_repeated_multiplication():
     rng = random.Random(3)
     m = 32
     X = BlockOperator(
         DiagonalOperator(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(m))),
         DiagonalOperator(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(m))),
-        DiagonalOperator.zeros(m),
         DiagonalOperator(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(m))))
     repeated = X
     for _ in range(15):
@@ -186,7 +200,7 @@ def test_operator_norm_examples():
     X = BlockOperator.column_block(one, one)
     assert operator_norm(X) == pytest.approx(math.sqrt(2), abs=1e-14)
     diag_only = BlockOperator(DiagonalOperator((3, 1, 2)), DiagonalOperator.zeros(3),
-                              DiagonalOperator.zeros(3), DiagonalOperator.zeros(3))
+                              DiagonalOperator.zeros(3))
     assert operator_norm(diag_only) == pytest.approx(3.0, abs=1e-12)
 
 
@@ -205,6 +219,5 @@ def test_shifted_generator_blocks():
     X = build_shifted_T(s, 1)
     assert X.b11.diag == (Fraction(1, 2), Fraction(1, 2))
     assert X.b22.diag == (Fraction(0), Fraction(1, 4))
-    assert X.b21.is_zero()
     total = (X + build_T(s))
     assert total.b12.is_zero()  # shift plus generator restores the scalar block

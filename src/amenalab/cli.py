@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -474,6 +475,12 @@ RUNNERS: dict[str, Callable] = {
 
 def cmd_verify(target: str, cfg: RunConfig) -> int:
     names = list(VERIFY_TARGETS) if target == "all" else [target]
+    out_dir = Path(cfg.out)
+    # An unusable output directory fails here, before any pipeline runs.
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}")
     checks: list[Check] = []
     pending = []
     for name in names:
@@ -482,7 +489,6 @@ def cmd_verify(target: str, cfg: RunConfig) -> int:
         pending.extend(got_files)
     digest = config_hash(cfg)
     comment = f"amenalab verify {target} {digest}"
-    out_dir = Path(cfg.out)
     try:
         for stem, report in pending:
             write_report(report, out_dir / f"{stem}.{cfg.fmt}", cfg.fmt, comment)
@@ -539,11 +545,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        return cmd_verify(args.target, cfg)
+            code = cmd_spectrum(cfg)
+        else:
+            code = cmd_verify(args.target, cfg)
+        sys.stdout.flush()  # a closed pipe then raises here, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone (e.g. `| head -1`).  Point stdout at devnull so
+        # the flush at exit cannot raise again, and exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

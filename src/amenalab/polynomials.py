@@ -6,9 +6,10 @@ Coefficients are Fractions in ascending degree, so every algebraic identity
 evaluation converts to Bernstein form on the interval of interest and runs a
 float de Casteljau sweep: high-degree monomial Horner in float is unusable
 here because the exact coefficients grow combinatorially large.
-The exact kernels (affine composition, Bernstein/monomial conversion) run
-their inner loops on integer numerators over one common denominator and
-normalize each output coefficient once; the sweep updates one array in place.
+The exact kernels (evaluation at a rational point, affine composition,
+Bernstein/monomial conversion) run their inner loops on integer numerators
+over one common denominator (`scalars._common_denominator`) and normalize
+each output value or coefficient once; the sweep updates one array in place.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .scalars import as_fraction
+from .scalars import _common_denominator, as_fraction
 from .spectrum import SpectrumSequence
 
 DEFAULT_GRID = 4096
@@ -30,13 +31,6 @@ NOTCH_WIDTH_DIVISOR = 64
 
 class InternalConsistencyError(RuntimeError):
     """An algebraic identity that must hold exactly failed to hold."""
-
-
-def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators N_i and their common denominator L, v_i = N_i / L."""
-    values = [as_fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,20 @@ class Polynomial:
         return not self.coefficients or self.coefficients[0] == 0
 
     def __call__(self, z):
-        """Horner evaluation; exact whenever z is exact."""
+        """Horner evaluation; exact whenever z is exact.
+
+        For a rational z = Z / D, Horner runs on the integer numerators N_j of
+        the coefficients, h <- h Z + N_j D^(k-j), and divides by L D^k once.
+        """
+        if self.coefficients and isinstance(z, (int, Fraction)):
+            nums, den = _common_denominator(self.coefficients)
+            top, bottom = z.numerator, z.denominator
+            acc = nums[-1]
+            scale = 1
+            for n in reversed(nums[:-1]):
+                scale *= bottom
+                acc = acc * top + n * scale
+            return Fraction(acc, den * scale)
         acc = 0
         for c in reversed(self.coefficients):
             acc = acc * z + c

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import sympy
 
@@ -24,6 +25,13 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, sympy.Rational):
         return Fraction(int(x.p), int(x.q))
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _common_denominator(values: Sequence) -> tuple[list[int], int]:
+    """Integer numerators N_i and their common denominator L, v_i = N_i / L."""
+    values = [as_fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def exact_sqrt(x):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-from .scalars import as_fraction, exact_sqrt, is_exact_zero, to_float
+from .scalars import _common_denominator, as_fraction, exact_sqrt, is_exact_zero, to_float
 
 SpectrumKind = str  # "geometric" | "harmonic" | "explicit"
 
@@ -225,6 +226,28 @@ def build_shifted_T(spectrum: SpectrumSequence, n: int) -> BlockOperator:
     )
 
 
+def _rational_horner(nums: Sequence[int], den: int, a, c) -> tuple[Fraction, Fraction, Fraction]:
+    """p(a), Dp and p(c) for rational a and c, where p has coefficients N_j / L.
+
+    With a = A / E and c = C / E over E = lcm(den a, den c), one homogenised
+    pass H <- H A + N_j E^(k-j) (and likewise with C), G <- G A + H_c runs on
+    integers only and ends at L E^k p(a), L E^k p(c) and L E^(k-1) Dp.
+    """
+    e = lcm(a.denominator, c.denominator)
+    num_a = a.numerator * (e // a.denominator)
+    num_c = c.numerator * (e // c.denominator)
+    ha = hc = nums[-1]
+    g = 0
+    scale = 1
+    for n in reversed(nums[:-1]):
+        scale *= e
+        g = g * num_a + hc
+        ha = ha * num_a + n * scale
+        hc = hc * num_c + n * scale
+    den *= scale
+    return Fraction(ha, den), Fraction(g * e, den), Fraction(hc, den)
+
+
 def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperator:
     """Evaluate sum_k c_k X^k (ascending coefficients, zero constant term).
 
@@ -235,17 +258,26 @@ def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperat
     coordinate yields p(a), p(c) and Dp together through
     Dp_j = Dp_{j+1} a + p_{j+1}(c), so the confluent case needs no branch and
     every scalar stays in the tier of a and c until the single product with b.
+    When the coefficients, a and c are all rational (int or Fraction), the
+    pass runs on integer numerators over one common denominator and each of
+    p(a), p(c) and Dp is normalized once (see `_rational_horner`).
     """
     coeffs = tuple(reversed(coefficients))
     if coeffs and not is_exact_zero(coeffs[-1]):
         raise ValueError("constant term must vanish; the algebra model is non-unital")
+    nums = None
+    if coeffs and all(isinstance(x, (int, Fraction)) for x in coeffs):
+        nums, den = _common_denominator(coefficients)
     top, acc, bot = [], [], []
     for a, b, c in zip(X.b11.diag, X.b12.diag, X.b22.diag):
-        pa = pc = dp = 0
-        for coeff in coeffs:
-            dp = dp * a + pc
-            pa = pa * a + coeff
-            pc = pc * c + coeff
+        if nums is not None and isinstance(a, (int, Fraction)) and isinstance(c, (int, Fraction)):
+            pa, dp, pc = _rational_horner(nums, den, a, c)
+        else:
+            pa = pc = dp = 0
+            for coeff in coeffs:
+                dp = dp * a + pc
+                pa = pa * a + coeff
+                pc = pc * c + coeff
         top.append(pa)
         acc.append(dp * b)
         bot.append(pc)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -6,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amenalab.cli import MAX_SIZE, main
+from amenalab.cli import MAX_SIZE, RUNNERS, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -105,13 +110,36 @@ def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field)
     assert not (tmp_path / "r").exists()
 
 
-def test_verify_rejects_unwritable_out(tmp_path, capsys):
+def test_verify_rejects_unwritable_out(tmp_path, capsys, monkeypatch):
+    def must_not_run(cfg):
+        raise AssertionError("a pipeline ran before the output directory was checked")
+
+    monkeypatch.setitem(RUNNERS, "similarity", must_not_run)
     taken = tmp_path / "taken"
     taken.write_text("not a directory")
     assert run(["verify", "similarity", "--truncations", "4,8", "--out", str(taken)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out: ") and "Traceback" not in err
     assert taken.read_text() == "not a directory"
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # About 100 kB of rows: more than the pipe and both stdio buffers hold, so
+    # the command is still writing when the reader goes away after one line.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "amenalab.cli", "spectrum", "--kind", "harmonic",
+         "--count", "1500"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first.startswith(b"# amenalab spectrum ")
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_degree_range_expansion(tmp_path, capsys):

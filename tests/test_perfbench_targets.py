@@ -1,10 +1,11 @@
 """Guards for the benchmark.  Every name that perfbench/tracing.py wraps must
 still resolve after `import amenalab.cli`, the only import its children make;
 that check runs in a fresh interpreter, so modules that other tests import do
-not hide a name the CLI no longer loads.  The reports of the `all_harm8` and
-`char_geo16_d128` workloads (the latter reaches Bernstein degree 128) must
-match the digests and verdicts in perfbench/reference.json, which the
-benchmark's correctness gate compares against."""
+not hide a name the CLI no longer loads.  The reports of all three workloads
+must match the digests and verdicts in perfbench/reference.json, which the
+benchmark's correctness gate compares against: `weak_geo64` (exact polynomial
+evaluation at T over sympy radicals, M = 64), `char_geo16_d128` (Bernstein
+degree 128) and `all_harm8` (every pipeline)."""
 
 import ast
 import hashlib
@@ -63,6 +64,10 @@ def assert_matches_reference(workload, tmp_path, capsys):
         assert f"[{verdict}] {name}:" in printed
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out_dir.iterdir()}
     assert got == ref["reports"]
+
+
+def test_weak_geo64_reports_match_reference(tmp_path, capsys):
+    assert_matches_reference("weak_geo64", tmp_path, capsys)
 
 
 def test_all_harm8_reports_match_reference(tmp_path, capsys):

@@ -84,6 +84,21 @@ def test_compose_affine_matches_sympy_expansion(coeffs, alpha, beta):
     assert not got.coefficients or got.coefficients[-1] != 0
 
 
+@settings(max_examples=120, deadline=None)
+@given(coefficient_lists, st.one_of(rationals, st.integers(min_value=-7, max_value=7),
+                                    st.just(0), st.just(Fraction(0))))
+def test_poly_call_matches_sum_of_fraction_powers(coeffs, z):
+    p = Polynomial(tuple(coeffs))
+    terms = [c * Fraction(z) ** k for k, c in enumerate(p.coefficients)]
+    got = p(z)
+    assert got == sum(terms, Fraction(0))
+    assert type(got) is (Fraction if p.coefficients else int)
+    if p.coefficients:
+        at_float = p(float(z))
+        assert type(at_float) is float
+        assert abs(at_float - float(sum(terms))) <= 1e-12 * float(sum(abs(t) for t in terms))
+
+
 @settings(max_examples=60, deadline=None)
 @given(coefficient_lists, rationals, st.fractions(min_value=Fraction(1, 8), max_value=5,
                                                   max_denominator=12))

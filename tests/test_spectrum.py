@@ -4,14 +4,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amenalab import (BlockOperator, DiagonalOperator, Polynomial, apply_poly_to_block,
                       build_T, build_shifted_T, make_spectrum, operator_norm)
-from oracle_utils import dense_exact, matmul_exact, matpow_exact, spectral_norm_oracle
+from oracle_utils import (dense_exact, matmul_exact, matpow_exact, poly_to_sympy,
+                          random_rational_poly, spectral_norm_oracle)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+# Exact scalars of both rational types, and coefficients that are often zero
+# (interior zeros included) so the integer kernels meet every input shape.
+exact_scalars = st.one_of(rationals, st.integers(min_value=-4, max_value=4))
+sparse_coefficients = st.lists(st.one_of(exact_scalars, st.just(0), st.just(Fraction(0))),
+                               min_size=1, max_size=6)
 
 
 def test_make_spectrum_geometric():
@@ -104,9 +111,9 @@ def test_block_power_rejects_zeroth_power():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(rationals, rationals, rationals), max_size=2),
-       st.tuples(rationals, rationals), st.integers(min_value=0, max_value=2),
-       st.lists(rationals, min_size=1, max_size=5))
+@given(st.lists(st.tuples(exact_scalars, exact_scalars, exact_scalars), max_size=2),
+       st.tuples(exact_scalars, exact_scalars), st.integers(min_value=0, max_value=2),
+       sparse_coefficients)
 def test_block_power_matches_naive_product(entries, confluent, position, coeffs):
     # 1-3 coordinates, at least one of them confluent (a == c)
     a, b = confluent
@@ -166,6 +173,31 @@ def test_apply_poly_matches_naive_dense_sum():
                    for k, c in enumerate(p.coefficients) if k >= 1)
     got = apply_poly_to_block(p.coefficients, X).to_dense()
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("kind,ratio", [("geometric", Fraction(1, 2)),
+                                        ("geometric", Fraction(9, 10)), ("harmonic", None)])
+def test_apply_poly_exact_on_generators(kind, ratio):
+    # b11 and b22 against sum c_k a^k; b12 against the sympy divided difference times b
+    rng = random.Random(17)
+    s = make_spectrum(kind, 5, ratio=ratio) if ratio else make_spectrum(kind, 5)
+    z = sympy.Symbol("z")
+    for X in (build_T(s), build_shifted_T(s, 1), build_shifted_T(s, 3), build_shifted_T(s, 5)):
+        for _ in range(4):
+            p = random_rational_poly(rng, 16, max_num=10 ** 6, max_den=10 ** 5)
+            coeffs = list(p.coefficients)
+            coeffs[rng.randrange(1, len(coeffs))] = Fraction(0)  # an interior or top zero
+            p = Polynomial(tuple(coeffs))
+            if not p.coefficients:
+                continue
+            got = apply_poly_to_block(p.coefficients, X)
+            P = poly_to_sympy(p, z)
+            for a, b, c, pa, pb, pc in zip(X.b11.diag, X.b12.diag, X.b22.diag,
+                                           got.b11.diag, got.b12.diag, got.b22.diag):
+                assert pa == sum(ck * Fraction(a) ** k for k, ck in enumerate(p.coefficients))
+                assert pc == sum(ck * Fraction(c) ** k for k, ck in enumerate(p.coefficients))
+                dp = (P.subs(z, a) - P.subs(z, c)) / (a - c)
+                assert sympy.expand(pb - dp * b) == 0
 
 
 def test_apply_poly_rejects_constant_term():

@@ -10,6 +10,10 @@ The exact kernels (evaluation at a rational point, affine composition,
 Bernstein/monomial conversion) run their inner loops on integer numerators
 over one common denominator (`scalars._common_denominator`) and normalize
 each output value or coefficient once; the sweep updates one array in place.
+The grid sup needs only the largest value, so it first evaluates every grid
+point by an O(k) Bernstein-Horner pass with a proven forward-error bound and
+sweeps only the points that bound cannot rule out; the result is bitwise the
+full sweep's maximum.
 """
 
 from __future__ import annotations
@@ -194,18 +198,6 @@ class NotchFunction:
         slope = (6 * u - 6 * u * u) / self.delta
         return slope if z > 0 else -slope
 
-    def value_array(self, z: np.ndarray) -> np.ndarray:
-        u = np.clip(np.abs(np.asarray(z, float)) / float(self.delta), 0.0, 1.0)
-        return 3 * u * u - 2 * u ** 3
-
-    def derivative_array(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, float)
-        u = np.abs(z) / float(self.delta)
-        inside = u < 1
-        out = np.zeros_like(z)
-        out[inside] = np.sign(z[inside]) * (6 * u[inside] - 6 * u[inside] ** 2) / float(self.delta)
-        return out
-
 
 def notch(n: int, spectrum: SpectrumSequence) -> NotchFunction:
     """Notch for the n-th character: interval [lambda_n - lambda_1, lambda_n],
@@ -325,18 +317,25 @@ def _bernstein_controls(p: Polynomial, a, b) -> list[Fraction]:
     return ctrl
 
 
-def evaluate_on_grid(p: Polynomial, a, b, num: int) -> np.ndarray:
-    """Numerically stable dense evaluation: exact Bernstein form, then a
-    vectorized float de Casteljau sweep over a uniform grid (endpoints included)."""
+def _float_grid(p: Polynomial, a, b, num: int):
+    """Float Bernstein controls of p on [a, b] and the uniform grid t, s = 1 - t."""
     ctrl = np.array([float(c) for c in _bernstein_controls(p, a, b)])
     t = np.linspace(0.0, 1.0, num)
-    s = 1 - t
+    return ctrl, t, 1 - t
+
+
+def _de_casteljau(ctrl: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Float de Casteljau sweep of the controls at every column (t_j, s_j).
+
+    In place, block by block: each step is still round(beta_i * s) +
+    round(beta_(i+1) * t), so the floats equal those of the plain sweep and
+    each column's value depends on its own t_j and s_j only.
+    """
     k = len(ctrl) - 1
+    num = len(t)
     out = np.empty(num)
     beta = np.empty((k + 1, min(num, GRID_BLOCK)))
     scratch = np.empty((k, beta.shape[1]))
-    # In place, block by block: each step is still round(beta_i * s) +
-    # round(beta_(i+1) * t), so the floats equal those of the plain sweep.
     for lo in range(0, num, GRID_BLOCK):
         tb, sb = t[lo:lo + GRID_BLOCK], s[lo:lo + GRID_BLOCK]
         w = len(tb)
@@ -349,16 +348,105 @@ def evaluate_on_grid(p: Polynomial, a, b, num: int) -> np.ndarray:
     return out
 
 
+def evaluate_on_grid(p: Polynomial, a, b, num: int) -> np.ndarray:
+    """Numerically stable dense evaluation: exact Bernstein form, then a
+    vectorized float de Casteljau sweep over a uniform grid (endpoints included)."""
+    return _de_casteljau(*_float_grid(p, a, b, num))
+
+
+def _power(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k by repeated squaring.  Every rounding enters the result raised to
+    the number of times its operand is reused, and these exponents sum to
+    k - 1, so the relative error is at most gamma_(k-1) barring over/underflow."""
+    out = np.ones_like(x)
+    while k:
+        if k & 1:
+            out *= x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
+def _sup_candidates(ctrl: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Mask of the columns whose `_de_casteljau` value may have the largest
+    magnitude; every other column provably has a smaller one.
+
+    With u = 2^-53, gamma_m = m u / (1 - m u), a_i = beta_i C(k, i) and, in
+    exact arithmetic on the same doubles t and s,
+        Q = sum_i a_i t^i s^(k-i),   S = sum_i |a_i| t^i s^(k-i),
+    the sweep returns D with |D - Q| <= gamma_2k S (Farouki and Rajan 1987:
+    every path from a control to the result passes k levels of one product
+    and one sum).  An O(k) pass (Schumaker and Volk) evaluates Q and S at
+    once: with m = max(t, s) and r = min(t, s) / m <= 1, Q = m^k times a
+    Horner sum in r over the a_i, ascending or descending; m^k is computed as
+    (2m)^k 2^-k, where (2m)^k in [1, 2^k] cannot underflow and ldexp scales
+    it back.  Each term of the computed H (and of the magnitude sum M) is
+    the exact term times a factor within gamma_(4k+3) of 1: C(k, i) and
+    beta_i C(k, i) round once each, Horner rounds at most 2k times, r^i
+    carries at most k ratio roundings, (2m)^k at most k - 1 (`_power`), and
+    the final product once.  Hence |H - Q| <= gamma_(4k+3) S and
+    S <= M / (1 - gamma_(4k+3)).
+
+    Underflow adds an absolute error of at most 2^-1075 per product, which
+    the rest of the evaluation scales by less than 2: k (k + 1) products in
+    the sweep and 2k + 3 in the pass.  Sums of subnormals are exact, and r
+    itself does not underflow on a grid, where min(t, s) is 0 or at least
+    the grid step.  The term 2 (k + 2)^2 2^-1074 covers all of it.
+
+    Write E = (6k + 8) u M + 2 (k + 2)^2 2^-1074.  To first order in u,
+    |D - H| needs (2k + 4k + 3) u M, and rounding |H| + E and |H| - E once
+    each needs u |H| <= u M more.  The remaining 4 u M absorbs every
+    second-order term: those are O(k^2 u^2) M, below 10^-7 u M for every
+    degree below 1024.  So the computed |H| + E bounds |D| above and
+    |H| - E bounds it below.  A column whose upper bound falls short of the
+    largest lower bound cannot hold the maximum, and dropping it leaves
+    max |D| unchanged.  If any value is not finite, every column is kept:
+    so it is for huge controls, and from degree 1024 on, where (2m)^k
+    overflows at t = 0 (a binomial of 2^1023 or more, from degree 1029 on,
+    is taken as infinite rather than converted).
+    """
+    k = len(ctrl) - 1
+    binom = np.array([float(c) if c.bit_length() < 1024 else np.inf
+                      for c in (comb(k, i) for i in range(k + 1))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = ctrl * binom
+        coef = np.stack((coef, np.abs(coef)), axis=1)
+        left = t <= s
+        big = np.maximum(t, s)
+        ratio = np.minimum(t, s) / big
+        acc = np.empty((2, len(t)))
+        # Left of the middle Q = s^k sum_i a_i r^i, right of it t^k sum_i a_i r^(k-i).
+        for side, order in ((left, coef[::-1]), (~left, coef)):
+            r = ratio[side]
+            h = np.repeat(order[0][:, None], len(r), axis=1)
+            for c in order[1:]:
+                h *= r
+                h += c[:, None]
+            acc[:, side] = h
+        value, size = np.ldexp(acc * _power(2 * big, k), -k)
+        err = (6 * k + 8) * 2.0 ** -53 * size + 2 * (k + 2) ** 2 * 2.0 ** -1074
+        high = np.abs(value) + err
+        keep = high >= np.max(np.abs(value) - err)
+    return keep if np.isfinite(high).all() else np.ones_like(keep)
+
+
 Domain = Union[SpectrumSequence, tuple]
 
 
 def sup_norm(p: Polynomial, domain: Domain) -> float:
     """Supremum of |p| over a spectrum (its points plus the origin, exactly) or
-    over an interval (a, b) sampled on a uniform grid of DEFAULT_GRID points."""
+    over an interval (a, b) sampled on a uniform grid of DEFAULT_GRID points.
+
+    The interval value is bitwise the largest |value| of `evaluate_on_grid`,
+    but the de Casteljau sweep runs only on the points that an O(k)
+    evaluation with a proven error bound cannot rule out (`_sup_candidates`).
+    """
     if isinstance(domain, SpectrumSequence):
         return max(abs(float(p(z))) for z in (Fraction(0), *domain.values))
-    a, b = domain
-    return float(np.max(np.abs(evaluate_on_grid(p, a, b, DEFAULT_GRID))))
+    ctrl, t, s = _float_grid(p, *domain, DEFAULT_GRID)
+    keep = _sup_candidates(ctrl, t, s)
+    return float(np.max(np.abs(_de_casteljau(ctrl, t[keep], s[keep]))))
 
 
 def divide_shifted(p: Polynomial, lam) -> Polynomial:

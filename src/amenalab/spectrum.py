@@ -290,9 +290,7 @@ def operator_norm(X: BlockOperator) -> float:
     the exact closed form max_n sqrt(B12[n]^2 + B22[n]^2); anything else goes
     to the dense SVD oracle."""
     if X.b11.is_zero():
-        worst = 0.0
-        for x12, x22 in zip(X.b12.diag, X.b22.diag):
-            a, b = to_float(x12), to_float(x22)
-            worst = max(worst, float(np.hypot(a, b)))
-        return worst
+        a = np.array([to_float(x) for x in X.b12.diag])
+        b = np.array([to_float(x) for x in X.b22.diag])
+        return float(np.max(np.hypot(a, b), initial=0.0))
     return float(np.linalg.svd(X.to_dense(), compute_uv=False)[0])

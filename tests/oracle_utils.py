@@ -56,6 +56,22 @@ def poly_to_sympy(p: Polynomial, z: sympy.Symbol) -> sympy.Expr:
                for i, c in enumerate(p.coefficients))
 
 
+def notch_value_array(f, z: np.ndarray) -> np.ndarray:
+    """Float values of a NotchFunction's smoothstep dip at the points z."""
+    u = np.clip(np.abs(np.asarray(z, float)) / float(f.delta), 0.0, 1.0)
+    return 3 * u * u - 2 * u ** 3
+
+
+def notch_derivative_array(f, z: np.ndarray) -> np.ndarray:
+    """Float derivative of a NotchFunction at the points z."""
+    z = np.asarray(z, float)
+    u = np.abs(z) / float(f.delta)
+    inside = u < 1
+    out = np.zeros_like(z)
+    out[inside] = np.sign(z[inside]) * (6 * u[inside] - 6 * u[inside] ** 2) / float(f.delta)
+    return out
+
+
 def jordan_block(size: int) -> list[list[int]]:
     return [[int(j == i + 1) for j in range(size)] for i in range(size)]
 

@@ -6,15 +6,17 @@ from typing import Callable
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amenalab import (InternalConsistencyError, Polynomial, approximate_with_derivative,
                       divide_shifted, evaluate_on_grid, make_spectrum, mvt_bound_check,
                       notch, sup_norm, unit_notch)
-from amenalab.polynomials import _bernstein_controls, _bernstein_to_monomial
+from amenalab.polynomials import (_bernstein_controls, _bernstein_to_monomial, _float_grid,
+                                  _sup_candidates)
 from amenalab.scalars import as_fraction
-from oracle_utils import poly_to_sympy, random_rational_poly
+from oracle_utils import (notch_derivative_array, notch_value_array, poly_to_sympy,
+                          random_rational_poly)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=10)
 
@@ -266,9 +268,10 @@ def test_notch_refinement_errors_decrease():
     p_err, dp_err = [], []
     for degree in (8, 16, 32, 64):
         p = approximate_with_derivative(f, degree)
-        p_err.append(np.max(np.abs(evaluate_on_grid(p, f.a, f.b, 4096) - f.value_array(grid))))
+        p_err.append(np.max(np.abs(evaluate_on_grid(p, f.a, f.b, 4096)
+                                   - notch_value_array(f, grid))))
         dp_err.append(np.max(np.abs(evaluate_on_grid(p.derivative(), f.a, f.b, 4096)
-                                    - f.derivative_array(grid))))
+                                    - notch_derivative_array(f, grid))))
     assert all(b < a for a, b in zip(p_err, p_err[1:]))
     assert all(b <= a + 1e-12 for a, b in zip(dp_err, dp_err[1:]))
 
@@ -317,6 +320,59 @@ def test_sup_norm_spectrum_and_interval():
     assert sup_norm(p, (Fraction(-1, 2), Fraction(1, 2))) == pytest.approx(1.5, abs=1e-12)
     assert sup_norm(Polynomial.zero(), s) == 0.0
     assert sup_norm(Polynomial.zero(), (0, 1)) == 0.0
+
+
+def _full_sweep_sup(p, a, b):
+    """The grid sup as the whole de Casteljau sweep gives it."""
+    return float(np.max(np.abs(evaluate_on_grid(p, a, b, 4096))))
+
+
+@pytest.mark.parametrize("kind,ratio,degree", [
+    *[(kind, ratio, degree)
+      for kind, ratio in (("geometric", "1/2"), ("geometric", "9/10"), ("harmonic", ""))
+      for degree in (8, 33, 128)],
+    ("harmonic", "", 256),
+])
+def test_sup_norm_equals_full_sweep_on_notch_approximants(kind, ratio, degree):
+    s = make_spectrum(kind, 16, **({"ratio": Fraction(ratio)} if ratio else {}))
+    for f in (notch(1, s), notch(2, s), notch(3, s), unit_notch(s)):
+        p = approximate_with_derivative(f, degree)
+        for q in (p, p.derivative()):
+            assert sup_norm(q, (f.a, f.b)) == _full_sweep_sup(q, f.a, f.b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, max_size=65), rationals,
+       st.fractions(min_value=Fraction(1, 10), max_value=4, max_denominator=10))
+@example([], Fraction(0), Fraction(1))
+@example([Fraction(-5, 3)], Fraction(-1), Fraction(2))
+@example([Fraction(-1, 4), 0, 1], Fraction(-1, 2), Fraction(1))
+@example([Fraction(-1, 8), 0, 1], Fraction(-1, 2), Fraction(1))  # |p| = 1/8 at 0 and both ends
+@example([-1, 0, 2], Fraction(-1), Fraction(2))  # Chebyshev T2: |p| = 1 at 0 and both ends
+# Flat tops 1 - z^m: hundreds of grid points whose exact values agree to within
+# rounding, so only the error bound tells which swept float is the largest.
+@example([1] + [0] * 15 + [-1], Fraction(-1), Fraction(2))
+@example([1] + [0] * 31 + [-1], Fraction(-1, 2), Fraction(1))
+@example([1] + [0] * 63 + [-1], Fraction(-1), Fraction(2))
+def test_sup_norm_equals_full_sweep_on_random_polynomials(coeffs, a, width):
+    p = Polynomial(tuple(coeffs))
+    assert sup_norm(p, (a, a + width)) == _full_sweep_sup(p, a, a + width)
+
+
+def test_sup_candidates_keep_every_point_when_the_bound_overflows():
+    t = np.linspace(0.0, 1.0, 4096)
+    s = 1 - t
+    assert _sup_candidates(np.array([1e308, -1e308, 1e308]), t, s).all()
+    # From degree 1024 (2 max(t, s))^k overflows at t = 0; at degree 1100 the
+    # middle binomials leave the double range too.
+    assert _sup_candidates(np.ones(1025), t, s).all()
+    assert _sup_candidates(np.ones(1101), t, s).all()
+
+
+def test_sup_candidates_prune_a_notch_derivative():
+    f = notch(2, make_spectrum("geometric", 16))
+    ctrl, t, s = _float_grid(approximate_with_derivative(f, 128).derivative(), f.a, f.b, 4096)
+    assert np.count_nonzero(_sup_candidates(ctrl, t, s)) <= 4096 // 16
 
 
 def test_mvt_bound_linear_case():

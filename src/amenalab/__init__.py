@@ -12,7 +12,7 @@ from .polynomials import (InternalConsistencyError, MvtCheck, NotchFunction, Pol
                           approximate_with_derivative, divide_shifted, evaluate_on_grid,
                           mvt_bound_check, notch, sup_norm, unit_notch)
 from .reports import ConvergenceReport, write_report
-from .scalars import as_fraction, exact_sqrt, is_exact_zero, to_float
+from .scalars import Surd, as_fraction, exact_sqrt, is_exact_zero, to_float
 from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence,
                        apply_poly_to_block, build_T, build_shifted_T, make_spectrum,
                        operator_norm)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproximationStep", "BlockOperator", "ConvergenceReport",
     "DerivationSpace", "DiagonalOperator", "InternalConsistencyError", "IntertwinerSolve",
-    "MvtCheck", "NotchFunction", "Polynomial", "SpectrumSequence", "algebra_element",
+    "MvtCheck", "NotchFunction", "Polynomial", "SpectrumSequence", "Surd", "algebra_element",
     "approximate_identity_step", "approximate_identity_steps", "approximate_with_derivative",
     "apply_poly_to_block", "as_fraction", "bai_defect", "build_T", "build_shifted_T",
     "character_value", "conjugate_by_upper_unipotent", "derivation_space", "divide_shifted",

@@ -2,8 +2,8 @@
 
 Every block operator here is upper triangular with three diagonal blocks, so
 products reduce to entrywise work on the diagonals.  Entries may be exact (int,
-Fraction, sympy radicals) or float; the arithmetic preserves whichever tier it
-is given.
+Fraction, or `Surd` r + s*sqrt(lambda_n) at coordinate n) or float; the
+arithmetic preserves whichever tier it is given.
 """
 
 from __future__ import annotations

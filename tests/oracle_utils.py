@@ -1,7 +1,8 @@
 """Independent oracles for the test suite: naive dense products in exact
 arithmetic, SVD spectral norms, a brute-force derivation solver over the full
-linear-map space, and seeded random rational generators.  These deliberately
-avoid the code paths they are used to check."""
+linear-map space, seeded random rational generators, and exact sympy values
+of scalar entries.  These deliberately avoid the code paths they are used to
+check."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from amenalab import BlockOperator, Polynomial
+from amenalab import BlockOperator, Polynomial, Surd
 
 
 def dense_exact(X: BlockOperator) -> list[list]:
@@ -49,6 +50,15 @@ def random_rational_poly(rng, max_degree: int, *, max_num: int = 9, max_den: int
     if zero_at_origin:
         coeffs[0] = Fraction(0)
     return Polynomial(tuple(coeffs))
+
+
+def to_sympy(x) -> sympy.Expr:
+    """Exact sympy value of an int, Fraction or Surd entry, built from its parts."""
+    if isinstance(x, Surd):
+        return to_sympy(x.r) + to_sympy(x.s) * sympy.sqrt(to_sympy(x.d))
+    if isinstance(x, (int, Fraction)):
+        return sympy.Rational(x.numerator, x.denominator)
+    raise TypeError(f"not an exact entry: {x!r}")
 
 
 def poly_to_sympy(p: Polynomial, z: sympy.Symbol) -> sympy.Expr:

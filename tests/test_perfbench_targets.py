@@ -4,7 +4,7 @@ that check runs in a fresh interpreter, so modules that other tests import do
 not hide a name the CLI no longer loads.  The reports of all three workloads
 must match the digests and verdicts in perfbench/reference.json, which the
 benchmark's correctness gate compares against: `weak_geo64` (exact polynomial
-evaluation at T over sympy radicals, M = 64), `char_geo16_d128` (Bernstein
+evaluation at T over exact square roots, M = 64), `char_geo16_d128` (Bernstein
 degree 128) and `all_harm8` (every pipeline)."""
 
 import ast

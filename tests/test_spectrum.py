@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from amenalab import (BlockOperator, DiagonalOperator, Polynomial, apply_poly_to_block,
                       build_T, build_shifted_T, make_spectrum, operator_norm)
 from oracle_utils import (dense_exact, matmul_exact, matpow_exact, poly_to_sympy,
-                          random_rational_poly, spectral_norm_oracle)
+                          random_rational_poly, spectral_norm_oracle, to_sympy)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 # Exact scalars of both rational types, and coefficients that are often zero
@@ -197,7 +197,7 @@ def test_apply_poly_exact_on_generators(kind, ratio):
                 assert pa == sum(ck * Fraction(a) ** k for k, ck in enumerate(p.coefficients))
                 assert pc == sum(ck * Fraction(c) ** k for k, ck in enumerate(p.coefficients))
                 dp = (P.subs(z, a) - P.subs(z, c)) / (a - c)
-                assert sympy.expand(pb - dp * b) == 0
+                assert sympy.expand(to_sympy(pb) - dp * to_sympy(b)) == 0
 
 
 def test_apply_poly_rejects_constant_term():

@@ -6,11 +6,22 @@ per coordinate is all the exact tier needs.  Floats mark the analysis tier.
 Arithmetic never promotes exact values to float implicitly; `to_float` is the
 only crossing.
 
-sympy is imported for that crossing alone.  `float(Surd)` rebuilds sympy's
-value Rational(r) + Rational(s)*sqrt(d), whose expression tree sympy makes
-canonical however the element was computed, so every float equals the one a
-sympy expression of the same number gives, bit for bit.  sympy's float of
-s*sqrt(d) is not always correctly rounded; the reports keep its bits.
+`float(Surd)` gives the bits of sympy 1.14's float of the same number, so
+reports do not depend on how a value was computed.  sympy splits each
+radicand once, sqrt(d) = c0*sqrt(n) with n an integer; its choice of n sets
+the bits.  For r = 0, integer code then repeats evalf's chain of roundings
+for c*sqrt(n), c = c0*s:
+
+- c != 1: c is rounded toward zero to 64 bits, n to 69 bits, and sqrt(n)
+  toward zero to 64 bits; the exact product is rounded to nearest (ties to
+  even) at 57 bits, then again at 53, and `math.ldexp` makes the float, with
+  overflow going to +-inf as in mpmath's `to_float`;
+- c == 1, the bare root: n is rounded toward zero to 62 bits and sqrt(n) to
+  57, then to nearest at 53.
+
+The result is not always correctly rounded; the reports keep sympy's bits.
+A value with r != 0, which no pipeline floats, is floated by sympy itself,
+and the tests use sympy as the oracle for every float.
 """
 
 from __future__ import annotations
@@ -46,10 +57,52 @@ def _is_square(n: int) -> bool:
 
 
 @functools.cache
-def _sympy_root(d: Fraction):
-    """sympy's sqrt(d), split as (c, sqrt(n)): sympy writes the square root of
-    a positive rational as a rational c times the root of an integer n."""
-    return sympy.sqrt(sympy.Rational(d.numerator, d.denominator)).as_coeff_Mul()
+def _sympy_root(d: Fraction) -> tuple[int, int, tuple[int, int], float]:
+    """sympy's sqrt(d) = (p0/q0) * sqrt(n), split once per radicand, with the
+    parts of the float that depend on n alone: sqrt(n) cut to 64 bits, as
+    (man, exp), and the float of the bare root.  sympy writes the root of a
+    positive rational as a rational times the root of an integer n, and its
+    choice of n sets the bits, so the split stays sympy's."""
+    c0, root = sympy.sqrt(sympy.Rational(d.numerator, d.denominator)).as_coeff_Mul()
+    n = int(root.base)
+    bare = _round_nearest(*_sqrt_down(*_truncate(n, 62), 57), 53)
+    return int(c0.p), int(c0.q), _sqrt_down(*_truncate(n, 69), 64), _ldexp(*bare)
+
+
+def _truncate(n: int, bits: int) -> tuple[int, int]:
+    """n > 0 rounded toward zero to `bits` bits, as (man, exp)."""
+    drop = max(n.bit_length() - bits, 0)
+    return n >> drop, drop
+
+
+def _sqrt_down(man: int, exp: int, bits: int) -> tuple[int, int]:
+    """sqrt(man * 2**exp) rounded toward zero to `bits` bits, as (man, exp)."""
+    if exp & 1:
+        man, exp = man << 1, exp - 1
+    shift = max(2 * bits + 2 - man.bit_length(), 0) + 1 >> 1
+    root = math.isqrt(man << 2 * shift)
+    drop = max(root.bit_length() - bits, 0)
+    return root >> drop, exp // 2 - shift + drop
+
+
+def _round_nearest(man: int, exp: int, bits: int) -> tuple[int, int]:
+    """man * 2**exp (man > 0) rounded to nearest, ties to even, at `bits` bits."""
+    drop = man.bit_length() - bits
+    if drop <= 0:
+        return man, exp
+    out, rest = man >> drop, man & ((1 << drop) - 1)
+    half = 1 << (drop - 1)
+    if rest > half or (rest == half and out & 1):
+        out += 1
+    return out, exp + drop
+
+
+def _ldexp(man: int, exp: int) -> float:
+    """man * 2**exp as mpmath's to_float makes it: overflow goes to +-inf."""
+    try:
+        return math.ldexp(man, exp)
+    except OverflowError:
+        return math.copysign(math.inf, man)
 
 
 class Surd:
@@ -79,15 +132,27 @@ class Surd:
         return f"Surd({self.r!r}, {self.s!r}, {self.d!r})"
 
     def __float__(self) -> float:
-        # The Mul is the canonical tree of sympy's own product Rational(s) *
-        # sqrt(d), built without the flatten pass that would reach it.
-        r, s = self.r, self.s
-        c, root = _sympy_root(self.d)
-        c *= sympy.Rational(s.numerator, s.denominator)
-        value = root if c == 1 else sympy.Mul(c, root, evaluate=False)
-        if r:
-            value = sympy.Rational(r.numerator, r.denominator) + value
-        return float(value)
+        # The rounding chain of the module docstring, for c = p0/q0 * s.
+        if self.r:
+            return float(self._sympy_())
+        p0, q0, (root, root_exp), bare = _sympy_root(self.d)
+        p, q = p0 * self.s.numerator, q0 * self.s.denominator
+        if p == q:
+            return bare
+        # |c| = |p|/q scaled to 65 or 66 bits, floored, then cut to 64
+        a = abs(p)
+        shift = 65 - a.bit_length() + q.bit_length()
+        c = (a << shift) // q if shift >= 0 else a // (q << -shift)
+        drop = c.bit_length() - 64
+        man, exp = _round_nearest((c >> drop) * root, drop - shift + root_exp, 57)
+        man, exp = _round_nearest(man, exp, 53)
+        return _ldexp(-man if p < 0 else man, exp)
+
+    def _sympy_(self):
+        """The exact value Rational(r) + Rational(s)*sqrt(d), so sympify and
+        mixed sympy arithmetic stay exact instead of going through float."""
+        r, s, d = (sympy.Rational(x.numerator, x.denominator) for x in (self.r, self.s, self.d))
+        return r + s * sympy.sqrt(d)
 
     def __eq__(self, other):
         if isinstance(other, Surd):

@@ -1,5 +1,7 @@
 import math
 import operator
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -117,6 +119,115 @@ def test_surd_float_keeps_sympy_rounding():
     midpoint = (Fraction(below) + Fraction(above)) / 2
     assert Fraction(37) ** 2 / 2 > midpoint ** 2
     assert float(37 * exact_sqrt(Fraction(1, 2))) == below
+
+
+def _sympy_split(d: Fraction) -> tuple[sympy.Rational, int]:
+    """sympy's sqrt(d) as c0 * sqrt(n), read off sympy's own expression."""
+    c0, root = sympy.sqrt(to_sympy(d)).as_coeff_Mul()
+    return c0, int(root.base)
+
+
+_rng = random.Random(20261018)
+# Radicands of the wide float sweep: the pipelines' own, random rationals up to
+# 10**30 / 10**30, and integers whose root keeps an n above 2**69, so n is
+# truncated before its root is taken.
+BIG_N_RADICANDS = [d for d in (Fraction(_rng.randint(2 ** 70, 2 ** 140)) for _ in range(12))
+                   if _sympy_split(d)[1] > 2 ** 69]
+WIDE_RADICANDS = (RADICANDS + BIG_N_RADICANDS + _non_squares(
+    [Fraction(_rng.randint(1, 10 ** 30), _rng.randint(1, 10 ** 30)) for _ in range(24)]))
+
+
+def _wide_surds(kind: str, d: Fraction, rng: random.Random) -> list[Surd]:
+    """Surds over d whose s (and r) are drawn from one class of the sweep."""
+    sign = rng.choice((-1, 1))
+    if kind == "small":
+        parts = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(3)]
+    elif kind == "wide":
+        parts = [Fraction(rng.randint(1, 2 ** 64), rng.randint(1, 2 ** 64)) for _ in range(3)]
+    elif kind == "overflow":
+        parts = [Fraction(rng.randint(2 ** 1990, 2 ** 2000), rng.randint(1, 2 ** 20))]
+    elif kind == "tiny":
+        # |s sqrt(d)| near 2**-(1022 + j): subnormal, or zero for large j
+        log_root = (d.numerator.bit_length() - d.denominator.bit_length()) // 2
+        parts = [Fraction(rng.randint(2 ** 40, 2 ** 41), 2 ** (1063 + j + log_root))
+                 for j in (rng.randint(0, 20), rng.randint(20, 60))]
+    elif kind == "root":
+        c0, _ = _sympy_split(d)
+        return [Surd(0, Fraction(c0.q, c0.p), d), Surd(0, Fraction(-c0.q, c0.p), d)]
+    elif kind == "rational_part":
+        return [Surd(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3)),
+                     sign * Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)), d)
+                for _ in range(2)]
+    return [Surd(0, sign * s, d) for s in parts]
+
+
+@pytest.mark.parametrize("kind", ["small", "wide", "overflow", "tiny", "root", "rational_part"])
+def test_surd_float_is_sympy_float_on_wide_sweep(kind):
+    assert len(BIG_N_RADICANDS) >= 8
+    rng = random.Random(kind)
+    floats = []
+    for d in WIDE_RADICANDS:
+        for x in _wide_surds(kind, d, rng):
+            got, want = float(x), float(to_sympy(x))
+            assert got.hex() == want.hex(), (x, got, want)
+            floats.append(got)
+    # each class reaches the regime it is meant to cover
+    if kind == "overflow":
+        assert all(math.isinf(v) for v in floats)
+    if kind == "tiny":
+        assert all(abs(v) < 4 * sys.float_info.min for v in floats)
+        assert 0.0 in floats and any(0 < abs(v) < sys.float_info.min for v in floats)
+
+
+# Values on which one step of sympy's rounding chain decides the last bit.
+# The float would differ from sympy's if n were cut at 70 or at 64 bits
+# instead of 69 before its root (first four), if c were rounded up instead of
+# toward zero (next three), or if the bare root's n (s = 1/c0) were cut at
+# 63 or at 61 bits instead of 62 (last four).
+CHAIN_CASES = [
+    (Fraction(379520758183864418809698178183), Fraction(771, 71)),
+    (Fraction(53037225043435344616959366598), Fraction(121, 102)),
+    (Fraction(385354937964560045268233935956), Fraction(95, 42)),
+    (Fraction(196743269143094240388837432471), Fraction(547, 99)),
+    (Fraction(1, 20), Fraction(207404, 118291)),
+    (Fraction(1, 28), Fraction(446253, 230722)),
+    (Fraction(1, 536870912), Fraction(56577, 10954)),
+    (Fraction(550449089615563499181912469), Fraction(1)),
+    (Fraction(69596098560167780882436455), Fraction(1)),
+    (Fraction(1094181711566254046587227656), Fraction(1, 2)),
+    (Fraction(547917437108059959379322477), Fraction(1)),
+]
+
+
+@pytest.mark.parametrize("d, s", CHAIN_CASES)
+def test_surd_float_keeps_each_rounding_step(d, s):
+    x = Surd(0, s, d)
+    assert float(x).hex() == float(to_sympy(x)).hex()
+
+
+def test_surd_float_does_not_run_sympy_evalf(monkeypatch):
+    d = Fraction(3, 7)
+    c0, _ = _sympy_split(d)
+    values = [Surd(0, s, d) for s in (Fraction(5, 3), Fraction(-2 ** 70, 3 ** 40),
+                                      Fraction(c0.q, c0.p), Fraction(1, 10 ** 320))]
+    want = [float(to_sympy(x)).hex() for x in values]
+    float(exact_sqrt(d))  # the radicand is split once, by sympy
+
+    def no_evalf(*args, **kwargs):
+        raise AssertionError("sympy evalf ran")
+
+    monkeypatch.setattr(sympy.core.evalf, "evalf", no_evalf)
+    with pytest.raises(AssertionError, match="evalf ran"):
+        float(to_sympy(values[0]))
+    assert [float(x).hex() for x in values] == want
+
+
+def test_sympify_of_surd_is_exact():
+    for x in (exact_sqrt(Fraction(1, 2)), Surd(Fraction(2, 3), Fraction(-5, 7), Fraction(9, 10))):
+        assert sympy.sympify(x, strict=True) == to_sympy(x)
+    product = sympy.Rational(1, 3) * exact_sqrt(Fraction(1, 2))
+    assert not product.has(sympy.Float)
+    assert product == sympy.sqrt(2) / 6
 
 
 def test_perfect_squares_fold_to_fraction():

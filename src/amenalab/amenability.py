@@ -16,16 +16,16 @@ from . import _rational_linalg as rl
 from .polynomials import (InternalConsistencyError, Polynomial, approximate_with_derivative,
                           divide_shifted, mvt_bound_check, notch, sup_norm, unit_notch)
 from .reports import ConvergenceReport
-from .scalars import as_fraction, exact_sqrt, to_float
-from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence,
-                       apply_poly_to_block, build_T, build_shifted_T, operator_norm)
+from .scalars import as_fraction, is_exact_zero, to_float
+from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, apply_poly_to_block,
+                       block_norms, build_T, build_shifted_T, operator_norm)
 
 
-def _sqrt_times(lam: Fraction, g):
-    """sqrt(lam) * g staying exact for exact g, float for float g."""
+def _root_times(lam: Fraction, root, g):
+    """sqrt(lam) * g, exact from the exact `root` for exact g, float for float g."""
     if isinstance(g, float):
         return math.sqrt(float(lam)) * g
-    return exact_sqrt(lam) * g
+    return root * g
 
 
 def algebra_element(spectrum: SpectrumSequence, symbol: Sequence) -> BlockOperator:
@@ -35,7 +35,8 @@ def algebra_element(spectrum: SpectrumSequence, symbol: Sequence) -> BlockOperat
     if len(symbol) != len(spectrum):
         raise ValueError("symbol length must match the truncation")
     top = DiagonalOperator(symbol)
-    bottom = DiagonalOperator(tuple(_sqrt_times(l, g) for l, g in zip(spectrum.values, symbol)))
+    bottom = DiagonalOperator(tuple(_root_times(l, r, g) for l, r, g
+                                    in zip(spectrum.values, spectrum.roots, symbol)))
     return BlockOperator.column_block(top, bottom)
 
 
@@ -46,8 +47,8 @@ def membership_residual(X: BlockOperator, spectrum: SpectrumSequence) -> float:
     if X.dim != len(spectrum):
         raise ValueError("operator dimension does not match the truncation")
     worst = 0.0
-    for lam, x12, x22 in zip(spectrum.values, X.b12.diag, X.b22.diag):
-        deviation = x22 - _sqrt_times(lam, x12)
+    for lam, root, x12, x22 in zip(spectrum.values, spectrum.roots, X.b12.diag, X.b22.diag):
+        deviation = x22 - _root_times(lam, root, x12)
         worst = max(worst, abs(to_float(deviation)))
     return X.b11.norm() + worst
 
@@ -57,10 +58,16 @@ def idempotent_E(n: int, spectrum: SpectrumSequence) -> BlockOperator:
 
     It squares to itself exactly.
     """
-    lam_n = spectrum.lam(n)
+    spectrum.lam(n)  # validates n
     symbol = [Fraction(0)] * len(spectrum)
-    symbol[n - 1] = 1 / exact_sqrt(lam_n)
+    symbol[n - 1] = 1 / spectrum.roots[n - 1]
     return algebra_element(spectrum, symbol)
+
+
+def idempotent_sum(spectrum: SpectrumSequence) -> BlockOperator:
+    """U = sum_n E_n, the algebra element with symbol 1/sqrt(lambda_n) at
+    every n: each E_n is U's coordinate-n block and zero elsewhere."""
+    return algebra_element(spectrum, [1 / r for r in spectrum.roots])
 
 
 def idempotent_partial_sum(m: int, spectrum: SpectrumSequence) -> BlockOperator:
@@ -69,8 +76,8 @@ def idempotent_partial_sum(m: int, spectrum: SpectrumSequence) -> BlockOperator:
     element with symbol lambda_n / sqrt(lambda_n) for n <= m and 0 beyond."""
     if not 1 <= m <= len(spectrum):
         raise ValueError(f"m out of range: {m}")
-    symbol = [lam / exact_sqrt(lam) if n <= m else Fraction(0)
-              for n, lam in enumerate(spectrum.values, start=1)]
+    symbol = [lam / root if n <= m else Fraction(0)
+              for n, (lam, root) in enumerate(zip(spectrum.values, spectrum.roots), start=1)]
     return algebra_element(spectrum, symbol)
 
 
@@ -94,6 +101,53 @@ def generation_defect_closed_form(m: int, spectrum: SpectrumSequence) -> float:
 def idempotent_norm_closed_form(n: int, spectrum: SpectrumSequence) -> float:
     """||E_n|| = sqrt(1/lambda_n + 1)."""
     return float(1 / spectrum.lam(n) + 1) ** 0.5
+
+
+class IdempotencySweep(NamedTuple):
+    exact: tuple[bool, ...]         # E_n^2 - E_n == 0 exactly, n = 1..M
+    residuals: tuple[float, ...]    # ||E_n^2 - E_n||
+    norms: tuple[float, ...]        # ||E_n||
+
+
+def idempotency_sweep(spectrum: SpectrumSequence) -> IdempotencySweep:
+    """Every E_n checked from one exact U @ U - U, U = `idempotent_sum`.
+
+    E_n is U's coordinate-n block and zero elsewhere, so E_n^2 - E_n is the
+    coordinate-n block of U^2 - U, and the norm of an operator that vanishes
+    off coordinate n is that coordinate's block norm: the floats equal those
+    of `idempotent_E` taken one n at a time.
+    """
+    U = idempotent_sum(spectrum)
+    defect = (U @ U) - U
+    exact = tuple(all(is_exact_zero(x) for x in entries)
+                  for entries in zip(defect.b11.diag, defect.b12.diag, defect.b22.diag))
+    return IdempotencySweep(exact, tuple(block_norms(defect.to_float()).tolist()),
+                            tuple(block_norms(U.to_float()).tolist()))
+
+
+class GenerationSweep(NamedTuple):
+    defects: tuple[float, ...]        # ||T - S_m||, m = 1..M
+    partial_norms: tuple[float, ...]  # ||S_m||
+    reconstructed: bool               # T - S_M == 0 exactly
+
+
+def generation_sweep(spectrum: SpectrumSequence) -> GenerationSweep:
+    """`generation_defect` and the norms of `idempotent_partial_sum` for every
+    m from the block norms of T, S_M and T - S_M.
+
+    S_m agrees with S_M on the coordinates k <= m and vanishes beyond, so
+    T - S_m is T - S_M on k <= m and T on k > m.  Each norm is a maximum of
+    block norms, hence a prefix or suffix maximum, bitwise the dense value.
+    """
+    T = build_T(spectrum)
+    full = idempotent_partial_sum(len(spectrum), spectrum)
+    rest = T - full
+    head = np.maximum.accumulate(block_norms(rest.to_float()))
+    tail = np.maximum.accumulate(block_norms(T.to_float())[::-1])[::-1]
+    beyond = np.append(tail[1:], 0.0)  # max over k > m of the blocks of T
+    return GenerationSweep(tuple(np.maximum(head, beyond).tolist()),
+                           tuple(np.maximum.accumulate(block_norms(full.to_float())).tolist()),
+                           rest.is_zero())
 
 
 def character_value(X: BlockOperator, n: int):
@@ -248,13 +302,15 @@ class ApproximationStep(NamedTuple):
     certified_bound: float
 
 
-def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence) -> ApproximationStep:
+def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence,
+                              memo: dict | None = None) -> ApproximationStep:
     """One sweep step for the n-th kernel algebra: build u = p(shifted
     generator), measure the multiplication residual and the element norm, and
     certify the norm from scalar sup bounds only.
 
     The certificate combines the eigenvalue sup of p with the mean-value bound
-    for the divided polynomial, which controls the off-diagonal block.
+    for the divided polynomial, which controls the off-diagonal block.  `memo`
+    is the interval-sup memo of `sup_norm`.
     """
     lam_n = spectrum.lam(n)
     lam_1 = spectrum.lam(1)
@@ -263,20 +319,20 @@ def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence)
     residual = operator_norm(((shifted @ u) - shifted).to_float())
     element_norm = operator_norm(u.to_float())
     q = divide_shifted(p, lam_n)
-    check = mvt_bound_check(p, q, lam_n, spectrum)
+    check = mvt_bound_check(p, q, lam_n, spectrum, memo)
     certified = check.p_sup + math.sqrt(float(lam_1)) * (check.rhs + check.p_sup) / float(lam_n)
     return ApproximationStep(max(p.degree, 0), residual, element_norm,
                              check.rhs, check.ok, certified)
 
 
-def approximate_identity_steps(n: int, spectrum: SpectrumSequence,
-                               degrees: Sequence[int]) -> list[ApproximationStep]:
+def approximate_identity_steps(n: int, spectrum: SpectrumSequence, degrees: Sequence[int],
+                               memo: dict | None = None) -> list[ApproximationStep]:
     _validate_degrees(degrees)
     f = notch(n, spectrum)
     steps = []
     for k in degrees:
         p = approximate_with_derivative(f, k)
-        steps.append(approximate_identity_step(p, n, spectrum)._replace(degree=k))
+        steps.append(approximate_identity_step(p, n, spectrum, memo)._replace(degree=k))
     return steps
 
 
@@ -296,29 +352,31 @@ def report_from_steps(steps: Sequence[ApproximationStep], tolerance: float | Non
                              rows, met, bounded, tol_field)
 
 
-def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence) -> ApproximationStep:
-    """One sweep step against the generator itself: u = p(T), residual ||Tu - T||."""
+def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence,
+                            memo: dict | None = None) -> ApproximationStep:
+    """One sweep step against the generator itself: u = p(T), residual ||Tu - T||.
+    `memo` is the interval-sup memo of `sup_norm`."""
     lam_1 = spectrum.lam(1)
     T = build_T(spectrum)
     u = apply_poly_to_block(p.coefficients, T)
     residual = operator_norm(((T @ u) - T).to_float())
     element_norm = operator_norm(u.to_float())
     q = p.divided_by_z()
-    q_bound = sup_norm(p.derivative(), (Fraction(0), lam_1))
+    q_bound = sup_norm(p.derivative(), (Fraction(0), lam_1), memo)
     mvt_ok = sup_norm(q, spectrum) <= q_bound + 1e-12
-    p_sup = sup_norm(p, (Fraction(0), lam_1))
+    p_sup = sup_norm(p, (Fraction(0), lam_1), memo)
     certified = p_sup + math.sqrt(float(lam_1)) * q_bound
     return ApproximationStep(max(p.degree, 0), residual, element_norm, q_bound, mvt_ok, certified)
 
 
-def unit_approximation_steps(spectrum: SpectrumSequence,
-                             degrees: Sequence[int]) -> list[ApproximationStep]:
+def unit_approximation_steps(spectrum: SpectrumSequence, degrees: Sequence[int],
+                             memo: dict | None = None) -> list[ApproximationStep]:
     _validate_degrees(degrees)
     f = unit_notch(spectrum)
     steps = []
     for k in degrees:
         p = approximate_with_derivative(f, k)
-        steps.append(unit_approximation_step(p, spectrum)._replace(degree=k))
+        steps.append(unit_approximation_step(p, spectrum, memo)._replace(degree=k))
     return steps
 
 

@@ -22,13 +22,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .amenability import (algebra_element, approximate_identity_steps, bai_defect,
-                          derivation_space, generation_defect, generation_defect_closed_form,
-                          idempotent_E, idempotent_norm_closed_form, idempotent_partial_sum,
-                          membership_residual, report_from_steps, unit_approximation_steps)
+from .amenability import (approximate_identity_steps, bai_defect, derivation_space,
+                          generation_defect_closed_form, generation_sweep, idempotency_sweep,
+                          idempotent_norm_closed_form, idempotent_sum, membership_residual,
+                          report_from_steps, unit_approximation_steps)
 from .polynomials import Polynomial, sup_norm
 from .reports import ConvergenceReport, write_report
-from .scalars import as_fraction, exact_sqrt
+from .scalars import as_fraction
 from .similarity import conjugate_by_upper_unipotent, minimal_intertwiner, similarity_growth_sweep
 from .spectrum import (DiagonalOperator, SpectrumSequence, apply_poly_to_block, build_T,
                        make_spectrum, operator_norm)
@@ -277,27 +277,18 @@ def _verify_weak(cfg: RunConfig):
     spectrum = _spectrum_at(cfg, _default_count(cfg, WEAK_DEFAULT_COUNT))
     m = len(spectrum)
     tol = cfg.tol_algebraic
+    ns = range(1, m + 1)
 
-    rows = []
-    exact_zero = 0
-    worst = 0.0
-    norm_dev = 0.0
-    for n in range(1, m + 1):
-        e_n = idempotent_E(n, spectrum)
-        defect_op = (e_n @ e_n) - e_n
-        if defect_op.is_zero():
-            exact_zero += 1
-        resid = operator_norm(defect_op.to_float())
-        worst = max(worst, resid)
-        norm = operator_norm(e_n.to_float())
-        closed = idempotent_norm_closed_form(n, spectrum)
-        norm_dev = max(norm_dev, abs(norm - closed))
-        rows.append((n, resid, norm, closed))
+    idem = idempotency_sweep(spectrum)
+    closed = [idempotent_norm_closed_form(n, spectrum) for n in ns]
+    worst = max(idem.residuals)
+    norm_dev = max(abs(a - b) for a, b in zip(idem.norms, closed))
     idem_report = ConvergenceReport(("index", "residual", "u_norm", "q_bound"),
-                                    tuple(rows), worst <= tol, norm_dev <= tol, tol)
+                                    tuple(zip(ns, idem.residuals, idem.norms, closed)),
+                                    worst <= tol, norm_dev <= tol, tol)
     checks = [
-        Check("weak.idempotency", exact_zero == m and worst <= tol,
-              f"exact zeros {exact_zero}/{m}, max float residual {worst!r}",
+        Check("weak.idempotency", all(idem.exact) and worst <= tol,
+              f"exact zeros {sum(idem.exact)}/{m}, max float residual {worst!r}",
               "tests/test_acceptance.py::test_c01_idempotency"),
     ]
 
@@ -321,25 +312,17 @@ def _verify_weak(cfg: RunConfig):
                         f"{MEMBERSHIP_TRIALS} random polynomials, max residual {mem_worst!r}",
                         "tests/test_acceptance.py::test_c02_membership"))
 
-    gen_rows = []
-    closed_dev = 0.0
-    defects = []
-    for part in range(1, m + 1):
-        d = generation_defect(part, spectrum)
-        defects.append(d)
-        tail = generation_defect_closed_form(part, spectrum)
-        closed_dev = max(closed_dev, abs(d - tail))
-        partial_norm = operator_norm(idempotent_partial_sum(part, spectrum).to_float())
-        gen_rows.append((part, d, partial_norm, tail))
-    decreasing = all(b < a for a, b in zip(defects, defects[1:]))
-    reconstructed = (build_T(spectrum) - idempotent_partial_sum(m, spectrum)).is_zero()
+    gen = generation_sweep(spectrum)
+    tails = [generation_defect_closed_form(n, spectrum) for n in ns]
+    closed_dev = max(abs(d - tail) for d, tail in zip(gen.defects, tails))
+    decreasing = all(b < a for a, b in zip(gen.defects, gen.defects[1:]))
     gen_report = ConvergenceReport(("index", "residual", "u_norm", "q_bound"),
-                                   tuple(gen_rows), defects[-1] <= tol,
-                                   closed_dev <= tol and decreasing, tol)
-    checks.append(Check("weak.generation",
-                        closed_dev <= tol and decreasing and reconstructed and defects[-1] == 0.0,
+                                   tuple(zip(ns, gen.defects, gen.partial_norms, tails)),
+                                   gen.defects[-1] <= tol, closed_dev <= tol and decreasing, tol)
+    checks.append(Check("weak.generation", closed_dev <= tol and decreasing and gen.reconstructed
+                        and gen.defects[-1] == 0.0,
                         f"max closed-form deviation {closed_dev!r}, strictly decreasing: "
-                        f"{decreasing}, exact reconstruction: {reconstructed}",
+                        f"{decreasing}, exact reconstruction: {gen.reconstructed}",
                         "tests/test_acceptance.py::test_c03_generation"))
 
     files = [("weak_idempotency", idem_report), ("weak_membership", mem_report),
@@ -352,10 +335,11 @@ def _verify_character(cfg: RunConfig):
     m = len(spectrum)
     checks = []
     files = []
+    sups: dict = {}  # interval sups shared by the kernel and unit sweeps
     for n in (1, 2, 3):
         if n > m:
             continue
-        steps = approximate_identity_steps(n, spectrum, cfg.degrees)
+        steps = approximate_identity_steps(n, spectrum, cfg.degrees, sups)
         report = report_from_steps(steps, cfg.tol_analytic)
         monotone = all(b.residual <= a.residual + 1e-12 for a, b in zip(steps, steps[1:]))
         mvt_all = all(s.mvt_ok for s in steps)
@@ -369,7 +353,7 @@ def _verify_character(cfg: RunConfig):
                             "tests/test_acceptance.py::test_c06_mvt_bound"))
         files.append((f"character_kernel_n{n}", report))
 
-    unit_steps = unit_approximation_steps(spectrum, cfg.degrees)
+    unit_steps = unit_approximation_steps(spectrum, cfg.degrees, sups)
     unit_report = report_from_steps(unit_steps, None)
     checks.append(Check("character.unit_trend",
                         unit_report.threshold_met and unit_report.bounded,
@@ -378,10 +362,8 @@ def _verify_character(cfg: RunConfig):
                         "tests/test_amenability.py::test_unit_approximation_trend"))
     files.append(("character_unit", unit_report))
 
-    # the sum of all idempotents E_n: symbol 1/sqrt(lambda_n) everywhere
-    identity_sum = algebra_element(spectrum, [1 / exact_sqrt(v) for v in spectrum.values])
     T = build_T(spectrum)
-    unit_exact = ((T @ identity_sum) - T).is_zero()
+    unit_exact = ((T @ idempotent_sum(spectrum)) - T).is_zero()
     checks.append(Check("character.unit_exact_identity", unit_exact,
                         "unweighted idempotent sum is an exact identity on the truncation",
                         "tests/test_amenability.py::test_unit_exact_identity"))
@@ -417,7 +399,7 @@ def _verify_similarity(cfg: RunConfig):
                       for m in cfg.truncations)
     top = _spectrum_at(cfg, cfg.truncations[-1])
     T = build_T(top)
-    negative_root_inverse = DiagonalOperator(tuple(-1 / exact_sqrt(v) for v in top.values))
+    negative_root_inverse = DiagonalOperator(tuple(-1 / r for r in top.roots))
     conj = conjugate_by_upper_unipotent(T, negative_root_inverse)
     zeroed = conj.b12.is_zero()
     checks = [

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial, lcm
 from typing import NamedTuple, Sequence, Union
 
@@ -61,6 +62,13 @@ class Polynomial:
     def monomial(cls, power: int, c=1) -> "Polynomial":
         return cls((Fraction(0),) * power + (as_fraction(c),))
 
+    @cached_property
+    def _integers(self) -> tuple[tuple[int, ...], int]:
+        """The coefficients as integer numerators N_i over their common
+        denominator L, computed once per polynomial."""
+        nums, den = _common_denominator(self.coefficients)
+        return tuple(nums), den
+
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -77,7 +85,7 @@ class Polynomial:
         the coefficients, h <- h Z + N_j D^(k-j), and divides by L D^k once.
         """
         if self.coefficients and isinstance(z, (int, Fraction)):
-            nums, den = _common_denominator(self.coefficients)
+            nums, den = self._integers
             top, bottom = z.numerator, z.denominator
             acc = nums[-1]
             scale = 1
@@ -134,7 +142,7 @@ class Polynomial:
         if not self.coefficients:
             return Polynomial.zero()
         alpha, beta = as_fraction(alpha), as_fraction(beta)
-        nums, den = _common_denominator(self.coefficients)
+        nums, den = self._integers
         e = lcm(alpha.denominator, beta.denominator)
         u, v = alpha.numerator * (e // alpha.denominator), beta.numerator * (e // beta.denominator)
         acc = [nums[-1]]
@@ -304,8 +312,8 @@ def _bernstein_controls(p: Polynomial, a, b) -> list[Fraction]:
         return [Fraction(0)]
     g = p.compose_affine(a, b - a)
     d = p.degree
-    nums, den = _common_denominator(g.coefficients)
-    nums += [0] * (d + 1 - len(nums))
+    nums, den = g._integers
+    nums += (0,) * (d + 1 - len(nums))
     # ctrl_i = sum_m C(i, m) / C(d, m) g_m = (1 / (L d!)) sum_m C(i, m) m! (d - m)! G_m;
     # the binomial sums over m are the first entries of a Pascal-style triangle.
     row = [factorial(m) * factorial(d - m) * n for m, n in enumerate(nums)]
@@ -434,19 +442,27 @@ def _sup_candidates(ctrl: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarra
 Domain = Union[SpectrumSequence, tuple]
 
 
-def sup_norm(p: Polynomial, domain: Domain) -> float:
+def sup_norm(p: Polynomial, domain: Domain, memo: dict | None = None) -> float:
     """Supremum of |p| over a spectrum (its points plus the origin, exactly) or
     over an interval (a, b) sampled on a uniform grid of DEFAULT_GRID points.
 
     The interval value is bitwise the largest |value| of `evaluate_on_grid`,
     but the de Casteljau sweep runs only on the points that an O(k)
     evaluation with a proven error bound cannot rule out (`_sup_candidates`).
+    Callers that meet equal polynomials on equal intervals share a `memo`
+    dict, keyed by (p, a, b), so that each such sup is swept once.
     """
     if isinstance(domain, SpectrumSequence):
         return max(abs(float(p(z))) for z in (Fraction(0), *domain.values))
+    key = (p, *domain)
+    if memo is not None and key in memo:
+        return memo[key]
     ctrl, t, s = _float_grid(p, *domain, DEFAULT_GRID)
     keep = _sup_candidates(ctrl, t, s)
-    return float(np.max(np.abs(_de_casteljau(ctrl, t[keep], s[keep]))))
+    value = float(np.max(np.abs(_de_casteljau(ctrl, t[keep], s[keep]))))
+    if memo is not None:
+        memo[key] = value
+    return value
 
 
 def divide_shifted(p: Polynomial, lam) -> Polynomial:
@@ -468,13 +484,15 @@ class MvtCheck(NamedTuple):
     p_sup: float
 
 
-def mvt_bound_check(p: Polynomial, q: Polynomial, lam, spectrum: SpectrumSequence) -> MvtCheck:
+def mvt_bound_check(p: Polynomial, q: Polynomial, lam, spectrum: SpectrumSequence,
+                    memo: dict | None = None) -> MvtCheck:
     """Mean-value bound for the divided polynomial: the sup of |q| over the
     spectrum (plus origin) must not exceed sup|p| + lam * sup|p'| over
-    [lam - lambda_1, lam].  Returns the verdict with both sides and sup|p|."""
+    [lam - lambda_1, lam].  Returns the verdict with both sides and sup|p|.
+    `memo` is handed to `sup_norm` for the interval sups."""
     lam = as_fraction(lam)
     a, b = lam - spectrum.lam(1), lam
     lhs = sup_norm(q, spectrum)
-    p_sup = sup_norm(p, (a, b))
-    rhs = p_sup + float(lam) * sup_norm(p.derivative(), (a, b))
+    p_sup = sup_norm(p, (a, b), memo)
+    rhs = p_sup + float(lam) * sup_norm(p.derivative(), (a, b), memo)
     return MvtCheck(lhs <= rhs + 1e-12, lhs, rhs, p_sup)

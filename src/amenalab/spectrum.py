@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -48,6 +49,11 @@ class SpectrumSequence:
         if not 1 <= n <= len(self.values):
             raise ValueError(f"n out of range: {n} (truncation {len(self.values)})")
         return self.values[n - 1]
+
+    @cached_property
+    def roots(self) -> tuple:
+        """The exact sqrt(lambda_n), computed once per spectrum."""
+        return tuple(exact_sqrt(v) for v in self.values)
 
     def floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.values])
@@ -210,7 +216,7 @@ class BlockOperator:
 def build_T(spectrum: SpectrumSequence) -> BlockOperator:
     """The compact triangular generator: zero left column, sqrt block over the
     diagonal block carrying the spectrum."""
-    top = DiagonalOperator(tuple(exact_sqrt(v) for v in spectrum.values))
+    top = DiagonalOperator(spectrum.roots)
     bottom = DiagonalOperator(spectrum.values)
     return BlockOperator.column_block(top, bottom)
 
@@ -221,7 +227,7 @@ def build_shifted_T(spectrum: SpectrumSequence, n: int) -> BlockOperator:
     m = len(spectrum)
     return BlockOperator(
         DiagonalOperator.constant(m, lam_n),
-        DiagonalOperator(tuple(-exact_sqrt(v) for v in spectrum.values)),
+        DiagonalOperator(tuple(-r for r in spectrum.roots)),
         DiagonalOperator(tuple(lam_n - v for v in spectrum.values)),
     )
 
@@ -285,12 +291,20 @@ def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperat
                          DiagonalOperator(tuple(bot)))
 
 
+def block_norms(X: BlockOperator) -> np.ndarray:
+    """Norm of each coordinate block of a column-block operator (vanishing
+    upper-left block): sqrt(B12[n]^2 + B22[n]^2), as floats."""
+    if not X.b11.is_zero():
+        raise ValueError("block_norms needs a vanishing upper-left block")
+    a = np.array([to_float(x) for x in X.b12.diag])
+    b = np.array([to_float(x) for x in X.b22.diag])
+    return np.hypot(a, b)
+
+
 def operator_norm(X: BlockOperator) -> float:
     """Spectral norm.  Column-block operators (vanishing upper-left block) use
-    the exact closed form max_n sqrt(B12[n]^2 + B22[n]^2); anything else goes
-    to the dense SVD oracle."""
+    the exact closed form, the largest of their `block_norms`; anything else
+    goes to the dense SVD oracle."""
     if X.b11.is_zero():
-        a = np.array([to_float(x) for x in X.b12.diag])
-        b = np.array([to_float(x) for x in X.b22.diag])
-        return float(np.max(np.hypot(a, b), initial=0.0))
+        return float(np.max(block_norms(X), initial=0.0))
     return float(np.linalg.svd(X.to_dense(), compute_uv=False)[0])

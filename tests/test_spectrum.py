@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from amenalab import (BlockOperator, DiagonalOperator, Polynomial, apply_poly_to_block,
                       build_T, build_shifted_T, make_spectrum, operator_norm)
+from amenalab.spectrum import block_norms
 from oracle_utils import (dense_exact, matmul_exact, matpow_exact, poly_to_sympy,
                           random_rational_poly, spectral_norm_oracle, to_sympy)
 
@@ -234,6 +235,10 @@ def test_operator_norm_examples():
     diag_only = BlockOperator(DiagonalOperator((3, 1, 2)), DiagonalOperator.zeros(3),
                               DiagonalOperator.zeros(3))
     assert operator_norm(diag_only) == pytest.approx(3.0, abs=1e-12)
+    with pytest.raises(ValueError, match="upper-left"):
+        block_norms(diag_only)  # the per-coordinate form needs a column block
+    X = BlockOperator.column_block(DiagonalOperator((3, 0, 1)), DiagonalOperator((4, 0, -1)))
+    assert block_norms(X).tolist() == [5.0, 0.0, math.sqrt(2)]
 
 
 def test_operator_norm_closed_form_vs_svd_random():

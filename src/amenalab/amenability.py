@@ -16,7 +16,7 @@ from . import _rational_linalg as rl
 from .polynomials import (InternalConsistencyError, Polynomial, approximate_with_derivative,
                           divide_shifted, mvt_bound_check, notch, sup_norm, unit_notch)
 from .reports import ConvergenceReport
-from .scalars import as_fraction, is_exact_zero, to_float
+from .scalars import as_fraction, is_exact_zero, surd_float, to_float
 from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, apply_poly_to_block,
                        block_norms, build_T, build_shifted_T, operator_norm)
 
@@ -51,6 +51,55 @@ def membership_residual(X: BlockOperator, spectrum: SpectrumSequence) -> float:
         deviation = x22 - _root_times(lam, root, x12)
         worst = max(worst, abs(to_float(deviation)))
     return X.b11.norm() + worst
+
+
+class MembershipTrial(NamedTuple):
+    exact: bool           # p(lambda_n) == lambda_n Dp exactly at every n
+    residual: float       # `membership_residual` of p(T)
+    norm: float           # ||p(T)||
+    spectral_sup: float   # sup |p| over the spectrum plus the origin
+
+
+def membership_trial(p: Polynomial, spectrum: SpectrumSequence) -> MembershipTrial:
+    """p(T) checked against the algebra shape in T~ coordinates, on integers.
+
+    T = D T~ D^-1 with T~ = [[0, I], [0, N]] and D = diag(I, N^(-1/2)), so
+    coordinate n of p(T~) is [[p(0), Dp], [0, p(lambda_n)]], all rational,
+    and p(T) is an algebra element iff p(lambda_n) = lambda_n Dp at every n.
+    With lambda_n = C/E and p = sum_j N_j z^j / L, the pass of
+    `_rational_horner` at a = 0 ends at integers h and g with
+    p(lambda_n) = h/d and Dp = g E/d over d = L E^k; g is its own
+    divided-difference accumulator, not h / C, so h == C g is a real check.
+    sqrt(lambda_n) enters only the float of p(T)'s upper-right entry
+    sqrt(lambda_n) Dp.  Each float is correctly rounded or taken by
+    `surd_float`, so the fields are bitwise `membership_residual(X)`,
+    `operator_norm(X.to_float())` and `sup_norm(p, spectrum)` for
+    X = apply_poly_to_block(p.coefficients, build_T(spectrum)).
+    """
+    nums, den = p._integers
+    if nums and nums[0]:
+        raise ValueError("constant term must vanish; the algebra model is non-unital")
+    nums = nums or (0,)  # the zero polynomial
+    exact, worst, tops, bottoms = True, 0.0, [], []
+    for lam, root in zip(spectrum.values, spectrum.roots):
+        c, e = lam.numerator, lam.denominator
+        h, g, scale = nums[-1], 0, 1
+        for n in reversed(nums[:-1]):
+            scale *= e
+            g = h  # g <- g a + h with a = 0
+            h = h * c + n * scale
+        d = den * scale
+        deviation = h - c * g
+        if deviation:
+            exact = False
+            worst = max(worst, abs(deviation) / d)
+        bottoms.append(h / d)
+        if isinstance(root, Fraction):
+            tops.append(g * e * root.numerator / (d * root.denominator))
+        else:
+            tops.append(surd_float(g * e, d, lam))
+    norm = float(np.max(np.hypot(np.array(tops), np.array(bottoms)), initial=0.0))
+    return MembershipTrial(exact, worst, norm, max(0.0, *map(abs, bottoms)))  # |p(0)| = 0
 
 
 def idempotent_E(n: int, spectrum: SpectrumSequence) -> BlockOperator:

@@ -20,6 +20,8 @@ for c*sqrt(n), c = c0*s:
   57, then to nearest at 53.
 
 The result is not always correctly rounded; the reports keep sympy's bits.
+Every step depends on the value of c alone, so `surd_float`, the float kernel
+behind `float(Surd)`, takes s as an unreduced num/den of integers.
 A value with r != 0, which no pipeline floats, is floated by sympy itself,
 and the tests use sympy as the oracle for every float.
 """
@@ -57,13 +59,14 @@ def _is_square(n: int) -> bool:
 
 
 @functools.cache
-def _sympy_root(d: Fraction) -> tuple[int, int, tuple[int, int], float]:
-    """sympy's sqrt(d) = (p0/q0) * sqrt(n), split once per radicand, with the
-    parts of the float that depend on n alone: sqrt(n) cut to 64 bits, as
-    (man, exp), and the float of the bare root.  sympy writes the root of a
-    positive rational as a rational times the root of an integer n, and its
-    choice of n sets the bits, so the split stays sympy's."""
-    c0, root = sympy.sqrt(sympy.Rational(d.numerator, d.denominator)).as_coeff_Mul()
+def _sympy_root(num: int, den: int) -> tuple[int, int, tuple[int, int], float]:
+    """sympy's sqrt(d) = (p0/q0) * sqrt(n) for d = num/den, split once per
+    radicand, with the parts of the float that depend on n alone: sqrt(n) cut
+    to 64 bits, as (man, exp), and the float of the bare root.  sympy writes
+    the root of a positive rational as a rational times the root of an
+    integer n, and its choice of n sets the bits, so the split stays sympy's.
+    The cache is keyed by the two ints, which hash faster than a Fraction."""
+    c0, root = sympy.sqrt(sympy.Rational(num, den)).as_coeff_Mul()
     n = int(root.base)
     bare = _round_nearest(*_sqrt_down(*_truncate(n, 62), 57), 53)
     return int(c0.p), int(c0.q), _sqrt_down(*_truncate(n, 69), 64), _ldexp(*bare)
@@ -105,6 +108,26 @@ def _ldexp(man: int, exp: int) -> float:
         return math.copysign(math.inf, man)
 
 
+def surd_float(num: int, den: int, d: Fraction) -> float:
+    """float((num/den) * sqrt(d)) with sympy's bits, for d a positive
+    non-square and den > 0: the rounding chain of the module docstring for
+    c = p0/q0 * num/den.  num/den need not be in lowest terms."""
+    if not num:
+        return 0.0
+    p0, q0, (root, root_exp), bare = _sympy_root(d.numerator, d.denominator)
+    p, q = p0 * num, q0 * den
+    if p == q:
+        return bare
+    # |c| = |p|/q scaled to 65 or 66 bits, floored, then cut to 64
+    a = abs(p)
+    shift = 65 - a.bit_length() + q.bit_length()
+    c = (a << shift) // q if shift >= 0 else a // (q << -shift)
+    drop = c.bit_length() - 64
+    man, exp = _round_nearest((c >> drop) * root, drop - shift + root_exp, 57)
+    man, exp = _round_nearest(man, exp, 53)
+    return _ldexp(-man if p < 0 else man, exp)
+
+
 class Surd:
     """The exact number r + s*sqrt(d): r and s Fractions, d a positive Fraction
     whose square root is irrational, and s != 0.
@@ -132,21 +155,9 @@ class Surd:
         return f"Surd({self.r!r}, {self.s!r}, {self.d!r})"
 
     def __float__(self) -> float:
-        # The rounding chain of the module docstring, for c = p0/q0 * s.
         if self.r:
             return float(self._sympy_())
-        p0, q0, (root, root_exp), bare = _sympy_root(self.d)
-        p, q = p0 * self.s.numerator, q0 * self.s.denominator
-        if p == q:
-            return bare
-        # |c| = |p|/q scaled to 65 or 66 bits, floored, then cut to 64
-        a = abs(p)
-        shift = 65 - a.bit_length() + q.bit_length()
-        c = (a << shift) // q if shift >= 0 else a // (q << -shift)
-        drop = c.bit_length() - 64
-        man, exp = _round_nearest((c >> drop) * root, drop - shift + root_exp, 57)
-        man, exp = _round_nearest(man, exp, 53)
-        return _ldexp(-man if p < 0 else man, exp)
+        return surd_float(self.s.numerator, self.s.denominator, self.d)
 
     def _sympy_(self):
         """The exact value Rational(r) + Rational(s)*sqrt(d), so sympify and

@@ -60,12 +60,15 @@ def minimal_intertwiner(spectrum) -> IntertwinerSolve:
 
 
 def similarity_growth_sweep(spectrum_factory: Callable[[int], SpectrumSequence],
-                            truncations: Sequence[int]) -> ConvergenceReport:
+                            truncations: Sequence[int],
+                            solves: list | None = None) -> ConvergenceReport:
     """Minimal intertwiner norm per truncation size.
 
     Verdicts: `threshold_met` is vacuously true with tolerance 0 (the sweep
     has no threshold); the `bounded` slot certifies strict norm growth, the
-    finite shadow of unboundedness.
+    finite shadow of unboundedness.  Each `IntertwinerSolve` is appended to
+    `solves` when it is given, so callers read the residuals without solving
+    again.
     """
     if not truncations:
         raise ValueError("truncations: must not be empty")
@@ -75,5 +78,7 @@ def similarity_growth_sweep(spectrum_factory: Callable[[int], SpectrumSequence],
     for m in truncations:
         solve = minimal_intertwiner(spectrum_factory(m))
         rows.append((int(m), solve.norm))
+        if solves is not None:
+            solves.append(solve)
     increasing = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
     return ConvergenceReport(("M", "intertwiner_norm"), tuple(rows), True, increasing, 0.0)

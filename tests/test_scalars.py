@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amenalab import Surd, exact_sqrt, is_exact_zero, make_spectrum
+from amenalab.scalars import surd_float
 from oracle_utils import to_sympy
 
 
@@ -220,6 +221,33 @@ def test_surd_float_does_not_run_sympy_evalf(monkeypatch):
     with pytest.raises(AssertionError, match="evalf ran"):
         float(to_sympy(values[0]))
     assert [float(x).hex() for x in values] == want
+
+
+def _unreduced_cases():
+    """(num, den, d) with num/den not in lowest terms."""
+    c0, _ = _sympy_split(Fraction(1, 2))  # sqrt(1/2) = sqrt(2)/2
+    cases = [
+        (6 * 7, 4 * 7, Fraction(2, 3)),                      # shared factor
+        (-35, 10, Fraction(5, 7)),                           # negative numerator
+        (3 * int(c0.q), 3 * int(c0.p), Fraction(1, 2)),      # c = 1: the bare root
+        (-3 * int(c0.q), 3 * int(c0.p), Fraction(1, 2)),     # c = -1
+        (5 * (2 ** 300 + 1), 5 * 3 ** 250, Fraction(7, 11)),  # large denominator
+        (2 ** 64 * 9, 2 ** 1100 * 9, Fraction(1, 3)),        # subnormal result
+    ]
+    rng = random.Random("unreduced")
+    for d in RADICANDS:
+        k = rng.randint(2, 10 ** 12)
+        cases.append((k * rng.randint(-10 ** 20, 10 ** 20), k * rng.randint(1, 10 ** 20), d))
+    return [case for case in cases if case[0]]
+
+
+def test_surd_float_takes_an_unreduced_quotient():
+    for num, den, d in _unreduced_cases():
+        got = surd_float(num, den, d)
+        assert got.hex() == float(Surd(0, Fraction(num, den), d)).hex(), (num, den, d)
+        want = sympy.Rational(num, den) * sympy.sqrt(to_sympy(d))
+        assert got.hex() == float(want).hex(), (num, den, d)
+    assert surd_float(0, 7, Fraction(1, 2)) == 0.0
 
 
 def test_sympify_of_surd_is_exact():

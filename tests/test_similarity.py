@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,31 @@ def test_growth_sweep_harmonic():
 def test_growth_sweep_singleton():
     report = similarity_growth_sweep(lambda m: make_spectrum("geometric", m), [6])
     assert report.bounded and report.rows == ((6, 8.0),)
+
+
+def test_growth_sweep_collects_each_solve():
+    solves = []
+    report = similarity_growth_sweep(lambda m: make_spectrum("harmonic", m), [4, 16], solves)
+    assert [(s.truncation, s.norm) for s in solves] == list(report.rows)
+    assert all(s.residual == 0.0 for s in solves)
+
+
+def test_verify_similarity_solves_each_truncation_once(monkeypatch, tmp_path, capsys):
+    from amenalab.cli import main
+
+    calls = []
+
+    def counted(spectrum):
+        calls.append(len(spectrum))
+        return minimal_intertwiner(spectrum)
+
+    for name, module in list(sys.modules.items()):  # every namespace that binds it
+        if name.startswith("amenalab") and getattr(module, "minimal_intertwiner", None) \
+                is minimal_intertwiner:
+            monkeypatch.setattr(module, "minimal_intertwiner", counted)
+    assert main(["verify", "similarity", "--out", str(tmp_path)]) == 0
+    assert "[PASS] similarity.exact_solve" in capsys.readouterr().out
+    assert calls == [4, 8, 16, 20]  # the default truncations
 
 
 def test_growth_sweep_validation():

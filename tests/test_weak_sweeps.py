@@ -3,22 +3,26 @@ of `verify character`.
 
 The report rows must equal, bit for bit, the dense definitions taken one n
 or one m at a time; the expected values here come only from `idempotent_E`,
-`idempotent_partial_sum` and `generation_defect`.  Work is guarded by
-deterministic call counts rather than timings.
+`idempotent_partial_sum` and `generation_defect`, and for the membership
+trials from `apply_poly_to_block`, `membership_residual`, `operator_norm` and
+`sup_norm`.  Work is guarded by deterministic call counts rather than timings.
 """
 
+import hashlib
 import json
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 import amenalab.amenability as am
-from amenalab import (generation_defect, idempotent_E, idempotent_partial_sum, make_spectrum,
-                      operator_norm)
-from amenalab.amenability import generation_sweep, idempotency_sweep
+from amenalab import (Polynomial, apply_poly_to_block, build_T, generation_defect, idempotent_E,
+                      idempotent_partial_sum, make_spectrum, membership_residual, operator_norm,
+                      sup_norm)
+from amenalab.amenability import generation_sweep, idempotency_sweep, membership_trial
 from amenalab.spectrum import BlockOperator, DiagonalOperator
-from amenalab.cli import main
+from amenalab.cli import MEMBERSHIP_SEED, MEMBERSHIP_TRIALS, main
 
 EXPLICIT = ("9/10", "1/2", "1/4", "1/7", "1/100")  # 1/4 has a rational root
 
@@ -134,3 +138,77 @@ def test_verify_character_sweeps_each_interval_sup_once(monkeypatch, tmp_path, c
     main(["verify", "character", "--count", "16", "--degrees", "8:128", "--out", str(tmp_path)])
     capsys.readouterr()
     assert sweeps[0] == 30
+
+
+# Spectra of the membership trials: geometric 1/2 has a rational root at every
+# even n, harmonic at lambda = 1, 1/4, 1/9, ...
+TRIAL_SPECTRA = {
+    "geometric_half_64": make_spectrum("geometric", 64),
+    "ratio_9_10_16": make_spectrum("geometric", 16, ratio=Fraction(9, 10)),
+    "harmonic_64": make_spectrum("harmonic", 64),
+}
+
+
+def cli_trial_polynomials() -> list[Polynomial]:
+    """The polynomials of `verify weak`'s membership trials."""
+    rng = random.Random(MEMBERSHIP_SEED)
+    polys = []
+    for _ in range(MEMBERSHIP_TRIALS):
+        degree = rng.randint(1, 16)
+        polys.append(Polynomial((Fraction(0),) + tuple(
+            Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(degree))))
+    return polys
+
+
+def random_polynomials(spectrum) -> list[Polynomial]:
+    """Degrees 1-16 with wide coefficients and some zero ones, the zero
+    polynomial, and z^2 - lambda_1 z, whose divided difference vanishes at
+    lambda_1."""
+    rng = random.Random(20261018)
+    polys = [Polynomial(()), Polynomial((0, -spectrum.lam(1), 1))]
+    for degree in range(1, 17):
+        for _ in range(3):
+            polys.append(Polynomial((Fraction(0),) + tuple(
+                Fraction(rng.randint(-10 ** 6, 10 ** 6) * (rng.random() < 0.8),
+                         rng.randint(1, 10 ** 4)) for _ in range(degree))))
+    return polys
+
+
+@pytest.mark.parametrize("case", sorted(TRIAL_SPECTRA))
+@pytest.mark.parametrize("source", ["cli_seed", "random"])
+def test_membership_trial_bitwise_equals_block_composition(case, source):
+    s = TRIAL_SPECTRA[case]
+    T = build_T(s)
+    polys = cli_trial_polynomials() if source == "cli_seed" else random_polynomials(s)
+    for p in polys:
+        X = apply_poly_to_block(p.coefficients, T)
+        want = (membership_residual(X, s), operator_norm(X.to_float()), sup_norm(p, s))
+        got = membership_trial(p, s)
+        assert got.exact
+        assert bits(got[1:]) == bits(want), p
+
+
+def test_membership_trial_rejects_a_constant_term():
+    s = make_spectrum("harmonic", 4)
+    with pytest.raises(ValueError, match="constant term"):
+        membership_trial(Polynomial((Fraction(1, 3), 2)), s)
+
+
+# SHA-256 of each report of `verify weak --kind geometric --ratio 9/10
+# --count 16`, recorded with the dense block composition of the trials.  Here
+# numpy's hypot and math.hypot differ by one ulp in trial 5's norm.
+GOLDEN_RATIO_9_10_16 = {
+    "weak_membership.csv": "531814a49c12f2a0ed5c146400431a7e65fed65b0b6d80966c309372fefb5669",
+    "weak_idempotency.csv": "d906b91bb9a7c1c44194971a01e75a41565b386db080e33e567242e6ce3ba902",
+    "weak_generation.csv": "d9e6c5fd27c3979e41fdab8f544841f9e03dd89e60a469255e371006202ee4f9",
+}
+
+
+def test_verify_weak_ratio_9_10_reports_are_golden(tmp_path, capsys):
+    out_dir = tmp_path / "reports"
+    assert main(["verify", "weak", "--kind", "geometric", "--ratio", "9/10", "--count", "16",
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in GOLDEN_RATIO_9_10_16}
+    assert digests == GOLDEN_RATIO_9_10_16

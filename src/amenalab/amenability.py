@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -16,9 +16,9 @@ from . import _rational_linalg as rl
 from .polynomials import (InternalConsistencyError, Polynomial, approximate_with_derivative,
                           divide_shifted, mvt_bound_check, notch, sup_norm, unit_notch)
 from .reports import ConvergenceReport
-from .scalars import as_fraction, is_exact_zero, surd_float, to_float
-from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, apply_poly_to_block,
-                       block_norms, build_T, build_shifted_T, operator_norm)
+from .scalars import Surd, as_fraction, is_exact_zero, surd_float, to_float
+from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, _horner_numerators,
+                       apply_poly_to_block, block_norms, build_T, build_shifted_T, operator_norm)
 
 
 def _root_times(lam: Fraction, root, g):
@@ -54,52 +54,86 @@ def membership_residual(X: BlockOperator, spectrum: SpectrumSequence) -> float:
 
 
 class MembershipTrial(NamedTuple):
-    exact: bool           # p(lambda_n) == lambda_n Dp exactly at every n
     residual: float       # `membership_residual` of p(T)
     norm: float           # ||p(T)||
     spectral_sup: float   # sup |p| over the spectrum plus the origin
 
 
-def membership_trial(p: Polynomial, spectrum: SpectrumSequence) -> MembershipTrial:
-    """p(T) checked against the algebra shape in T~ coordinates, on integers.
+def _reference_trial(p: Polynomial, T: BlockOperator,
+                     spectrum: SpectrumSequence) -> MembershipTrial:
+    X = apply_poly_to_block(p.coefficients, T)
+    return MembershipTrial(membership_residual(X, spectrum), operator_norm(X.to_float()),
+                           sup_norm(p, spectrum))
 
-    T = D T~ D^-1 with T~ = [[0, I], [0, N]] and D = diag(I, N^(-1/2)), so
-    coordinate n of p(T~) is [[p(0), Dp], [0, p(lambda_n)]], all rational,
-    and p(T) is an algebra element iff p(lambda_n) = lambda_n Dp at every n.
-    With lambda_n = C/E and p = sum_j N_j z^j / L, the pass of
-    `_rational_horner` at a = 0 ends at integers h and g with
-    p(lambda_n) = h/d and Dp = g E/d over d = L E^k; g is its own
-    divided-difference accumulator, not h / C, so h == C g is a real check.
-    sqrt(lambda_n) enters only the float of p(T)'s upper-right entry
-    sqrt(lambda_n) Dp.  Each float is correctly rounded or taken by
-    `surd_float`, so the fields are bitwise `membership_residual(X)`,
-    `operator_norm(X.to_float())` and `sup_norm(p, spectrum)` for
-    X = apply_poly_to_block(p.coefficients, build_T(spectrum)).
-    """
+
+def _t_tilde_coordinates(T: BlockOperator, spectrum: SpectrumSequence) -> list | None:
+    """(C, E, b, P, Q) per coordinate n of T = [[0, b], [0, lambda_n]], with
+    lambda_n = C / E and sqrt(lambda_n) b = P / Q; None unless every
+    coordinate has that shape with b rational or s sqrt(d)."""
+    if T.dim != len(spectrum):
+        raise ValueError("operator dimension does not match the truncation")
+    coords = []
+    for a, b, c, lam, root in zip(T.b11.diag, T.b12.diag, T.b22.diag, spectrum.values,
+                                  spectrum.roots):
+        if not (is_exact_zero(a) and isinstance(c, (int, Fraction)) and c == lam
+                and (isinstance(b, (int, Fraction)) or (isinstance(b, Surd) and not b.r))):
+            return None
+        product = root * b
+        if isinstance(product, Surd):
+            return None
+        coords.append((lam.numerator, lam.denominator, b, product.numerator,
+                       product.denominator))
+    return coords
+
+
+def _integer_trial(p: Polynomial, coords: list) -> MembershipTrial | None:
+    """The trial of p on `_t_tilde_coordinates`, or None when p(T) is not an
+    algebra element."""
     nums, den = p._integers
     if nums and nums[0]:
         raise ValueError("constant term must vanish; the algebra model is non-unital")
     nums = nums or (0,)  # the zero polynomial
-    exact, worst, tops, bottoms = True, 0.0, [], []
-    for lam, root in zip(spectrum.values, spectrum.roots):
-        c, e = lam.numerator, lam.denominator
-        h, g, scale = nums[-1], 0, 1
-        for n in reversed(nums[:-1]):
-            scale *= e
-            g = h  # g <- g a + h with a = 0
-            h = h * c + n * scale
+    tops, bottoms = [], []
+    for c, e, b, root_b_num, root_b_den in coords:
+        _, g, h, scale = _horner_numerators(nums, 0, c, e)
+        # p(lambda_n) = h/d against sqrt(lambda_n) b Dp = (P/Q) g/d
+        if h * root_b_den != root_b_num * g:
+            return None
         d = den * scale
-        deviation = h - c * g
-        if deviation:
-            exact = False
-            worst = max(worst, abs(deviation) / d)
         bottoms.append(h / d)
-        if isinstance(root, Fraction):
-            tops.append(g * e * root.numerator / (d * root.denominator))
+        if isinstance(b, Surd):
+            tops.append(surd_float(g * b.s.numerator, d * b.s.denominator, b.d))
         else:
-            tops.append(surd_float(g * e, d, lam))
+            tops.append(g * b.numerator / (d * b.denominator))
     norm = float(np.max(np.hypot(np.array(tops), np.array(bottoms)), initial=0.0))
-    return MembershipTrial(exact, worst, norm, max(0.0, *map(abs, bottoms)))  # |p(0)| = 0
+    return MembershipTrial(0.0, norm, max(0.0, *map(abs, bottoms)))  # |p(0)| = 0
+
+
+def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
+                      spectrum: SpectrumSequence) -> list[MembershipTrial]:
+    """For each p, bitwise `membership_residual(X, spectrum)`,
+    `operator_norm(X.to_float())` and `sup_norm(p, spectrum)` of
+    X = apply_poly_to_block(p.coefficients, T), most often without building X.
+
+    For T = [[0, b], [0, N]] with b_n rational or s sqrt(d), and
+    sqrt(lambda_n) b_n rational (as for `build_T`, where b = N^(1/2)), the
+    work is that of T~ = [[0, I], [0, N]], all rational: coordinate n of
+    p(T) is [[p(0), b_n Dp], [0, p(lambda_n)]] with p(0) = 0 and Dp the
+    divided difference of p at 0 and lambda_n, and for invertible b,
+    T = D T~ D^-1 with D = diag(I, b^-1).  `_horner_numerators` at a = 0
+    gives integers h and g, from two accumulators, with p(lambda_n) = h/d and
+    Dp = g/d, and p(T) is an algebra element iff h = sqrt(lambda_n) b_n g at
+    every n: an exact integer test that fails when T's upper-right block is
+    not N^(1/2) (up to the zeros of Dp).  A passing trial has residual 0 and
+    floats each entry once, correctly rounded or by `surd_float`; any other
+    trial, and every trial on a T of another shape, is the composition itself.
+    """
+    coords = _t_tilde_coordinates(T, spectrum)
+    trials = []
+    for p in polynomials:
+        trial = _integer_trial(p, coords) if coords is not None else None
+        trials.append(trial if trial is not None else _reference_trial(p, T, spectrum))
+    return trials
 
 
 def idempotent_E(n: int, spectrum: SpectrumSequence) -> BlockOperator:

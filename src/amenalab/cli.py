@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .amenability import (approximate_identity_steps, bai_defect, derivation_space,
                           generation_defect_closed_form, generation_sweep, idempotency_sweep,
-                          idempotent_norm_closed_form, idempotent_sum, membership_trial,
+                          idempotent_norm_closed_form, idempotent_sum, membership_trials,
                           report_from_steps, unit_approximation_steps)
 from .polynomials import Polynomial
 from .reports import ConvergenceReport, write_report
@@ -272,6 +272,16 @@ def _spectrum_at(cfg: RunConfig, count: int) -> SpectrumSequence:
 
 # --- verify pipelines ---------------------------------------------------------
 
+def _membership_polynomials():
+    """The random polynomials of the membership trials, one at a time."""
+    rng = random.Random(MEMBERSHIP_SEED)
+    for _ in range(MEMBERSHIP_TRIALS):
+        degree = rng.randint(1, 16)
+        coeffs = [Fraction(0)] + [Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+                                  for _ in range(degree)]
+        yield Polynomial(tuple(coeffs))
+
+
 def _verify_weak(cfg: RunConfig):
     spectrum = _spectrum_at(cfg, _default_count(cfg, WEAK_DEFAULT_COUNT))
     m = len(spectrum)
@@ -291,22 +301,12 @@ def _verify_weak(cfg: RunConfig):
               "tests/test_acceptance.py::test_c01_idempotency"),
     ]
 
-    rng = random.Random(MEMBERSHIP_SEED)
-    mem_rows = []
-    mem_worst = 0.0
-    mem_exact = True
-    for trial in range(1, MEMBERSHIP_TRIALS + 1):
-        degree = rng.randint(1, 16)
-        coeffs = [Fraction(0)] + [Fraction(rng.randint(-99, 99), rng.randint(1, 12))
-                                  for _ in range(degree)]
-        got = membership_trial(Polynomial(tuple(coeffs)), spectrum)
-        mem_worst = max(mem_worst, got.residual)
-        mem_exact = mem_exact and got.exact
-        mem_rows.append((trial, got.residual, got.norm, got.spectral_sup))
-    mem_ok = mem_exact and mem_worst == 0.0
+    trials = membership_trials(_membership_polynomials(), build_T(spectrum), spectrum)
+    mem_rows = [(i, *trial) for i, trial in enumerate(trials, start=1)]
+    mem_worst = max(trial.residual for trial in trials)
     mem_report = ConvergenceReport(("index", "residual", "u_norm", "q_bound"),
-                                   tuple(mem_rows), mem_ok, True, 0.0)
-    checks.append(Check("weak.membership", mem_ok,
+                                   tuple(mem_rows), mem_worst == 0.0, True, 0.0)
+    checks.append(Check("weak.membership", mem_worst == 0.0,
                         f"{MEMBERSHIP_TRIALS} random polynomials, max residual {mem_worst!r}",
                         "tests/test_acceptance.py::test_c02_membership"))
 
@@ -391,8 +391,7 @@ def _verify_character(cfg: RunConfig):
 
 
 def _verify_similarity(cfg: RunConfig):
-    solves: list = []
-    report = similarity_growth_sweep(lambda m: _spectrum_at(cfg, m), cfg.truncations, solves)
+    report, solves = similarity_growth_sweep(lambda m: _spectrum_at(cfg, m), cfg.truncations)
     residual_ok = all(solve.residual == 0.0 for solve in solves)
     top = _spectrum_at(cfg, cfg.truncations[-1])
     T = build_T(top)

@@ -60,25 +60,21 @@ def minimal_intertwiner(spectrum) -> IntertwinerSolve:
 
 
 def similarity_growth_sweep(spectrum_factory: Callable[[int], SpectrumSequence],
-                            truncations: Sequence[int],
-                            solves: list | None = None) -> ConvergenceReport:
-    """Minimal intertwiner norm per truncation size.
+                            truncations: Sequence[int]
+                            ) -> tuple[ConvergenceReport, list[IntertwinerSolve]]:
+    """Minimal intertwiner norm per truncation size, with the solves behind it.
 
     Verdicts: `threshold_met` is vacuously true with tolerance 0 (the sweep
     has no threshold); the `bounded` slot certifies strict norm growth, the
-    finite shadow of unboundedness.  Each `IntertwinerSolve` is appended to
-    `solves` when it is given, so callers read the residuals without solving
-    again.
+    finite shadow of unboundedness.  The solves are handed back so that
+    callers read their residuals without solving again.
     """
     if not truncations:
         raise ValueError("truncations: must not be empty")
     if any(b <= a for a, b in zip(truncations, truncations[1:])):
         raise ValueError("truncations: must be strictly increasing")
-    rows = []
-    for m in truncations:
-        solve = minimal_intertwiner(spectrum_factory(m))
-        rows.append((int(m), solve.norm))
-        if solves is not None:
-            solves.append(solve)
+    solves = [minimal_intertwiner(spectrum_factory(m)) for m in truncations]
+    rows = [(int(m), solve.norm) for m, solve in zip(truncations, solves)]
     increasing = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
-    return ConvergenceReport(("M", "intertwiner_norm"), tuple(rows), True, increasing, 0.0)
+    report = ConvergenceReport(("M", "intertwiner_norm"), tuple(rows), True, increasing, 0.0)
+    return report, solves

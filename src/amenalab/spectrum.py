@@ -232,16 +232,17 @@ def build_shifted_T(spectrum: SpectrumSequence, n: int) -> BlockOperator:
     )
 
 
-def _rational_horner(nums: Sequence[int], den: int, a, c) -> tuple[Fraction, Fraction, Fraction]:
-    """p(a), Dp and p(c) for rational a and c, where p has coefficients N_j / L.
+def _horner_numerators(nums: Sequence[int], num_a: int, num_c: int,
+                       e: int) -> tuple[int, int, int, int]:
+    """The integer core of `_rational_horner`: (H_a, G, H_c, E^k) with
+    p(a) = H_a / (L E^k), Dp = G / (L E^k) and p(c) = H_c / (L E^k), for
+    a = A / E, c = C / E (A = num_a, C = num_c, E = e) and p = sum_j N_j z^j / L
+    of degree k.
 
-    With a = A / E and c = C / E over E = lcm(den a, den c), one homogenised
-    pass H <- H A + N_j E^(k-j) (and likewise with C), G <- G A + H_c runs on
-    integers only and ends at L E^k p(a), L E^k p(c) and L E^(k-1) Dp.
+    One homogenised pass H <- H A + N_j E^(k-j) (and likewise with C),
+    G <- G A + H_c runs on integers only; G is its own accumulator, so Dp is
+    never derived from p(a) or p(c).
     """
-    e = lcm(a.denominator, c.denominator)
-    num_a = a.numerator * (e // a.denominator)
-    num_c = c.numerator * (e // c.denominator)
     ha = hc = nums[-1]
     g = 0
     scale = 1
@@ -250,8 +251,17 @@ def _rational_horner(nums: Sequence[int], den: int, a, c) -> tuple[Fraction, Fra
         g = g * num_a + hc
         ha = ha * num_a + n * scale
         hc = hc * num_c + n * scale
+    return ha, g * e, hc, scale
+
+
+def _rational_horner(nums: Sequence[int], den: int, a, c) -> tuple[Fraction, Fraction, Fraction]:
+    """p(a), Dp and p(c) for rational a and c, where p has coefficients N_j / L,
+    from `_horner_numerators` over E = lcm(den a, den c)."""
+    e = lcm(a.denominator, c.denominator)
+    ha, g, hc, scale = _horner_numerators(nums, a.numerator * (e // a.denominator),
+                                          c.numerator * (e // c.denominator), e)
     den *= scale
-    return Fraction(ha, den), Fraction(g * e, den), Fraction(hc, den)
+    return Fraction(ha, den), Fraction(g, den), Fraction(hc, den)
 
 
 def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperator:

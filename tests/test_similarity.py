@@ -80,26 +80,25 @@ def test_minimal_intertwiner_unbounded_at_zero():
 
 
 def test_growth_sweep_geometric():
-    report = similarity_growth_sweep(lambda m: make_spectrum("geometric", m), [4, 8, 16])
+    report, _ = similarity_growth_sweep(lambda m: make_spectrum("geometric", m), [4, 8, 16])
     assert report.rows == ((4, 4.0), (8, 16.0), (16, 256.0))
     assert report.bounded  # strictly increasing
     assert report.threshold_met and report.tolerance == 0.0  # the sweep has no threshold
 
 
 def test_growth_sweep_harmonic():
-    report = similarity_growth_sweep(lambda m: make_spectrum("harmonic", m), [4, 16])
+    report, _ = similarity_growth_sweep(lambda m: make_spectrum("harmonic", m), [4, 16])
     assert report.rows == ((4, 2.0), (16, 4.0))
     assert report.bounded
 
 
 def test_growth_sweep_singleton():
-    report = similarity_growth_sweep(lambda m: make_spectrum("geometric", m), [6])
+    report, _ = similarity_growth_sweep(lambda m: make_spectrum("geometric", m), [6])
     assert report.bounded and report.rows == ((6, 8.0),)
 
 
 def test_growth_sweep_collects_each_solve():
-    solves = []
-    report = similarity_growth_sweep(lambda m: make_spectrum("harmonic", m), [4, 16], solves)
+    report, solves = similarity_growth_sweep(lambda m: make_spectrum("harmonic", m), [4, 16])
     assert [(s.truncation, s.norm) for s in solves] == list(report.rows)
     assert all(s.residual == 0.0 for s in solves)
 

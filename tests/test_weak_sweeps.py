@@ -20,9 +20,9 @@ import amenalab.amenability as am
 from amenalab import (Polynomial, apply_poly_to_block, build_T, generation_defect, idempotent_E,
                       idempotent_partial_sum, make_spectrum, membership_residual, operator_norm,
                       sup_norm)
-from amenalab.amenability import generation_sweep, idempotency_sweep, membership_trial
+from amenalab.amenability import generation_sweep, idempotency_sweep, membership_trials
 from amenalab.spectrum import BlockOperator, DiagonalOperator
-from amenalab.cli import MEMBERSHIP_SEED, MEMBERSHIP_TRIALS, main
+from amenalab.cli import _membership_polynomials, main
 
 EXPLICIT = ("9/10", "1/2", "1/4", "1/7", "1/100")  # 1/4 has a rational root
 
@@ -151,13 +151,7 @@ TRIAL_SPECTRA = {
 
 def cli_trial_polynomials() -> list[Polynomial]:
     """The polynomials of `verify weak`'s membership trials."""
-    rng = random.Random(MEMBERSHIP_SEED)
-    polys = []
-    for _ in range(MEMBERSHIP_TRIALS):
-        degree = rng.randint(1, 16)
-        polys.append(Polynomial((Fraction(0),) + tuple(
-            Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(degree))))
-    return polys
+    return list(_membership_polynomials())
 
 
 def random_polynomials(spectrum) -> list[Polynomial]:
@@ -174,24 +168,75 @@ def random_polynomials(spectrum) -> list[Polynomial]:
     return polys
 
 
+def reference_trial(p, T, s):
+    X = apply_poly_to_block(p.coefficients, T)
+    return membership_residual(X, s), operator_norm(X.to_float()), sup_norm(p, s)
+
+
 @pytest.mark.parametrize("case", sorted(TRIAL_SPECTRA))
 @pytest.mark.parametrize("source", ["cli_seed", "random"])
-def test_membership_trial_bitwise_equals_block_composition(case, source):
+def test_membership_trials_bitwise_equal_block_composition(case, source, monkeypatch):
     s = TRIAL_SPECTRA[case]
     T = build_T(s)
     polys = cli_trial_polynomials() if source == "cli_seed" else random_polynomials(s)
-    for p in polys:
-        X = apply_poly_to_block(p.coefficients, T)
-        want = (membership_residual(X, s), operator_norm(X.to_float()), sup_norm(p, s))
-        got = membership_trial(p, s)
-        assert got.exact
-        assert bits(got[1:]) == bits(want), p
+    want = [reference_trial(p, T, s) for p in polys]
+    compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
+    got = membership_trials(polys, T, s)
+    assert compositions[0] == 0  # every trial passed the integer test
+    for p, w, g in zip(polys, want, got):
+        assert g.residual == 0.0
+        assert bits(g) == bits(w), p
 
 
-def test_membership_trial_rejects_a_constant_term():
+def broken_generators(s):
+    """build_T(s) with one entry changed: an upper-right root doubled (at
+    lambda_3, irrational on every TRIAL_SPECTRA, or at lambda_4, rational on
+    each), the lower-right point moved, or a nonzero upper-left entry."""
+    T = build_T(s)
+
+    def change(block, n, value):
+        diag = list(getattr(T, block).diag)
+        diag[n] = value(diag[n])
+        return BlockOperator(**{**vars(T), block: DiagonalOperator(tuple(diag))})
+
+    return {
+        "root_doubled": change("b12", 2, lambda x: 2 * x),
+        "rational_root_doubled": change("b12", 3, lambda x: 2 * x),
+        "point_moved": change("b22", 3, lambda x: x + Fraction(1, 1000)),
+        "upper_left": change("b11", 0, lambda x: Fraction(1, 7)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(TRIAL_SPECTRA))
+@pytest.mark.parametrize("broken", ["root_doubled", "rational_root_doubled", "point_moved",
+                                    "upper_left"])
+def test_membership_trials_reject_a_broken_generator(case, broken):
+    """p(T) for a T that is not the paper's generator is no algebra element:
+    the trials report a positive residual, bitwise the block composition's."""
+    s = TRIAL_SPECTRA[case]
+    T = broken_generators(s)[broken]
+    polys = cli_trial_polynomials()[:10]
+    for p, got in zip(polys, membership_trials(polys, T, s)):
+        assert got.residual > 0.0, p
+        assert bits(got) == bits(reference_trial(p, T, s)), p
+
+
+def test_membership_trials_integer_test_rejects_a_wrong_root(monkeypatch):
+    """A doubled root keeps T in the integer pass's shape, so the integer test
+    itself must reject each trial before the composition is built."""
+    s = make_spectrum("harmonic", 8)
+    T = broken_generators(s)["root_doubled"]
+    polys = cli_trial_polynomials()[:5]
+    compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
+    trials = membership_trials(polys, T, s)
+    assert compositions[0] == len(polys)
+    assert all(t.residual > 0.0 for t in trials)
+
+
+def test_membership_trials_reject_a_constant_term():
     s = make_spectrum("harmonic", 4)
     with pytest.raises(ValueError, match="constant term"):
-        membership_trial(Polynomial((Fraction(1, 3), 2)), s)
+        membership_trials([Polynomial((Fraction(1, 3), 2))], build_T(s), s)
 
 
 # SHA-256 of each report of `verify weak --kind geometric --ratio 9/10

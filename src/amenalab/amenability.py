@@ -233,14 +233,6 @@ def generation_sweep(spectrum: SpectrumSequence) -> GenerationSweep:
                            rest.is_zero())
 
 
-def character_value(X: BlockOperator, n: int):
-    """The n-th multiplicative functional: the n-th entry of the lower-right
-    block."""
-    if not 1 <= n <= X.dim:
-        raise ValueError(f"n out of range: {n}")
-    return X.b22.diag[n - 1]
-
-
 # --- derivation spaces -------------------------------------------------------
 
 ExactMatrix = tuple  # tuple of row tuples of Fractions
@@ -472,63 +464,26 @@ def _validate_degrees(degrees: Sequence[int]):
 
 # --- bounded-approximate-identity defect for a single generator --------------
 
-def _spectral(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
-
-
-BAI_SEARCH_TOL = 1e-9  # relative gap to the norm cap that ends the ridge search
-
-
 def bai_defect(generator, bound: float) -> float:
     """min ||Q u - Q|| over u in the span of positive powers of Q with
-    ||u|| <= bound (operator norms).
+    ||u|| <= bound (operator norms), decided exactly from its closed form.
 
-    The quadratic core is an unconstrained least-squares solve over the
-    coefficient space; if its minimizer violates the norm cap, the boundary
-    value is located by a scalar search on a ridge penalty, along which the
-    element norm decreases monotonically.
+    For Q = [q], u = t with |t| <= bound, so the defect is |q| max(0, 1 - bound).
+    For a weighted shift Q (nonzero entries only on the first superdiagonal,
+    as in a Jordan block), every u in the span is strictly upper triangular,
+    so Q u vanishes on the first superdiagonal and ||Q u - Q|| >= max |q_{i,i+1}|
+    = ||Q||, which u = 0 attains: the defect is ||Q|| at every bound.  Any other
+    generator raises ValueError.
     """
-    Q = np.asarray(generator, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+    shape = np.shape(generator)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("generator must be a square matrix")
     if bound <= 0:
         raise ValueError("bound: must be positive")
-    n = Q.shape[0]
-    powers = []
-    P = np.eye(n)
-    for _ in range(n):
-        P = P @ Q
-        powers.append(P.copy())
-    A = np.column_stack([(Q @ P).ravel() for P in powers])
-    U = np.column_stack([P.ravel() for P in powers])
-    b = Q.ravel()
-
-    coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
-    u = (U @ coeffs).reshape(n, n)
-    if _spectral(u) <= bound * (1 + 1e-12):
-        return _spectral(Q @ u - Q)
-
-    ata, utu, atb = A.T @ A, U.T @ U, A.T @ b
-
-    def ridge(mu: float) -> np.ndarray:
-        c, *_ = np.linalg.lstsq(ata + mu * utu, atb, rcond=None)
-        return (U @ c).reshape(n, n)
-
-    hi = 1.0
-    for _ in range(200):
-        if _spectral(ridge(hi)) <= bound:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        norm_mid = _spectral(ridge(mid))
-        if abs(norm_mid - bound) <= BAI_SEARCH_TOL * bound:
-            lo = hi = mid
-            break
-        if norm_mid > bound:
-            lo = mid
-        else:
-            hi = mid
-    u = ridge(0.5 * (lo + hi))
-    return _spectral(Q @ u - Q)
+    Q = _to_exact_matrix(generator)
+    n = len(Q)
+    if n == 1:
+        return float(abs(Q[0][0]) * max(0, 1 - as_fraction(bound)))
+    if any(Q[i][j] for i in range(n) for j in range(n) if j != i + 1):
+        raise ValueError("generator: must be 1x1 or a weighted shift")
+    return float(max(abs(Q[i][i + 1]) for i in range(n - 1)))

@@ -391,9 +391,10 @@ def _verify_character(cfg: RunConfig):
 
 
 def _verify_similarity(cfg: RunConfig):
-    report, solves = similarity_growth_sweep(lambda m: _spectrum_at(cfg, m), cfg.truncations)
+    spectra = {m: _spectrum_at(cfg, m) for m in cfg.truncations}
+    report, solves = similarity_growth_sweep(spectra.__getitem__, cfg.truncations)
     residual_ok = all(solve.residual == 0.0 for solve in solves)
-    top = _spectrum_at(cfg, cfg.truncations[-1])
+    top = spectra[cfg.truncations[-1]]
     T = build_T(top)
     negative_root_inverse = DiagonalOperator(tuple(-1 / r for r in top.roots))
     conj = conjugate_by_upper_unipotent(T, negative_root_inverse)

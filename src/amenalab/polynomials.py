@@ -163,14 +163,6 @@ class Polynomial:
                 "division by z left a nonzero remainder; the identity it encodes is broken")
         return Polynomial(self.coefficients[1:])
 
-    def to_rational_strings(self) -> list[str]:
-        """Serialize as exact rational strings in ascending degree."""
-        return [str(c) for c in self.coefficients]
-
-    @classmethod
-    def from_rational_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls(tuple(Fraction(s) for s in items))
-
 
 @dataclass(frozen=True)
 class NotchFunction:

@@ -39,23 +39,20 @@ def conjugate_by_upper_unipotent(X: BlockOperator, B: DiagonalOperator) -> Block
 def minimal_intertwiner(spectrum) -> IntertwinerSolve:
     """Solve B N = N^(1/2) entrywise: B = diag(lambda_n^(-1/2)), residual zero.
 
-    Accepts a SpectrumSequence or a raw DiagonalOperator; a zero diagonal
-    entry is the finite-dimensional face of the unboundedness obstruction and
-    raises instead of solving.
+    Accepts a SpectrumSequence, whose cached roots it reads, or a raw
+    DiagonalOperator; a zero diagonal entry is the finite-dimensional face of
+    the unboundedness obstruction and raises instead of solving.
     """
-    N = spectrum.diagonal() if isinstance(spectrum, SpectrumSequence) else spectrum
-    entries = []
-    roots = []
+    is_spectrum = isinstance(spectrum, SpectrumSequence)
+    N = spectrum.diagonal() if is_spectrum else spectrum
     for i, d in enumerate(N.diag, start=1):
         if is_exact_zero(d):
             raise ValueError(f"intertwiner unbounded at index {i}")
         if to_float(d) < 0:
             raise ValueError(f"diagonal must be positive at index {i}")
-        root = exact_sqrt(d)
-        roots.append(root)
-        entries.append(1 / root)
-    B = DiagonalOperator(tuple(entries))
-    residual_diag = (B @ N) - DiagonalOperator(tuple(roots))
+    roots = spectrum.roots if is_spectrum else tuple(exact_sqrt(d) for d in N.diag)
+    B = DiagonalOperator(tuple(1 / r for r in roots))
+    residual_diag = (B @ N) - DiagonalOperator(roots)
     return IntertwinerSolve(len(N), B, B.norm(), residual_diag.norm())
 
 

@@ -55,9 +55,6 @@ class SpectrumSequence:
         """The exact sqrt(lambda_n), computed once per spectrum."""
         return tuple(exact_sqrt(v) for v in self.values)
 
-    def floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])
-
     def diagonal(self) -> "DiagonalOperator":
         """The diagonal operator carrying the spectrum points."""
         return DiagonalOperator(self.values)

@@ -2,11 +2,14 @@
 arithmetic, SVD spectral norms, a brute-force derivation solver over the full
 linear-map space, seeded random rational generators, and exact sympy values
 of scalar entries.  These deliberately avoid the code paths they are used to
-check."""
+check.  Small helpers that only the tests use live here too, not in the
+package."""
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import sympy
@@ -80,6 +83,46 @@ def notch_derivative_array(f, z: np.ndarray) -> np.ndarray:
     out = np.zeros_like(z)
     out[inside] = np.sign(z[inside]) * (6 * u[inside] - 6 * u[inside] ** 2) / float(f.delta)
     return out
+
+
+def to_rational_strings(p: Polynomial) -> list[str]:
+    """Serialize as exact rational strings in ascending degree."""
+    return [str(c) for c in p.coefficients]
+
+
+def from_rational_strings(items: Sequence[str]) -> Polynomial:
+    return Polynomial(tuple(Fraction(s) for s in items))
+
+
+def spectrum_floats(s) -> np.ndarray:
+    """Float values of a SpectrumSequence's points."""
+    return np.array([float(v) for v in s.values])
+
+
+def character_value(X: BlockOperator, n: int):
+    """The n-th multiplicative functional: the n-th entry of the lower-right
+    block."""
+    if not 1 <= n <= X.dim:
+        raise ValueError(f"n out of range: {n}")
+    return X.b22.diag[n - 1]
+
+
+def count_calls(monkeypatch, module: str, name: str) -> list[int]:
+    """Count the calls of `module.name`, patched in every amenalab namespace
+    that holds it (modules bind it with `from ... import`)."""
+    original = getattr(sys.modules[module], name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "amenalab" or mod_name.startswith("amenalab."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
 
 
 def jordan_block(size: int) -> list[list[int]]:

@@ -5,17 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from amenalab import (ApproximationStep, Polynomial, algebra_element, apply_poly_to_block,
                       approximate_identity_step, approximate_identity_steps, bai_defect,
-                      build_T, build_shifted_T, character_value, derivation_space,
+                      build_T, build_shifted_T, derivation_space,
                       generation_defect, generation_defect_closed_form, idempotent_E,
                       idempotent_norm_closed_form, idempotent_partial_sum, make_spectrum,
                       membership_residual, operator_norm, report_from_steps,
                       unit_approximation_step, unit_approximation_steps)
 from amenalab.spectrum import BlockOperator, DiagonalOperator
-from oracle_utils import (derivation_dimension_oracle, jordan_block, matmul_exact,
-                          random_rational_poly, spectral_norm_oracle)
+from oracle_utils import (character_value, derivation_dimension_oracle, jordan_block,
+                          matmul_exact, random_rational_poly, spectral_norm_oracle)
 
 
 # --- membership -----------------------------------------------------------------
@@ -297,7 +299,46 @@ def test_bai_defect_three_by_three_floor():
 def test_bai_defect_cap_binds():
     # scalar generator 0.1: unconstrained best is u = 10 Q with norm 1;
     # under cap 0.5 the boundary solution u = 5 Q leaves defect 0.05
-    assert bai_defect([[0.1]], 0.5) == pytest.approx(0.05, abs=1e-8)
+    assert bai_defect([[0.1]], 0.5) == 0.05
+
+
+@given(q=st.fractions(-5, 5, max_denominator=12), cap=st.one_of(st.fractions(Fraction(1, 12), 1, max_denominator=12),
+                                  st.fractions(1, 4, max_denominator=12)))
+@settings(max_examples=60, deadline=None)
+@example(q=Fraction(1, 10), cap=Fraction(1, 2))
+@example(q=Fraction(-3), cap=Fraction(2))
+def test_bai_defect_scalar_matches_brute_force(q, cap):
+    # Q = [q]: u = t with |t| <= cap, so ||Qu - Q|| = |q| |t - 1|; scan t on a grid
+    steps = 400
+    scan = min(abs(q) * abs(-cap + 2 * cap * Fraction(i, steps) - 1) for i in range(steps + 1))
+    got = bai_defect([[q]], cap)
+    assert got <= float(scan)
+    assert got == pytest.approx(float(scan), abs=float(abs(q) * 2 * cap / steps) + 1e-15)
+
+
+def test_bai_defect_weighted_shift_is_its_norm_at_every_cap():
+    rng = random.Random(21)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        weights = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n - 1)]
+        Q = [[weights[i] if j == i + 1 else Fraction(0) for j in range(n)] for i in range(n)]
+        cap = rng.choice((0.25, 1.0, 10.0, 1000.0))
+        qf = np.array(Q, float)
+        defect = bai_defect(Q, cap)
+        assert defect == pytest.approx(spectral_norm_oracle(qf), abs=1e-12)
+        powers = [np.linalg.matrix_power(qf, k) for k in range(1, n)]
+        for _ in range(25):  # sampled u = sum c_k Q^k, scaled into the cap
+            u = sum(rng.uniform(-20, 20) * P for P in powers)
+            size = spectral_norm_oracle(u)
+            if size > cap:
+                u = u * (cap / size)
+            assert spectral_norm_oracle(qf @ u - qf) >= defect - 1e-12
+
+
+@pytest.mark.parametrize("generator", [[[0, 1, 5], [0, 0, 1], [0, 0, 0]], [[3, 1], [0, 3]]])
+def test_bai_defect_rejects_generators_without_closed_form(generator):
+    with pytest.raises(ValueError, match="generator"):
+        bai_defect(generator, 10.0)
 
 
 def test_bai_defect_validation():

@@ -15,8 +15,8 @@ from amenalab import (InternalConsistencyError, Polynomial, approximate_with_der
 from amenalab.polynomials import (_bernstein_controls, _bernstein_to_monomial, _float_grid,
                                   _sup_candidates)
 from amenalab.scalars import as_fraction
-from oracle_utils import (notch_derivative_array, notch_value_array, poly_to_sympy,
-                          random_rational_poly)
+from oracle_utils import (from_rational_strings, notch_derivative_array, notch_value_array,
+                          poly_to_sympy, random_rational_poly, to_rational_strings)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=10)
 
@@ -155,9 +155,9 @@ def test_divided_by_z_guard():
 
 def test_serialization_round_trip():
     p = Polynomial((0, 6, -8, Fraction(1, 3)))
-    strings = p.to_rational_strings()
+    strings = to_rational_strings(p)
     assert strings == ["0", "6", "-8", "1/3"]
-    assert Polynomial.from_rational_strings(strings) == p
+    assert from_rational_strings(strings) == p
 
 
 # --- notch functions ----------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from amenalab import (DiagonalOperator, build_T, conjugate_by_upper_unipotent,
                       exact_sqrt, make_spectrum, minimal_intertwiner,
                       similarity_growth_sweep)
+from oracle_utils import count_calls, spectrum_floats
 
 
 def test_conjugation_by_zero_is_identity():
@@ -41,7 +42,7 @@ def test_conjugation_matches_dense_oracle():
     expected = S @ T.to_dense() @ S_inv
     assert np.max(np.abs(out.to_dense() - expected)) < 1e-12
     # upper-right block is the square-root block plus B N, entrywise
-    for lam, b, x12 in zip(s.floats(), B.diag, out.b12.diag):
+    for lam, b, x12 in zip(spectrum_floats(s), B.diag, out.b12.diag):
         assert x12 == pytest.approx(math.sqrt(lam) + b * lam, abs=1e-12)
 
 
@@ -65,8 +66,8 @@ def test_minimal_intertwiner_frozen_values():
 
 def test_minimal_intertwiner_least_squares_oracle():
     s = make_spectrum("geometric", 5)
-    n_dense = np.diag(s.floats())
-    root = np.diag(np.sqrt(s.floats()))
+    n_dense = np.diag(spectrum_floats(s))
+    root = np.diag(np.sqrt(spectrum_floats(s)))
     # solve B N = N^(1/2) as a full linear system over all of B
     system = np.kron(n_dense.T, np.eye(5))
     solution, *_ = np.linalg.lstsq(system, root.ravel(), rcond=None)
@@ -119,6 +120,20 @@ def test_verify_similarity_solves_each_truncation_once(monkeypatch, tmp_path, ca
     assert main(["verify", "similarity", "--out", str(tmp_path)]) == 0
     assert "[PASS] similarity.exact_solve" in capsys.readouterr().out
     assert calls == [4, 8, 16, 20]  # the default truncations
+
+
+def test_verify_similarity_builds_each_spectrum_once(monkeypatch, tmp_path, capsys):
+    """One spectrum per default truncation plus the one that validates the
+    config, and each sqrt(lambda_n) once: the conjugation check reuses the top
+    truncation's spectrum and roots, and the solves read the cached roots."""
+    from amenalab.cli import main
+
+    spectra = count_calls(monkeypatch, "amenalab.spectrum", "make_spectrum")
+    roots = count_calls(monkeypatch, "amenalab.scalars", "exact_sqrt")
+    assert main(["verify", "similarity", "--out", str(tmp_path)]) == 0
+    assert "[PASS] similarity.conjugation_zeroing" in capsys.readouterr().out
+    assert spectra[0] == 5
+    assert roots[0] == 4 + 8 + 16 + 20
 
 
 def test_growth_sweep_validation():

@@ -11,7 +11,6 @@ trials from `apply_poly_to_block`, `membership_residual`, `operator_norm` and
 import hashlib
 import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +22,7 @@ from amenalab import (Polynomial, apply_poly_to_block, build_T, generation_defec
 from amenalab.amenability import generation_sweep, idempotency_sweep, membership_trials
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from amenalab.cli import _membership_polynomials, main
+from oracle_utils import count_calls
 
 EXPLICIT = ("9/10", "1/2", "1/4", "1/7", "1/100")  # 1/4 has a rational root
 
@@ -38,24 +38,6 @@ SPECTRA = {
 
 def bits(values):
     return [float(v).hex() for v in values]
-
-
-def count_calls(monkeypatch, module: str, name: str) -> list[int]:
-    """Count the calls of `module.name`, patched in every amenalab namespace
-    that holds it (modules bind it with `from ... import`)."""
-    original = getattr(sys.modules[module], name)
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "amenalab" or mod_name.startswith("amenalab."):
-            for key, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, key, counted)
-    return calls
 
 
 def weak_rows(case: str, tmp_path) -> dict[str, list]:

@@ -10,7 +10,7 @@ the truncation size.
 
 from .polynomials import (InternalConsistencyError, MvtCheck, NotchFunction, Polynomial,
                           approximate_with_derivative, divide_shifted, evaluate_on_grid,
-                          mvt_bound_check, notch, sup_norm, unit_notch)
+                          interval_sups, mvt_bound_check, notch, sup_norm, unit_notch)
 from .reports import ConvergenceReport, write_report
 from .scalars import Surd, as_fraction, exact_sqrt, is_exact_zero, to_float
 from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence,
@@ -34,8 +34,8 @@ __all__ = [
     "approximate_identity_step", "approximate_identity_steps", "approximate_with_derivative",
     "apply_poly_to_block", "as_fraction", "bai_defect", "build_T", "build_shifted_T",
     "conjugate_by_upper_unipotent", "derivation_space", "divide_shifted", "evaluate_on_grid",
-    "exact_sqrt", "generation_defect", "generation_defect_closed_form",
-    "idempotent_E", "idempotent_norm_closed_form", "idempotent_partial_sum", "is_exact_zero",
+    "exact_sqrt", "generation_defect", "generation_defect_closed_form", "idempotent_E",
+    "idempotent_norm_closed_form", "idempotent_partial_sum", "interval_sups", "is_exact_zero",
     "make_spectrum", "membership_residual", "minimal_intertwiner", "mvt_bound_check", "notch",
     "operator_norm", "report_from_steps", "similarity_growth_sweep", "sup_norm", "to_float",
     "unit_approximation_step", "unit_approximation_steps", "unit_notch", "write_report",

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import _rational_linalg as rl
 from .polynomials import (InternalConsistencyError, Polynomial, approximate_with_derivative,
-                          divide_shifted, mvt_bound_check, notch, sup_norm, unit_notch)
+                          divide_shifted, interval_sups, mvt_bound_check, notch, sup_norm,
+                          unit_notch)
 from .reports import ConvergenceReport
 from .scalars import Surd, as_fraction, is_exact_zero, surd_float, to_float
 from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, _horner_numerators,
@@ -385,7 +386,7 @@ def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence,
 
     The certificate combines the eigenvalue sup of p with the mean-value bound
     for the divided polynomial, which controls the off-diagonal block.  `memo`
-    is the interval-sup memo of `sup_norm`.
+    is the memo of `interval_sups`.
     """
     lam_n = spectrum.lam(n)
     lam_1 = spectrum.lam(1)
@@ -430,16 +431,15 @@ def report_from_steps(steps: Sequence[ApproximationStep], tolerance: float | Non
 def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence,
                             memo: dict | None = None) -> ApproximationStep:
     """One sweep step against the generator itself: u = p(T), residual ||Tu - T||.
-    `memo` is the interval-sup memo of `sup_norm`."""
+    `memo` is the memo of `interval_sups`."""
     lam_1 = spectrum.lam(1)
     T = build_T(spectrum)
     u = apply_poly_to_block(p.coefficients, T)
     residual = operator_norm(((T @ u) - T).to_float())
     element_norm = operator_norm(u.to_float())
     q = p.divided_by_z()
-    q_bound = sup_norm(p.derivative(), (Fraction(0), lam_1), memo)
+    p_sup, q_bound = interval_sups(p, Fraction(0), lam_1, memo)
     mvt_ok = sup_norm(q, spectrum) <= q_bound + 1e-12
-    p_sup = sup_norm(p, (Fraction(0), lam_1), memo)
     certified = p_sup + math.sqrt(float(lam_1)) * q_bound
     return ApproximationStep(max(p.degree, 0), residual, element_norm, q_bound, mvt_ok, certified)
 

@@ -10,10 +10,13 @@ The exact kernels (evaluation at a rational point, affine composition,
 Bernstein/monomial conversion) run their inner loops on integer numerators
 over one common denominator (`scalars._common_denominator`) and normalize
 each output value or coefficient once; the sweep updates one array in place.
-The grid sup needs only the largest value, so it first evaluates every grid
-point by an O(k) Bernstein-Horner pass with a proven forward-error bound and
-sweeps only the points that bound cannot rule out; the result is bitwise the
-full sweep's maximum.
+The grid sup needs only the largest value.  When the largest |control| sits
+at an endpoint and a one-line float test bounds every swept value by it (the
+hull certificate of `_grid_sup`), it is the sup and no sweep runs; otherwise
+an O(k) Bernstein-Horner pass with a proven forward-error bound picks the
+points to sweep.  Either way the result is bitwise the full sweep's maximum.
+`interval_sups` gives sup|p| and sup|p'| on an interval from one exact
+conversion of p, and floats each control by one integer division.
 """
 
 from __future__ import annotations
@@ -133,14 +136,20 @@ class Polynomial:
         return Polynomial(tuple(i * c for i, c in enumerate(self.coefficients) if i >= 1))
 
     def compose_affine(self, alpha, beta) -> "Polynomial":
-        """Exact composition p(alpha + beta * z).
-
-        With c_i = N_i / L, alpha = u / E and beta = v / E, Horner runs on the
-        integer polynomial sum_i N_i E^(k-i) (u + v z)^i, which is divided by
-        L E^k once per output coefficient.
-        """
+        """Exact composition p(alpha + beta * z)."""
         if not self.coefficients:
             return Polynomial.zero()
+        acc, den = self._compose_integers(alpha, beta)
+        return Polynomial(tuple(Fraction(x, den) for x in acc))
+
+    def _compose_integers(self, alpha, beta) -> tuple[list[int], int]:
+        """The coefficients of p(alpha + beta * z), p nonzero, as integer
+        numerators over one denominator (not reduced).
+
+        With c_i = N_i / L, alpha = u / E and beta = v / E, Horner runs on the
+        integer polynomial sum_i N_i E^(k-i) (u + v z)^i, whose coefficients
+        are the numerators over L E^k.
+        """
         alpha, beta = as_fraction(alpha), as_fraction(beta)
         nums, den = self._integers
         e = lcm(alpha.denominator, beta.denominator)
@@ -151,8 +160,7 @@ class Polynomial:
             scale *= e
             acc = ([acc[0] * u + n * scale]
                    + [x * u + y * v for x, y in zip(acc[1:], acc)] + [acc[-1] * v])
-        den *= scale
-        return Polynomial(tuple(Fraction(x, den) for x in acc))
+        return acc, den * scale
 
     def divided_by_z(self) -> "Polynomial":
         """Exact division by z; the constant term must vanish identically."""
@@ -297,31 +305,39 @@ def approximate_with_derivative(f, degree: int) -> Polynomial:
     return raw - at_zero * _zero_pin(f, degree)
 
 
-def _bernstein_controls(p: Polynomial, a, b) -> list[Fraction]:
-    """Exact Bernstein control points of p on [a, b]."""
+def _bernstein_controls(p: Polynomial, a, b) -> tuple[list[int], int]:
+    """Exact Bernstein control points of p on [a, b], as integer numerators
+    over one common denominator (not reduced)."""
     a, b = as_fraction(a), as_fraction(b)
     if not p.coefficients:
-        return [Fraction(0)]
-    g = p.compose_affine(a, b - a)
+        return [0], 1
+    nums, den = p._compose_integers(a, b - a)
     d = p.degree
-    nums, den = g._integers
-    nums += (0,) * (d + 1 - len(nums))
     # ctrl_i = sum_m C(i, m) / C(d, m) g_m = (1 / (L d!)) sum_m C(i, m) m! (d - m)! G_m;
     # the binomial sums over m are the first entries of a Pascal-style triangle.
     row = [factorial(m) * factorial(d - m) * n for m, n in enumerate(nums)]
-    den *= factorial(d)
     ctrl = []
     for _ in range(d + 1):
-        ctrl.append(Fraction(row[0], den))
+        ctrl.append(row[0])
         row = [x + y for x, y in zip(row, row[1:])]
-    return ctrl
+    return ctrl, den * factorial(d)
+
+
+def _floats(nums: Sequence[int], den: int) -> np.ndarray:
+    """The floats of nums[i] / den.  Integer true division rounds the exact
+    quotient once, so each is bitwise float(Fraction(nums[i], den))."""
+    return np.array([n / den for n in nums])
+
+
+def _grid(num: int):
+    """The uniform grid t on [0, 1], endpoints included, and s = 1 - t."""
+    t = np.linspace(0.0, 1.0, num)
+    return t, 1 - t
 
 
 def _float_grid(p: Polynomial, a, b, num: int):
     """Float Bernstein controls of p on [a, b] and the uniform grid t, s = 1 - t."""
-    ctrl = np.array([float(c) for c in _bernstein_controls(p, a, b)])
-    t = np.linspace(0.0, 1.0, num)
-    return ctrl, t, 1 - t
+    return (_floats(*_bernstein_controls(p, a, b)), *_grid(num))
 
 
 def _de_casteljau(ctrl: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -431,30 +447,72 @@ def _sup_candidates(ctrl: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarra
     return keep if np.isfinite(high).all() else np.ones_like(keep)
 
 
+def _grid_sup(ctrl: np.ndarray) -> float:
+    """Largest |value| of the `_de_casteljau` sweep of the controls over the
+    DEFAULT_GRID-point grid, bitwise.
+
+    Hull certificate.  Let C = max |ctrl|.  If C is finite, C is |ctrl[0]|
+    or |ctrl[-1]|, and fl(fl(C s) + fl(C t)) <= C on every grid column, the
+    sweep's maximum is C and no sweep runs.  Proof: rounding to nearest is
+    monotone and odd, so with s, t >= 0, |beta_i| <= C and |beta_(i+1)| <= C
+    give |fl(fl(beta_i s) + fl(beta_(i+1) t))| <= fl(fl(C s) + fl(C t)) <= C,
+    and by induction over the k levels every swept |D_j| <= C.  The column
+    t = 0, s = 1 returns ctrl[0] exactly, and t = 1, s = 0 returns ctrl[-1],
+    so C is attained.  This is the convex-hull property of the Bernstein
+    form, kept exact in floats by the guard.  The guard is needed: for most
+    C that are not powers of two it fails, and rightly so.  p = 1/10 - z^8/1000
+    on [0, 1] has the endpoint control 0.1 = C, but the sweep's maximum is
+    0.10000000000000012.
+
+    Otherwise the sweep runs only on the columns `_sup_candidates` keeps.
+    """
+    t, s = _grid(DEFAULT_GRID)
+    top = np.max(np.abs(ctrl))
+    if (np.isfinite(top) and (top == abs(ctrl[0]) or top == abs(ctrl[-1]))
+            and np.all(top * s + top * t <= top)):
+        return float(top)
+    keep = _sup_candidates(ctrl, t, s)
+    return float(np.max(np.abs(_de_casteljau(ctrl, t[keep], s[keep]))))
+
+
 Domain = Union[SpectrumSequence, tuple]
 
 
-def sup_norm(p: Polynomial, domain: Domain, memo: dict | None = None) -> float:
+def sup_norm(p: Polynomial, domain: Domain) -> float:
     """Supremum of |p| over a spectrum (its points plus the origin, exactly) or
     over an interval (a, b) sampled on a uniform grid of DEFAULT_GRID points.
 
     The interval value is bitwise the largest |value| of `evaluate_on_grid`,
-    but the de Casteljau sweep runs only on the points that an O(k)
+    decided by the hull certificate of `_grid_sup` when it applies, and
+    otherwise by a de Casteljau sweep over only the points that an O(k)
     evaluation with a proven error bound cannot rule out (`_sup_candidates`).
-    Callers that meet equal polynomials on equal intervals share a `memo`
-    dict, keyed by (p, a, b), so that each such sup is swept once.
     """
     if isinstance(domain, SpectrumSequence):
         return max(abs(float(p(z))) for z in (Fraction(0), *domain.values))
-    key = (p, *domain)
+    return _grid_sup(_floats(*_bernstein_controls(p, *domain)))
+
+
+def interval_sups(p: Polynomial, a, b, memo: dict | None = None) -> tuple[float, float]:
+    """(sup|p|, sup|p'|) over the interval (a, b), a != b, each bitwise the
+    value of `sup_norm`, from one exact Bernstein conversion of p.
+
+    With p's controls c_i of degree d on [a, b], p' has the controls
+    d (c_(i+1) - c_i) / (b - a), so p' is not converted again.  Callers that
+    meet equal polynomials on equal intervals share a `memo` dict, keyed by
+    (p, a, b), so that each pair is computed once; `verify character` does.
+    """
+    a, b = as_fraction(a), as_fraction(b)
+    key = (p, a, b)
     if memo is not None and key in memo:
         return memo[key]
-    ctrl, t, s = _float_grid(p, *domain, DEFAULT_GRID)
-    keep = _sup_candidates(ctrl, t, s)
-    value = float(np.max(np.abs(_de_casteljau(ctrl, t[keep], s[keep]))))
+    nums, den = _bernstein_controls(p, a, b)
+    width = b - a
+    scale = (len(nums) - 1) * width.denominator
+    slopes = [scale * (y - x) for x, y in zip(nums, nums[1:])] or [0]
+    sups = (_grid_sup(_floats(nums, den)), _grid_sup(_floats(slopes, den * width.numerator)))
     if memo is not None:
-        memo[key] = value
-    return value
+        memo[key] = sups
+    return sups
 
 
 def divide_shifted(p: Polynomial, lam) -> Polynomial:
@@ -481,10 +539,9 @@ def mvt_bound_check(p: Polynomial, q: Polynomial, lam, spectrum: SpectrumSequenc
     """Mean-value bound for the divided polynomial: the sup of |q| over the
     spectrum (plus origin) must not exceed sup|p| + lam * sup|p'| over
     [lam - lambda_1, lam].  Returns the verdict with both sides and sup|p|.
-    `memo` is handed to `sup_norm` for the interval sups."""
+    `memo` is handed to `interval_sups`."""
     lam = as_fraction(lam)
-    a, b = lam - spectrum.lam(1), lam
     lhs = sup_norm(q, spectrum)
-    p_sup = sup_norm(p, (a, b), memo)
-    rhs = p_sup + float(lam) * sup_norm(p.derivative(), (a, b), memo)
+    p_sup, dp_sup = interval_sups(p, lam - spectrum.lam(1), lam, memo)
+    rhs = p_sup + float(lam) * dp_sup
     return MvtCheck(lhs <= rhs + 1e-12, lhs, rhs, p_sup)

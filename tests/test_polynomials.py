@@ -10,13 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amenalab import (InternalConsistencyError, Polynomial, approximate_with_derivative,
-                      divide_shifted, evaluate_on_grid, make_spectrum, mvt_bound_check,
-                      notch, sup_norm, unit_notch)
+                      divide_shifted, evaluate_on_grid, interval_sups, make_spectrum,
+                      mvt_bound_check, notch, sup_norm, unit_notch)
 from amenalab.polynomials import (_bernstein_controls, _bernstein_to_monomial, _float_grid,
                                   _sup_candidates)
 from amenalab.scalars import as_fraction
-from oracle_utils import (from_rational_strings, notch_derivative_array, notch_value_array,
-                          poly_to_sympy, random_rational_poly, to_rational_strings)
+from oracle_utils import (count_calls, from_rational_strings, notch_derivative_array,
+                          notch_value_array, poly_to_sympy, random_rational_poly,
+                          to_rational_strings)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=10)
 
@@ -101,12 +102,18 @@ def test_poly_call_matches_sum_of_fraction_powers(coeffs, z):
         assert abs(at_float - float(sum(terms))) <= 1e-12 * float(sum(abs(t) for t in terms))
 
 
+def exact_controls(p, a, b) -> list[Fraction]:
+    """The Bernstein controls of p on [a, b] as Fractions."""
+    nums, den = _bernstein_controls(p, a, b)
+    return [Fraction(n, den) for n in nums]
+
+
 @settings(max_examples=60, deadline=None)
 @given(coefficient_lists, rationals, st.fractions(min_value=Fraction(1, 8), max_value=5,
                                                   max_denominator=12))
 def test_bernstein_controls_match_sympy_bernstein_sum(coeffs, a, width):
     p = Polynomial(tuple(coeffs))
-    ctrl = _bernstein_controls(p, a, a + width)
+    ctrl = exact_controls(p, a, a + width)
     d = max(p.degree, 0)
     assert len(ctrl) == d + 1
     bernstein_sum = sum(as_sympy(c) * sympy.binomial(d, i) * t_sym ** i * (1 - t_sym) ** (d - i)
@@ -129,7 +136,7 @@ def test_bernstein_to_monomial_round_trip(values, a, width):
     direct = sum(as_sympy(v) * sympy.binomial(k, j) * t ** j * (1 - t) ** (k - j)
                  for j, v in enumerate(values))
     assert sympy.expand(in_z(p) - direct) == 0
-    assert _bernstein_to_monomial(_bernstein_controls(p, a, a + width), a, a + width) == p
+    assert _bernstein_to_monomial(exact_controls(p, a, a + width), a, a + width) == p
 
 
 @pytest.mark.parametrize("num", [1000, 1024, 1025, 4097])
@@ -139,7 +146,7 @@ def test_evaluate_on_grid_matches_plain_sweep(num, degree):
     p = Polynomial(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree))
                    + (Fraction(rng.randint(1, 9), rng.randint(1, 9)),))
     a, b = Fraction(-1, 3), Fraction(5, 7)
-    beta = np.array([float(c) for c in _bernstein_controls(p, a, b)])[:, None]
+    beta = np.array([float(c) for c in exact_controls(p, a, b)])[:, None]
     t = np.linspace(0.0, 1.0, num)
     for _ in range(degree):
         beta = beta[:-1] * (1 - t) + beta[1:] * t
@@ -328,17 +335,22 @@ def _full_sweep_sup(p, a, b):
 
 
 @pytest.mark.parametrize("kind,ratio,degree", [
-    *[(kind, ratio, degree)
-      for kind, ratio in (("geometric", "1/2"), ("geometric", "9/10"), ("harmonic", ""))
-      for degree in (8, 33, 128)],
-    ("harmonic", "", 256),
+    (kind, ratio, degree)
+    for kind, ratio in (("geometric", "1/2"), ("geometric", "9/10"), ("harmonic", ""))
+    for degree in (8, 33, 128, 256)
 ])
 def test_sup_norm_equals_full_sweep_on_notch_approximants(kind, ratio, degree):
+    """`sup_norm` of p and p', and `interval_sups` of p, are the full sweeps'
+    maxima; p' is converted on its own here, so the control differences that
+    `interval_sups` takes for p' are checked too."""
     s = make_spectrum(kind, 16, **({"ratio": Fraction(ratio)} if ratio else {}))
     for f in (notch(1, s), notch(2, s), notch(3, s), unit_notch(s)):
         p = approximate_with_derivative(f, degree)
-        for q in (p, p.derivative()):
-            assert sup_norm(q, (f.a, f.b)) == _full_sweep_sup(q, f.a, f.b)
+        expected = (_full_sweep_sup(p, f.a, f.b), _full_sweep_sup(p.derivative(), f.a, f.b))
+        assert (sup_norm(p, (f.a, f.b)), sup_norm(p.derivative(), (f.a, f.b))) == expected
+        memo = {}
+        assert interval_sups(p, f.a, f.b, memo) == expected
+        assert memo == {(p, f.a, f.b): expected}
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,9 +366,33 @@ def test_sup_norm_equals_full_sweep_on_notch_approximants(kind, ratio, degree):
 @example([1] + [0] * 15 + [-1], Fraction(-1), Fraction(2))
 @example([1] + [0] * 31 + [-1], Fraction(-1, 2), Fraction(1))
 @example([1] + [0] * 63 + [-1], Fraction(-1), Fraction(2))
+# The hull certificate: the endpoint control 1/10 is the largest, but the sweep
+# rounds above it, so the guard must reject.
+@example([Fraction(1, 10)] + [0] * 7 + [Fraction(-1, 1000)], Fraction(0), Fraction(1))
+@example([-1, 0, Fraction(1, 2)], Fraction(0), Fraction(1))  # controls -1, -1, -1/2
+@example([1, -2, 2], Fraction(0), Fraction(1))  # controls 1, 0, 1: largest at both ends
+# 1 - (1 - z)^8, controls 0, 1, ..., 1: the plateau of the n = 1 notch
+@example([0, 8, -28, 56, -70, 56, -28, 8, -1], Fraction(0), Fraction(1))
+@example([0, 2, -2], Fraction(0), Fraction(1))  # controls 0, 1, 0: largest inside
 def test_sup_norm_equals_full_sweep_on_random_polynomials(coeffs, a, width):
     p = Polynomial(tuple(coeffs))
-    assert sup_norm(p, (a, a + width)) == _full_sweep_sup(p, a, a + width)
+    b = a + width
+    expected = _full_sweep_sup(p, a, b)
+    assert sup_norm(p, (a, b)) == expected
+    assert interval_sups(p, a, b) == (expected, _full_sweep_sup(p.derivative(), a, b))
+
+
+@pytest.mark.parametrize("coeffs,sweeps", [
+    ([-1, 0, Fraction(1, 2)], 0),
+    ([1, -2, 2], 0),
+    ([0, 8, -28, 56, -70, 56, -28, 8, -1], 0),
+    ([Fraction(1, 10)] + [0] * 7 + [Fraction(-1, 1000)], 1),
+    ([0, 2, -2], 1),
+], ids=["negative_end", "both_ends", "plateau", "guard_rejects", "largest_inside"])
+def test_hull_certificate_decides_endpoint_maxima_without_a_sweep(monkeypatch, coeffs, sweeps):
+    calls = count_calls(monkeypatch, "amenalab.polynomials", "_de_casteljau")
+    sup_norm(Polynomial(tuple(coeffs)), (Fraction(0), Fraction(1)))
+    assert calls[0] == sweeps
 
 
 def test_sup_candidates_keep_every_point_when_the_bound_overflows():

@@ -114,12 +114,17 @@ def test_verify_weak_work_is_linear_in_M(monkeypatch, tmp_path, capsys):
 
 def test_verify_character_sweeps_each_interval_sup_once(monkeypatch, tmp_path, capsys):
     """On a geometric spectrum `kernel_n1` and `unit` get the same polynomial
-    on [0, lambda_1] at every degree: 5 degrees x (3 kernels + unit) x (p, p')
-    = 40 interval sups, of which 30 are distinct."""
+    on [0, lambda_1] at every degree: 5 degrees x (3 kernels + unit) = 20
+    (polynomial, interval) pairs, of which 15 are distinct, and each is
+    converted to Bernstein form once for both p and p'.  Of the 30 distinct
+    sups, the hull certificate decides the `kernel_n1`/`unit` p and p' at
+    every degree, so 20 sweeps run."""
     sweeps = count_calls(monkeypatch, "amenalab.polynomials", "_de_casteljau")
+    conversions = count_calls(monkeypatch, "amenalab.polynomials", "_bernstein_controls")
     main(["verify", "character", "--count", "16", "--degrees", "8:128", "--out", str(tmp_path)])
     capsys.readouterr()
-    assert sweeps[0] == 30
+    assert conversions[0] == 15
+    assert sweeps[0] == 20
 
 
 # Spectra of the membership trials: geometric 1/2 has a rational root at every

@@ -22,35 +22,29 @@ from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, _horne
                        apply_poly_to_block, block_norms, build_T, build_shifted_T, operator_norm)
 
 
-def _root_times(lam: Fraction, root, g):
-    """sqrt(lam) * g, exact from the exact `root` for exact g, float for float g."""
-    if isinstance(g, float):
-        return math.sqrt(float(lam)) * g
-    return root * g
-
-
 def algebra_element(spectrum: SpectrumSequence, symbol: Sequence) -> BlockOperator:
-    """Element of the column-block algebra with symbol values g at the
+    """Element of the column-block algebra with exact symbol values g at the
     spectrum points: top block g(N), bottom block N^(1/2) g(N)."""
     symbol = tuple(symbol)
     if len(symbol) != len(spectrum):
         raise ValueError("symbol length must match the truncation")
+    if any(isinstance(g, float) for g in symbol):
+        raise TypeError("symbol: float values; an algebra element is exact")
     top = DiagonalOperator(symbol)
-    bottom = DiagonalOperator(tuple(_root_times(l, r, g) for l, r, g
-                                    in zip(spectrum.values, spectrum.roots, symbol)))
+    bottom = DiagonalOperator(tuple(r * g for r, g in zip(spectrum.roots, symbol)))
     return BlockOperator.column_block(top, bottom)
 
 
 def membership_residual(X: BlockOperator, spectrum: SpectrumSequence) -> float:
     """Distance of X from the algebra shape: norm of the upper-left block plus
     the worst violation of B22[n] = sqrt(lambda_n) B12[n].  Zero exactly iff X
-    realizes an algebra element."""
+    realizes an algebra element.  X must be exact and graded (see `scalars`),
+    so that each violation is rational; an ungraded X raises ValueError."""
     if X.dim != len(spectrum):
         raise ValueError("operator dimension does not match the truncation")
     worst = 0.0
-    for lam, root, x12, x22 in zip(spectrum.values, spectrum.roots, X.b12.diag, X.b22.diag):
-        deviation = x22 - _root_times(lam, root, x12)
-        worst = max(worst, abs(to_float(deviation)))
+    for root, x12, x22 in zip(spectrum.roots, X.b12.diag, X.b22.diag):
+        worst = max(worst, abs(to_float(x22 - root * x12)))
     return X.b11.norm() + worst
 
 
@@ -77,7 +71,7 @@ def _t_tilde_coordinates(T: BlockOperator, spectrum: SpectrumSequence) -> list |
     for a, b, c, lam, root in zip(T.b11.diag, T.b12.diag, T.b22.diag, spectrum.values,
                                   spectrum.roots):
         if not (is_exact_zero(a) and isinstance(c, (int, Fraction)) and c == lam
-                and (isinstance(b, (int, Fraction)) or (isinstance(b, Surd) and not b.r))):
+                and isinstance(b, (int, Fraction, Surd))):
             return None
         product = root * b
         if isinstance(product, Surd):

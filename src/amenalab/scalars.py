@@ -1,16 +1,21 @@
 """Scalar helpers shared by the exact and floating arithmetic tiers.
 
-Exact entries are int, Fraction, or `Surd` r + s*sqrt(d): every exact entry
-at coordinate n of the block core lies in Q(sqrt(lambda_n)), so one radicand
-per coordinate is all the exact tier needs.  Floats mark the analysis tier.
-Arithmetic never promotes exact values to float implicitly; `to_float` is the
-only crossing.
+Exact entries are int, Fraction, or `Surd` s*sqrt(d).  The exact tier works in
+the rational algebra of T = [[0, N^(1/2)], [0, N]], which is graded: at
+coordinate n, its elements (and lambda_n I - T and the intertwiner N^(-1/2))
+have rational diagonal blocks and an upper-right block in Q*sqrt(lambda_n).
+Sums keep the grading blockwise, and so do products: the upper-right block of
+[[a, b], [0, c]] [[a', b'], [0, c']] is a b' + b c', with a and c' rational.
+So every exact entry is rational or a rational multiple of one square root,
+and the product of two such multiples is rational.  Floats mark the analysis
+tier.  Arithmetic never promotes exact values to float implicitly; `to_float`
+is the only crossing.
 
 `float(Surd)` gives the bits of sympy 1.14's float of the same number, so
 reports do not depend on how a value was computed.  sympy splits each
 radicand once, sqrt(d) = c0*sqrt(n) with n an integer; its choice of n sets
-the bits.  For r = 0, integer code then repeats evalf's chain of roundings
-for c*sqrt(n), c = c0*s:
+the bits.  Integer code then repeats evalf's chain of roundings for
+c*sqrt(n), c = c0*s:
 
 - c != 1: c is rounded toward zero to 64 bits, n to 69 bits, and sqrt(n)
   toward zero to 64 bits; the exact product is rounded to nearest (ties to
@@ -19,11 +24,10 @@ for c*sqrt(n), c = c0*s:
 - c == 1, the bare root: n is rounded toward zero to 62 bits and sqrt(n) to
   57, then to nearest at 53.
 
-The result is not always correctly rounded; the reports keep sympy's bits.
-Every step depends on the value of c alone, so `surd_float`, the float kernel
-behind `float(Surd)`, takes s as an unreduced num/den of integers.
-A value with r != 0, which no pipeline floats, is floated by sympy itself,
-and the tests use sympy as the oracle for every float.
+The result is not always correctly rounded; the reports keep sympy's bits,
+and the tests use sympy as the oracle for every float.  Every step depends on
+the value of c alone, so `surd_float`, the float kernel behind `float(Surd)`,
+takes s as an unreduced num/den of integers.
 """
 
 from __future__ import annotations
@@ -129,59 +133,58 @@ def surd_float(num: int, den: int, d: Fraction) -> float:
 
 
 class Surd:
-    """The exact number r + s*sqrt(d): r and s Fractions, d a positive Fraction
-    whose square root is irrational, and s != 0.
+    """The exact number s*sqrt(d): s a nonzero Fraction, d a positive Fraction
+    whose square root is irrational.  A Surd is never rational and never zero.
 
-    Results with s = 0 fold back to Fraction, so a Surd is never rational and
-    never zero.  Operands may be int, Fraction, or a Surd of the same radicand;
-    another radicand raises ValueError and a float raises TypeError.
+    Entries of the rational algebra of T are graded: rational, or a rational
+    multiple of one square root (module docstring), so a Surd keeps only the
+    arithmetic that stays in the grading.  It adds to a Surd of the same
+    radicand or to an exact zero, multiplies by a rational (giving a Surd or
+    0) or by a Surd (giving the rational s*s'*d), and divides a rational.  A
+    nonzero rational summand or another radicand raises ValueError, a float
+    raises TypeError.
     """
 
-    __slots__ = ("r", "s", "d")
+    __slots__ = ("s", "d")
 
-    def __init__(self, r, s, d):
-        r, s, d = (_rational(x) for x in (r, s, d))
+    def __init__(self, s, d):
+        s, d = _rational(s), _rational(d)
         if s == 0:
-            raise ValueError("s: must be nonzero; a rational value is a Fraction")
+            raise ValueError("s: must be nonzero; zero is Fraction(0)")
         if d <= 0 or (_is_square(d.numerator) and _is_square(d.denominator)):
             raise ValueError(f"d: {d} is not a positive non-square")
-        for name, value in (("r", r), ("s", s), ("d", d)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
 
     def __repr__(self) -> str:
-        return f"Surd({self.r!r}, {self.s!r}, {self.d!r})"
+        return f"Surd({self.s!r}, {self.d!r})"
 
     def __float__(self) -> float:
-        if self.r:
-            return float(self._sympy_())
         return surd_float(self.s.numerator, self.s.denominator, self.d)
-
-    def _sympy_(self):
-        """The exact value Rational(r) + Rational(s)*sqrt(d), so sympify and
-        mixed sympy arithmetic stay exact instead of going through float."""
-        r, s, d = (sympy.Rational(x.numerator, x.denominator) for x in (self.r, self.s, self.d))
-        return r + s * sympy.sqrt(d)
 
     def __eq__(self, other):
         if isinstance(other, Surd):
             _same_radicand(self, other)
-            return self.r == other.r and self.s == other.s
+            return self.s == other.s
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.r, self.s, self.d))
+        return hash((self.s, self.d))
 
     def __neg__(self):
-        return _surd(-self.r, -self.s, self.d)
+        return _surd(-self.s, self.d)
 
     def __add__(self, other):
         if isinstance(other, Surd):
-            return _surd(self.r + other.r, self.s + other.s, _same_radicand(self, other))
+            return _surd(self.s + other.s, _same_radicand(self, other))
         if isinstance(other, (int, Fraction)):
-            return _surd(self.r + other, self.s, self.d)
+            if other:
+                raise ValueError(f"{other} + {self!r} leaves the grading: a nonzero "
+                                 "rational plus a multiple of a square root")
+            return self
         return _reject(other)
 
     __radd__ = __add__
@@ -198,50 +201,18 @@ class Surd:
 
     def __mul__(self, other):
         if isinstance(other, Surd):
-            d = _same_radicand(self, other)
-            if not (self.r or other.r):
-                return self.s * other.s * d
-            return _surd(self.r * other.r + self.s * other.s * d,
-                         self.r * other.s + self.s * other.r, d)
+            return self.s * other.s * _same_radicand(self, other)
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return _ZERO
-            return _surd(self.r * other if self.r else _ZERO, self.s * other, self.d)
+            return _surd(self.s * other, self.d)
         return _reject(other)
 
     __rmul__ = __mul__
 
-    def _inverse(self):
-        """1 / (r + s sqrt d) = (r - s sqrt d) / (r^2 - s^2 d); the norm is
-        nonzero because sqrt d is irrational."""
-        if not self.r:
-            return _surd(_ZERO, 1 / (self.s * self.d), self.d)
-        norm = self.r * self.r - self.s * self.s * self.d
-        return _surd(self.r / norm, -self.s / norm, self.d)
-
-    def __truediv__(self, other):
-        if isinstance(other, Surd):
-            return self * other._inverse()
-        if isinstance(other, (int, Fraction)):
-            return _surd(self.r / other, self.s / other, self.d)
-        return _reject(other)
-
     def __rtruediv__(self, other):
+        """q / (s sqrt(d)) = (q / (s d)) sqrt(d)."""
         if isinstance(other, (int, Fraction)):
-            return self._inverse() * other
+            return _surd(other / (self.s * self.d), self.d)
         return _reject(other)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise TypeError("Surd powers take a non-negative int exponent")
-        out, base = _ONE, self
-        while k:
-            if k & 1:
-                out = base * out
-            k >>= 1
-            if k:
-                base = base * base
-        return out
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -255,12 +226,11 @@ def _rational(x) -> Fraction:
     raise TypeError(f"{x!r} is not an exact rational")
 
 
-def _surd(r: Fraction, s: Fraction, d: Fraction):
-    """r + s sqrt(d) from already valid parts, folded to r when s = 0."""
+def _surd(s: Fraction, d: Fraction):
+    """s sqrt(d) from already valid parts, folded to Fraction(0) when s = 0."""
     if s == 0:
-        return r
+        return _ZERO
     out = object.__new__(Surd)
-    object.__setattr__(out, "r", r)
     object.__setattr__(out, "s", s)
     object.__setattr__(out, "d", d)
     return out
@@ -279,16 +249,14 @@ def _reject(other):
 
 
 def exact_sqrt(x):
-    """Square root that stays exact for exact input and float for float: a
-    Fraction when it is rational, else Surd(0, 1, x)."""
-    if isinstance(x, float):
-        return math.sqrt(x)
+    """The exact square root of a non-negative int or Fraction: a Fraction
+    when it is rational, else Surd(1, x).  A float raises TypeError."""
     x = _rational(x)
     if x.numerator < 0:
         raise ValueError(f"no real square root of {x}")
     if _is_square(x.numerator) and _is_square(x.denominator):
         return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
-    return _surd(_ZERO, _ONE, x)
+    return _surd(_ONE, x)
 
 
 def to_float(x) -> float:

@@ -1,9 +1,11 @@
 """Truncated spectra and the diagonal / 2x2-block operator arithmetic over them.
 
 Every block operator here is upper triangular with three diagonal blocks, so
-products reduce to entrywise work on the diagonals.  Entries may be exact (int,
-Fraction, or `Surd` r + s*sqrt(lambda_n) at coordinate n) or float; the
-arithmetic preserves whichever tier it is given.
+products reduce to entrywise work on the diagonals.  Entries may be exact or
+float; the arithmetic preserves whichever tier it is given.  The exact
+operators of the pipelines are graded at each coordinate n: rational diagonal
+blocks and an upper-right block in Q*sqrt(lambda_n), a Fraction or a `Surd`
+s*sqrt(lambda_n).  Sums and products keep the grading (see `scalars`).
 """
 
 from __future__ import annotations

@@ -56,9 +56,9 @@ def random_rational_poly(rng, max_degree: int, *, max_num: int = 9, max_den: int
 
 
 def to_sympy(x) -> sympy.Expr:
-    """Exact sympy value of an int, Fraction or Surd entry, built from its parts."""
+    """Exact sympy value of an int, Fraction or Surd s*sqrt(d), built from its parts."""
     if isinstance(x, Surd):
-        return to_sympy(x.r) + to_sympy(x.s) * sympy.sqrt(to_sympy(x.d))
+        return to_sympy(x.s) * sympy.sqrt(to_sympy(x.d))
     if isinstance(x, (int, Fraction)):
         return sympy.Rational(x.numerator, x.denominator)
     raise TypeError(f"not an exact entry: {x!r}")

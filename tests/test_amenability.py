@@ -36,6 +36,15 @@ def test_membership_rejects_identity():
     assert membership_residual(eye, s) > 0
 
 
+def test_membership_residual_needs_a_graded_operator():
+    # B12 = 1 against sqrt(1/2): 1 - sqrt(1/2) is no rational and no s*sqrt(d)
+    s = make_spectrum("geometric", 3)
+    X = BlockOperator(DiagonalOperator.zeros(3), DiagonalOperator.ones(3),
+                      DiagonalOperator.ones(3))
+    with pytest.raises(ValueError, match="leaves the grading"):
+        membership_residual(X, s)
+
+
 def test_membership_random_polynomials_exact():
     rng = random.Random(4)
     s = make_spectrum("geometric", 5)
@@ -120,6 +129,12 @@ def test_character_multiplicative_on_random_pairs():
             lhs = character_value(a @ b, n)
             rhs = character_value(a, n) * character_value(b, n)
             assert (lhs - rhs) == 0
+
+
+def test_algebra_element_rejects_float_symbol():
+    s = make_spectrum("geometric", 2)  # sqrt(1/4) is rational, so r * 0.5 would be a float
+    with pytest.raises(TypeError, match="symbol: float"):
+        algebra_element(s, [Fraction(1), 0.5])
 
 
 def test_character_index_validation():

@@ -49,8 +49,11 @@ def test_conjugation_matches_dense_oracle():
 def test_conjugation_keeps_lower_blocks():
     s = make_spectrum("geometric", 5)
     T = build_T(s)
-    out = conjugate_by_upper_unipotent(T, DiagonalOperator.ones(5))
+    out = conjugate_by_upper_unipotent(T, DiagonalOperator(tuple(r * Fraction(1, 7)
+                                                                 for r in s.roots)))
     assert (out.b22 - T.b22).is_zero()
+    # the upper-right block stays graded: sqrt(lambda) (1 + lambda / 7)
+    assert out.b12.diag == tuple(r * (1 + lam / 7) for r, lam in zip(s.roots, s.values))
 
 
 def test_minimal_intertwiner_frozen_values():

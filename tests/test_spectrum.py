@@ -90,7 +90,7 @@ def test_block_power_of_T_is_power_of_spectrum():
     # upper-right block carries lambda^(3/2), lower-right lambda^2
     for lam, x12, x22 in zip(s.values, squared.b12.diag, squared.b22.diag):
         assert x22 == lam * lam
-        assert (x12 ** 2 - lam ** 3) == 0
+        assert (x12 * x12 - lam ** 3) == 0
     assert squared.b11.is_zero()
 
 

@@ -83,12 +83,12 @@ def test_generation_sweep_sees_a_broken_reconstruction(monkeypatch):
     s = make_spectrum("harmonic", 6)
     honest = am.idempotent_partial_sum
 
-    def perturbed(m, spectrum):  # S_m with coordinate 3 off by 1/1000 once m >= 3
+    def perturbed(m, spectrum):  # S_m with coordinate 3 off by a factor 1001/1000 once m >= 3
         x = honest(m, spectrum)
         if m < 3:
             return x
         top = list(x.b12.diag)
-        top[2] += Fraction(1, 1000)
+        top[2] *= Fraction(1001, 1000)
         return BlockOperator(x.b11, DiagonalOperator(tuple(top)), x.b22)
 
     monkeypatch.setattr(am, "idempotent_partial_sum", perturbed)

@@ -2,14 +2,19 @@
 pinned root at the origin, the shifted division identity, and sup norms.
 
 Coefficients are Fractions in ascending degree, so every algebraic identity
-(division, reconstruction, vanishing constant term) holds exactly.  Dense-grid
-evaluation converts to Bernstein form on the interval of interest and runs a
-float de Casteljau sweep: high-degree monomial Horner in float is unusable
-here because the exact coefficients grow combinatorially large.
-The exact kernels (evaluation at a rational point, affine composition,
-Bernstein/monomial conversion) run their inner loops on integer numerators
-over one common denominator (`scalars._common_denominator`) and normalize
-each output value or coefficient once; the sweep updates one array in place.
+(division, reconstruction, vanishing constant term) holds exactly.  Each
+approximant is born in t = (z - a) / (b - a) on its interval [a, b], on
+integer numerators over one denominator: the node values give its
+t-coefficients by forward differences, the origin pin is applied in t, and
+exactly one Taylor shift takes it to z.  It keeps its t-form, so its
+Bernstein controls on [a, b] are read from birth by one Pascal pass.
+Dense-grid evaluation converts to Bernstein form on the interval of interest
+and runs a float de Casteljau sweep: high-degree monomial Horner in float is
+unusable here because the exact coefficients grow combinatorially large.
+The exact kernels (evaluation at a rational point, the Taylor shift, the
+shifted division, Bernstein conversion) run their inner loops on integer
+numerators over one common denominator (`scalars._common_denominator`) and
+build each output Fraction once; the sweep updates one array in place.
 The grid sup needs only the largest value.  When the largest |control| sits
 at an endpoint and a one-line float test bounds every swept value by it (the
 hull certificate of `_grid_sup`), it is the sup and no sweep runs; otherwise
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -65,6 +70,11 @@ class Polynomial:
     def monomial(cls, power: int, c=1) -> "Polynomial":
         return cls((Fraction(0),) * power + (as_fraction(c),))
 
+    # (a, b, numerators, denominator) of the t-form on the birth interval
+    # [a, b], set by `approximate_with_derivative`; not a dataclass field, so
+    # equality and hashing see the coefficients only.
+    _birth = None
+
     @cached_property
     def _integers(self) -> tuple[tuple[int, ...], int]:
         """The coefficients as integer numerators N_i over their common
@@ -89,12 +99,7 @@ class Polynomial:
         """
         if self.coefficients and isinstance(z, (int, Fraction)):
             nums, den = self._integers
-            top, bottom = z.numerator, z.denominator
-            acc = nums[-1]
-            scale = 1
-            for n in reversed(nums[:-1]):
-                scale *= bottom
-                acc = acc * top + n * scale
+            acc, scale = _horner(nums, z.numerator, z.denominator)
             return Fraction(acc, den * scale)
         acc = 0
         for c in reversed(self.coefficients):
@@ -139,28 +144,32 @@ class Polynomial:
         """Exact composition p(alpha + beta * z)."""
         if not self.coefficients:
             return Polynomial.zero()
-        acc, den = self._compose_integers(alpha, beta)
-        return Polynomial(tuple(Fraction(x, den) for x in acc))
+        nums, den = self._integers
+        acc, scale = self._compose_integers(nums, alpha, beta)
+        return _from_integers(acc, den * scale)
 
-    def _compose_integers(self, alpha, beta) -> tuple[list[int], int]:
-        """The coefficients of p(alpha + beta * z), p nonzero, as integer
-        numerators over one denominator (not reduced).
+    @staticmethod
+    def _compose_integers(nums: Sequence[int], alpha, beta) -> tuple[list[int], int]:
+        """The Taylor shift on integers: the coefficients of
+        sum_i N_i (alpha + beta * z)^i, N nonempty, as integer numerators over
+        the returned scale E^k (not reduced).
 
-        With c_i = N_i / L, alpha = u / E and beta = v / E, Horner runs on the
-        integer polynomial sum_i N_i E^(k-i) (u + v z)^i, whose coefficients
-        are the numerators over L E^k.
+        With alpha = u / E and beta = v / E, Horner runs on the integer
+        polynomial sum_i N_i E^(k-i) (u + v z)^i.
         """
         alpha, beta = as_fraction(alpha), as_fraction(beta)
-        nums, den = self._integers
         e = lcm(alpha.denominator, beta.denominator)
         u, v = alpha.numerator * (e // alpha.denominator), beta.numerator * (e // beta.denominator)
+        if not u:  # a pure scaling, N_i v^i E^(k-i)
+            k = len(nums) - 1
+            return [n * v ** i * e ** (k - i) for i, n in enumerate(nums)], e ** k
         acc = [nums[-1]]
         scale = 1
         for n in reversed(nums[:-1]):
             scale *= e
             acc = ([acc[0] * u + n * scale]
                    + [x * u + y * v for x, y in zip(acc[1:], acc)] + [acc[-1] * v])
-        return acc, den * scale
+        return acc, scale
 
     def divided_by_z(self) -> "Polynomial":
         """Exact division by z; the constant term must vanish identically."""
@@ -241,47 +250,64 @@ def unit_notch(spectrum: SpectrumSequence) -> NotchFunction:
                          (spectrum.lam(len(spectrum)),))
 
 
-def _bernstein_to_monomial(values: Sequence[Fraction], a: Fraction, b: Fraction) -> Polynomial:
-    """Exact monomial form of sum_j v_j C(k,j) t^j (1-t)^(k-j), t = (z-a)/(b-a)."""
-    k = len(values) - 1
-    # The t^m coefficient is C(k, m) times the m-th forward difference of the
-    # values, taken on their numerators over one common denominator.
-    row, den = _common_denominator(values)
-    coeff_t = []
-    for m in range(k + 1):
-        coeff_t.append(Fraction(comb(k, m) * row[0], den))
-        row = [y - x for x, y in zip(row, row[1:])]
-    width = b - a
-    return Polynomial(tuple(coeff_t)).compose_affine(-a / width, 1 / width)
+def _horner(nums: Sequence[int], top: int, bottom: int) -> tuple[int, int]:
+    """(H, D^k) with sum_i N_i x^i = H / D^k at x = X / D (X = top, D = bottom):
+    the homogenised Horner pass H <- H X + N_i D^(k-i) on integers, N nonempty."""
+    acc = nums[-1]
+    scale = 1
+    for n in reversed(nums[:-1]):
+        scale *= bottom
+        acc = acc * top + n * scale
+    return acc, scale
 
 
-def _zero_pin(f, degree: int) -> Polynomial:
-    """Degree <= `degree` polynomial equal to 1 at the origin, vanishing at the
-    notch anchors, and localized at the Bernstein node nearest the origin.
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """The numerators and denominator of sum_i N_i z^i / den, trimmed, with
+    den > 0 and gcd(den, *N) = 1."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if den < 0:
+        nums, den = [-n for n in nums], -den
+    g = gcd(den, *nums)
+    if g != 1:
+        nums, den = [n // g for n in nums], den // g
+    return nums, den
 
-    Subtracting (raw value at the origin) times this pin forces an exact root
-    at the origin without disturbing the plateau: a global constant shift
-    would be size O(1) whenever the dip sits below the Bernstein resolution.
+
+def _from_integers(nums: list[int], den: int) -> Polynomial:
+    """The polynomial sum_i N_i z^i / den, reduced by its content once.
+    Reduced numerators over a positive denominator are exactly what
+    `_common_denominator` gives for the coefficients, so `_integers` is
+    seeded with them and each Fraction is built once."""
+    nums, den = _reduced(nums, den)
+    p = Polynomial(tuple(Fraction(n, den) for n in nums))
+    object.__setattr__(p, "_integers", (tuple(nums), den))
+    return p
+
+
+def _origin_pin(f, degree: int, a: Fraction, width: Fraction, t0: Fraction) -> list[int]:
+    """Integer t-coefficients of a nonzero multiple of the origin pin, a
+    polynomial of degree max(degree, number of anchors) that vanishes at the
+    notch anchors and is localized at the Bernstein node nearest the origin.
+
+    The bump is the Bernstein basis polynomial C(m, j0) t^j0 (1 - t)^(m - j0)
+    at the node j0 / m nearest t0, and each anchor g contributes the linear
+    factor that vanishes at t = (g - a) / width.  Subtracting (raw value at
+    the origin) / (pin value at the origin) times this pin forces an exact
+    root at the origin without disturbing the plateau: a global constant
+    shift would be size O(1) whenever the dip sits below the Bernstein
+    resolution.
     """
-    width = f.b - f.a
-    anchors = getattr(f, "anchors", ())
-    ell = Polynomial.constant(1)
-    for g in anchors:
-        ell = ell * Polynomial((Fraction(1), -1 / as_fraction(g)))
+    anchors = [as_fraction(g) for g in getattr(f, "anchors", ())]
     m = max(degree - len(anchors), 0)
-    t0 = -f.a / width
     j0 = min(max(int(round(t0 * m)), 0), m)
-    bump_t = [Fraction(0)] * (m + 1)
     cj = comb(m, j0)
-    for s in range(m - j0 + 1):
-        term = cj * comb(m - j0, s)
-        bump_t[j0 + s] = -term if s % 2 else term
-    bump = Polynomial(tuple(bump_t)).compose_affine(-f.a / width, 1 / width)
-    pin = bump * ell
-    scale = pin(Fraction(0))
-    if scale == 0:
-        raise InternalConsistencyError("origin pin degenerated to zero at the origin")
-    return pin * (1 / scale)
+    pin = [0] * j0 + [(-1) ** s * cj * comb(m - j0, s) for s in range(m - j0 + 1)]
+    for g in anchors:
+        root = (g - a) / width
+        low, high = -root.numerator, root.denominator
+        pin = [low * x + high * y for x, y in zip(pin + [0], [0] + pin)]
+    return pin
 
 
 def approximate_with_derivative(f, degree: int) -> Polynomial:
@@ -289,29 +315,65 @@ def approximate_with_derivative(f, degree: int) -> Polynomial:
 
     Converges to f together with its first derivative as the degree grows.
     `f` is normally a NotchFunction; any object with fields a, b and an exact
-    `value` method works (plumbing self-tests feed plain monomials).  The
-    root at the origin is enforced with the localized pin from `_zero_pin`;
-    when the origin is an interval endpoint the raw Bernstein polynomial
-    already interpolates f(0) = 0 and no pin is needed.
+    `value` method works (plumbing self-tests feed plain monomials).
+
+    The approximant is built in t = (z - a) / (b - a) on integer numerators
+    over one denominator.  Its t^m coefficient is C(k, m) times the m-th
+    forward difference of the node values.  The root at the origin
+    t0 = -a / (b - a) is enforced with the pin of `_origin_pin`:
+    p_t = raw_t - raw_t(t0) pin_t / pin_t(t0), both values by integer Horner.
+    When the origin is an interval endpoint, the raw Bernstein polynomial
+    already interpolates f(0) = 0 and no pin is needed.  One Taylor shift
+    takes p_t to z, and the trimmed p_t is kept for `_bernstein_controls`
+    on [a, b].
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    width = f.b - f.a
-    nodes = [f.a + width * Fraction(j, degree) for j in range(degree + 1)]
-    raw = _bernstein_to_monomial([f.value(x) for x in nodes], f.a, f.b)
-    at_zero = raw(Fraction(0))
-    if at_zero == 0:
-        return raw
-    return raw - at_zero * _zero_pin(f, degree)
+    a, b = as_fraction(f.a), as_fraction(f.b)
+    width = b - a
+    row, den = _common_denominator([f.value(a + width * Fraction(j, degree))
+                                    for j in range(degree + 1)])
+    nums = []
+    for m in range(degree + 1):
+        nums.append(comb(degree, m) * row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    t0 = -a / width
+    at_t0, raw_scale = _horner(nums, t0.numerator, t0.denominator)
+    if at_t0:
+        pin = _origin_pin(f, degree, a, width, t0)
+        pin_t0, pin_scale = _horner(pin, t0.numerator, t0.denominator)
+        if pin_t0 == 0:
+            raise InternalConsistencyError("origin pin degenerated to zero at the origin")
+        # raw_t(t0) / pin_t(t0) = (at_t0 pin_scale) / (den raw_scale pin_t0) = y / (den x)
+        x, y = raw_scale * pin_t0, at_t0 * pin_scale
+        g = gcd(x, y)
+        x, y = x // g, y // g
+        nums += [0] * (len(pin) - len(nums))
+        nums = [n * x - y * c for n, c in zip(nums, pin)]
+        den *= x
+    nums, den = _reduced(nums, den)
+    if not nums:
+        return Polynomial.zero()
+    acc, scale = Polynomial._compose_integers(nums, t0, 1 / width)
+    p = _from_integers(acc, den * scale)
+    object.__setattr__(p, "_birth", (a, b, tuple(nums), den))
+    return p
 
 
 def _bernstein_controls(p: Polynomial, a, b) -> tuple[list[int], int]:
     """Exact Bernstein control points of p on [a, b], as integer numerators
-    over one common denominator (not reduced)."""
+    over one common denominator (not reduced).  On an approximant's birth
+    interval the t-form it was born with is read, so only the Pascal pass runs;
+    any other interval takes one Taylor shift to t = (z - a) / (b - a)."""
     a, b = as_fraction(a), as_fraction(b)
     if not p.coefficients:
         return [0], 1
-    nums, den = p._compose_integers(a, b - a)
+    if p._birth is not None and p._birth[:2] == (a, b):
+        nums, den = p._birth[2:]
+    else:
+        nums, den = p._integers
+        nums, scale = p._compose_integers(nums, a, b - a)
+        den *= scale
     d = p.degree
     # ctrl_i = sum_m C(i, m) / C(d, m) g_m = (1 / (L d!)) sum_m C(i, m) m! (d - m)! G_m;
     # the binomial sums over m are the first entries of a Pascal-style triangle.
@@ -518,13 +580,24 @@ def interval_sups(p: Polynomial, a, b, memo: dict | None = None) -> tuple[float,
 def divide_shifted(p: Polynomial, lam) -> Polynomial:
     """The polynomial q with lam*p(lam) - (lam - z)*p(lam - z) = z*q(z).
 
-    The left side vanishes identically at z = 0, so exact division by z is
-    remainder-free; a nonzero remainder is an internal inconsistency.
+    One Taylor shift gives r(z) = p(lam - z), and q_j = r_j - lam r_(j+1).
+    The left side vanishes at z = 0 exactly when r_0 = p(lam), which is
+    checked against an independent Horner evaluation of p(lam); a mismatch
+    is an internal inconsistency.
     """
     lam = as_fraction(lam)
-    reflected = p.compose_affine(lam, Fraction(-1))
-    numerator = Polynomial.constant(lam * p(lam)) - Polynomial((lam, Fraction(-1))) * reflected
-    return numerator.divided_by_z()
+    if not p.coefficients:
+        return Polynomial.zero()
+    nums, den = p._integers
+    r, scale = p._compose_integers(nums, lam, -1)
+    den *= scale
+    at_lam = p(lam)
+    if r[0] * at_lam.denominator != at_lam.numerator * den:
+        raise InternalConsistencyError(
+            "the shifted division left a nonzero remainder; the identity it encodes is broken")
+    top, bottom = lam.numerator, lam.denominator
+    return _from_integers([x * bottom - top * y for x, y in zip(r, r[1:] + [0])],
+                          den * bottom)
 
 
 class MvtCheck(NamedTuple):

@@ -1,7 +1,8 @@
 """Independent oracles for the test suite: naive dense products in exact
 arithmetic, SVD spectral norms, a brute-force derivation solver over the full
-linear-map space, seeded random rational generators, and exact sympy values
-of scalar entries.  These deliberately avoid the code paths they are used to
+linear-map space, seeded random rational generators, exact sympy values
+of scalar entries, and the Bernstein approximant built in z with Fraction
+arithmetic.  These deliberately avoid the code paths they are used to
 check.  Small helpers that only the tests use live here too, not in the
 package."""
 
@@ -9,12 +10,14 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 import numpy as np
 import sympy
 
-from amenalab import BlockOperator, Polynomial, Surd
+from amenalab import BlockOperator, InternalConsistencyError, Polynomial, Surd
+from amenalab.scalars import _common_denominator, as_fraction
 
 
 def dense_exact(X: BlockOperator) -> list[list]:
@@ -85,6 +88,57 @@ def notch_derivative_array(f, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def bernstein_to_monomial(values: Sequence[Fraction], a: Fraction, b: Fraction) -> Polynomial:
+    """Exact monomial form of sum_j v_j C(k,j) t^j (1-t)^(k-j), t = (z-a)/(b-a)."""
+    k = len(values) - 1
+    # The t^m coefficient is C(k, m) times the m-th forward difference of the
+    # values, taken on their numerators over one common denominator.
+    row, den = _common_denominator(values)
+    coeff_t = []
+    for m in range(k + 1):
+        coeff_t.append(Fraction(comb(k, m) * row[0], den))
+        row = [y - x for x, y in zip(row, row[1:])]
+    width = b - a
+    return Polynomial(tuple(coeff_t)).compose_affine(-a / width, 1 / width)
+
+
+def zero_pin(f, degree: int) -> Polynomial:
+    """Degree <= `degree` polynomial equal to 1 at the origin, vanishing at the
+    notch anchors, and localized at the Bernstein node nearest the origin."""
+    width = f.b - f.a
+    anchors = getattr(f, "anchors", ())
+    ell = Polynomial.constant(1)
+    for g in anchors:
+        ell = ell * Polynomial((Fraction(1), -1 / as_fraction(g)))
+    m = max(degree - len(anchors), 0)
+    t0 = -f.a / width
+    j0 = min(max(int(round(t0 * m)), 0), m)
+    bump_t = [Fraction(0)] * (m + 1)
+    cj = comb(m, j0)
+    for s in range(m - j0 + 1):
+        term = cj * comb(m - j0, s)
+        bump_t[j0 + s] = -term if s % 2 else term
+    bump = Polynomial(tuple(bump_t)).compose_affine(-f.a / width, 1 / width)
+    pin = bump * ell
+    scale = pin(Fraction(0))
+    if scale == 0:
+        raise InternalConsistencyError("origin pin degenerated to zero at the origin")
+    return pin * (1 / scale)
+
+
+def approximant_oracle(f, degree: int) -> Polynomial:
+    """`approximate_with_derivative` built in z with Fraction arithmetic: the
+    raw Bernstein polynomial, shifted into z, minus its value at the origin
+    times the normalized `zero_pin` (no pin when that value is already 0)."""
+    width = f.b - f.a
+    nodes = [f.a + width * Fraction(j, degree) for j in range(degree + 1)]
+    raw = bernstein_to_monomial([f.value(x) for x in nodes], f.a, f.b)
+    at_zero = raw(Fraction(0))
+    if at_zero == 0:
+        return raw
+    return raw - at_zero * zero_pin(f, degree)
+
+
 def to_rational_strings(p: Polynomial) -> list[str]:
     """Serialize as exact rational strings in ascending degree."""
     return [str(c) for c in p.coefficients]
@@ -122,6 +176,19 @@ def count_calls(monkeypatch, module: str, name: str) -> list[int]:
             for key, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def count_method_calls(monkeypatch, cls, name: str) -> list[int]:
+    """Count the calls of the static method `cls.name`."""
+    original = getattr(cls, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, staticmethod(counted))
     return calls
 
 

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from amenalab import (InternalConsistencyError, Polynomial, approximate_with_derivative,
                       divide_shifted, evaluate_on_grid, interval_sups, make_spectrum,
                       mvt_bound_check, notch, sup_norm, unit_notch)
-from amenalab.polynomials import (_bernstein_controls, _bernstein_to_monomial, _float_grid,
-                                  _sup_candidates)
+from amenalab.polynomials import _bernstein_controls, _float_grid, _sup_candidates
 from amenalab.scalars import as_fraction
-from oracle_utils import (count_calls, from_rational_strings, notch_derivative_array,
+from oracle_utils import (approximant_oracle, bernstein_to_monomial, count_calls,
+                          count_method_calls, from_rational_strings, notch_derivative_array,
                           notch_value_array, poly_to_sympy, random_rational_poly,
                           to_rational_strings)
 
@@ -130,13 +130,13 @@ def test_bernstein_controls_match_sympy_bernstein_sum(coeffs, a, width):
        rationals, st.fractions(min_value=Fraction(1, 8), max_value=5, max_denominator=12))
 def test_bernstein_to_monomial_round_trip(values, a, width):
     # Constant and affine value lists give monomial forms of degree 0 and 1.
-    p = _bernstein_to_monomial(values, a, a + width)
+    p = bernstein_to_monomial(values, a, a + width)
     k = len(values) - 1
     t = (z_sym - as_sympy(a)) / as_sympy(width)
     direct = sum(as_sympy(v) * sympy.binomial(k, j) * t ** j * (1 - t) ** (k - j)
                  for j, v in enumerate(values))
     assert sympy.expand(in_z(p) - direct) == 0
-    assert _bernstein_to_monomial(exact_controls(p, a, a + width), a, a + width) == p
+    assert bernstein_to_monomial(exact_controls(p, a, a + width), a, a + width) == p
 
 
 @pytest.mark.parametrize("num", [1000, 1024, 1025, 4097])
@@ -283,7 +283,109 @@ def test_notch_refinement_errors_decrease():
     assert all(b <= a + 1e-12 for a, b in zip(dp_err, dp_err[1:]))
 
 
+ORACLE_SPECTRA = (
+    make_spectrum("geometric", 16),
+    make_spectrum("geometric", 12, ratio=Fraction(9, 10)),
+    make_spectrum("harmonic", 16),
+    make_spectrum("explicit", values=[Fraction(v) for v in
+                                      ("1", "1/2", "1/3", "1/4", "2/9", "1/9", "1/16", "1/18")]),
+)
+# Duck types without `anchors`: the origin at the left end (x^2 + 1 takes the
+# pin there, x trims to degree 1), at the right end (t0 = 1) and inside.
+PLAIN_FUNCTIONS = (
+    PlainFunction(Fraction(0), Fraction(1), lambda x: x),
+    PlainFunction(Fraction(0), Fraction(1), lambda x: x * x + 1),
+    PlainFunction(Fraction(-2), Fraction(0), lambda x: x ** 3 - x / 3),
+    PlainFunction(Fraction(-1), Fraction(1), lambda x: x * x + 1),
+    PlainFunction(Fraction(-1, 3), Fraction(2, 5), lambda x: 1 / (1 + x * x)),
+)
+APPROXIMATED = tuple(f for s in ORACLE_SPECTRA
+                     for f in (notch(1, s), notch(2, s), notch(3, s), unit_notch(s))) + PLAIN_FUNCTIONS
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(APPROXIMATED), st.integers(2, 128))
+@example(PLAIN_FUNCTIONS[0], 128)
+@example(notch(2, ORACLE_SPECTRA[3]), 128)
+def test_approximant_equals_the_z_form_oracle(f, degree):
+    """Built in t on integers, the approximant equals the Fraction construction
+    in z coefficient for coefficient, and its seeded integer form is what
+    `_common_denominator` gives."""
+    p = approximate_with_derivative(f, degree)
+    assert p == approximant_oracle(f, degree)
+    assert p._integers == Polynomial(p.coefficients)._integers
+
+
+def exact_values(nums, den) -> list[Fraction]:
+    return [Fraction(n, den) for n in nums]
+
+
+@pytest.mark.parametrize("degree", [2, 7, 64])
+def test_birth_controls_equal_the_shifted_controls(monkeypatch, degree):
+    """On its birth interval an approximant's controls come from its t-form
+    with no Taylor shift, and equal in value those of the same coefficients
+    shifted by `_compose_integers(a, b - a)`; the interval sups agree
+    bitwise.  Another interval takes the shift."""
+    for f in APPROXIMATED:
+        p = approximate_with_derivative(f, degree)
+        born = Polynomial(p.coefficients)  # equal, without a birth form
+        shifts = count_method_calls(monkeypatch, Polynomial, "_compose_integers")
+        controls = exact_values(*_bernstein_controls(p, f.a, f.b))
+        sups = interval_sups(p, f.a, f.b)
+        assert shifts[0] == 0
+        assert controls == exact_values(*_bernstein_controls(born, f.a, f.b))
+        assert sups == interval_sups(born, f.a, f.b)
+        assert shifts[0] == 2
+        other = (f.a - 1, f.b)
+        assert (exact_values(*_bernstein_controls(p, *other))
+                == exact_values(*_bernstein_controls(born, *other)))
+        assert shifts[0] == 4
+        monkeypatch.undo()
+
+
+def test_birth_form_is_trimmed():
+    """B_16(x) = x and B_16(x^2) = x/16 + 15 x^2/16 on [0, 1]: the birth t-form
+    of degree 16 trims to the approximant's degree."""
+    linear = PLAIN_FUNCTIONS[0]
+    square = PlainFunction(Fraction(0), Fraction(1), lambda x: x * x)
+    p = approximate_with_derivative(linear, 16)
+    assert p == Polynomial((0, 1))
+    assert exact_values(*_bernstein_controls(p, linear.a, linear.b)) == [0, 1]
+    p = approximate_with_derivative(square, 16)
+    assert p == Polynomial((0, Fraction(1, 16), Fraction(15, 16)))
+    assert exact_values(*_bernstein_controls(p, square.a, square.b)) == [0, Fraction(1, 32), 1]
+
+
+def test_origin_pin_guard():
+    """An anchor at the origin kills the pin where it must be 1."""
+    @dataclass(frozen=True)
+    class Anchored(PlainFunction):
+        anchors: tuple = (Fraction(0),)
+
+    f = Anchored(Fraction(-1), Fraction(1), lambda x: x * x + 1)
+    with pytest.raises(InternalConsistencyError, match="origin pin"):
+        approximate_with_derivative(f, 8)
+
+
 # --- shifted division and the mean-value bound ---------------------------------
+
+def test_divide_shifted_guard_catches_a_broken_shift(monkeypatch):
+    """r_0 of the shift is checked against an independent Horner value of p(lam)."""
+    original = Polynomial._compose_integers
+
+    def broken(nums, alpha, beta):
+        acc, scale = original(nums, alpha, beta)
+        return [acc[0] + 1] + acc[1:], scale
+
+    p = approximate_with_derivative(notch(2, make_spectrum("geometric", 8)), 16)
+    lam = Fraction(1, 2)
+    divide_shifted(p, lam)
+    monkeypatch.setattr(Polynomial, "_compose_integers", staticmethod(broken))
+    with pytest.raises(InternalConsistencyError, match="nonzero remainder"):
+        divide_shifted(p, lam)
+    with pytest.raises(InternalConsistencyError):
+        divide_shifted(Polynomial((0, 1)), lam)
+
 
 def test_divide_shifted_linear_and_quadratic():
     lam = Fraction(1, 2)

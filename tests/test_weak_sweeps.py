@@ -22,7 +22,7 @@ from amenalab import (Polynomial, apply_poly_to_block, build_T, generation_defec
 from amenalab.amenability import generation_sweep, idempotency_sweep, membership_trials
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from amenalab.cli import _membership_polynomials, main
-from oracle_utils import count_calls
+from oracle_utils import count_calls, count_method_calls
 
 EXPLICIT = ("9/10", "1/2", "1/4", "1/7", "1/100")  # 1/4 has a rational root
 
@@ -118,13 +118,18 @@ def test_verify_character_sweeps_each_interval_sup_once(monkeypatch, tmp_path, c
     (polynomial, interval) pairs, of which 15 are distinct, and each is
     converted to Bernstein form once for both p and p'.  Of the 30 distinct
     sups, the hull certificate decides the `kernel_n1`/`unit` p and p' at
-    every degree, so 20 sweeps run."""
+    every degree, so 20 sweeps run.  Each of the 20 approximants takes one
+    Taylor shift and each of the 15 kernel divisions one more; every
+    conversion is on a birth interval, so it takes none (60 at the parent,
+    which shifted into z and back and built the origin pin in z)."""
     sweeps = count_calls(monkeypatch, "amenalab.polynomials", "_de_casteljau")
     conversions = count_calls(monkeypatch, "amenalab.polynomials", "_bernstein_controls")
+    shifts = count_method_calls(monkeypatch, Polynomial, "_compose_integers")
     main(["verify", "character", "--count", "16", "--degrees", "8:128", "--out", str(tmp_path)])
     capsys.readouterr()
     assert conversions[0] == 15
     assert sweeps[0] == 20
+    assert shifts[0] == 35
 
 
 # Spectra of the membership trials: geometric 1/2 has a rational root at every

@@ -331,7 +331,9 @@ def approximate_with_derivative(f, degree: int) -> Polynomial:
         raise ValueError("degree must be at least 2")
     a, b = as_fraction(f.a), as_fraction(f.b)
     width = b - a
-    row, den = _common_denominator([f.value(a + width * Fraction(j, degree))
+    # node j is a + width j / k = (lo k + j step) / (node_den k), one Fraction each
+    (lo, step), node_den = _common_denominator([a, width])
+    row, den = _common_denominator([f.value(Fraction(lo * degree + j * step, node_den * degree))
                                     for j in range(degree + 1)])
     nums = []
     for m in range(degree + 1):

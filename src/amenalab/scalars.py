@@ -12,10 +12,13 @@ tier.  Arithmetic never promotes exact values to float implicitly; `to_float`
 is the only crossing.
 
 `float(Surd)` gives the bits of sympy 1.14's float of the same number, so
-reports do not depend on how a value was computed.  sympy splits each
-radicand once, sqrt(d) = c0*sqrt(n) with n an integer; its choice of n sets
-the bits.  Integer code then repeats evalf's chain of roundings for
-c*sqrt(n), c = c0*s:
+reports do not depend on how a value was computed.  sympy writes the root as
+sqrt(d) = c0*sqrt(n) with n an integer, and its choice of n sets the bits.
+When sympy can factor d = num/den, n is the square-free part of num*den,
+so integer trial division up to 2**15 splits each radicand once.  A cofactor
+left above 2**15 that is not provably prime goes to sympy, which is
+registered lazily, so its code runs only then.  Integer code then repeats
+evalf's chain of roundings for c*sqrt(n), c = c0*s:
 
 - c != 1: c is rounded toward zero to 64 bits, n to 69 bits, and sqrt(n)
   toward zero to 64 bits; the exact product is rounded to nearest (ties to
@@ -33,11 +36,29 @@ takes s as an unreduced num/den of integers.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
+
+def _lazy_module(name: str):
+    """The module `name`, in sys.modules at once but run on its first
+    attribute read; a module already imported is returned as it is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+sympy = _lazy_module("sympy")
 
 
 def as_fraction(x) -> Fraction:
@@ -62,18 +83,43 @@ def _is_square(n: int) -> bool:
     return math.isqrt(n) ** 2 == n
 
 
+# Trial division stops past this bound, sympy's own for a root's radicand.
+_TRIAL_LIMIT = 1 << 15
+
+
+def _square_free_split(num: int, den: int) -> tuple[int, int, int]:
+    """sympy's sqrt(num/den) = (p0/q0) * sqrt(n), num/den in lowest terms.
+    Trial division of num*den by 2 and the odd numbers up to 2**15 leaves a
+    cofactor; when it is 1 or a prime (below the square of the next divisor),
+    n is the square-free part of num*den and p0/q0 = sqrt(num*den / n) / den,
+    which is sympy's split.  Any other cofactor is left to sympy."""
+    rest, root, n, k = num * den, 1, 1, 2
+    while k * k <= rest:
+        if k > _TRIAL_LIMIT:
+            c0, radical = sympy.sqrt(sympy.Rational(num, den)).as_coeff_Mul()
+            return int(c0.p), int(c0.q), int(radical.base)
+        if not rest % k:
+            e = 0
+            while not rest % k:
+                rest //= k
+                e += 1
+            root *= k ** (e >> 1)
+            if e & 1:
+                n *= k
+        k += 2 if k > 2 else 1
+    g = math.gcd(root, den)
+    return root // g, den // g, n * rest
+
+
 @functools.cache
-def _sympy_root(num: int, den: int) -> tuple[int, int, tuple[int, int], float]:
-    """sympy's sqrt(d) = (p0/q0) * sqrt(n) for d = num/den, split once per
-    radicand, with the parts of the float that depend on n alone: sqrt(n) cut
-    to 64 bits, as (man, exp), and the float of the bare root.  sympy writes
-    the root of a positive rational as a rational times the root of an
-    integer n, and its choice of n sets the bits, so the split stays sympy's.
-    The cache is keyed by the two ints, which hash faster than a Fraction."""
-    c0, root = sympy.sqrt(sympy.Rational(num, den)).as_coeff_Mul()
-    n = int(root.base)
+def _root_split(num: int, den: int) -> tuple[int, int, tuple[int, int], float]:
+    """The split (p0, q0, n) of sqrt(num/den), made once per radicand, with
+    the parts of the float that depend on n alone in place of n: sqrt(n) cut
+    to 64 bits, as (man, exp), and the float of the bare root.  The cache is
+    keyed by the two ints, which hash faster than a Fraction."""
+    p0, q0, n = _square_free_split(num, den)
     bare = _round_nearest(*_sqrt_down(*_truncate(n, 62), 57), 53)
-    return int(c0.p), int(c0.q), _sqrt_down(*_truncate(n, 69), 64), _ldexp(*bare)
+    return p0, q0, _sqrt_down(*_truncate(n, 69), 64), _ldexp(*bare)
 
 
 def _truncate(n: int, bits: int) -> tuple[int, int]:
@@ -118,7 +164,7 @@ def surd_float(num: int, den: int, d: Fraction) -> float:
     c = p0/q0 * num/den.  num/den need not be in lowest terms."""
     if not num:
         return 0.0
-    p0, q0, (root, root_exp), bare = _sympy_root(d.numerator, d.denominator)
+    p0, q0, (root, root_exp), bare = _root_split(d.numerator, d.denominator)
     p, q = p0 * num, q0 * den
     if p == q:
         return bare

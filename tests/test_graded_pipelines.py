@@ -74,5 +74,5 @@ def test_pipelines_run_no_sympy_evalf(tmp_path, capsys, monkeypatch, mixed_confi
         raise AssertionError("sympy evalf ran")
 
     monkeypatch.setattr(sympy.core.evalf, "evalf", no_evalf)
-    scalars._sympy_root.cache_clear()  # each radicand is split again, under the patch
+    scalars._root_split.cache_clear()  # each radicand is split again, under the patch
     assert _run(argv, tmp_path / "patched", capsys) == want

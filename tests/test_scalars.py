@@ -1,8 +1,11 @@
 import math
 import operator
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -10,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amenalab import Surd, exact_sqrt, is_exact_zero, make_spectrum
-from amenalab.scalars import surd_float
+from amenalab import scalars
+from amenalab.scalars import _square_free_split, surd_float
 from oracle_utils import to_sympy
 
 
@@ -219,7 +223,7 @@ def test_surd_float_does_not_run_sympy_evalf(monkeypatch):
     values = [Surd(s, d) for s in (Fraction(5, 3), Fraction(-2 ** 70, 3 ** 40),
                                       Fraction(c0.q, c0.p), Fraction(1, 10 ** 320))]
     want = [float(to_sympy(x)).hex() for x in values]
-    float(exact_sqrt(d))  # the radicand is split once, by sympy
+    float(exact_sqrt(d))  # the radicand is split once
 
     def no_evalf(*args, **kwargs):
         raise AssertionError("sympy evalf ran")
@@ -255,6 +259,74 @@ def test_surd_float_takes_an_unreduced_quotient():
         want = sympy.Rational(num, den) * sympy.sqrt(to_sympy(d))
         assert got.hex() == float(want).hex(), (num, den, d)
     assert surd_float(0, 7, Fraction(1, 2)) == 0.0
+
+
+def _split_radicands() -> list[Fraction]:
+    """Geometric (a/b)**k, harmonic 1/k, random ratios below 10**6 and below
+    10**40, and squares of primes above 2**15 times small primes."""
+    rng = random.Random("split")
+    values = [Fraction(a, b) ** k for b in range(2, 21) for a in range(1, b)
+              for k in range(1, 13)]
+    values += [Fraction(1, k) for k in range(2, 3000)]
+    values += [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(400)]
+    values += [Fraction(rng.randint(1, 10 ** 40), rng.randint(1, 10 ** 40)) for _ in range(30)]
+    values += [Fraction(2 * 40009 ** 2, 3), Fraction(32771 ** 2, 7), Fraction(5, 32779 ** 2 * 3)]
+    return sorted(set(_non_squares(values)))
+
+
+def test_square_free_split_is_sympys(monkeypatch):
+    radicands = _split_radicands()
+    want = [(int(c0.p), int(c0.q), n) for c0, n in map(_sympy_split, radicands)]
+    deferred = []
+    sqrt = sympy.sqrt
+    monkeypatch.setattr(sympy, "sqrt", lambda x: deferred.append(x) or sqrt(x))
+    got = [_square_free_split(d.numerator, d.denominator) for d in radicands]
+    assert got == want
+    # both paths ran: trial division decided nearly all, sympy the rest
+    assert 30 < len(deferred) < len(radicands) // 20
+
+
+def test_split_defers_two_large_primes_to_sympy(monkeypatch):
+    # after trial division, 40009 * 40013 is left: neither 1 nor provably prime
+    deferred_d = Fraction(12 * 40009 * 40013, 7)
+    # 32771 is left, below the square of the next divisor: prime, no deferral
+    trial_d = Fraction(12 * 32771, 7)
+    values = {}
+    for d in (deferred_d, trial_d):
+        c0, _ = _sympy_split(d)
+        values[d] = [Surd(s, d) for s in (Fraction(5, 3), Fraction(-2 ** 70, 3 ** 40),
+                                          Fraction(c0.q, c0.p), Fraction(1, 10 ** 320))]
+    want = {d: [float(to_sympy(x)).hex() for x in xs] for d, xs in values.items()}
+    deferred = []
+    sqrt = sympy.sqrt
+    monkeypatch.setattr(sympy, "sqrt", lambda x: deferred.append(x) or sqrt(x))
+    scalars._root_split.cache_clear()
+    assert [float(x).hex() for x in values[trial_d]] == want[trial_d]
+    assert deferred == []
+    assert [float(x).hex() for x in values[deferred_d]] == want[deferred_d]
+    assert deferred == [sympy.Rational(deferred_d.numerator, deferred_d.denominator)]
+
+
+CLI_IMPORT = """
+import sys
+import amenalab.cli
+imported = "sympy" in sys.modules, "sympy.core" in sys.modules
+argv = ["verify", "all", "--kind", "harmonic", "--count", "8", "--out", sys.argv[1]]
+code = amenalab.cli.main(argv)
+print(code, *imported, "sympy" in sys.modules, "sympy.core" in sys.modules)
+"""
+
+
+def test_cli_never_runs_sympy(tmp_path):
+    """In a fresh interpreter, `import amenalab.cli` and a full run register
+    sympy (the benchmark's tracer wraps one of its names) but never run it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", CLI_IMPORT, str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    # exit 1: the known harmonic kernel_n3 FAIL at the default degrees
+    assert out.stdout.splitlines()[-1] == "1 True False True False"
 
 
 def test_perfect_squares_fold_to_fraction():

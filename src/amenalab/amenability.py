@@ -85,9 +85,8 @@ def _integer_trial(p: Polynomial, coords: list) -> MembershipTrial | None:
     """The trial of p on `_t_tilde_coordinates`, or None when p(T) is not an
     algebra element."""
     nums, den = p._integers
-    if nums and nums[0]:
+    if nums[0]:
         raise ValueError("constant term must vanish; the algebra model is non-unital")
-    nums = nums or (0,)  # the zero polynomial
     tops, bottoms = [], []
     for c, e, b, root_b_num, root_b_den in coords:
         _, g, h, scale = _horner_numerators(nums, 0, c, e)
@@ -199,8 +198,8 @@ def idempotency_sweep(spectrum: SpectrumSequence) -> IdempotencySweep:
     defect = (U @ U) - U
     exact = tuple(all(is_exact_zero(x) for x in entries)
                   for entries in zip(defect.b11.diag, defect.b12.diag, defect.b22.diag))
-    return IdempotencySweep(exact, tuple(block_norms(defect.to_float()).tolist()),
-                            tuple(block_norms(U.to_float()).tolist()))
+    return IdempotencySweep(exact, tuple(block_norms(defect).tolist()),
+                            tuple(block_norms(U).tolist()))
 
 
 class GenerationSweep(NamedTuple):
@@ -220,11 +219,11 @@ def generation_sweep(spectrum: SpectrumSequence) -> GenerationSweep:
     T = build_T(spectrum)
     full = idempotent_partial_sum(len(spectrum), spectrum)
     rest = T - full
-    head = np.maximum.accumulate(block_norms(rest.to_float()))
-    tail = np.maximum.accumulate(block_norms(T.to_float())[::-1])[::-1]
+    head = np.maximum.accumulate(block_norms(rest))
+    tail = np.maximum.accumulate(block_norms(T)[::-1])[::-1]
     beyond = np.append(tail[1:], 0.0)  # max over k > m of the blocks of T
     return GenerationSweep(tuple(np.maximum(head, beyond).tolist()),
-                           tuple(np.maximum.accumulate(block_norms(full.to_float())).tolist()),
+                           tuple(np.maximum.accumulate(block_norms(full)).tolist()),
                            rest.is_zero())
 
 
@@ -431,7 +430,7 @@ def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence,
     u = apply_poly_to_block(p.coefficients, T)
     residual = operator_norm(((T @ u) - T).to_float())
     element_norm = operator_norm(u.to_float())
-    q = p.divided_by_z()
+    q = Polynomial(p.coefficients[1:])  # p / z: u = p(T) has checked p(0) = 0
     p_sup, q_bound = interval_sups(p, Fraction(0), lam_1, memo)
     mvt_ok = sup_norm(q, spectrum) <= q_bound + 1e-12
     certified = p_sup + math.sqrt(float(lam_1)) * q_bound

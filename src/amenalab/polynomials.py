@@ -15,13 +15,17 @@ The exact kernels (evaluation at a rational point, the Taylor shift, the
 shifted division, Bernstein conversion) run their inner loops on integer
 numerators over one common denominator (`scalars._common_denominator`) and
 build each output Fraction once; the sweep updates one array in place.
+Each kernel has one path: evaluation takes an int or Fraction only (a float
+or a `Surd` raises TypeError), and the zero polynomial has the integer form
+((0,), 1), so no kernel special-cases it.
 The grid sup needs only the largest value.  When the largest |control| sits
 at an endpoint and a one-line float test bounds every swept value by it (the
 hull certificate of `_grid_sup`), it is the sup and no sweep runs; otherwise
 an O(k) Bernstein-Horner pass with a proven forward-error bound picks the
 points to sweep.  Either way the result is bitwise the full sweep's maximum.
 `interval_sups` gives sup|p| and sup|p'| on an interval from one exact
-conversion of p, and floats each control by one integer division.
+conversion of p, and floats each control by one integer division;
+`sup_norm` is the sup over a spectrum and the origin, evaluated exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, gcd, lcm
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,8 +82,9 @@ class Polynomial:
     @cached_property
     def _integers(self) -> tuple[tuple[int, ...], int]:
         """The coefficients as integer numerators N_i over their common
-        denominator L, computed once per polynomial."""
-        nums, den = _common_denominator(self.coefficients)
+        denominator L, computed once per polynomial; ((0,), 1) for zero, so
+        every integer kernel sees at least one numerator."""
+        nums, den = _common_denominator(self.coefficients or (0,))
         return tuple(nums), den
 
     @property
@@ -87,24 +92,18 @@ class Polynomial:
         """Degree; -1 for the zero polynomial."""
         return len(self.coefficients) - 1
 
-    @property
-    def vanishes_at_zero(self) -> bool:
-        return not self.coefficients or self.coefficients[0] == 0
+    def __call__(self, z) -> Fraction:
+        """Exact Horner evaluation at a rational z = Z / D (int or Fraction).
 
-    def __call__(self, z):
-        """Horner evaluation; exact whenever z is exact.
-
-        For a rational z = Z / D, Horner runs on the integer numerators N_j of
-        the coefficients, h <- h Z + N_j D^(k-j), and divides by L D^k once.
+        Horner runs on the integer numerators N_j of the coefficients,
+        h <- h Z + N_j D^(k-j), and divides by L D^k once.  Any other z, a
+        float or a `Surd`, raises TypeError.
         """
-        if self.coefficients and isinstance(z, (int, Fraction)):
-            nums, den = self._integers
-            acc, scale = _horner(nums, z.numerator, z.denominator)
-            return Fraction(acc, den * scale)
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc
+        if not isinstance(z, (int, Fraction)):
+            raise TypeError(f"z: {z!r} is not an exact rational")
+        nums, den = self._integers
+        acc, scale = _horner(nums, z.numerator, z.denominator)
+        return Fraction(acc, den * scale)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coefficients, other.coefficients
@@ -123,8 +122,6 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if not self.coefficients or not other.coefficients:
-                return Polynomial.zero()
             out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
             for i, a in enumerate(self.coefficients):
                 if a == 0:
@@ -142,8 +139,6 @@ class Polynomial:
 
     def compose_affine(self, alpha, beta) -> "Polynomial":
         """Exact composition p(alpha + beta * z)."""
-        if not self.coefficients:
-            return Polynomial.zero()
         nums, den = self._integers
         acc, scale = self._compose_integers(nums, alpha, beta)
         return _from_integers(acc, den * scale)
@@ -170,15 +165,6 @@ class Polynomial:
             acc = ([acc[0] * u + n * scale]
                    + [x * u + y * v for x, y in zip(acc[1:], acc)] + [acc[-1] * v])
         return acc, scale
-
-    def divided_by_z(self) -> "Polynomial":
-        """Exact division by z; the constant term must vanish identically."""
-        if not self.coefficients:
-            return Polynomial.zero()
-        if self.coefficients[0] != 0:
-            raise InternalConsistencyError(
-                "division by z left a nonzero remainder; the identity it encodes is broken")
-        return Polynomial(self.coefficients[1:])
 
 
 @dataclass(frozen=True)
@@ -262,9 +248,9 @@ def _horner(nums: Sequence[int], top: int, bottom: int) -> tuple[int, int]:
 
 
 def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
-    """The numerators and denominator of sum_i N_i z^i / den, trimmed, with
-    den > 0 and gcd(den, *N) = 1."""
-    while nums and not nums[-1]:
+    """The numerators and denominator of sum_i N_i z^i / den, trimmed to at
+    least one, with den > 0 and gcd(den, *N) = 1: [0] over 1 for zero."""
+    while len(nums) > 1 and not nums[-1]:
         nums.pop()
     if den < 0:
         nums, den = [-n for n in nums], -den
@@ -354,8 +340,6 @@ def approximate_with_derivative(f, degree: int) -> Polynomial:
         nums = [n * x - y * c for n, c in zip(nums, pin)]
         den *= x
     nums, den = _reduced(nums, den)
-    if not nums:
-        return Polynomial.zero()
     acc, scale = Polynomial._compose_integers(nums, t0, 1 / width)
     p = _from_integers(acc, den * scale)
     object.__setattr__(p, "_birth", (a, b, tuple(nums), den))
@@ -368,15 +352,13 @@ def _bernstein_controls(p: Polynomial, a, b) -> tuple[list[int], int]:
     interval the t-form it was born with is read, so only the Pascal pass runs;
     any other interval takes one Taylor shift to t = (z - a) / (b - a)."""
     a, b = as_fraction(a), as_fraction(b)
-    if not p.coefficients:
-        return [0], 1
     if p._birth is not None and p._birth[:2] == (a, b):
         nums, den = p._birth[2:]
     else:
         nums, den = p._integers
         nums, scale = p._compose_integers(nums, a, b - a)
         den *= scale
-    d = p.degree
+    d = len(nums) - 1
     # ctrl_i = sum_m C(i, m) / C(d, m) g_m = (1 / (L d!)) sum_m C(i, m) m! (d - m)! G_m;
     # the binomial sums over m are the first entries of a Pascal-style triangle.
     row = [factorial(m) * factorial(d - m) * n for m, n in enumerate(nums)]
@@ -539,26 +521,22 @@ def _grid_sup(ctrl: np.ndarray) -> float:
     return float(np.max(np.abs(_de_casteljau(ctrl, t[keep], s[keep]))))
 
 
-Domain = Union[SpectrumSequence, tuple]
-
-
-def sup_norm(p: Polynomial, domain: Domain) -> float:
-    """Supremum of |p| over a spectrum (its points plus the origin, exactly) or
-    over an interval (a, b) sampled on a uniform grid of DEFAULT_GRID points.
-
-    The interval value is bitwise the largest |value| of `evaluate_on_grid`,
-    decided by the hull certificate of `_grid_sup` when it applies, and
-    otherwise by a de Casteljau sweep over only the points that an O(k)
-    evaluation with a proven error bound cannot rule out (`_sup_candidates`).
-    """
-    if isinstance(domain, SpectrumSequence):
-        return max(abs(float(p(z))) for z in (Fraction(0), *domain.values))
-    return _grid_sup(_floats(*_bernstein_controls(p, *domain)))
+def sup_norm(p: Polynomial, spectrum: SpectrumSequence) -> float:
+    """Supremum of |p| over a spectrum: its points plus the origin, each
+    evaluated exactly and floated once.  Sups over an interval are
+    `interval_sups`."""
+    return max(abs(float(p(z))) for z in (Fraction(0), *spectrum.values))
 
 
 def interval_sups(p: Polynomial, a, b, memo: dict | None = None) -> tuple[float, float]:
-    """(sup|p|, sup|p'|) over the interval (a, b), a != b, each bitwise the
-    value of `sup_norm`, from one exact Bernstein conversion of p.
+    """(sup|p|, sup|p'|) over the interval (a, b), a != b, sampled on a
+    uniform grid of DEFAULT_GRID points, from one exact Bernstein conversion
+    of p.
+
+    Each is bitwise the largest |value| of `evaluate_on_grid`, decided by the
+    hull certificate of `_grid_sup` when it applies, and otherwise by a de
+    Casteljau sweep over only the points that an O(k) evaluation with a
+    proven error bound cannot rule out (`_sup_candidates`).
 
     With p's controls c_i of degree d on [a, b], p' has the controls
     d (c_(i+1) - c_i) / (b - a), so p' is not converted again.  Callers that
@@ -588,8 +566,6 @@ def divide_shifted(p: Polynomial, lam) -> Polynomial:
     is an internal inconsistency.
     """
     lam = as_fraction(lam)
-    if not p.coefficients:
-        return Polynomial.zero()
     nums, den = p._integers
     r, scale = p._compose_integers(nums, lam, -1)
     den *= scale

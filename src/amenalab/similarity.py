@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .reports import ConvergenceReport
-from .scalars import exact_sqrt, is_exact_zero, to_float
 from .spectrum import BlockOperator, DiagonalOperator, SpectrumSequence
 
 
@@ -36,24 +35,16 @@ def conjugate_by_upper_unipotent(X: BlockOperator, B: DiagonalOperator) -> Block
     return BlockOperator(X.b11, b12, X.b22)
 
 
-def minimal_intertwiner(spectrum) -> IntertwinerSolve:
+def minimal_intertwiner(spectrum: SpectrumSequence) -> IntertwinerSolve:
     """Solve B N = N^(1/2) entrywise: B = diag(lambda_n^(-1/2)), residual zero.
 
-    Accepts a SpectrumSequence, whose cached roots it reads, or a raw
-    DiagonalOperator; a zero diagonal entry is the finite-dimensional face of
-    the unboundedness obstruction and raises instead of solving.
+    The spectrum's points are positive by construction and its cached roots
+    are read, so B is always defined on the truncation.
     """
-    is_spectrum = isinstance(spectrum, SpectrumSequence)
-    N = spectrum.diagonal() if is_spectrum else spectrum
-    for i, d in enumerate(N.diag, start=1):
-        if is_exact_zero(d):
-            raise ValueError(f"intertwiner unbounded at index {i}")
-        if to_float(d) < 0:
-            raise ValueError(f"diagonal must be positive at index {i}")
-    roots = spectrum.roots if is_spectrum else tuple(exact_sqrt(d) for d in N.diag)
+    roots = spectrum.roots
     B = DiagonalOperator(tuple(1 / r for r in roots))
-    residual_diag = (B @ N) - DiagonalOperator(roots)
-    return IntertwinerSolve(len(N), B, B.norm(), residual_diag.norm())
+    residual_diag = (B @ spectrum.diagonal()) - DiagonalOperator(roots)
+    return IntertwinerSolve(len(spectrum), B, B.norm(), residual_diag.norm())
 
 
 def similarity_growth_sweep(spectrum_factory: Callable[[int], SpectrumSequence],

@@ -6,6 +6,9 @@ float; the arithmetic preserves whichever tier it is given.  The exact
 operators of the pipelines are graded at each coordinate n: rational diagonal
 blocks and an upper-right block in Q*sqrt(lambda_n), a Fraction or a `Surd`
 s*sqrt(lambda_n).  Sums and products keep the grading (see `scalars`).
+Polynomials of an operator (`apply_poly_to_block`) are exact only: they take
+rational coefficients and rational diagonal blocks, and raise TypeError on a
+float operator.
 """
 
 from __future__ import annotations
@@ -233,10 +236,9 @@ def build_shifted_T(spectrum: SpectrumSequence, n: int) -> BlockOperator:
 
 def _horner_numerators(nums: Sequence[int], num_a: int, num_c: int,
                        e: int) -> tuple[int, int, int, int]:
-    """The integer core of `_rational_horner`: (H_a, G, H_c, E^k) with
-    p(a) = H_a / (L E^k), Dp = G / (L E^k) and p(c) = H_c / (L E^k), for
-    a = A / E, c = C / E (A = num_a, C = num_c, E = e) and p = sum_j N_j z^j / L
-    of degree k.
+    """(H_a, G, H_c, E^k) with p(a) = H_a / (L E^k), Dp = G / (L E^k) and
+    p(c) = H_c / (L E^k), for a = A / E, c = C / E (A = num_a, C = num_c,
+    E = e) and p = sum_j N_j z^j / L of degree k, N nonempty.
 
     One homogenised pass H <- H A + N_j E^(k-j) (and likewise with C),
     G <- G A + H_c runs on integers only; G is its own accumulator, so Dp is
@@ -253,56 +255,46 @@ def _horner_numerators(nums: Sequence[int], num_a: int, num_c: int,
     return ha, g * e, hc, scale
 
 
-def _rational_horner(nums: Sequence[int], den: int, a, c) -> tuple[Fraction, Fraction, Fraction]:
-    """p(a), Dp and p(c) for rational a and c, where p has coefficients N_j / L,
-    from `_horner_numerators` over E = lcm(den a, den c)."""
-    e = lcm(a.denominator, c.denominator)
-    ha, g, hc, scale = _horner_numerators(nums, a.numerator * (e // a.denominator),
-                                          c.numerator * (e // c.denominator), e)
-    den *= scale
-    return Fraction(ha, den), Fraction(g, den), Fraction(hc, den)
-
-
 def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperator:
-    """Evaluate sum_k c_k X^k (ascending coefficients, zero constant term).
+    """Evaluate sum_k c_k X^k (ascending int or Fraction coefficients, zero
+    constant term) on an X with rational diagonal blocks.
 
     X is upper triangular with diagonal blocks, so each coordinate n is the
     2x2 matrix [[a, b], [0, c]] = [[b11[n], b12[n]], [0, b22[n]]], and
     p(X)_n = [[p(a), b Dp], [0, p(c)]] with the divided difference
-    Dp = (p(a) - p(c)) / (a - c), or p'(a) when a == c.  One Horner pass per
-    coordinate yields p(a), p(c) and Dp together through
-    Dp_j = Dp_{j+1} a + p_{j+1}(c), so the confluent case needs no branch and
-    every scalar stays in the tier of a and c until the single product with b.
-    When the coefficients, a and c are all rational (int or Fraction), the
-    pass runs on integer numerators over one common denominator and each of
-    p(a), p(c) and Dp is normalized once (see `_rational_horner`).
+    Dp = (p(a) - p(c)) / (a - c), or p'(a) when a == c.  The coefficients
+    are written once as integer numerators N_j over their lcm L, and per
+    coordinate one `_horner_numerators` pass over E = lcm(den a, den c)
+    yields p(a), p(c) and Dp together through Dp_j = Dp_{j+1} a + p_{j+1}(c),
+    so the confluent case needs no branch.  Each is normalized once, and b
+    (rational or a `Surd`) enters only in the single product b Dp.  A float
+    or `Surd` coefficient, or a diagonal entry that is not an int or
+    Fraction, raises TypeError.
     """
-    coeffs = tuple(reversed(coefficients))
-    if coeffs and not is_exact_zero(coeffs[-1]):
+    if not all(isinstance(x, (int, Fraction)) for x in coefficients):
+        raise TypeError("coefficients: must be int or Fraction")
+    if any(coefficients[:1]):
         raise ValueError("constant term must vanish; the algebra model is non-unital")
-    nums = None
-    if coeffs and all(isinstance(x, (int, Fraction)) for x in coeffs):
-        nums, den = _common_denominator(coefficients)
+    nums, den = _common_denominator((0, *coefficients[1:]))
     top, acc, bot = [], [], []
     for a, b, c in zip(X.b11.diag, X.b12.diag, X.b22.diag):
-        if nums is not None and isinstance(a, (int, Fraction)) and isinstance(c, (int, Fraction)):
-            pa, dp, pc = _rational_horner(nums, den, a, c)
-        else:
-            pa = pc = dp = 0
-            for coeff in coeffs:
-                dp = dp * a + pc
-                pa = pa * a + coeff
-                pc = pc * c + coeff
-        top.append(pa)
-        acc.append(dp * b)
-        bot.append(pc)
+        if not (isinstance(a, (int, Fraction)) and isinstance(c, (int, Fraction))):
+            raise TypeError(f"diagonal entries {a!r}, {c!r}: must be int or Fraction")
+        e = lcm(a.denominator, c.denominator)
+        ha, g, hc, scale = _horner_numerators(nums, a.numerator * (e // a.denominator),
+                                              c.numerator * (e // c.denominator), e)
+        d = den * scale
+        top.append(Fraction(ha, d))
+        acc.append(Fraction(g, d) * b)
+        bot.append(Fraction(hc, d))
     return BlockOperator(DiagonalOperator(tuple(top)), DiagonalOperator(tuple(acc)),
                          DiagonalOperator(tuple(bot)))
 
 
 def block_norms(X: BlockOperator) -> np.ndarray:
     """Norm of each coordinate block of a column-block operator (vanishing
-    upper-left block): sqrt(B12[n]^2 + B22[n]^2), as floats."""
+    upper-left block): sqrt(B12[n]^2 + B22[n]^2), as floats.  Exact entries
+    are floated once each, so an exact X needs no float copy first."""
     if not X.b11.is_zero():
         raise ValueError("block_norms needs a vanishing upper-left block")
     a = np.array([to_float(x) for x in X.b12.diag])

@@ -270,6 +270,13 @@ def test_unit_step_zero_polynomial():
     assert step.residual == pytest.approx(operator_norm(build_T(s).to_float()), abs=1e-14)
 
 
+def test_unit_step_rejects_a_constant_term():
+    # the step's q = p / z is p's coefficients shifted down one place; a
+    # nonzero p(0) is rejected before that, by u = p(T)
+    with pytest.raises(ValueError, match="constant term"):
+        unit_approximation_step(Polynomial((1, 1)), make_spectrum("geometric", 4))
+
+
 def test_unit_approximation_trend():
     s = make_spectrum("geometric", 8)
     steps = unit_approximation_steps(s, [8, 16, 32])

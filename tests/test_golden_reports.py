@@ -1,0 +1,51 @@
+"""Report bytes of two pipeline runs beyond the benchmark's workloads.
+
+`verify all --count 8` runs every pipeline at the default geometric ratio
+1/2, and `verify character --ratio 9/10 --count 32 --degrees 8:128` runs the
+character pipeline on spectrum points with denominators up to 10^32.  The
+digests were recorded before the exact polynomial kernels lost their float
+branches and their zero-polynomial special cases, so a change to any report
+byte shows here.
+"""
+
+import hashlib
+
+import pytest
+
+from amenalab.cli import main
+
+GOLDEN_ALL_8 = {
+    "character_bai.csv": "f6316ee8a6c46853a80f1642f4980b6cb6c18abe7ffdc3bbbc7e8a04c0a98f13",
+    "character_kernel_n1.csv": "f365013afd284ba3569f5fa9cf0f4ddecaa78bab09134f270db8d264e5d7ca0e",
+    "character_kernel_n2.csv": "1d3ebd49ae89668ab4927af292291e3915c2f50a191b0e2f0defadc9289d3ed0",
+    "character_kernel_n3.csv": "b7cc3b44c55d83a583e00aa773f3830c080bf021dc6c1ad14e514183dc19409b",
+    "character_unit.csv": "83551465019d4e109412daa2f5195889120468fe6e82969cbfea9236fc757df5",
+    "derivations_dichotomy.csv": "3de5fbdf2afd39b02174fea46bd9d5ce879444d42b696bab9ac41b82102d78cf",
+    "similarity_growth.csv": "ece12d336431d72c8467291ca41de210526e8ad80fdd2b9dd55777c7e2a52c5d",
+    "weak_generation.csv": "e888706b9520acd106fc4f2c3353de3eb96d25c454a23a09ac07e1c42c552326",
+    "weak_idempotency.csv": "2f00e187e164c26e82f676ac08bbf9b2988a16c8303b5e3bab4c896864c4bc0a",
+    "weak_membership.csv": "73b73387805a313e6fb223d1327d89fdd5341942c0e23dbad6a28a183753c456",
+}
+
+GOLDEN_CHARACTER_RATIO_9_10_32 = {
+    "character_bai.csv": "a0caeefe223ab758cbda77f671c720c6780c061dc8d673883fb1e6ba3346a392",
+    "character_kernel_n1.csv": "c3ee63e1e408709325e8c469894618bf1a0255f03601a7ef7aea7010d96342e9",
+    "character_kernel_n2.csv": "7ce642209238f861974d8ca44eb188eb0ca375da260c42c2ce6860bf042008f4",
+    "character_kernel_n3.csv": "2a967559e3f9cf7567ec9e6a8880da900a969ef011baead64bf6e9cab53db726",
+    "character_unit.csv": "829af0ae244bbb9ac52a1693b558cb5c217a6f94aad76c8c33afca89b484c96c",
+}
+
+
+@pytest.mark.parametrize("argv, summary, golden", [
+    (["verify", "all", "--count", "8"], "16/16 checks passed", GOLDEN_ALL_8),
+    (["verify", "character", "--ratio", "9/10", "--count", "32", "--degrees", "8:128"],
+     "9/9 checks passed", GOLDEN_CHARACTER_RATIO_9_10_32),
+], ids=["all_8", "character_ratio_9_10_32"])
+def test_reports_are_golden(tmp_path, capsys, argv, summary, golden):
+    out_dir = tmp_path / "reports"
+    assert main([*argv, "--out", str(out_dir)]) == 0
+    assert summary in capsys.readouterr().out
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(golden)
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in golden}
+    assert digests == golden

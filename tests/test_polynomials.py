@@ -9,10 +9,13 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amenalab import (InternalConsistencyError, Polynomial, approximate_with_derivative,
-                      divide_shifted, evaluate_on_grid, interval_sups, make_spectrum,
+from amenalab import (InternalConsistencyError, Polynomial, apply_poly_to_block,
+                      approximate_with_derivative, build_T, build_shifted_T, divide_shifted,
+                      evaluate_on_grid, exact_sqrt, interval_sups, make_spectrum,
                       mvt_bound_check, notch, sup_norm, unit_notch)
-from amenalab.polynomials import _bernstein_controls, _float_grid, _sup_candidates
+from amenalab.polynomials import (_bernstein_controls, _float_grid, _floats, _grid_sup,
+                                  _sup_candidates)
+from amenalab.amenability import membership_trials
 from amenalab.scalars import as_fraction
 from oracle_utils import (approximant_oracle, bernstein_to_monomial, count_calls,
                           count_method_calls, from_rational_strings, notch_derivative_array,
@@ -95,11 +98,9 @@ def test_poly_call_matches_sum_of_fraction_powers(coeffs, z):
     terms = [c * Fraction(z) ** k for k, c in enumerate(p.coefficients)]
     got = p(z)
     assert got == sum(terms, Fraction(0))
-    assert type(got) is (Fraction if p.coefficients else int)
-    if p.coefficients:
-        at_float = p(float(z))
-        assert type(at_float) is float
-        assert abs(at_float - float(sum(terms))) <= 1e-12 * float(sum(abs(t) for t in terms))
+    assert type(got) is Fraction  # the zero polynomial too
+    with pytest.raises(TypeError):
+        p(float(z))  # evaluation is exact only
 
 
 def exact_controls(p, a, b) -> list[Fraction]:
@@ -152,12 +153,6 @@ def test_evaluate_on_grid_matches_plain_sweep(num, degree):
         beta = beta[:-1] * (1 - t) + beta[1:] * t
     expected = np.broadcast_to(beta[0], (num,))
     assert np.array_equal(evaluate_on_grid(p, a, b, num), expected)
-
-
-def test_divided_by_z_guard():
-    assert Polynomial((0, 3, 5)).divided_by_z().coefficients == (3, 5)
-    with pytest.raises(InternalConsistencyError):
-        Polynomial((1, 1)).divided_by_z()
 
 
 def test_serialization_round_trip():
@@ -263,7 +258,7 @@ def test_approximant_root_at_origin_is_exact():
     s = make_spectrum("geometric", 8)
     for n in (1, 2, 3):
         p = approximate_with_derivative(notch(n, s), 12)
-        assert p.vanishes_at_zero
+        assert p.coefficients[0] == 0
         assert p(Fraction(0)) == 0
 
 
@@ -426,9 +421,9 @@ def test_sup_norm_spectrum_and_interval():
     s = make_spectrum("geometric", 3)
     assert sup_norm(Polynomial((0, 1)), s) == 0.5
     p = Polynomial((1, -1))  # 2*lambda - z at lambda = 1/2
-    assert sup_norm(p, (Fraction(-1, 2), Fraction(1, 2))) == pytest.approx(1.5, abs=1e-12)
+    assert interval_sups(p, Fraction(-1, 2), Fraction(1, 2))[0] == pytest.approx(1.5, abs=1e-12)
     assert sup_norm(Polynomial.zero(), s) == 0.0
-    assert sup_norm(Polynomial.zero(), (0, 1)) == 0.0
+    assert interval_sups(Polynomial.zero(), 0, 1)[0] == 0.0
 
 
 def _full_sweep_sup(p, a, b):
@@ -442,14 +437,15 @@ def _full_sweep_sup(p, a, b):
     for degree in (8, 33, 128, 256)
 ])
 def test_sup_norm_equals_full_sweep_on_notch_approximants(kind, ratio, degree):
-    """`sup_norm` of p and p', and `interval_sups` of p, are the full sweeps'
-    maxima; p' is converted on its own here, so the control differences that
-    `interval_sups` takes for p' are checked too."""
+    """The interval sups of p and of p', each converted on its own, and both
+    sups of `interval_sups` of p, are the full sweeps' maxima; so the control
+    differences that `interval_sups` takes for p' are checked too."""
     s = make_spectrum(kind, 16, **({"ratio": Fraction(ratio)} if ratio else {}))
     for f in (notch(1, s), notch(2, s), notch(3, s), unit_notch(s)):
         p = approximate_with_derivative(f, degree)
         expected = (_full_sweep_sup(p, f.a, f.b), _full_sweep_sup(p.derivative(), f.a, f.b))
-        assert (sup_norm(p, (f.a, f.b)), sup_norm(p.derivative(), (f.a, f.b))) == expected
+        assert (interval_sups(p, f.a, f.b)[0],
+                interval_sups(p.derivative(), f.a, f.b)[0]) == expected
         memo = {}
         assert interval_sups(p, f.a, f.b, memo) == expected
         assert memo == {(p, f.a, f.b): expected}
@@ -480,7 +476,6 @@ def test_sup_norm_equals_full_sweep_on_random_polynomials(coeffs, a, width):
     p = Polynomial(tuple(coeffs))
     b = a + width
     expected = _full_sweep_sup(p, a, b)
-    assert sup_norm(p, (a, b)) == expected
     assert interval_sups(p, a, b) == (expected, _full_sweep_sup(p.derivative(), a, b))
 
 
@@ -493,7 +488,7 @@ def test_sup_norm_equals_full_sweep_on_random_polynomials(coeffs, a, width):
 ], ids=["negative_end", "both_ends", "plateau", "guard_rejects", "largest_inside"])
 def test_hull_certificate_decides_endpoint_maxima_without_a_sweep(monkeypatch, coeffs, sweeps):
     calls = count_calls(monkeypatch, "amenalab.polynomials", "_de_casteljau")
-    sup_norm(Polynomial(tuple(coeffs)), (Fraction(0), Fraction(1)))
+    _grid_sup(_floats(*_bernstein_controls(Polynomial(tuple(coeffs)), Fraction(0), Fraction(1))))
     assert calls[0] == sweeps
 
 
@@ -511,6 +506,45 @@ def test_sup_candidates_prune_a_notch_derivative():
     f = notch(2, make_spectrum("geometric", 16))
     ctrl, t, s = _float_grid(approximate_with_derivative(f, 128).derivative(), f.a, f.b, 4096)
     assert np.count_nonzero(_sup_candidates(ctrl, t, s)) <= 4096 // 16
+
+
+# --- one exact path per kernel --------------------------------------------------
+
+@pytest.mark.parametrize("z", [0.5, 0.0, exact_sqrt(Fraction(1, 2))],
+                         ids=["float", "float_zero", "surd"])
+def test_evaluation_takes_rationals_only(z):
+    for p in (Polynomial((0, 1, Fraction(1, 3))), Polynomial.zero()):
+        with pytest.raises(TypeError):
+            p(z)
+
+
+def test_zero_polynomial_runs_the_integer_kernels():
+    """Zero is the integer form ((0,), 1), and every kernel gives exact zeros
+    from its one path."""
+    zero = Polynomial.zero()
+    assert zero._integers == ((0,), 1)
+    for z in (0, Fraction(0), Fraction(-7, 3)):
+        assert zero(z) == 0 and type(zero(z)) is Fraction
+    for alpha, beta in ((Fraction(1, 2), Fraction(-3)), (0, Fraction(2, 5))):
+        shifted = zero.compose_affine(alpha, beta)
+        assert shifted == zero and shifted._integers == ((0,), 1)
+    assert _bernstein_controls(zero, Fraction(-1), Fraction(2)) == ([0], 1)
+    assert interval_sups(zero, Fraction(-1), Fraction(2)) == (0.0, 0.0)
+    q = divide_shifted(zero, Fraction(1, 2))
+    assert q == zero and q._integers == ((0,), 1)
+    # an approximant of the zero function is zero, and its t-form is read from birth
+    born = approximate_with_derivative(PlainFunction(Fraction(-1), Fraction(1),
+                                                     lambda x: Fraction(0)), 4)
+    assert born == zero and born._integers == ((0,), 1)
+    assert _bernstein_controls(born, Fraction(-1), Fraction(1)) == ([0], 1)
+    assert interval_sups(born, Fraction(-1), Fraction(1)) == (0.0, 0.0)
+    s = make_spectrum("geometric", 4)
+    for X in (build_T(s), build_shifted_T(s, 2)):
+        image = apply_poly_to_block(zero.coefficients, X)
+        assert all(type(x) is Fraction and x == 0
+                   for block in (image.b11, image.b12, image.b22) for x in block.diag)
+        # the T~ integer trial on T, the composition itself on the shifted generator
+        assert membership_trials([zero], X, s) == [(0.0, 0.0, 0.0)]
 
 
 def test_mvt_bound_linear_case():

@@ -78,11 +78,6 @@ def test_minimal_intertwiner_least_squares_oracle():
     assert minimal_intertwiner(s).norm == pytest.approx(oracle_norm, abs=1e-10)
 
 
-def test_minimal_intertwiner_unbounded_at_zero():
-    with pytest.raises(ValueError, match="intertwiner unbounded at index 2"):
-        minimal_intertwiner(DiagonalOperator((Fraction(1, 2), Fraction(0))))
-
-
 def test_growth_sweep_geometric():
     report, _ = similarity_growth_sweep(lambda m: make_spectrum("geometric", m), [4, 8, 16])
     assert report.rows == ((4, 4.0), (8, 16.0), (16, 256.0))

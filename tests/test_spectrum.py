@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amenalab import (BlockOperator, DiagonalOperator, Polynomial, apply_poly_to_block,
-                      build_T, build_shifted_T, make_spectrum, operator_norm)
+                      build_T, build_shifted_T, exact_sqrt, make_spectrum, operator_norm)
 from amenalab.spectrum import block_norms
 from oracle_utils import (dense_exact, matmul_exact, matpow_exact, poly_to_sympy,
                           random_rational_poly, spectral_norm_oracle, to_sympy)
@@ -165,9 +165,8 @@ def test_block_power_large_truncation_matches_repeated_multiplication():
 
 
 def test_apply_poly_matches_naive_dense_sum():
-    rng = random.Random(11)
     s = make_spectrum("geometric", 3)
-    X = build_shifted_T(s, 2).to_float()
+    X = build_shifted_T(s, 2)
     p = Polynomial((0, Fraction(1, 2), Fraction(-2), Fraction(1, 3)))
     dense = np.array(X.to_dense())
     expected = sum(float(c) * np.linalg.matrix_power(dense, k)
@@ -205,6 +204,22 @@ def test_apply_poly_rejects_constant_term():
     s = make_spectrum("geometric", 2)
     with pytest.raises(ValueError, match="constant term"):
         apply_poly_to_block((Fraction(1), Fraction(1)), build_T(s))
+
+
+def test_apply_poly_takes_exact_arguments_only():
+    # one integer path: a float or Surd coefficient, a float operator and a
+    # Surd on the diagonal are rejected, not evaluated in another tier
+    s = make_spectrum("geometric", 2)
+    T = build_T(s)
+    root = exact_sqrt(Fraction(2))
+    for coefficients in ((0, 0.5), (0.0, Fraction(1)), (0, root)):
+        with pytest.raises(TypeError):
+            apply_poly_to_block(coefficients, T)
+    surd_diagonal = BlockOperator(DiagonalOperator((root,)), DiagonalOperator((Fraction(1),)),
+                                  DiagonalOperator((Fraction(1, 2),)))
+    for X in (T.to_float(), build_shifted_T(s, 1).to_float(), surd_diagonal):
+        with pytest.raises(TypeError):
+            apply_poly_to_block((0, 1), X)
 
 
 def test_functional_calculus_entrywise():

@@ -6,6 +6,7 @@ identity sweeps, characters, and defect bounds for nilpotent generators.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -14,10 +15,10 @@ import numpy as np
 
 from . import _rational_linalg as rl
 from .polynomials import (InternalConsistencyError, Polynomial, approximate_with_derivative,
-                          divide_shifted, interval_sups, mvt_bound_check, notch, sup_norm,
-                          unit_notch)
+                          interval_sups, notch, sup_norm, unit_notch)
 from .reports import ConvergenceReport
-from .scalars import Surd, as_fraction, is_exact_zero, surd_float, to_float
+from .scalars import (Surd, _root_split, _split_float, as_fraction, is_exact_zero,
+                      scaled_float, to_float)
 from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, _horner_numerators,
                        apply_poly_to_block, block_norms, build_T, build_shifted_T, operator_norm)
 
@@ -61,13 +62,22 @@ def _reference_trial(p: Polynomial, T: BlockOperator,
                            sup_norm(p, spectrum))
 
 
-def _t_tilde_coordinates(T: BlockOperator, spectrum: SpectrumSequence) -> list | None:
-    """(C, E, b, P, Q) per coordinate n of T = [[0, b], [0, lambda_n]], with
-    lambda_n = C / E and sqrt(lambda_n) b = P / Q; None unless every
-    coordinate has that shape with b rational or s sqrt(d)."""
+def _trial_weights(c: int, e: int, k: int) -> list[int]:
+    """w_j = c^(j-1) e^(k-j), j = 1..k.  For p = sum_j N_j z^j / L of degree
+    at most k with N_0 = 0, g = sum_j N_j w_j gives p(c/e) = c g / (L e^k)
+    and the divided difference of p at 0 and c/e, Dp = e g / (L e^k)."""
+    return [c ** (j - 1) * e ** (k - j) for j in range(1, k + 1)]
+
+
+def _trial_table(T: BlockOperator, spectrum: SpectrumSequence, k: int) -> list | None:
+    """What every trial of degree at most k shares at each coordinate n of
+    T = [[0, b], [0, lambda_n]], lambda_n = C / E, sqrt(lambda_n) b = P / Q:
+    the `_trial_weights`, C, E^k, CQ and PE for the membership test, and the
+    integers and root parts that float b Dp.  None unless every coordinate
+    has that shape with b rational or s sqrt(d) and sqrt(lambda_n) b rational."""
     if T.dim != len(spectrum):
         raise ValueError("operator dimension does not match the truncation")
-    coords = []
+    table = []
     for a, b, c, lam, root in zip(T.b11.diag, T.b12.diag, T.b22.diag, spectrum.values,
                                   spectrum.roots):
         if not (is_exact_zero(a) and isinstance(c, (int, Fraction)) and c == lam
@@ -76,29 +86,37 @@ def _t_tilde_coordinates(T: BlockOperator, spectrum: SpectrumSequence) -> list |
         product = root * b
         if isinstance(product, Surd):
             return None
-        coords.append((lam.numerator, lam.denominator, b, product.numerator,
-                       product.denominator))
-    return coords
+        num, e = lam.numerator, lam.denominator
+        scale = e ** k
+        # b Dp = b e g / (L e^k): top_num g over L top_den, times sqrt(d) for a Surd b
+        if isinstance(b, Surd):
+            p0, q0, *parts = _root_split(b.d.numerator, b.d.denominator)
+            top = (p0 * e * b.s.numerator, q0 * scale * b.s.denominator, parts)
+        else:
+            top = (e * b.numerator, scale * b.denominator, None)
+        table.append((_trial_weights(num, e, k), num, scale, num * product.denominator,
+                      product.numerator * e, *top))
+    return table
 
 
-def _integer_trial(p: Polynomial, coords: list) -> MembershipTrial | None:
-    """The trial of p on `_t_tilde_coordinates`, or None when p(T) is not an
+def _integer_trial(p: Polynomial, table: list) -> MembershipTrial | None:
+    """The trial of p on a `_trial_table`, or None when p(T) is not an
     algebra element."""
     nums, den = p._integers
     if nums[0]:
         raise ValueError("constant term must vanish; the algebra model is non-unital")
+    nums = nums[1:]
     tops, bottoms = [], []
-    for c, e, b, root_b_num, root_b_den in coords:
-        _, g, h, scale = _horner_numerators(nums, 0, c, e)
-        # p(lambda_n) = h/d against sqrt(lambda_n) b Dp = (P/Q) g/d
-        if h * root_b_den != root_b_num * g:
+    for weights, c, scale, cq, pe, top_num, top_den, parts in table:
+        g = sum(map(operator.mul, nums, weights))
+        # p(lambda_n) = sqrt(lambda_n) b Dp over L E^k Q: (C g) Q = P (E g)
+        if g * cq != pe * g:
             return None
-        d = den * scale
-        bottoms.append(h / d)
-        if isinstance(b, Surd):
-            tops.append(surd_float(g * b.s.numerator, d * b.s.denominator, b.d))
+        bottoms.append(c * g / (den * scale))
+        if parts is None:
+            tops.append(g * top_num / (den * top_den))
         else:
-            tops.append(g * b.numerator / (d * b.denominator))
+            tops.append(_split_float(g * top_num, den * top_den, *parts))
     norm = float(np.max(np.hypot(np.array(tops), np.array(bottoms)), initial=0.0))
     return MembershipTrial(0.0, norm, max(0.0, *map(abs, bottoms)))  # |p(0)| = 0
 
@@ -114,18 +132,22 @@ def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
     work is that of T~ = [[0, I], [0, N]], all rational: coordinate n of
     p(T) is [[p(0), b_n Dp], [0, p(lambda_n)]] with p(0) = 0 and Dp the
     divided difference of p at 0 and lambda_n, and for invertible b,
-    T = D T~ D^-1 with D = diag(I, b^-1).  `_horner_numerators` at a = 0
-    gives integers h and g, from two accumulators, with p(lambda_n) = h/d and
-    Dp = g/d, and p(T) is an algebra element iff h = sqrt(lambda_n) b_n g at
-    every n: an exact integer test that fails when T's upper-right block is
-    not N^(1/2) (up to the zeros of Dp).  A passing trial has residual 0 and
-    floats each entry once, correctly rounded or by `surd_float`; any other
-    trial, and every trial on a T of another shape, is the composition itself.
+    T = D T~ D^-1 with D = diag(I, b^-1).  With lambda_n = C / E and K the
+    largest trial degree, one table per call holds each coordinate's
+    weights C^(j-1) E^(K-j) (`_trial_weights`), so each trial's numerator g
+    is one dot product with p(lambda_n) = C g / (L E^K) and Dp = E g / (L E^K).
+    p(T) is an algebra element iff p(lambda_n) = sqrt(lambda_n) b_n Dp at
+    every n: an exact integer test, run for every trial and coordinate, that
+    fails when T's upper-right block is not N^(1/2) (up to the zeros of Dp).
+    A passing trial has residual 0 and floats each entry once, correctly
+    rounded or by the root split of b_n made once per call; any other trial,
+    and every trial on a T of another shape, is the composition itself.
     """
-    coords = _t_tilde_coordinates(T, spectrum)
+    polynomials = list(polynomials)
+    table = _trial_table(T, spectrum, max([0, *(p.degree for p in polynomials)]))
     trials = []
     for p in polynomials:
-        trial = _integer_trial(p, coords) if coords is not None else None
+        trial = _integer_trial(p, table) if table is not None else None
         trials.append(trial if trial is not None else _reference_trial(p, T, spectrum))
     return trials
 
@@ -371,27 +393,74 @@ class ApproximationStep(NamedTuple):
     certified_bound: float
 
 
+def _polynomial_norms(p: Polynomial, X: BlockOperator) -> tuple[float, float, list]:
+    """(||X u - X||, ||u||, values) for u = p(X), p(0) = 0, on an X with
+    rational diagonal blocks, bitwise `operator_norm` of the floats of the
+    exact X u - X and u, which are never built.
+
+    Coordinate n of X is [[a, b], [0, c]], so u_n = [[p(a), b Dp], [0, p(c)]]
+    and (X u - X)_n = [[a (p(a) - 1), b (a Dp + p(c) - 1)], [0, c (p(c) - 1)]],
+    with Dp the divided difference of p at a and c.  One `_horner_numerators`
+    pass with a = A / E, c = C / E gives p(a) = H_a / d, Dp = G / d and
+    p(c) = H_c / d, and each entry is floated once from integers over d or
+    E d (`scaled_float` for b).  `values` holds (A, E, H_a, G, H_c, d) per
+    coordinate.
+    """
+    nums, den = p._integers
+    if nums[0]:
+        raise ValueError("constant term must vanish; the algebra model is non-unital")
+    u, r, values = [], [], []
+    for a, b, c in zip(X.b11.diag, X.b12.diag, X.b22.diag):
+        e = math.lcm(a.denominator, c.denominator)
+        big_a, big_c = a.numerator * (e // a.denominator), c.numerator * (e // c.denominator)
+        ha, g, hc, scale = _horner_numerators(nums, big_a, big_c, e)
+        d = den * scale
+        ed = e * d
+        u.append((ha / d, scaled_float(b, g, d), hc / d))
+        r.append((big_a * (ha - d) / ed, scaled_float(b, big_a * g + e * (hc - d), ed),
+                  big_c * (hc - d) / ed))
+        values.append((big_a, e, ha, g, hc, d))
+    # the rows of coordinates, transposed, are the three float diagonal blocks
+    return (operator_norm(BlockOperator(*map(DiagonalOperator, zip(*r)))),
+            operator_norm(BlockOperator(*map(DiagonalOperator, zip(*u)))), values)
+
+
+def _divided_sup(p: Polynomial, lam_n: Fraction, values: list) -> float:
+    """sup|q| over the spectrum and the origin for the q of `divide_shifted`,
+    z q(z) = lambda_n p(lambda_n) - (lambda_n - z) p(lambda_n - z), bitwise
+    `sup_norm(divide_shifted(p, lam_n), spectrum)`, from closed forms: at
+    coordinate m of lambda_n I - T, a = lambda_n and c = lambda_n - lambda_m,
+    so q(lambda_m) = a Dp + p(c) from its `_polynomial_norms` values, and
+    q(0) = p(lambda_n) + lambda_n p'(lambda_n) from one more integer pass."""
+    nums, den = p._integers
+    top, bottom = lam_n.numerator, lam_n.denominator
+    ha, dp, _, scale = _horner_numerators(nums, top, top, bottom)  # dp / d = p'(lambda_n)
+    return max(abs((bottom * ha + top * dp) / (bottom * den * scale)),
+               *(abs((big_a * g + e * hc) / (e * d)) for big_a, e, _, g, hc, d in values))
+
+
 def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence,
                               memo: dict | None = None) -> ApproximationStep:
-    """One sweep step for the n-th kernel algebra: build u = p(shifted
-    generator), measure the multiplication residual and the element norm, and
-    certify the norm from scalar sup bounds only.
+    """One sweep step for the n-th kernel algebra: u = p(X) for the shifted
+    generator X = lambda_n I - T, the multiplication residual ||X u - X|| and
+    the element norm ||u|| (`_polynomial_norms`), and a certificate for the
+    norm from scalar sup bounds only.
 
     The certificate combines the eigenvalue sup of p with the mean-value bound
-    for the divided polynomial, which controls the off-diagonal block.  `memo`
-    is the memo of `interval_sups`.
+    for the divided polynomial q (`_divided_sup`), which controls the
+    off-diagonal block.  The floats are bitwise those of the exact block
+    composition with `divide_shifted` and `mvt_bound_check`; `memo` is the
+    memo of `interval_sups`.
     """
     lam_n = spectrum.lam(n)
     lam_1 = spectrum.lam(1)
-    shifted = build_shifted_T(spectrum, n)
-    u = apply_poly_to_block(p.coefficients, shifted)
-    residual = operator_norm(((shifted @ u) - shifted).to_float())
-    element_norm = operator_norm(u.to_float())
-    q = divide_shifted(p, lam_n)
-    check = mvt_bound_check(p, q, lam_n, spectrum, memo)
-    certified = check.p_sup + math.sqrt(float(lam_1)) * (check.rhs + check.p_sup) / float(lam_n)
+    residual, element_norm, values = _polynomial_norms(p, build_shifted_T(spectrum, n))
+    q_sup = _divided_sup(p, lam_n, values)
+    p_sup, dp_sup = interval_sups(p, lam_n - lam_1, lam_n, memo)
+    rhs = p_sup + float(lam_n) * dp_sup
+    certified = p_sup + math.sqrt(float(lam_1)) * (rhs + p_sup) / float(lam_n)
     return ApproximationStep(max(p.degree, 0), residual, element_norm,
-                             check.rhs, check.ok, certified)
+                             rhs, q_sup <= rhs + 1e-12, certified)
 
 
 def approximate_identity_steps(n: int, spectrum: SpectrumSequence, degrees: Sequence[int],
@@ -421,20 +490,28 @@ def report_from_steps(steps: Sequence[ApproximationStep], tolerance: float | Non
                              rows, met, bounded, tol_field)
 
 
+def _quotient_sup(p: Polynomial, values: list) -> float:
+    """sup|p / z| over the spectrum and the origin, bitwise
+    `sup_norm(Polynomial(p.coefficients[1:]), spectrum)`: at coordinate m of
+    T, a = 0 and c = lambda_m, so q(lambda_m) = Dp from its
+    `_polynomial_norms` values, and q(0) = p_1."""
+    q_zero = float(p.coefficients[1]) if p.degree >= 1 else 0.0
+    return max(abs(q_zero), *(abs(g / d) for _, _, _, g, _, d in values))
+
+
 def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence,
                             memo: dict | None = None) -> ApproximationStep:
-    """One sweep step against the generator itself: u = p(T), residual ||Tu - T||.
-    `memo` is the memo of `interval_sups`."""
+    """One sweep step against the generator itself: u = p(T) and the residual
+    ||T u - T|| (`_polynomial_norms`), with q = p / z (`_quotient_sup`)
+    bounded by sup|p'| on [0, lambda_1].  `memo` is the memo of
+    `interval_sups`."""
     lam_1 = spectrum.lam(1)
-    T = build_T(spectrum)
-    u = apply_poly_to_block(p.coefficients, T)
-    residual = operator_norm(((T @ u) - T).to_float())
-    element_norm = operator_norm(u.to_float())
-    q = Polynomial(p.coefficients[1:])  # p / z: u = p(T) has checked p(0) = 0
+    residual, element_norm, values = _polynomial_norms(p, build_T(spectrum))
+    q_sup = _quotient_sup(p, values)
     p_sup, q_bound = interval_sups(p, Fraction(0), lam_1, memo)
-    mvt_ok = sup_norm(q, spectrum) <= q_bound + 1e-12
     certified = p_sup + math.sqrt(float(lam_1)) * q_bound
-    return ApproximationStep(max(p.degree, 0), residual, element_norm, q_bound, mvt_ok, certified)
+    return ApproximationStep(max(p.degree, 0), residual, element_norm, q_bound,
+                             q_sup <= q_bound + 1e-12, certified)
 
 
 def unit_approximation_steps(spectrum: SpectrumSequence, degrees: Sequence[int],

@@ -26,6 +26,12 @@ points to sweep.  Either way the result is bitwise the full sweep's maximum.
 `interval_sups` gives sup|p| and sup|p'| on an interval from one exact
 conversion of p, and floats each control by one integer division;
 `sup_norm` is the sup over a spectrum and the origin, evaluated exactly.
+Of the mean-value check, the pipelines call only `interval_sups`: the
+character steps take sup|q| of the divided polynomial from closed forms in
+the values of p(X) (`amenability`), so `divide_shifted`, `mvt_bound_check`
+and, outside a failing membership trial, `sup_norm` serve as the tests'
+oracles.  Coefficients and scalar factors of a `Polynomial` are int or
+Fraction; a float raises TypeError.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .scalars import _common_denominator, as_fraction
+from .scalars import _common_denominator, _rational, as_fraction
 from .spectrum import SpectrumSequence
 
 DEFAULT_GRID = 4096
@@ -52,12 +58,14 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial with exact rational coefficients, ascending degree, trimmed."""
+    """Polynomial with exact rational coefficients, ascending degree, trimmed.
+    Coefficients and scalar factors are int or Fraction; a float raises
+    TypeError."""
 
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = [as_fraction(c) for c in self.coefficients]
+        coeffs = [_rational(c) for c in self.coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -68,11 +76,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        return cls((as_fraction(c),))
+        return cls((_rational(c),))
 
     @classmethod
     def monomial(cls, power: int, c=1) -> "Polynomial":
-        return cls((Fraction(0),) * power + (as_fraction(c),))
+        return cls((Fraction(0),) * power + (_rational(c),))
 
     # (a, b, numerators, denominator) of the t-form on the birth interval
     # [a, b], set by `approximate_with_derivative`; not a dataclass field, so
@@ -129,7 +137,7 @@ class Polynomial:
                 for j, b in enumerate(other.coefficients):
                     out[i + j] += a * b
             return Polynomial(tuple(out))
-        c = as_fraction(other)
+        c = _rational(other)
         return Polynomial(tuple(c * a for a in self.coefficients))
 
     __rmul__ = __mul__

@@ -9,7 +9,8 @@ Sums keep the grading blockwise, and so do products: the upper-right block of
 So every exact entry is rational or a rational multiple of one square root,
 and the product of two such multiples is rational.  Floats mark the analysis
 tier.  Arithmetic never promotes exact values to float implicitly; `to_float`
-is the only crossing.
+is the only crossing, and `scaled_float` is to_float of a product that it
+does not build.
 
 `float(Surd)` gives the bits of sympy 1.14's float of the same number, so
 reports do not depend on how a value was computed.  sympy writes the root as
@@ -164,8 +165,17 @@ def surd_float(num: int, den: int, d: Fraction) -> float:
     c = p0/q0 * num/den.  num/den need not be in lowest terms."""
     if not num:
         return 0.0
-    p0, q0, (root, root_exp), bare = _root_split(d.numerator, d.denominator)
-    p, q = p0 * num, q0 * den
+    p0, q0, root, bare = _root_split(d.numerator, d.denominator)
+    return _split_float(p0 * num, q0 * den, root, bare)
+
+
+def _split_float(p: int, q: int, root: tuple[int, int], bare: float) -> float:
+    """float(c * sqrt(n)) with sympy's bits for c = p/q, q > 0, where `root`
+    and `bare` are the parts of sqrt(n) that `_root_split` gives.  Callers
+    that float many multiples of one root split it once and call this."""
+    if not p:
+        return 0.0
+    root, root_exp = root
     if p == q:
         return bare
     # |c| = |p|/q scaled to 65 or 66 bits, floored, then cut to 64
@@ -307,6 +317,14 @@ def exact_sqrt(x):
 
 def to_float(x) -> float:
     return float(x)
+
+
+def scaled_float(x, num: int, den: int) -> float:
+    """to_float(x * num / den) for an exact x (int, Fraction or `Surd`) and
+    den > 0, bitwise, without building the exact product."""
+    if isinstance(x, Surd):
+        return surd_float(num * x.s.numerator, den * x.s.denominator, x.d)
+    return num * x.numerator / (den * x.denominator)
 
 
 def is_exact_zero(x) -> bool:

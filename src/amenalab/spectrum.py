@@ -8,7 +8,12 @@ blocks and an upper-right block in Q*sqrt(lambda_n), a Fraction or a `Surd`
 s*sqrt(lambda_n).  Sums and products keep the grading (see `scalars`).
 Polynomials of an operator (`apply_poly_to_block`) are exact only: they take
 rational coefficients and rational diagonal blocks, and raise TypeError on a
-float operator.
+float operator.  The pipelines do not build them: the character steps call
+`_horner_numerators` per coordinate and float each entry of p(X) and X p(X) - X
+from its integers, and the membership trials take one dot product per
+coordinate (`amenability`).  `apply_poly_to_block` and the exact block
+product remain the fallback of a failing membership trial and the tests'
+oracle for both.
 """
 
 from __future__ import annotations

@@ -518,6 +518,34 @@ def test_evaluation_takes_rationals_only(z):
             p(z)
 
 
+# Floats never enter the exact tier through a polynomial's entry points.
+
+def test_constructor_rejects_a_float_coefficient():
+    with pytest.raises(TypeError):
+        Polynomial((0, 0.1))
+    assert Polynomial((0, 1, Fraction(1, 3))).coefficients == (0, 1, Fraction(1, 3))
+
+
+def test_constant_rejects_a_float():
+    with pytest.raises(TypeError):
+        Polynomial.constant(0.5)
+    assert Polynomial.constant(Fraction(1, 2)).coefficients == (Fraction(1, 2),)
+
+
+def test_monomial_rejects_a_float_coefficient():
+    with pytest.raises(TypeError):
+        Polynomial.monomial(3, 0.25)
+    assert Polynomial.monomial(2, Fraction(1, 4)).coefficients == (0, 0, Fraction(1, 4))
+
+
+def test_scalar_product_rejects_a_float():
+    p = Polynomial((0, 1, Fraction(1, 3)))
+    for product in (lambda: p * 0.5, lambda: 0.5 * p):
+        with pytest.raises(TypeError):
+            product()
+    assert 3 * p == p * Fraction(3) == Polynomial((0, 3, 1))
+
+
 def test_zero_polynomial_runs_the_integer_kernels():
     """Zero is the integer form ((0,), 1), and every kernel gives exact zeros
     from its one path."""

@@ -112,6 +112,22 @@ def test_verify_weak_work_is_linear_in_M(monkeypatch, tmp_path, capsys):
     assert den_calls[0] <= 4 * m
 
 
+def test_verify_weak_trials_share_one_weight_table(monkeypatch, tmp_path, capsys):
+    """The 100 membership trials pass without a Horner pass or a composition:
+    each trial is one dot product per coordinate with weights that are built
+    once per coordinate.  They made 6,400 `_horner_numerators` passes at
+    M = 64, each rebuilding the powers of the coordinate's denominator."""
+    m = 64
+    horner = count_calls(monkeypatch, "amenalab.spectrum", "_horner_numerators")
+    weights = count_calls(monkeypatch, "amenalab.amenability", "_trial_weights")
+    compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
+    assert main(["verify", "weak", "--count", str(m), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert horner[0] == 0
+    assert compositions[0] == 0
+    assert weights[0] == m
+
+
 def test_verify_character_sweeps_each_interval_sup_once(monkeypatch, tmp_path, capsys):
     """On a geometric spectrum `kernel_n1` and `unit` get the same polynomial
     on [0, lambda_1] at every degree: 5 degrees x (3 kernels + unit) = 20
@@ -119,9 +135,9 @@ def test_verify_character_sweeps_each_interval_sup_once(monkeypatch, tmp_path, c
     converted to Bernstein form once for both p and p'.  Of the 30 distinct
     sups, the hull certificate decides the `kernel_n1`/`unit` p and p' at
     every degree, so 20 sweeps run.  Each of the 20 approximants takes one
-    Taylor shift and each of the 15 kernel divisions one more; every
-    conversion is on a birth interval, so it takes none (60 at the parent,
-    which shifted into z and back and built the origin pin in z)."""
+    Taylor shift; the kernel steps read sup|q| from closed forms, with no
+    shifted division, and every conversion is on a birth interval, so
+    neither takes one."""
     sweeps = count_calls(monkeypatch, "amenalab.polynomials", "_de_casteljau")
     conversions = count_calls(monkeypatch, "amenalab.polynomials", "_bernstein_controls")
     shifts = count_method_calls(monkeypatch, Polynomial, "_compose_integers")
@@ -129,7 +145,7 @@ def test_verify_character_sweeps_each_interval_sup_once(monkeypatch, tmp_path, c
     capsys.readouterr()
     assert conversions[0] == 15
     assert sweeps[0] == 20
-    assert shifts[0] == 35
+    assert shifts[0] == 20
 
 
 # Spectra of the membership trials: geometric 1/2 has a rational root at every

@@ -17,8 +17,8 @@ from . import _rational_linalg as rl
 from .polynomials import (InternalConsistencyError, Polynomial, approximate_with_derivative,
                           interval_sups, notch, sup_norm, unit_notch)
 from .reports import ConvergenceReport
-from .scalars import (Surd, _root_split, _split_float, as_fraction, is_exact_zero,
-                      scaled_float, to_float)
+from .scalars import (Surd, _common_denominator, _root_split, _split_float, as_fraction,
+                      is_exact_zero, scaled_float, to_float)
 from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, _horner_numerators,
                        apply_poly_to_block, block_norms, build_T, build_shifted_T, operator_norm)
 
@@ -254,22 +254,63 @@ def generation_sweep(spectrum: SpectrumSequence) -> GenerationSweep:
 ExactMatrix = tuple  # tuple of row tuples of Fractions
 
 
-def _to_exact_matrix(m) -> ExactMatrix:
+class _Flat(NamedTuple):
+    """A square matrix as row-major integer numerators over one denominator."""
+
+    nums: tuple[int, ...]
+    den: int
+
+
+def _to_exact_matrix(m) -> _Flat:
+    """int and Fraction entries (a numpy integer array too) over their common
+    denominator; any other entry, a float included, raises TypeError."""
     rows = [list(r) for r in (m.tolist() if isinstance(m, np.ndarray) else m)]
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise ValueError("generators and module elements must be square matrices")
-    return tuple(tuple(as_fraction(x) for x in r) for r in rows)
+    entries = [x for r in rows for x in r]
+    for x in entries:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"matrix entry {x!r}: not an exact rational (int or Fraction)")
+    nums, den = _common_denominator(entries)
+    return _Flat(tuple(nums), den)
 
 
-def _mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
+def _mat_mul(a: _Flat, b: _Flat, n: int) -> _Flat:
+    """Integer product of the numerators over the product of the denominators."""
+    cols = [b.nums[j::n] for j in range(n)]
+    return _Flat(tuple(sum(map(operator.mul, a.nums[i:i + n], col))
+                       for i in range(0, n * n, n) for col in cols), a.den * b.den)
 
 
-def _vec(m: ExactMatrix) -> list[Fraction]:
-    return [x for row in m for x in row]
+def _combination(coeffs: Sequence[Fraction], mats: Sequence[_Flat]) -> _Flat:
+    """sum_t coeffs[t] * mats[t], for a nonempty list, on integer numerators."""
+    scaled = [c / m.den for c, m in zip(coeffs, mats)]
+    den = math.lcm(*(c.denominator for c in scaled))
+    weights = [c.numerator * (den // c.denominator) for c in scaled]
+    return _Flat(tuple(sum(map(operator.mul, weights, entries))
+                       for entries in zip(*(m.nums for m in mats))), den)
+
+
+def _rows(m: _Flat, n: int) -> ExactMatrix:
+    """The exact matrix, one Fraction per entry."""
+    return tuple(tuple(Fraction(x, m.den) for x in m.nums[i:i + n])
+                 for i in range(0, n * n, n))
+
+
+def _coordinates(basis: Sequence[_Flat], targets: Sequence[_Flat]) -> list[list[Fraction]] | None:
+    """Coordinates of every target in the basis matrices, or None if one lies
+    outside their span.  One integer solve on the numerators serves all the
+    targets; each coefficient is then rescaled by the ratio of denominators."""
+    sols = rl.solve_in_span([b.nums for b in basis], [t.nums for t in targets])
+    if sols is None:
+        return None
+    return [[Fraction(c.numerator * b.den, c.denominator * t.den) for c, b in zip(sol, basis)]
+            for sol, t in zip(sols, targets)]
+
+
+def _commute(a: _Flat, b: _Flat, n: int) -> bool:
+    return _mat_mul(a, b, n).nums == _mat_mul(b, a, n).nums
 
 
 @dataclass(frozen=True)
@@ -292,94 +333,91 @@ class DerivationSpace:
         return len(self.basis)
 
 
-def _combination(coeffs: Sequence[Fraction], mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    """sum_t coeffs[t] * mats[t] for a nonempty list of matrices."""
-    size = len(mats[0])
-    return tuple(tuple(sum(c * m[p][q] for c, m in zip(coeffs, mats))
-                       for q in range(size)) for p in range(size))
-
-
 def derivation_space(generators, bimodule=None) -> DerivationSpace:
     """Basis of derivations from the (non-unital) algebra generated by the
     commuting matrices into a commutative bimodule.
 
     The algebra basis b_1..b_s collects independent products of the
-    generators, breadth first; only independent elements are multiplied
-    further, which spans the algebra.  The unknowns are the module
-    coordinates of D(b_t), and every pair i <= j contributes the Leibniz
-    equation D(b_i b_j) = b_i D(b_j) + b_j D(b_i), with b_i b_j expanded in
-    the basis.  Leibniz on basis pairs implies it everywhere, so the exact
-    rational nullspace is the derivation space.  The bimodule defaults to the
-    algebra itself acting by multiplication.
+    generators, breadth first, each tested against an incremental integer
+    echelon form; only independent elements are multiplied further, which
+    spans the algebra.  The unknowns are the module coordinates of D(b_t),
+    and every pair i <= j contributes the Leibniz equation
+    D(b_i b_j) = b_i D(b_j) + b_j D(b_i), with b_i b_j expanded in the basis.
+    Leibniz on basis pairs implies it everywhere, so the exact rational
+    nullspace is the derivation space.  The bimodule defaults to the algebra
+    itself acting by multiplication.
+
+    Entries are int or Fraction (a float raises TypeError).  Every matrix is
+    integer numerators over one denominator, products multiply both, and the
+    coordinates of all products in one basis come from one fraction-free
+    elimination; the Fractions of the result are built at the end.
     """
-    gens = tuple(_to_exact_matrix(g) for g in generators)
+    gens = [_to_exact_matrix(g) for g in generators]
     if not gens:
         raise ValueError("at least one generator is required")
+    n = math.isqrt(len(gens[0].nums))
+    if any(len(g.nums) != n * n for g in gens):
+        raise ValueError("generators and module elements must all have one size")
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if _mat_mul(gens[i], gens[j]) != _mat_mul(gens[j], gens[i]):
+            if not _commute(gens[i], gens[j], n):
                 raise ValueError("generators must commute pairwise")
 
-    algebra: list[ExactMatrix] = []
-    algebra_vecs: list[list[Fraction]] = []
-    layer = list(gens)
+    algebra: list[_Flat] = []
+    echelon: dict = {}
+    layer = gens
     while layer:
-        fresh = []
-        for m in layer:
-            v = _vec(m)
-            if rl.solve_in_span(algebra_vecs, v) is None:
-                algebra.append(m)
-                algebra_vecs.append(v)
-                fresh.append(m)
-        layer = [_mat_mul(m, g) for m in fresh for g in gens]
+        fresh = [m for m in layer if rl.extend_echelon(echelon, m.nums)]
+        algebra += fresh
+        layer = [_mat_mul(m, g, n) for m in fresh for g in gens]
     algebra_dim = len(algebra)
+
+    pairs = [(i, j) for i in range(algebra_dim) for j in range(i, algebra_dim)]
+    coords = _coordinates(algebra, [*(_mat_mul(algebra[i], algebra[j], n) for i, j in pairs),
+                                    *gens])
+    if coords is None:
+        raise InternalConsistencyError("algebra basis is not closed under products")
+    mu = dict(zip(pairs, coords))
+    gen_coords = coords[len(pairs):]
 
     if bimodule is None:
         module_kind = "algebra"
-        module = tuple(algebra)
+        module = algebra
+        # b_t x_q = b_t b_q, whose coordinates are the structure constants
+        action = [[mu[min(t, q), max(t, q)] for q in range(algebra_dim)]
+                  for t in range(algebra_dim)]
     else:
         module_kind = "supplied"
-        module = tuple(_to_exact_matrix(x) for x in bimodule)
-        for g in gens:
-            for x in module:
-                if _mat_mul(g, x) != _mat_mul(x, g):
-                    raise ValueError("bimodule action must be commutative")
-    module_vecs = [_vec(x) for x in module]
+        module = [_to_exact_matrix(x) for x in bimodule]
+        if any(len(x.nums) != n * n for x in module):
+            raise ValueError("generators and module elements must all have one size")
+        if not all(_commute(g, x, n) for g in gens for x in module):
+            raise ValueError("bimodule action must be commutative")
+        products = _coordinates(module, [_mat_mul(b, x, n) for b in algebra for x in module])
+        if products is None:
+            raise ValueError("bimodule is not invariant under the generators")
+        action = [products[t * len(module):(t + 1) * len(module)] for t in range(algebra_dim)]
     s_x = len(module)
 
-    def action_matrix(b: ExactMatrix) -> rl.Matrix:
-        cols = []
-        for x in module:
-            coeffs = rl.solve_in_span(module_vecs, _vec(_mat_mul(b, x)))
-            if coeffs is None:
-                raise ValueError("bimodule is not invariant under the generators")
-            cols.append(coeffs)
-        return [[cols[q][p] for q in range(s_x)] for p in range(s_x)]
+    # unknown t * s_x + p is coordinate p of D(b_t); action[t][q][p] is
+    # coordinate p of b_t x_q
+    rows = []
+    for (i, j), m in mu.items():
+        for p in range(s_x):
+            row = [Fraction(0)] * (algebra_dim * s_x)
+            for t, m_t in enumerate(m):
+                row[t * s_x + p] += m_t
+            for q in range(s_x):
+                row[j * s_x + q] -= action[i][q][p]
+                row[i * s_x + q] -= action[j][q][p]
+            rows.append(_common_denominator(row)[0])
 
-    rho = [action_matrix(b) for b in algebra]
-
-    # unknown t * s_x + p is coordinate p of D(b_t)
-    rows: rl.Matrix = []
-    for i in range(algebra_dim):
-        for j in range(i, algebra_dim):
-            mu = rl.solve_in_span(algebra_vecs, _vec(_mat_mul(algebra[i], algebra[j])))
-            if mu is None:
-                raise InternalConsistencyError("algebra basis is not closed under products")
-            for p in range(s_x):
-                row = [Fraction(0)] * (algebra_dim * s_x)
-                for t, m_t in enumerate(mu):
-                    row[t * s_x + p] += m_t
-                for q in range(s_x):
-                    row[j * s_x + q] -= rho[i][p][q]
-                    row[i * s_x + q] -= rho[j][p][q]
-                rows.append(row)
-
-    gen_coords = [rl.solve_in_span(algebra_vecs, _vec(g)) for g in gens]
     basis = []
     for sol in rl.nullspace(rows, algebra_dim * s_x):
         images = [_combination(sol[t * s_x:(t + 1) * s_x], module) for t in range(algebra_dim)]
-        basis.append(tuple(_combination(c, images) for c in gen_coords))
-    return DerivationSpace(gens, module_kind, module, tuple(basis), algebra_dim)
+        basis.append(tuple(_rows(_combination(c, images), n) for c in gen_coords))
+    return DerivationSpace(tuple(_rows(g, n) for g in gens), module_kind,
+                           tuple(_rows(x, n) for x in module), tuple(basis), algebra_dim)
 
 
 # --- approximate identities --------------------------------------------------
@@ -550,7 +588,8 @@ def bai_defect(generator, bound: float) -> float:
         raise ValueError("generator must be a square matrix")
     if bound <= 0:
         raise ValueError("bound: must be positive")
-    Q = _to_exact_matrix(generator)
+    Q = [[as_fraction(x) for x in row]
+         for row in (generator.tolist() if isinstance(generator, np.ndarray) else generator)]
     n = len(Q)
     if n == 1:
         return float(abs(Q[0][0]) * max(0, 1 - as_fraction(bound)))

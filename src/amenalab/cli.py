@@ -421,7 +421,7 @@ def _verify_derivations(cfg: RunConfig):
     for dim in range(1, 5):
         for mask in range(1, 2 ** dim):
             case += 1
-            diag = [[Fraction(int(i == j and (mask >> i) & 1)) for j in range(dim)]
+            diag = [[int(i == j and (mask >> i) & 1) for j in range(dim)]
                     for i in range(dim)]
             space = derivation_space([diag])
             rows.append((case, space.dimension, space.dimension, space.algebra_dim))
@@ -429,7 +429,7 @@ def _verify_derivations(cfg: RunConfig):
     nilpotent_dims = []
     for size in (2, 3, 4):
         case += 1
-        jordan = [[Fraction(int(j == i + 1)) for j in range(size)] for i in range(size)]
+        jordan = [[int(j == i + 1) for j in range(size)] for i in range(size)]
         space = derivation_space([jordan])
         nilpotent_dims.append(space.dimension)
         rows.append((case, 0 if space.dimension >= 1 else 1,

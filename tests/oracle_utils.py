@@ -1,10 +1,10 @@
 """Independent oracles for the test suite: naive dense products in exact
 arithmetic, SVD spectral norms, a brute-force derivation solver over the full
 linear-map space, seeded random rational generators, exact sympy values
-of scalar entries, and the Bernstein approximant built in z with Fraction
-arithmetic.  These deliberately avoid the code paths they are used to
-check.  Small helpers that only the tests use live here too, not in the
-package."""
+of scalar entries, the Bernstein approximant built in z with Fraction
+arithmetic, and the derivation solver on Fractions.  These deliberately avoid
+the code paths they are used to check.  Small helpers that only the tests
+use live here too, not in the package."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import numpy as np
 import sympy
 
 from amenalab import BlockOperator, InternalConsistencyError, Polynomial, Surd
+from amenalab.amenability import DerivationSpace
 from amenalab.scalars import _common_denominator, as_fraction
 
 
@@ -258,3 +259,179 @@ def derivation_dimension_oracle(generator, module=None) -> int:
             rows.extend(block)
     system = sympy.Matrix(rows)
     return unknowns - system.rank()
+
+
+# --- the Fraction derivation solver ---------------------------------------------------
+# derivation_space and its linear algebra as they ran on Fractions before the
+# integer solver, kept verbatim (only renamed) as the parity oracle.
+
+def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot column indices (exact)."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def fraction_nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
+    """Basis of the right nullspace of the matrix (exact)."""
+    if not rows:
+        return []
+    ncols = ncols if ncols is not None else len(rows[0])
+    reduced, pivots = fraction_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis: list[list[Fraction]] = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        basis.append(v)
+    return basis
+
+
+def fraction_solve_in_span(basis: Sequence[list[Fraction]],
+                           target: list[Fraction]) -> list[Fraction] | None:
+    """Coefficients expressing `target` in the span of `basis`, or None."""
+    if not basis:
+        return [] if all(x == 0 for x in target) else None
+    n = len(target)
+    aug = [[basis[j][i] for j in range(len(basis))] + [target[i]] for i in range(n)]
+    reduced, pivots = fraction_rref(aug)
+    if len(basis) in pivots:
+        return None
+    coeffs = [Fraction(0)] * len(basis)
+    for r, pc in enumerate(pivots):
+        coeffs[pc] = reduced[r][-1]
+    return coeffs
+
+
+def _fraction_matrix(m) -> tuple:
+    rows = [list(r) for r in (m.tolist() if isinstance(m, np.ndarray) else m)]
+    size = len(rows)
+    if any(len(r) != size for r in rows):
+        raise ValueError("generators and module elements must be square matrices")
+    return tuple(tuple(as_fraction(x) for x in r) for r in rows)
+
+
+def _fraction_mat_mul(a: tuple, b: tuple) -> tuple:
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def _fraction_vec(m: tuple) -> list[Fraction]:
+    return [x for row in m for x in row]
+
+
+def _fraction_combination(coeffs: Sequence[Fraction], mats: Sequence[tuple]) -> tuple:
+    """sum_t coeffs[t] * mats[t] for a nonempty list of matrices."""
+    size = len(mats[0])
+    return tuple(tuple(sum(c * m[p][q] for c, m in zip(coeffs, mats))
+                       for q in range(size)) for p in range(size))
+
+
+def fraction_derivation_space(generators, bimodule=None) -> DerivationSpace:
+    """The Fraction solver: one `fraction_solve_in_span` per algebra candidate,
+    per action column, per product b_i b_j and per generator, and a Fraction
+    nullspace of the Leibniz rows."""
+    gens = tuple(_fraction_matrix(g) for g in generators)
+    if not gens:
+        raise ValueError("at least one generator is required")
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if _fraction_mat_mul(gens[i], gens[j]) != _fraction_mat_mul(gens[j], gens[i]):
+                raise ValueError("generators must commute pairwise")
+
+    algebra: list[tuple] = []
+    algebra_vecs: list[list[Fraction]] = []
+    layer = list(gens)
+    while layer:
+        fresh = []
+        for m in layer:
+            v = _fraction_vec(m)
+            if fraction_solve_in_span(algebra_vecs, v) is None:
+                algebra.append(m)
+                algebra_vecs.append(v)
+                fresh.append(m)
+        layer = [_fraction_mat_mul(m, g) for m in fresh for g in gens]
+    algebra_dim = len(algebra)
+
+    if bimodule is None:
+        module_kind = "algebra"
+        module = tuple(algebra)
+    else:
+        module_kind = "supplied"
+        module = tuple(_fraction_matrix(x) for x in bimodule)
+        for g in gens:
+            for x in module:
+                if _fraction_mat_mul(g, x) != _fraction_mat_mul(x, g):
+                    raise ValueError("bimodule action must be commutative")
+    module_vecs = [_fraction_vec(x) for x in module]
+    s_x = len(module)
+
+    def action_matrix(b: tuple) -> list[list[Fraction]]:
+        cols = []
+        for x in module:
+            coeffs = fraction_solve_in_span(module_vecs, _fraction_vec(_fraction_mat_mul(b, x)))
+            if coeffs is None:
+                raise ValueError("bimodule is not invariant under the generators")
+            cols.append(coeffs)
+        return [[cols[q][p] for q in range(s_x)] for p in range(s_x)]
+
+    rho = [action_matrix(b) for b in algebra]
+
+    # unknown t * s_x + p is coordinate p of D(b_t)
+    rows: list[list[Fraction]] = []
+    for i in range(algebra_dim):
+        for j in range(i, algebra_dim):
+            mu = fraction_solve_in_span(algebra_vecs,
+                                        _fraction_vec(_fraction_mat_mul(algebra[i], algebra[j])))
+            if mu is None:
+                raise InternalConsistencyError("algebra basis is not closed under products")
+            for p in range(s_x):
+                row = [Fraction(0)] * (algebra_dim * s_x)
+                for t, m_t in enumerate(mu):
+                    row[t * s_x + p] += m_t
+                for q in range(s_x):
+                    row[j * s_x + q] -= rho[i][p][q]
+                    row[i * s_x + q] -= rho[j][p][q]
+                rows.append(row)
+
+    gen_coords = [fraction_solve_in_span(algebra_vecs, _fraction_vec(g)) for g in gens]
+    basis = []
+    for sol in fraction_nullspace(rows, algebra_dim * s_x):
+        images = [_fraction_combination(sol[t * s_x:(t + 1) * s_x], module)
+                  for t in range(algebra_dim)]
+        basis.append(tuple(_fraction_combination(c, images) for c in gen_coords))
+    return DerivationSpace(gens, module_kind, module, tuple(basis), algebra_dim)
+
+
+def t_tilde(count: int, ratio=Fraction(1, 2)) -> list[list[Fraction]]:
+    """The dense 2M x 2M direct sum of the blocks [[0, 1], [0, lambda_k]],
+    lambda_k = ratio^k for k = 1..M: the truncated T with each coordinate
+    block [[0, sqrt(lambda_k)], [0, lambda_k]] rescaled to a rational one."""
+    size = 2 * count
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for k in range(count):
+        rows[2 * k][2 * k + 1] = Fraction(1)
+        rows[2 * k + 1][2 * k + 1] = ratio ** (k + 1)
+    return rows

@@ -9,18 +9,17 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import _rational_linalg as rl
 from .polynomials import (InternalConsistencyError, Polynomial, approximate_with_derivative,
-                          interval_sups, notch, sup_norm, unit_notch)
+                          interval_sups, notch, unit_notch)
 from .reports import ConvergenceReport
-from .scalars import (Surd, _common_denominator, _root_split, _split_float, as_fraction,
-                      is_exact_zero, scaled_float, to_float)
+from .scalars import _common_denominator, as_fraction, is_exact_zero, scaled_float, to_float
 from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, _horner_numerators,
-                       apply_poly_to_block, block_norms, build_T, build_shifted_T, operator_norm)
+                       block_norms, build_T, build_shifted_T, operator_norm)
 
 
 def algebra_element(spectrum: SpectrumSequence, symbol: Sequence) -> BlockOperator:
@@ -47,109 +46,6 @@ def membership_residual(X: BlockOperator, spectrum: SpectrumSequence) -> float:
     for root, x12, x22 in zip(spectrum.roots, X.b12.diag, X.b22.diag):
         worst = max(worst, abs(to_float(x22 - root * x12)))
     return X.b11.norm() + worst
-
-
-class MembershipTrial(NamedTuple):
-    residual: float       # `membership_residual` of p(T)
-    norm: float           # ||p(T)||
-    spectral_sup: float   # sup |p| over the spectrum plus the origin
-
-
-def _reference_trial(p: Polynomial, T: BlockOperator,
-                     spectrum: SpectrumSequence) -> MembershipTrial:
-    X = apply_poly_to_block(p.coefficients, T)
-    return MembershipTrial(membership_residual(X, spectrum), operator_norm(X.to_float()),
-                           sup_norm(p, spectrum))
-
-
-def _trial_weights(c: int, e: int, k: int) -> list[int]:
-    """w_j = c^(j-1) e^(k-j), j = 1..k.  For p = sum_j N_j z^j / L of degree
-    at most k with N_0 = 0, g = sum_j N_j w_j gives p(c/e) = c g / (L e^k)
-    and the divided difference of p at 0 and c/e, Dp = e g / (L e^k)."""
-    return [c ** (j - 1) * e ** (k - j) for j in range(1, k + 1)]
-
-
-def _trial_table(T: BlockOperator, spectrum: SpectrumSequence, k: int) -> list | None:
-    """What every trial of degree at most k shares at each coordinate n of
-    T = [[0, b], [0, lambda_n]], lambda_n = C / E, sqrt(lambda_n) b = P / Q:
-    the `_trial_weights`, C, E^k, CQ and PE for the membership test, and the
-    integers and root parts that float b Dp.  None unless every coordinate
-    has that shape with b rational or s sqrt(d) and sqrt(lambda_n) b rational."""
-    if T.dim != len(spectrum):
-        raise ValueError("operator dimension does not match the truncation")
-    table = []
-    for a, b, c, lam, root in zip(T.b11.diag, T.b12.diag, T.b22.diag, spectrum.values,
-                                  spectrum.roots):
-        if not (is_exact_zero(a) and isinstance(c, (int, Fraction)) and c == lam
-                and isinstance(b, (int, Fraction, Surd))):
-            return None
-        product = root * b
-        if isinstance(product, Surd):
-            return None
-        num, e = lam.numerator, lam.denominator
-        scale = e ** k
-        # b Dp = b e g / (L e^k): top_num g over L top_den, times sqrt(d) for a Surd b
-        if isinstance(b, Surd):
-            p0, q0, *parts = _root_split(b.d.numerator, b.d.denominator)
-            top = (p0 * e * b.s.numerator, q0 * scale * b.s.denominator, parts)
-        else:
-            top = (e * b.numerator, scale * b.denominator, None)
-        table.append((_trial_weights(num, e, k), num, scale, num * product.denominator,
-                      product.numerator * e, *top))
-    return table
-
-
-def _integer_trial(p: Polynomial, table: list) -> MembershipTrial | None:
-    """The trial of p on a `_trial_table`, or None when p(T) is not an
-    algebra element."""
-    nums, den = p._integers
-    if nums[0]:
-        raise ValueError("constant term must vanish; the algebra model is non-unital")
-    nums = nums[1:]
-    tops, bottoms = [], []
-    for weights, c, scale, cq, pe, top_num, top_den, parts in table:
-        g = sum(map(operator.mul, nums, weights))
-        # p(lambda_n) = sqrt(lambda_n) b Dp over L E^k Q: (C g) Q = P (E g)
-        if g * cq != pe * g:
-            return None
-        bottoms.append(c * g / (den * scale))
-        if parts is None:
-            tops.append(g * top_num / (den * top_den))
-        else:
-            tops.append(_split_float(g * top_num, den * top_den, *parts))
-    norm = float(np.max(np.hypot(np.array(tops), np.array(bottoms)), initial=0.0))
-    return MembershipTrial(0.0, norm, max(0.0, *map(abs, bottoms)))  # |p(0)| = 0
-
-
-def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
-                      spectrum: SpectrumSequence) -> list[MembershipTrial]:
-    """For each p, bitwise `membership_residual(X, spectrum)`,
-    `operator_norm(X.to_float())` and `sup_norm(p, spectrum)` of
-    X = apply_poly_to_block(p.coefficients, T), most often without building X.
-
-    For T = [[0, b], [0, N]] with b_n rational or s sqrt(d), and
-    sqrt(lambda_n) b_n rational (as for `build_T`, where b = N^(1/2)), the
-    work is that of T~ = [[0, I], [0, N]], all rational: coordinate n of
-    p(T) is [[p(0), b_n Dp], [0, p(lambda_n)]] with p(0) = 0 and Dp the
-    divided difference of p at 0 and lambda_n, and for invertible b,
-    T = D T~ D^-1 with D = diag(I, b^-1).  With lambda_n = C / E and K the
-    largest trial degree, one table per call holds each coordinate's
-    weights C^(j-1) E^(K-j) (`_trial_weights`), so each trial's numerator g
-    is one dot product with p(lambda_n) = C g / (L E^K) and Dp = E g / (L E^K).
-    p(T) is an algebra element iff p(lambda_n) = sqrt(lambda_n) b_n Dp at
-    every n: an exact integer test, run for every trial and coordinate, that
-    fails when T's upper-right block is not N^(1/2) (up to the zeros of Dp).
-    A passing trial has residual 0 and floats each entry once, correctly
-    rounded or by the root split of b_n made once per call; any other trial,
-    and every trial on a T of another shape, is the composition itself.
-    """
-    polynomials = list(polynomials)
-    table = _trial_table(T, spectrum, max([0, *(p.degree for p in polynomials)]))
-    trials = []
-    for p in polynomials:
-        trial = _integer_trial(p, table) if table is not None else None
-        trials.append(trial if trial is not None else _reference_trial(p, T, spectrum))
-    return trials
 
 
 def idempotent_E(n: int, spectrum: SpectrumSequence) -> BlockOperator:

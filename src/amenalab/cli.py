@@ -24,8 +24,9 @@ from typing import Callable, NamedTuple, Sequence
 
 from .amenability import (approximate_identity_steps, bai_defect, derivation_space,
                           generation_defect_closed_form, generation_sweep, idempotency_sweep,
-                          idempotent_norm_closed_form, idempotent_sum, membership_trials,
-                          report_from_steps, unit_approximation_steps)
+                          idempotent_norm_closed_form, idempotent_sum, report_from_steps,
+                          unit_approximation_steps)
+from .membership import membership_trials
 from .polynomials import Polynomial
 from .reports import ConvergenceReport, write_report
 from .scalars import as_fraction

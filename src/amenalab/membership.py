@@ -1,0 +1,261 @@
+"""The membership trials of `verify weak`: the floats of p(T) for many
+polynomials p, bitwise those of the exact block composition, mostly without
+building it.  Exact integer tests decide membership, and a float pass with
+proven error bounds leaves the exact floats to the few coordinates where a
+trial's maximum can be.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+import operator
+from fractions import Fraction
+from typing import Iterable, NamedTuple
+
+import numpy as np
+
+from .amenability import membership_residual
+from .polynomials import Polynomial, sup_norm
+from .scalars import Surd, _root_split, _split_float, is_exact_zero, to_float
+from .spectrum import BlockOperator, SpectrumSequence, apply_poly_to_block, operator_norm
+
+
+class MembershipTrial(NamedTuple):
+    residual: float       # `membership_residual` of p(T)
+    norm: float           # ||p(T)||
+    spectral_sup: float   # sup |p| over the spectrum plus the origin
+
+
+def _reference_trial(p: Polynomial, T: BlockOperator,
+                     spectrum: SpectrumSequence) -> MembershipTrial:
+    X = apply_poly_to_block(p.coefficients, T)
+    return MembershipTrial(membership_residual(X, spectrum), operator_norm(X.to_float()),
+                           sup_norm(p, spectrum))
+
+
+def _trial_weights(c: int, e: int, k: int) -> list[int]:
+    """w_j = c^(j-1) e^(k-j), j = 1..k.  For p = sum_j N_j z^j / L of degree
+    at most k with N_0 = 0, g = sum_j N_j w_j gives p(c/e) = c g / (L e^k)
+    and the divided difference of p at 0 and c/e, Dp = e g / (L e^k)."""
+    return [c ** (j - 1) * e ** (k - j) for j in range(1, k + 1)]
+
+
+def _trial_row(lam: Fraction, b, k: int) -> tuple:
+    """What every trial of degree at most k shares at a coordinate with
+    lambda_n = C / E and upper-right entry b: the `_trial_weights`, C, E^k,
+    and the integers and root parts that float b Dp."""
+    c, e = lam.numerator, lam.denominator
+    scale = e ** k
+    # b Dp = b e g / (L e^k): top_num g over L top_den, times sqrt(d) for a Surd b
+    if isinstance(b, Surd):
+        p0, q0, *parts = _root_split(b.d.numerator, b.d.denominator)
+        top = (p0 * e * b.s.numerator, q0 * scale * b.s.denominator, parts)
+    else:
+        top = (e * b.numerator, scale * b.denominator, None)
+    return _trial_weights(c, e, k), c, scale, *top
+
+
+def _trial_table(T: BlockOperator, spectrum: SpectrumSequence) -> list | None:
+    """(lambda_n, b_n, CQ == PE) at each coordinate n of
+    T = [[0, b], [0, lambda_n]], lambda_n = C / E, sqrt(lambda_n) b = P / Q:
+    the entries that the trials float and, decided once for all trials,
+    whether p(lambda_n) = sqrt(lambda_n) b_n Dp holds for every p.  None
+    unless every coordinate has that shape with b rational or s sqrt(d) and
+    sqrt(lambda_n) b rational.  The integers of a coordinate are built by
+    `_trial_row` only where some trial needs them."""
+    if T.dim != len(spectrum):
+        raise ValueError("operator dimension does not match the truncation")
+    table = []
+    for a, b, c, lam, root in zip(T.b11.diag, T.b12.diag, T.b22.diag, spectrum.values,
+                                  spectrum.roots):
+        if not (is_exact_zero(a) and isinstance(c, (int, Fraction)) and c == lam
+                and isinstance(b, (int, Fraction, Surd))):
+            return None
+        product = root * b
+        if isinstance(product, Surd):
+            return None
+        table.append((lam, b, lam.numerator * product.denominator
+                      == product.numerator * lam.denominator))
+    return table
+
+
+_TINY = 2.0 ** -1022  # the least normal float
+
+
+def _quotient_float(num: int, den: int) -> float:
+    """num / den (den > 0), correctly rounded, where that is zero or a normal
+    float, so that its relative error is at most 2^-53; NaN where the
+    quotient leaves the normal range."""
+    try:
+        f = num / den
+    except OverflowError:
+        return math.nan
+    return f if not num or _TINY <= abs(f) else math.nan
+
+
+def _entry_float(b) -> float:
+    """to_float(b) for a rational or `Surd` entry, NaN where it leaves the
+    normal range, as in `_quotient_float`; a Surd floats within 1.13 2^-53."""
+    if isinstance(b, Surd):
+        f = to_float(b)
+        return f if _TINY <= abs(f) < math.inf else math.nan
+    return _quotient_float(b.numerator, b.denominator)
+
+
+def _trial_estimates(alphas: np.ndarray, x: np.ndarray,
+                     b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Float estimates est with proven bounds err (trials x coordinates) of
+    each trial's floats at each coordinate, (est, err) for hypot(top, bottom)
+    and then for |bottom|: |est - float| <= err wherever both are finite.
+
+    Row t of `alphas` holds alpha_j = fl(a_j), a_j = N_j / L, j = 1..K, the
+    coefficients of z^j of a trial (zeros past its degree); x_n = fl(lambda_n)
+    and b_n = to_float(b_n) at each coordinate.  Each is zero or normal, with
+    a relative error of at most u = 2^-53, or 2u for b_n (the root split
+    below); the callers drop the coordinates where x or b is NaN
+    (`_quotient_float`, `_entry_float`), and an alpha of NaN makes its row
+    NaN.  Exactly,
+        D = sum_j a_j lambda^(j-1) = Dp,   S = sum_j |a_j| lambda^(j-1),
+    and the trial's floats at n are bottom = fl(lambda D), correctly rounded;
+    top = the float of b D, correctly rounded for a rational b and within
+    1.13 u by sympy's root-split chain (the exact value is cut to 64 bits,
+    times sqrt(n) cut to 64, then rounded at 57 and 53 bits); and their
+    np.hypot, within 1 ulp (libm), so 2u.
+
+    One elementwise Horner pass over (trials x coordinates) arrays computes
+    D~ and S~ from the alphas and x, and W~ for W = sum_(i<K) x^i.  With
+    gamma_m = m u / (1 - m u), rounding the inputs multiplies each term
+    a_j lambda^(j-1) by a factor within gamma_K of 1 (one rounding of a_j,
+    j - 1 of lambda), and Horner's K - 1 products and sums add at most
+    gamma_(2K-2) times the magnitude sum (N. J. Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 5.1).  A product
+    that underflows adds at most 2^-1075, which the later steps multiply by
+    at most x^i (1 + gamma_2K).  So
+        |D~ - D| <= gamma_3K S + 2^-1074 W,   S <= S~ / (1 - gamma_3K) + 2^-1074 W.
+    The estimates are |fl(x D~)| for |bottom| and np.hypot(fl(b D~), fl(x D~))
+    for the norm.  hypot is 1-Lipschitz in each argument, so to first order
+    in u, with R = (lambda + |b|) S,
+        | |fl(x D~)| - |bottom| | <= (3K + 3) u lambda S   (D~, x, the product, bottom),
+        |fl(b D~) - top|          <= (3K + 5) u |b| S      (D~, 2u of b, the product, 2u of top),
+        |hypot estimate - hypot|  <= (3K + 9) u R          (both, and 2u for each hypot),
+    plus (lambda + |b|) 2^-1074 W from the underflow in D~ and 4 2^-1074 for
+    the final products and floats that land below the normal range.
+    Rounding |est| + err and |est| - err needs u R more.
+
+    So err = (6K + 24) u R~ + 2^-1073 ((x + |b|) W~ + 4), with R~ = x S~ for
+    |bottom| and (x + |b|) S~ for the norm: twice the first-order need, and
+    the other half absorbs every second-order term, O(K^2 u^2) R, for any K
+    below 2^40, and the rounding of err itself.
+    """
+    k = alphas.shape[1]
+    b = np.abs(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = np.stack((alphas, np.abs(alphas)))
+        acc = np.zeros((2, len(alphas), len(x)))  # D~ and S~
+        w = np.ones_like(x)
+        for j in range(k - 1, -1, -1):
+            acc *= x
+            acc += coefficients[:, :, j, None]
+            if j:
+                w *= x
+                w += 1.0
+        d, s = acc
+        bottom = np.abs(x * d)
+        factor = (6 * k + 24) * 2.0 ** -53
+        floor = 2.0 ** -1073 * ((x + b) * w + 4.0)
+        return [(np.hypot(b * d, bottom), factor * ((x + b) * s) + floor),
+                (bottom, factor * (x * s) + floor)]
+
+
+def _trial_candidates(alphas: np.ndarray, x: list[float], b: list[float]) -> list[list[list[int]]]:
+    """For each trial, the coordinates whose exact floats may hold its
+    maximum: one list for hypot(top, bottom), one for |bottom|.  By the
+    bounds of `_trial_estimates`, est + err bounds a float above and
+    est - err below, so a coordinate whose upper bound falls short of the
+    trial's largest lower bound cannot hold the maximum.  A coordinate with
+    an input of NaN (x or b) is kept in every trial, and a trial with any
+    non-finite upper bound (an alpha of NaN, or an overflow) keeps every
+    coordinate."""
+    bounded = [n for n, (u, v) in enumerate(zip(x, b)) if not (math.isnan(u) or math.isnan(v))]
+    unbounded = sorted(set(range(len(x))).difference(bounded))
+    lists = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for est, err in _trial_estimates(alphas, np.array([x[n] for n in bounded]),
+                                         np.array([b[n] for n in bounded])):
+            high = est + err
+            keep = high >= np.max(est - err, axis=1, initial=-np.inf, keepdims=True)
+            rows = [[] for _ in alphas]
+            for t, i in zip(*(a.tolist() for a in np.nonzero(keep))):
+                rows[t].append(bounded[i])
+            highest = np.max(high, axis=1, initial=-np.inf).tolist()  # NaN if any is
+            lists.append([row + unbounded if h < math.inf else list(range(len(x)))
+                          for row, h in zip(rows, highest)])
+    return lists
+
+
+def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
+                      spectrum: SpectrumSequence) -> list[MembershipTrial]:
+    """For each p, bitwise `membership_residual(X, spectrum)`,
+    `operator_norm(X.to_float())` and `sup_norm(p, spectrum)` of
+    X = apply_poly_to_block(p.coefficients, T), most often without building X.
+
+    For T = [[0, b], [0, N]] with b_n rational or s sqrt(d), and
+    sqrt(lambda_n) b_n rational (as for `build_T`, where b = N^(1/2)), the
+    work is that of T~ = [[0, I], [0, N]], all rational: coordinate n of
+    p(T) is [[p(0), b_n Dp], [0, p(lambda_n)]] with p(0) = 0 and Dp the
+    divided difference of p at 0 and lambda_n, and for invertible b,
+    T = D T~ D^-1 with D = diag(I, b^-1).  With lambda_n = C / E and K the
+    largest trial degree, each trial's numerator g at n is one dot product
+    with the weights C^(j-1) E^(K-j) (`_trial_weights`), and
+    p(lambda_n) = C g / (L E^K), Dp = E g / (L E^K).
+
+    p(T) is an algebra element iff p(lambda_n) = sqrt(lambda_n) b_n Dp at
+    every n, that is g (CQ - PE) = 0 with sqrt(lambda_n) b_n = P / Q.  So
+    CQ = PE is decided once per coordinate (`_trial_table`), and a trial
+    needs g only where it fails: nowhere for `build_T`, and any nonzero g
+    there (T's upper-right block is not N^(1/2), up to the zeros of Dp)
+    sends the trial to the composition itself.  A passing trial has
+    residual 0, and its norm and spectral sup are maxima over n of floats of
+    exact values.  One float pass with proven error bounds over every trial
+    and coordinate (`_trial_candidates`) rules out the coordinates that
+    cannot hold a maximum, so g and the exact floats, correctly rounded or
+    by the root split of b_n, are computed only on the few that can, and
+    the integers of a coordinate (`_trial_row`) only where some trial needs
+    them.  Every trial on a T of another shape is the composition itself.
+    """
+    polynomials = list(polynomials)
+    table = _trial_table(T, spectrum)
+    if table is None:
+        return [_reference_trial(p, T, spectrum) for p in polynomials]
+    integers = [p._integers for p in polynomials]
+    if any(nums[0] for nums, _ in integers):
+        raise ValueError("constant term must vanish; the algebra model is non-unital")
+    k = max([0, *(len(nums) - 1 for nums, _ in integers)])
+    alphas = np.zeros((len(polynomials), k))
+    for t, (nums, den) in enumerate(integers):
+        alphas[t, :len(nums) - 1] = [_quotient_float(n, den) for n in nums[1:]]
+    hyp_at, bottom_at = _trial_candidates(
+        alphas, [_quotient_float(lam.numerator, lam.denominator) for lam, _, _ in table],
+        [_entry_float(b) for _, b, _ in table])
+    row = functools.cache(lambda n: _trial_row(table[n][0], table[n][1], k))
+    failing = [n for n, (_, _, agrees) in enumerate(table) if not agrees]
+    exact = []  # per trial: None for the composition, else its (top, bottom) pairs and sup
+    for (nums, den), hyp_n, bottom_n in zip(integers, hyp_at, bottom_at):
+        nums = nums[1:]
+        if any(sum(map(operator.mul, nums, row(n)[0])) for n in failing):
+            exact.append(None)
+            continue
+        floats = {}
+        for n in {*hyp_n, *bottom_n}:
+            weights, c, scale, top_num, top_den, parts = row(n)
+            g = sum(map(operator.mul, nums, weights))
+            top = (g * top_num / (den * top_den) if parts is None
+                   else _split_float(g * top_num, den * top_den, *parts))
+            floats[n] = top, c * g / (den * scale)
+        exact.append(([floats[n] for n in hyp_n], max(0.0, *(abs(floats[n][1]) for n in bottom_n))))
+    pairs = np.reshape([pair for e in exact if e for pair in e[0]], (-1, 2))
+    hyps = iter(np.hypot(pairs[:, 0], pairs[:, 1]).tolist())
+    return [MembershipTrial(0.0, max(itertools.islice(hyps, len(e[0]))), e[1])  # |p(0)| = 0
+            if e else _reference_trial(p, T, spectrum) for p, e in zip(polynomials, exact)]

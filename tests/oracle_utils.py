@@ -2,7 +2,8 @@
 arithmetic, SVD spectral norms, a brute-force derivation solver over the full
 linear-map space, seeded random rational generators, exact sympy values
 of scalar entries, the Bernstein approximant built in z with Fraction
-arithmetic, and the derivation solver on Fractions.  These deliberately avoid
+arithmetic, the derivation solver on Fractions, and the membership trials
+with every float at every coordinate.  These deliberately avoid
 the code paths they are used to check.  Small helpers that only the tests
 use live here too, not in the package."""
 
@@ -16,9 +17,11 @@ from typing import Sequence
 import numpy as np
 import sympy
 
-from amenalab import BlockOperator, InternalConsistencyError, Polynomial, Surd
+from amenalab import (BlockOperator, InternalConsistencyError, Polynomial, Surd,
+                      apply_poly_to_block, membership_residual, operator_norm, sup_norm)
 from amenalab.amenability import DerivationSpace
-from amenalab.scalars import _common_denominator, as_fraction
+from amenalab.membership import MembershipTrial
+from amenalab.scalars import _common_denominator, _root_split, _split_float, as_fraction
 
 
 def dense_exact(X: BlockOperator) -> list[list]:
@@ -160,6 +163,73 @@ def character_value(X: BlockOperator, n: int):
     if not 1 <= n <= X.dim:
         raise ValueError(f"n out of range: {n}")
     return X.b22.diag[n - 1]
+
+
+def integer_trial_table(T: BlockOperator, spectrum, k: int) -> list | None:
+    """Every coordinate's integers for membership trials of degree at most k
+    on T = [[0, b], [0, lambda_n]], lambda_n = C / E, sqrt(lambda_n) b = P / Q:
+    the weights C^(j-1) E^(k-j), C, E^k, CQ and PE, and the integers and
+    root parts that float b Dp.  None unless every coordinate has that shape
+    with b rational or s sqrt(d) and sqrt(lambda_n) b rational."""
+    table = []
+    for a, b, c, lam, root in zip(T.b11.diag, T.b12.diag, T.b22.diag, spectrum.values,
+                                  spectrum.roots):
+        if not (a == 0 and isinstance(c, (int, Fraction)) and c == lam
+                and isinstance(b, (int, Fraction, Surd))):
+            return None
+        product = root * b
+        if isinstance(product, Surd):
+            return None
+        num, e = lam.numerator, lam.denominator
+        scale = e ** k
+        if isinstance(b, Surd):
+            p0, q0, *parts = _root_split(b.d.numerator, b.d.denominator)
+            top = (p0 * e * b.s.numerator, q0 * scale * b.s.denominator, parts)
+        else:
+            top = (e * b.numerator, scale * b.denominator, None)
+        weights = [num ** (j - 1) * e ** (k - j) for j in range(1, k + 1)]
+        table.append((weights, num, scale, num * product.denominator,
+                      product.numerator * e, *top))
+    return table
+
+
+def integer_trial_floats(p: Polynomial, table: list) -> list[tuple[float, float]] | None:
+    """The floats (top, bottom) = (b_n Dp, p(lambda_n)) of p(T) at every
+    coordinate of an `integer_trial_table`, each from one dot product and an
+    exact integer membership test, or None when p(T) is not an algebra
+    element."""
+    nums, den = p._integers
+    nums = nums[1:]
+    out = []
+    for weights, c, scale, cq, pe, top_num, top_den, parts in table:
+        g = sum(x * w for x, w in zip(nums, weights))
+        if g * cq != pe * g:
+            return None
+        top = (g * top_num / (den * top_den) if parts is None
+               else _split_float(g * top_num, den * top_den, *parts))
+        out.append((top, c * g / (den * scale)))
+    return out
+
+
+def integer_trial_oracle(polynomials: Sequence[Polynomial], T: BlockOperator,
+                         spectrum) -> list[MembershipTrial]:
+    """The membership trials with every float at every coordinate: the norm is
+    the largest np.hypot(top, bottom) and the spectral sup the largest
+    |bottom|; a trial that is no algebra element, or a T of another shape,
+    is the block composition itself."""
+    table = integer_trial_table(T, spectrum, max([0, *(p.degree for p in polynomials)]))
+    out = []
+    for p in polynomials:
+        floats = integer_trial_floats(p, table) if table is not None else None
+        if floats is None:
+            X = apply_poly_to_block(p.coefficients, T)
+            out.append(MembershipTrial(membership_residual(X, spectrum),
+                                       operator_norm(X.to_float()), sup_norm(p, spectrum)))
+            continue
+        tops, bottoms = (np.array(v) for v in zip(*floats))
+        out.append(MembershipTrial(0.0, float(np.max(np.hypot(tops, bottoms), initial=0.0)),
+                                   max(0.0, *map(abs, bottoms.tolist()))))
+    return out
 
 
 def count_calls(monkeypatch, module: str, name: str) -> list[int]:

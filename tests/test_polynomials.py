@@ -15,7 +15,7 @@ from amenalab import (InternalConsistencyError, Polynomial, apply_poly_to_block,
                       mvt_bound_check, notch, sup_norm, unit_notch)
 from amenalab.polynomials import (_bernstein_controls, _float_grid, _floats, _grid_sup,
                                   _sup_candidates)
-from amenalab.amenability import membership_trials
+from amenalab.membership import membership_trials
 from amenalab.scalars import as_fraction
 from oracle_utils import (approximant_oracle, bernstein_to_monomial, count_calls,
                           count_method_calls, from_rational_strings, notch_derivative_array,

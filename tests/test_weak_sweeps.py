@@ -19,7 +19,8 @@ import amenalab.amenability as am
 from amenalab import (Polynomial, apply_poly_to_block, build_T, generation_defect, idempotent_E,
                       idempotent_partial_sum, make_spectrum, membership_residual, operator_norm,
                       sup_norm)
-from amenalab.amenability import generation_sweep, idempotency_sweep, membership_trials
+from amenalab.amenability import generation_sweep, idempotency_sweep
+from amenalab.membership import membership_trials
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from amenalab.cli import _membership_polynomials, main
 from oracle_utils import count_calls, count_method_calls
@@ -114,18 +115,20 @@ def test_verify_weak_work_is_linear_in_M(monkeypatch, tmp_path, capsys):
 
 def test_verify_weak_trials_share_one_weight_table(monkeypatch, tmp_path, capsys):
     """The 100 membership trials pass without a Horner pass or a composition:
-    each trial is one dot product per coordinate with weights that are built
-    once per coordinate.  They made 6,400 `_horner_numerators` passes at
-    M = 64, each rebuilding the powers of the coordinate's denominator."""
+    each trial takes dot products only at the coordinates that its float
+    estimate leaves as candidates for a maximum, with weights built once per
+    coordinate that some trial needs: 3 of the 64.  They made 6,400
+    `_horner_numerators` passes at M = 64, each rebuilding the powers of the
+    coordinate's denominator, and then built the weights of all 64."""
     m = 64
     horner = count_calls(monkeypatch, "amenalab.spectrum", "_horner_numerators")
-    weights = count_calls(monkeypatch, "amenalab.amenability", "_trial_weights")
+    weights = count_calls(monkeypatch, "amenalab.membership", "_trial_weights")
     compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
     assert main(["verify", "weak", "--count", str(m), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert horner[0] == 0
     assert compositions[0] == 0
-    assert weights[0] == m
+    assert weights[0] == 3
 
 
 def test_verify_character_sweeps_each_interval_sup_once(monkeypatch, tmp_path, capsys):

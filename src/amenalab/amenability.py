@@ -18,7 +18,7 @@ from .polynomials import (InternalConsistencyError, Polynomial, approximate_with
                           interval_sups, notch, unit_notch)
 from .reports import ConvergenceReport
 from .scalars import _common_denominator, as_fraction, is_exact_zero, scaled_float, to_float
-from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, _horner_numerators,
+from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, _divided_numerators,
                        block_norms, build_T, build_shifted_T, operator_norm)
 
 
@@ -194,15 +194,27 @@ def _rows(m: _Flat, n: int) -> ExactMatrix:
                  for i in range(0, n * n, n))
 
 
-def _coordinates(basis: Sequence[_Flat], targets: Sequence[_Flat]) -> list[list[Fraction]] | None:
-    """Coordinates of every target in the basis matrices, or None if one lies
-    outside their span.  One integer solve on the numerators serves all the
-    targets; each coefficient is then rescaled by the ratio of denominators."""
+def _coordinates(basis: Sequence[_Flat],
+                 targets: Sequence[_Flat]) -> list[tuple[list[int], int]] | None:
+    """Coordinates of every target in the basis matrices, each target's as
+    integer numerators over one denominator, or None if one lies outside
+    their span.  One integer solve on the numerators serves all the targets;
+    each coefficient is then rescaled by the ratio of denominators."""
     sols = rl.solve_in_span([b.nums for b in basis], [t.nums for t in targets])
     if sols is None:
         return None
-    return [[Fraction(c.numerator * b.den, c.denominator * t.den) for c, b in zip(sol, basis)]
-            for sol, t in zip(sols, targets)]
+    out = []
+    for sol, t in zip(sols, targets):
+        den = math.lcm(*(c.denominator for c in sol))
+        out.append(([c.numerator * (den // c.denominator) * b.den for c, b in zip(sol, basis)],
+                    den * t.den))
+    return out
+
+
+def _over_one_denominator(coords: Sequence[tuple[list[int], int]]) -> tuple[list[list[int]], int]:
+    """Several targets' coordinates over their one common denominator."""
+    den = math.lcm(*(d for _, d in coords))
+    return [[x * (den // d) for x in nums] for nums, d in coords], den
 
 
 def _commute(a: _Flat, b: _Flat, n: int) -> bool:
@@ -274,13 +286,13 @@ def derivation_space(generators, bimodule=None) -> DerivationSpace:
     if coords is None:
         raise InternalConsistencyError("algebra basis is not closed under products")
     mu = dict(zip(pairs, coords))
-    gen_coords = coords[len(pairs):]
+    gen_coords = [[Fraction(x, den) for x in nums] for nums, den in coords[len(pairs):]]
 
     if bimodule is None:
         module_kind = "algebra"
         module = algebra
         # b_t x_q = b_t b_q, whose coordinates are the structure constants
-        action = [[mu[min(t, q), max(t, q)] for q in range(algebra_dim)]
+        action = [_over_one_denominator([mu[min(t, q), max(t, q)] for q in range(algebra_dim)])
                   for t in range(algebra_dim)]
     else:
         module_kind = "supplied"
@@ -292,21 +304,28 @@ def derivation_space(generators, bimodule=None) -> DerivationSpace:
         products = _coordinates(module, [_mat_mul(b, x, n) for b in algebra for x in module])
         if products is None:
             raise ValueError("bimodule is not invariant under the generators")
-        action = [products[t * len(module):(t + 1) * len(module)] for t in range(algebra_dim)]
+        action = [_over_one_denominator(products[t * len(module):(t + 1) * len(module)])
+                  for t in range(algebra_dim)]
     s_x = len(module)
 
-    # unknown t * s_x + p is coordinate p of D(b_t); action[t][q][p] is
-    # coordinate p of b_t x_q
+    # unknown t * s_x + p is coordinate p of D(b_t); with action[t] = (B, L),
+    # B[q][p] / L is coordinate p of b_t x_q.  Each row is scaled to integers
+    # by the common denominator of its three targets, which leaves the
+    # nullspace unchanged.
     rows = []
-    for (i, j), m in mu.items():
+    for (i, j), (m, m_den) in mu.items():
+        (act_i, den_i), (act_j, den_j) = action[i], action[j]
+        den = math.lcm(m_den, den_i, den_j)
+        m = [x * (den // m_den) for x in m]
+        f_i, f_j = den // den_i, den // den_j
         for p in range(s_x):
-            row = [Fraction(0)] * (algebra_dim * s_x)
+            row = [0] * (algebra_dim * s_x)
             for t, m_t in enumerate(m):
                 row[t * s_x + p] += m_t
             for q in range(s_x):
-                row[j * s_x + q] -= action[i][q][p]
-                row[i * s_x + q] -= action[j][q][p]
-            rows.append(_common_denominator(row)[0])
+                row[j * s_x + q] -= act_i[q][p] * f_i
+                row[i * s_x + q] -= act_j[q][p] * f_j
+            rows.append(row)
 
     basis = []
     for sol in rl.nullspace(rows, algebra_dim * s_x):
@@ -327,50 +346,71 @@ class ApproximationStep(NamedTuple):
     certified_bound: float
 
 
-def _polynomial_norms(p: Polynomial, X: BlockOperator) -> tuple[float, float, list]:
+class _StepValues(NamedTuple):
+    """The exact values that `_polynomial_norms` computes and the closed forms
+    of sup|q| read again.  `at` maps each distinct upper-left entry a to
+    (H, G, d), with p(a) = H / d and p'(a) = G / d; `rows` holds
+    (A, E, G, H_c, d) per coordinate, with a = A / E, Dp = G / d and
+    p(c) = H_c / d."""
+
+    at: dict
+    rows: list
+
+
+def _polynomial_norms(p: Polynomial, X: BlockOperator) -> tuple[float, float, _StepValues]:
     """(||X u - X||, ||u||, values) for u = p(X), p(0) = 0, on an X with
     rational diagonal blocks, bitwise `operator_norm` of the floats of the
     exact X u - X and u, which are never built.
 
     Coordinate n of X is [[a, b], [0, c]], so u_n = [[p(a), b Dp], [0, p(c)]]
     and (X u - X)_n = [[a (p(a) - 1), b (a Dp + p(c) - 1)], [0, c (p(c) - 1)]],
-    with Dp the divided difference of p at a and c.  One `_horner_numerators`
-    pass with a = A / E, c = C / E gives p(a) = H_a / d, Dp = G / d and
-    p(c) = H_c / d, and each entry is floated once from integers over d or
-    E d (`scaled_float` for b).  `values` holds (A, E, H_a, G, H_c, d) per
-    coordinate.
+    with Dp the divided difference of p at a and c.  The upper-left entry a
+    takes few values: lambda_n at every coordinate of a kernel step, 0 in the
+    unit step.  So p(a) and p'(a) come from one `_divided_numerators` pass
+    at a = c per distinct a, and p(a) and a (p(a) - 1) are floated once.  Per
+    coordinate, one pass with a = A / E, c = C / E gives Dp = G / d and
+    p(c) = H_c / d, and each remaining entry is floated once from integers
+    over d or E d (`scaled_float` for b).  A confluent coordinate, a = c,
+    needs no branch.  Each float is that of an exact value, correctly
+    rounded, so it does not depend on the denominator it is taken over.
     """
     nums, den = p._integers
     if nums[0]:
         raise ValueError("constant term must vanish; the algebra model is non-unital")
-    u, r, values = [], [], []
+    values = _StepValues({}, [])
+    heads = {}  # a -> (float p(a), float a (p(a) - 1))
+    u, r = [], []
     for a, b, c in zip(X.b11.diag, X.b12.diag, X.b22.diag):
+        if a not in heads:
+            dp, h, scale = _divided_numerators(nums, a.numerator, a.numerator, a.denominator)
+            d = den * scale
+            values.at[a] = (h, dp, d)
+            heads[a] = (h / d, a.numerator * (h - d) / (a.denominator * d))
+        pa, ra = heads[a]
         e = math.lcm(a.denominator, c.denominator)
         big_a, big_c = a.numerator * (e // a.denominator), c.numerator * (e // c.denominator)
-        ha, g, hc, scale = _horner_numerators(nums, big_a, big_c, e)
+        g, hc, scale = _divided_numerators(nums, big_a, big_c, e)
         d = den * scale
         ed = e * d
-        u.append((ha / d, scaled_float(b, g, d), hc / d))
-        r.append((big_a * (ha - d) / ed, scaled_float(b, big_a * g + e * (hc - d), ed),
-                  big_c * (hc - d) / ed))
-        values.append((big_a, e, ha, g, hc, d))
+        u.append((pa, scaled_float(b, g, d), hc / d))
+        r.append((ra, scaled_float(b, big_a * g + e * (hc - d), ed), big_c * (hc - d) / ed))
+        values.rows.append((big_a, e, g, hc, d))
     # the rows of coordinates, transposed, are the three float diagonal blocks
     return (operator_norm(BlockOperator(*map(DiagonalOperator, zip(*r)))),
             operator_norm(BlockOperator(*map(DiagonalOperator, zip(*u)))), values)
 
 
-def _divided_sup(p: Polynomial, lam_n: Fraction, values: list) -> float:
+def _divided_sup(p: Polynomial, lam_n: Fraction, values: _StepValues) -> float:
     """sup|q| over the spectrum and the origin for the q of `divide_shifted`,
     z q(z) = lambda_n p(lambda_n) - (lambda_n - z) p(lambda_n - z), bitwise
-    `sup_norm(divide_shifted(p, lam_n), spectrum)`, from closed forms: at
-    coordinate m of lambda_n I - T, a = lambda_n and c = lambda_n - lambda_m,
-    so q(lambda_m) = a Dp + p(c) from its `_polynomial_norms` values, and
-    q(0) = p(lambda_n) + lambda_n p'(lambda_n) from one more integer pass."""
-    nums, den = p._integers
+    `sup_norm(divide_shifted(p, lam_n), spectrum)`, from closed forms in the
+    `_polynomial_norms` values of lambda_n I - T: at coordinate m,
+    a = lambda_n and c = lambda_n - lambda_m, so q(lambda_m) = a Dp + p(c),
+    and q(0) = p(lambda_n) + lambda_n p'(lambda_n)."""
     top, bottom = lam_n.numerator, lam_n.denominator
-    ha, dp, _, scale = _horner_numerators(nums, top, top, bottom)  # dp / d = p'(lambda_n)
-    return max(abs((bottom * ha + top * dp) / (bottom * den * scale)),
-               *(abs((big_a * g + e * hc) / (e * d)) for big_a, e, _, g, hc, d in values))
+    h, dp, d = values.at[lam_n]
+    return max(abs((bottom * h + top * dp) / (bottom * d)),
+               *(abs((big_a * g + e * hc) / (e * d)) for big_a, e, g, hc, d in values.rows))
 
 
 def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence,
@@ -424,13 +464,13 @@ def report_from_steps(steps: Sequence[ApproximationStep], tolerance: float | Non
                              rows, met, bounded, tol_field)
 
 
-def _quotient_sup(p: Polynomial, values: list) -> float:
+def _quotient_sup(p: Polynomial, values: _StepValues) -> float:
     """sup|p / z| over the spectrum and the origin, bitwise
     `sup_norm(Polynomial(p.coefficients[1:]), spectrum)`: at coordinate m of
     T, a = 0 and c = lambda_m, so q(lambda_m) = Dp from its
     `_polynomial_norms` values, and q(0) = p_1."""
     q_zero = float(p.coefficients[1]) if p.degree >= 1 else 0.0
-    return max(abs(q_zero), *(abs(g / d) for _, _, _, g, _, d in values))
+    return max(abs(q_zero), *(abs(g / d) for _, _, g, _, d in values.rows))
 
 
 def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence,

@@ -21,10 +21,13 @@ or a `Surd` raises TypeError), and the zero polynomial has the integer form
 The grid sup needs only the largest value.  When the largest |control| sits
 at an endpoint and a one-line float test bounds every swept value by it (the
 hull certificate of `_grid_sup`), it is the sup and no sweep runs; otherwise
-an O(k) Bernstein-Horner pass with a proven forward-error bound picks the
-points to sweep.  Either way the result is bitwise the full sweep's maximum.
+an O(k) Bernstein-Horner pass on the values alone picks the points to sweep.
+Its forward-error bound is one number per polynomial: the sweep's magnitude
+sums are at most max |control| (1 + u)^k on the grid, whose arrays are built
+once per process.  Either way the result is bitwise the full sweep's maximum.
 `interval_sups` gives sup|p| and sup|p'| on an interval from one exact
-conversion of p, and floats each control by one integer division;
+conversion of p, and floats each control by one integer division; its memo
+is keyed by (p, a, b), and a polynomial hashes by its integer numerators.
 `sup_norm` is the sup over a spectrum and the origin, evaluated exactly.
 Of the mean-value check, the pipelines call only `interval_sups`: the
 character steps take sup|q| of the divided polynomial from closed forms in
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, factorial, gcd, lcm
 from typing import NamedTuple, Sequence
 
@@ -94,6 +97,12 @@ class Polynomial:
         every integer kernel sees at least one numerator."""
         nums, den = _common_denominator(self.coefficients or (0,))
         return tuple(nums), den
+
+    def __hash__(self) -> int:
+        """The hash of `_integers`: equal polynomials have equal coefficients,
+        hence equal canonical integers, and hashing ints is cheaper than
+        hashing Fractions."""
+        return hash(self._integers)
 
     @property
     def degree(self) -> int:
@@ -196,9 +205,10 @@ class NotchFunction:
             raise ValueError("the interval must contain the origin")
 
     def value(self, z):
-        u = abs(as_fraction(z)) / self.delta
-        if u >= 1:
+        z = abs(as_fraction(z))
+        if z >= self.delta:  # the plateau, decided before any division
             return Fraction(1)
+        u = z / self.delta
         return 3 * u * u - 2 * u ** 3
 
     def derivative(self, z):
@@ -383,15 +393,38 @@ def _floats(nums: Sequence[int], den: int) -> np.ndarray:
     return np.array([n / den for n in nums])
 
 
-def _grid(num: int):
-    """The uniform grid t on [0, 1], endpoints included, and s = 1 - t."""
+class _Grid(NamedTuple):
+    """The uniform grid t on [0, 1], endpoints included, s = fl(1 - t), and
+    what `_sup_candidates` reads of it.  t rises and s falls, so t <= s
+    holds exactly on the first `half` columns.  There the filter writes its
+    sums in r = t / s (`left_ratio`), beyond in r = s / t (`right_ratio`);
+    `twice_max` is 2 max(t, s).  Every array is read-only."""
+
+    t: np.ndarray
+    s: np.ndarray
+    half: int
+    left_ratio: np.ndarray
+    right_ratio: np.ndarray
+    twice_max: np.ndarray
+
+
+@cache
+def _grid(num: int) -> _Grid:
+    """The grid of `num` points, built once per process and size; the
+    pipelines use DEFAULT_GRID only."""
     t = np.linspace(0.0, 1.0, num)
-    return t, 1 - t
+    s = 1 - t
+    half = int(np.count_nonzero(t <= s))
+    grid = _Grid(t, s, half, t[:half] / s[:half], s[half:] / t[half:], 2 * np.maximum(t, s))
+    for x in (t, s, *grid[3:]):
+        x.setflags(write=False)
+    return grid
 
 
 def _float_grid(p: Polynomial, a, b, num: int):
     """Float Bernstein controls of p on [a, b] and the uniform grid t, s = 1 - t."""
-    return (_floats(*_bernstein_controls(p, a, b)), *_grid(num))
+    grid = _grid(num)
+    return _floats(*_bernstein_controls(p, a, b)), grid.t, grid.s
 
 
 def _de_casteljau(ctrl: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -438,25 +471,26 @@ def _power(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _sup_candidates(ctrl: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Mask of the columns whose `_de_casteljau` value may have the largest
-    magnitude; every other column provably has a smaller one.
+def _sup_candidates(ctrl: np.ndarray, grid: _Grid) -> np.ndarray:
+    """Mask of the grid columns whose `_de_casteljau` value may have the
+    largest magnitude; every other column provably has a smaller one.
 
     With u = 2^-53, gamma_m = m u / (1 - m u), a_i = beta_i C(k, i) and, in
     exact arithmetic on the same doubles t and s,
         Q = sum_i a_i t^i s^(k-i),   S = sum_i |a_i| t^i s^(k-i),
     the sweep returns D with |D - Q| <= gamma_2k S (Farouki and Rajan 1987:
     every path from a control to the result passes k levels of one product
-    and one sum).  An O(k) pass (Schumaker and Volk) evaluates Q and S at
-    once: with m = max(t, s) and r = min(t, s) / m <= 1, Q = m^k times a
-    Horner sum in r over the a_i, ascending or descending; m^k is computed as
-    (2m)^k 2^-k, where (2m)^k in [1, 2^k] cannot underflow and ldexp scales
-    it back.  Each term of the computed H (and of the magnitude sum M) is
-    the exact term times a factor within gamma_(4k+3) of 1: C(k, i) and
-    beta_i C(k, i) round once each, Horner rounds at most 2k times, r^i
-    carries at most k ratio roundings, (2m)^k at most k - 1 (`_power`), and
-    the final product once.  Hence |H - Q| <= gamma_(4k+3) S and
-    S <= M / (1 - gamma_(4k+3)).
+    and one sum).  One bound on S serves every column: with C = max |beta_i|,
+    S <= C sum_i C(k, i) t^i s^(k-i) = C (t + s)^k, and s = fl(1 - t) gives
+    t + s <= 1 + u, so S <= C (1 + u)^k.  So only the values need a pass.
+    An O(k) pass (Schumaker and Volk) evaluates Q: with m = max(t, s) and
+    r = min(t, s) / m <= 1, Q = m^k times a Horner sum in r over the a_i,
+    ascending or descending; m^k is computed as (2m)^k 2^-k, where (2m)^k in
+    [1, 2^k] cannot underflow and ldexp scales it back.  Each term of the
+    computed H is the exact term times a factor within gamma_(4k+3) of 1:
+    C(k, i) and beta_i C(k, i) round once each, Horner rounds at most 2k
+    times, r^i carries at most k ratio roundings, (2m)^k at most k - 1
+    (`_power`), and the final product once.  Hence |H - Q| <= gamma_(4k+3) S.
 
     Underflow adds an absolute error of at most 2^-1075 per product, which
     the rest of the evaluation scales by less than 2: k (k + 1) products in
@@ -464,15 +498,16 @@ def _sup_candidates(ctrl: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarra
     itself does not underflow on a grid, where min(t, s) is 0 or at least
     the grid step.  The term 2 (k + 2)^2 2^-1074 covers all of it.
 
-    Write E = (6k + 8) u M + 2 (k + 2)^2 2^-1074.  To first order in u,
-    |D - H| needs (2k + 4k + 3) u M, and rounding |H| + E and |H| - E once
-    each needs u |H| <= u M more.  The remaining 4 u M absorbs every
-    second-order term: those are O(k^2 u^2) M, below 10^-7 u M for every
-    degree below 1024.  So the computed |H| + E bounds |D| above and
+    Write E = (6k + 8) u C + 2 (k + 2)^2 2^-1074.  To first order in u,
+    |D - H| <= (gamma_2k + gamma_(4k+3)) C (1 + u)^k needs (6k + 3) u C, and
+    rounding |H| + E and |H| - E once each needs u |H| <= u C more.  The
+    remaining 4 u C absorbs every second-order term, those of (1 + u)^k and
+    of computing E included: they are O(k^2 u^2) C, below 10^-7 u C for
+    every degree below 1024.  So the computed |H| + E bounds |D| above and
     |H| - E bounds it below.  A column whose upper bound falls short of the
     largest lower bound cannot hold the maximum, and dropping it leaves
-    max |D| unchanged.  If any value is not finite, every column is kept:
-    so it is for huge controls, and from degree 1024 on, where (2m)^k
+    max |D| unchanged.  If any value or E is not finite, every column is
+    kept: so it is for huge controls, and from degree 1024 on, where (2m)^k
     overflows at t = 0 (a binomial of 2^1023 or more, from degree 1029 on,
     is taken as infinite rather than converted).
     """
@@ -481,23 +516,18 @@ def _sup_candidates(ctrl: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarra
                       for c in (comb(k, i) for i in range(k + 1))])
     with np.errstate(over="ignore", invalid="ignore"):
         coef = ctrl * binom
-        coef = np.stack((coef, np.abs(coef)), axis=1)
-        left = t <= s
-        big = np.maximum(t, s)
-        ratio = np.minimum(t, s) / big
-        acc = np.empty((2, len(t)))
+        value = np.empty(len(grid.t))
         # Left of the middle Q = s^k sum_i a_i r^i, right of it t^k sum_i a_i r^(k-i).
-        for side, order in ((left, coef[::-1]), (~left, coef)):
-            r = ratio[side]
-            h = np.repeat(order[0][:, None], len(r), axis=1)
+        for h, r, order in ((value[:grid.half], grid.left_ratio, coef[::-1]),
+                            (value[grid.half:], grid.right_ratio, coef)):
+            h[:] = order[0]
             for c in order[1:]:
                 h *= r
-                h += c[:, None]
-            acc[:, side] = h
-        value, size = np.ldexp(acc * _power(2 * big, k), -k)
-        err = (6 * k + 8) * 2.0 ** -53 * size + 2 * (k + 2) ** 2 * 2.0 ** -1074
-        high = np.abs(value) + err
-        keep = high >= np.max(np.abs(value) - err)
+                h += c
+        value = np.abs(np.ldexp(value * _power(grid.twice_max, k), -k))
+        err = (6 * k + 8) * 2.0 ** -53 * np.max(np.abs(ctrl)) + 2 * (k + 2) ** 2 * 2.0 ** -1074
+        high = value + err
+        keep = high >= np.max(value - err)
     return keep if np.isfinite(high).all() else np.ones_like(keep)
 
 
@@ -520,12 +550,13 @@ def _grid_sup(ctrl: np.ndarray) -> float:
 
     Otherwise the sweep runs only on the columns `_sup_candidates` keeps.
     """
-    t, s = _grid(DEFAULT_GRID)
+    grid = _grid(DEFAULT_GRID)
+    t, s = grid.t, grid.s
     top = np.max(np.abs(ctrl))
     if (np.isfinite(top) and (top == abs(ctrl[0]) or top == abs(ctrl[-1]))
             and np.all(top * s + top * t <= top)):
         return float(top)
-    keep = _sup_candidates(ctrl, t, s)
+    keep = _sup_candidates(ctrl, grid)
     return float(np.max(np.abs(_de_casteljau(ctrl, t[keep], s[keep]))))
 
 
@@ -550,11 +581,13 @@ def interval_sups(p: Polynomial, a, b, memo: dict | None = None) -> tuple[float,
     d (c_(i+1) - c_i) / (b - a), so p' is not converted again.  Callers that
     meet equal polynomials on equal intervals share a `memo` dict, keyed by
     (p, a, b), so that each pair is computed once; `verify character` does.
+    A lookup hashes p by its integer numerators, not its Fractions.
     """
     a, b = as_fraction(a), as_fraction(b)
     key = (p, a, b)
-    if memo is not None and key in memo:
-        return memo[key]
+    sups = None if memo is None else memo.get(key)
+    if sups is not None:
+        return sups
     nums, den = _bernstein_controls(p, a, b)
     width = b - a
     scale = (len(nums) - 1) * width.denominator

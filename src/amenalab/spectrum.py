@@ -9,11 +9,12 @@ s*sqrt(lambda_n).  Sums and products keep the grading (see `scalars`).
 Polynomials of an operator (`apply_poly_to_block`) are exact only: they take
 rational coefficients and rational diagonal blocks, and raise TypeError on a
 float operator.  The pipelines do not build them: the character steps call
-`_horner_numerators` per coordinate and float each entry of p(X) and X p(X) - X
-from its integers, and the membership trials take one dot product per
-coordinate (`amenability`).  `apply_poly_to_block` and the exact block
-product remain the fallback of a failing membership trial and the tests'
-oracle for both.
+`_divided_numerators` per coordinate, evaluate p at each distinct upper-left
+entry once, and float each entry of p(X) and X p(X) - X from its integers
+(`amenability`); the membership trials take exact dot products only where
+their float estimates allow a maximum (`membership`).  `apply_poly_to_block`
+and the exact block product remain the fallback of a failing membership
+trial and the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -258,6 +259,21 @@ def _horner_numerators(nums: Sequence[int], num_a: int, num_c: int,
         ha = ha * num_a + n * scale
         hc = hc * num_c + n * scale
     return ha, g * e, hc, scale
+
+
+def _divided_numerators(nums: Sequence[int], num_a: int, num_c: int,
+                        e: int) -> tuple[int, int, int]:
+    """(G, H_c, E^k) of `_horner_numerators`, without its H_a accumulator:
+    Dp = G / (L E^k) and p(c) = H_c / (L E^k).  At a = c, these are p'(a)
+    and p(a)."""
+    hc = nums[-1]
+    g = 0
+    scale = 1
+    for n in reversed(nums[:-1]):
+        scale *= e
+        g = g * num_a + hc
+        hc = hc * num_c + n * scale
+    return g * e, hc, scale
 
 
 def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperator:

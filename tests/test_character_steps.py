@@ -18,8 +18,11 @@ from amenalab import (ApproximationStep, Polynomial, apply_poly_to_block,
                       build_shifted_T, divide_shifted, interval_sups, make_spectrum,
                       mvt_bound_check, notch, operator_norm, sup_norm, unit_approximation_step,
                       unit_notch)
+from amenalab import amenability
 from amenalab.amenability import _divided_sup, _polynomial_norms, _quotient_sup
-from amenalab.spectrum import BlockOperator
+from amenalab.polynomials import _from_integers
+from amenalab.scalars import exact_sqrt
+from amenalab.spectrum import BlockOperator, DiagonalOperator
 from amenalab.cli import main
 from oracle_utils import count_calls
 
@@ -162,3 +165,109 @@ def test_verify_character_leaves_the_block_algebra(monkeypatch, tmp_path, capsys
     assert compositions[0] == 0
     assert divisions[0] == 0
     assert products[0] == 1
+
+
+def spy_divided_passes(monkeypatch) -> list[tuple[Fraction, Fraction]]:
+    """(a, c) of every per-coordinate integer pass of the character steps."""
+    calls = []
+    real = amenability._divided_numerators
+
+    def spy(nums, num_a, num_c, e):
+        calls.append((Fraction(num_a, e), Fraction(num_c, e)))
+        return real(nums, num_a, num_c, e)
+
+    monkeypatch.setattr(amenability, "_divided_numerators", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["geometric_half_16", "ratio_9_10_12", "mixed_grade_8"])
+def test_steps_evaluate_p_at_the_upper_left_entry_once(monkeypatch, case):
+    """A kernel step's upper-left entry is lambda_n at every coordinate, and p
+    is evaluated there once per step: one pass at a = c = lambda_n, which
+    serves ||u||, the residual and q(0), and one pass per coordinate for Dp
+    and p(c).  Before, every coordinate's pass and `_divided_sup` each
+    evaluated p(lambda_n) again: M + 1 times.  The unit step likewise
+    evaluates p at 0 once."""
+    s = SPECTRA[case]
+    calls = spy_divided_passes(monkeypatch)
+    for n in (1, 2, 3):
+        lam = s.lam(n)
+        calls.clear()
+        approximate_identity_step(approximate_with_derivative(notch(n, s), 64), n, s)
+        assert [c for _, c in calls if c == lam] == [lam]
+        assert len(calls) == len(s) + 1
+        assert all(a == lam for a, _ in calls)
+    calls.clear()
+    unit_approximation_step(approximate_with_derivative(unit_notch(s), 64), s)
+    assert [c for _, c in calls if c == 0] == [0]
+    assert len(calls) == len(s) + 1
+
+
+def test_polynomial_norms_on_a_hand_built_operator_with_confluent_coordinates():
+    """Upper-left entries that vary, repeat, and equal the lower-right entry
+    (a = c, where Dp is p'(a)): the norms are still bitwise those of the
+    exact block composition, and the exact values are p's."""
+    X = BlockOperator(
+        DiagonalOperator((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3), Fraction(2, 5), 0)),
+        DiagonalOperator((exact_sqrt(Fraction(1, 2)), Fraction(1), Fraction(-2, 3),
+                          exact_sqrt(Fraction(1, 3)), Fraction(5))),
+        DiagonalOperator((Fraction(1, 2), Fraction(1, 5), Fraction(1, 3), Fraction(0),
+                          Fraction(0))))
+    for p in (Polynomial((0, 3, Fraction(-1, 2), Fraction(5, 7))), Polynomial((0, 0, 1)),
+              Polynomial((0, Fraction(1, 3))), Polynomial.zero(),
+              approximate_with_derivative(notch(2, SPECTRA["harmonic_8"]), 32)):
+        u = apply_poly_to_block(p.coefficients, X)
+        want = (operator_norm(((X @ u) - X).to_float()), operator_norm(u.to_float()))
+        residual, element_norm, values = _polynomial_norms(p, X)
+        assert (residual.hex(), element_norm.hex()) == tuple(x.hex() for x in want), p
+        assert sorted(values.at) == [0, Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)]
+        dp = p.derivative()
+        for a, (h, g, d) in values.at.items():
+            assert (Fraction(h, d), Fraction(g, d)) == (p(a), dp(a))
+        for (big_a, e, g, hc, d), a, c in zip(values.rows, X.b11.diag, X.b22.diag):
+            assert Fraction(big_a, e) == a and Fraction(hc, d) == p(c)
+            assert Fraction(g, d) == (dp(a) if a == c else (p(a) - p(c)) / (a - c))
+
+
+def test_a_polynomial_hashes_by_its_integers():
+    """A Fraction-built polynomial and the same one from unreduced integer
+    numerators are equal and hash equal, so either finds the other in a memo."""
+    pairs = [
+        (Polynomial((Fraction(1, 3), Fraction(2, 3), -1)), _from_integers([-2, -4, 6], -6)),
+        (Polynomial((0, Fraction(5, 4), 0, Fraction(-1, 8))), _from_integers([0, 10, 0, -1, 0], 8)),
+        (Polynomial.zero(), _from_integers([0, 0], 7)),
+        (Polynomial((3,)), _from_integers([6], 2)),
+    ]
+    for p, q in pairs:
+        assert p == q and hash(p) == hash(q) and hash(p) == hash(p._integers)
+        assert {p: 1}[q] == 1
+    assert Polynomial((0, 1)) != Polynomial((0, 2))
+
+
+def test_interval_sups_memo_hits_share_the_kernel_n1_and_unit_approximants(monkeypatch):
+    """On a geometric spectrum `kernel_n1` and `unit` are born equal on
+    [0, lambda_1] as two objects; the memo converts each pair once.  A memo
+    hit hashes the key's two interval ends, not the polynomial's Fractions."""
+    s = SPECTRA["geometric_half_16"]
+    conversions = count_calls(monkeypatch, "amenalab.polynomials", "_bernstein_controls")
+    hashed = [0]
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        hashed[0] += 1
+        return fraction_hash(self)
+
+    memo: dict = {}
+    for k in DEGREES:
+        p = approximate_with_derivative(notch(1, s), k)
+        q = approximate_with_derivative(unit_notch(s), k)
+        assert p is not q and p == q and hash(p) == hash(q)
+        first = interval_sups(p, Fraction(0), s.lam(1), memo)
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        hashed[0] = 0
+        assert interval_sups(q, Fraction(0), s.lam(1), memo) is first
+        assert hashed[0] <= 2
+        monkeypatch.setattr(Fraction, "__hash__", fraction_hash)
+    assert conversions[0] == len(DEGREES)
+    assert len(memo) == len(DEGREES)
+

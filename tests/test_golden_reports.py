@@ -1,11 +1,14 @@
 """Report bytes of two pipeline runs beyond the benchmark's workloads.
 
 `verify all --count 8` runs every pipeline at the default geometric ratio
-1/2, and `verify character --ratio 9/10 --count 32 --degrees 8:128` runs the
-character pipeline on spectrum points with denominators up to 10^32.  The
-digests were recorded before the exact polynomial kernels lost their float
-branches and their zero-polynomial special cases, so a change to any report
-byte shows here.
+1/2, `verify character --ratio 9/10 --count 32 --degrees 8:128` runs the
+character pipeline on spectrum points with denominators up to 10^32, and
+`verify character --kind harmonic --count 16 --degrees 8:256` is the only
+run above Bernstein degree 128.  The first two digests were recorded before
+the exact polynomial kernels lost their float branches and their
+zero-polynomial special cases, the third before the interval sups lost their
+magnitude rows and the character steps their per-coordinate p(lambda_n), so
+a change to any report byte shows here.
 """
 
 import hashlib
@@ -35,12 +38,22 @@ GOLDEN_CHARACTER_RATIO_9_10_32 = {
     "character_unit.csv": "829af0ae244bbb9ac52a1693b558cb5c217a6f94aad76c8c33afca89b484c96c",
 }
 
+GOLDEN_CHARACTER_HARMONIC_16_256 = {
+    "character_bai.csv": "7a1e98e3fef61c5052ea08246b45c700173c8b3f0be7a0fc379fdcdbc94a3aff",
+    "character_kernel_n1.csv": "db57190b7b712ceaa6a4a8a5dbe60f1d594bceb42afd2524884ec29aeb726045",
+    "character_kernel_n2.csv": "92e7c429455a6cf9d413c737e78d3b70710ebb0ad67e8063626d36f9a11cddd0",
+    "character_kernel_n3.csv": "f7ae14a7b8d736d123b5f7b820c84730200005af10bc3ec560f6d62770aa280c",
+    "character_unit.csv": "0cddda632a1cb1d6ff9c84ddce7a42c7158afc2e8ce1c6f1ee98f705447d9e65",
+}
+
 
 @pytest.mark.parametrize("argv, summary, golden", [
     (["verify", "all", "--count", "8"], "16/16 checks passed", GOLDEN_ALL_8),
     (["verify", "character", "--ratio", "9/10", "--count", "32", "--degrees", "8:128"],
      "9/9 checks passed", GOLDEN_CHARACTER_RATIO_9_10_32),
-], ids=["all_8", "character_ratio_9_10_32"])
+    (["verify", "character", "--kind", "harmonic", "--count", "16", "--degrees", "8:256"],
+     "9/9 checks passed", GOLDEN_CHARACTER_HARMONIC_16_256),
+], ids=["all_8", "character_ratio_9_10_32", "character_harmonic_16_256"])
 def test_reports_are_golden(tmp_path, capsys, argv, summary, golden):
     out_dir = tmp_path / "reports"
     assert main([*argv, "--out", str(out_dir)]) == 0

@@ -13,8 +13,8 @@ from amenalab import (InternalConsistencyError, Polynomial, apply_poly_to_block,
                       approximate_with_derivative, build_T, build_shifted_T, divide_shifted,
                       evaluate_on_grid, exact_sqrt, interval_sups, make_spectrum,
                       mvt_bound_check, notch, sup_norm, unit_notch)
-from amenalab.polynomials import (_bernstein_controls, _float_grid, _floats, _grid_sup,
-                                  _sup_candidates)
+from amenalab.polynomials import (_bernstein_controls, _float_grid, _floats, _grid,
+                                  _grid_sup, _sup_candidates)
 from amenalab.membership import membership_trials
 from amenalab.scalars import as_fraction
 from oracle_utils import (approximant_oracle, bernstein_to_monomial, count_calls,
@@ -187,6 +187,21 @@ def test_notch_plateau_at_every_shifted_point():
         for m in range(1, 7):
             if m != n:
                 assert f.value(s.lam(n) - s.lam(m)) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(min_value=-2, max_value=2, max_denominator=1000))
+@example(Fraction(1, 256))
+@example(Fraction(-1, 256))
+@example(Fraction(0))
+def test_notch_value_is_the_smoothstep_of_the_scaled_distance(z):
+    """The plateau test |z| >= delta runs before any division; the values
+    stay those of u = |z| / delta: 1 for u >= 1, 3u^2 - 2u^3 below."""
+    f = notch(1, make_spectrum("geometric", 2))  # delta = 1/256
+    u = abs(z) / f.delta
+    want = Fraction(1) if u >= 1 else 3 * u * u - 2 * u ** 3
+    got = f.value(z)
+    assert got == want and isinstance(got, Fraction)
 
 
 def test_notch_range_and_degenerate_truncation():
@@ -493,19 +508,32 @@ def test_hull_certificate_decides_endpoint_maxima_without_a_sweep(monkeypatch, c
 
 
 def test_sup_candidates_keep_every_point_when_the_bound_overflows():
-    t = np.linspace(0.0, 1.0, 4096)
-    s = 1 - t
-    assert _sup_candidates(np.array([1e308, -1e308, 1e308]), t, s).all()
+    grid = _grid(4096)
+    assert _sup_candidates(np.array([1e308, -1e308, 1e308]), grid).all()
     # From degree 1024 (2 max(t, s))^k overflows at t = 0; at degree 1100 the
     # middle binomials leave the double range too.
-    assert _sup_candidates(np.ones(1025), t, s).all()
-    assert _sup_candidates(np.ones(1101), t, s).all()
+    assert _sup_candidates(np.ones(1025), grid).all()
+    assert _sup_candidates(np.ones(1101), grid).all()
 
 
 def test_sup_candidates_prune_a_notch_derivative():
     f = notch(2, make_spectrum("geometric", 16))
-    ctrl, t, s = _float_grid(approximate_with_derivative(f, 128).derivative(), f.a, f.b, 4096)
-    assert np.count_nonzero(_sup_candidates(ctrl, t, s)) <= 4096 // 16
+    ctrl = _float_grid(approximate_with_derivative(f, 128).derivative(), f.a, f.b, 4096)[0]
+    assert np.count_nonzero(_sup_candidates(ctrl, _grid(4096))) <= 4096 // 16
+
+
+def test_grid_is_built_once_and_read_only():
+    """The sup filter's grid arrays are shared by every call in a process,
+    so none of them may be written; t <= s holds exactly on the first half."""
+    grid = _grid(4096)
+    assert _grid(4096) is grid
+    assert np.array_equal(grid.t, np.linspace(0.0, 1.0, 4096))
+    assert np.array_equal(grid.s, 1 - grid.t)
+    assert (grid.t[:grid.half] <= grid.s[:grid.half]).all()
+    assert (grid.t[grid.half:] > grid.s[grid.half:]).all()
+    for x in (grid.t, grid.s, grid.left_ratio, grid.right_ratio, grid.twice_max):
+        with pytest.raises(ValueError):
+            x[0] = 0.5
 
 
 # --- one exact path per kernel --------------------------------------------------

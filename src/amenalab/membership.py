@@ -18,7 +18,7 @@ import numpy as np
 
 from .amenability import membership_residual
 from .polynomials import Polynomial, sup_norm
-from .scalars import Surd, _root_split, _split_float, is_exact_zero, to_float
+from .scalars import Surd, is_exact_zero, scaled_float, to_float
 from .spectrum import BlockOperator, SpectrumSequence, apply_poly_to_block, operator_norm
 
 
@@ -42,19 +42,11 @@ def _trial_weights(c: int, e: int, k: int) -> list[int]:
     return [c ** (j - 1) * e ** (k - j) for j in range(1, k + 1)]
 
 
-def _trial_row(lam: Fraction, b, k: int) -> tuple:
+def _trial_row(lam: Fraction, k: int) -> tuple:
     """What every trial of degree at most k shares at a coordinate with
-    lambda_n = C / E and upper-right entry b: the `_trial_weights`, C, E^k,
-    and the integers and root parts that float b Dp."""
+    lambda_n = C / E: the `_trial_weights`, C, E and E^k."""
     c, e = lam.numerator, lam.denominator
-    scale = e ** k
-    # b Dp = b e g / (L e^k): top_num g over L top_den, times sqrt(d) for a Surd b
-    if isinstance(b, Surd):
-        p0, q0, *parts = _root_split(b.d.numerator, b.d.denominator)
-        top = (p0 * e * b.s.numerator, q0 * scale * b.s.denominator, parts)
-    else:
-        top = (e * b.numerator, scale * b.denominator, None)
-    return _trial_weights(c, e, k), c, scale, *top
+    return _trial_weights(c, e, k), c, e, e ** k
 
 
 def _trial_table(T: BlockOperator, spectrum: SpectrumSequence) -> list | None:
@@ -113,16 +105,15 @@ def _trial_estimates(alphas: np.ndarray, x: np.ndarray,
     Row t of `alphas` holds alpha_j = fl(a_j), a_j = N_j / L, j = 1..K, the
     coefficients of z^j of a trial (zeros past its degree); x_n = fl(lambda_n)
     and b_n = to_float(b_n) at each coordinate.  Each is zero or normal, with
-    a relative error of at most u = 2^-53, or 2u for b_n (the root split
-    below); the callers drop the coordinates where x or b is NaN
+    a relative error of at most u = 2^-53, or 2u for a Surd b_n
+    (`surd_float`); the callers drop the coordinates where x or b is NaN
     (`_quotient_float`, `_entry_float`), and an alpha of NaN makes its row
     NaN.  Exactly,
         D = sum_j a_j lambda^(j-1) = Dp,   S = sum_j |a_j| lambda^(j-1),
     and the trial's floats at n are bottom = fl(lambda D), correctly rounded;
     top = the float of b D, correctly rounded for a rational b and within
-    1.13 u by sympy's root-split chain (the exact value is cut to 64 bits,
-    times sqrt(n) cut to 64, then rounded at 57 and 53 bits); and their
-    np.hypot, within 1 ulp (libm), so 2u.
+    1.13 u for a Surd b (`surd_float`); and their np.hypot, within 1 ulp
+    (libm), so 2u.
 
     One elementwise Horner pass over (trials x coordinates) arrays computes
     D~ and S~ from the alphas and x, and W~ for W = sum_(i<K) x^i.  With
@@ -220,8 +211,8 @@ def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
     residual 0, and its norm and spectral sup are maxima over n of floats of
     exact values.  One float pass with proven error bounds over every trial
     and coordinate (`_trial_candidates`) rules out the coordinates that
-    cannot hold a maximum, so g and the exact floats, correctly rounded or
-    by the root split of b_n, are computed only on the few that can, and
+    cannot hold a maximum, so g and the exact floats (`scaled_float` for
+    b_n Dp) are computed only on the few that can, and
     the integers of a coordinate (`_trial_row`) only where some trial needs
     them.  Every trial on a T of another shape is the composition itself.
     """
@@ -239,7 +230,7 @@ def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
     hyp_at, bottom_at = _trial_candidates(
         alphas, [_quotient_float(lam.numerator, lam.denominator) for lam, _, _ in table],
         [_entry_float(b) for _, b, _ in table])
-    row = functools.cache(lambda n: _trial_row(table[n][0], table[n][1], k))
+    row = functools.cache(lambda n: _trial_row(table[n][0], k))
     failing = [n for n, (_, _, agrees) in enumerate(table) if not agrees]
     exact = []  # per trial: None for the composition, else its (top, bottom) pairs and sup
     for (nums, den), hyp_n, bottom_n in zip(integers, hyp_at, bottom_at):
@@ -249,11 +240,9 @@ def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
             continue
         floats = {}
         for n in {*hyp_n, *bottom_n}:
-            weights, c, scale, top_num, top_den, parts = row(n)
+            weights, c, e, scale = row(n)
             g = sum(map(operator.mul, nums, weights))
-            top = (g * top_num / (den * top_den) if parts is None
-                   else _split_float(g * top_num, den * top_den, *parts))
-            floats[n] = top, c * g / (den * scale)
+            floats[n] = scaled_float(table[n][1], e * g, den * scale), c * g / (den * scale)
         exact.append(([floats[n] for n in hyp_n], max(0.0, *(abs(floats[n][1]) for n in bottom_n))))
     pairs = np.reshape([pair for e in exact if e for pair in e[0]], (-1, 2))
     hyps = iter(np.hypot(pairs[:, 0], pairs[:, 1]).tolist())

@@ -421,12 +421,6 @@ def _grid(num: int) -> _Grid:
     return grid
 
 
-def _float_grid(p: Polynomial, a, b, num: int):
-    """Float Bernstein controls of p on [a, b] and the uniform grid t, s = 1 - t."""
-    grid = _grid(num)
-    return _floats(*_bernstein_controls(p, a, b)), grid.t, grid.s
-
-
 def _de_casteljau(ctrl: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Float de Casteljau sweep of the controls at every column (t_j, s_j).
 
@@ -454,7 +448,8 @@ def _de_casteljau(ctrl: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
 def evaluate_on_grid(p: Polynomial, a, b, num: int) -> np.ndarray:
     """Numerically stable dense evaluation: exact Bernstein form, then a
     vectorized float de Casteljau sweep over a uniform grid (endpoints included)."""
-    return _de_casteljau(*_float_grid(p, a, b, num))
+    grid = _grid(num)
+    return _de_casteljau(_floats(*_bernstein_controls(p, a, b)), grid.t, grid.s)
 
 
 def _power(x: np.ndarray, k: int) -> np.ndarray:

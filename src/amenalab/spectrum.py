@@ -6,15 +6,12 @@ float; the arithmetic preserves whichever tier it is given.  The exact
 operators of the pipelines are graded at each coordinate n: rational diagonal
 blocks and an upper-right block in Q*sqrt(lambda_n), a Fraction or a `Surd`
 s*sqrt(lambda_n).  Sums and products keep the grading (see `scalars`).
-Polynomials of an operator (`apply_poly_to_block`) are exact only: they take
-rational coefficients and rational diagonal blocks, and raise TypeError on a
-float operator.  The pipelines do not build them: the character steps call
-`_divided_numerators` per coordinate, evaluate p at each distinct upper-left
-entry once, and float each entry of p(X) and X p(X) - X from its integers
-(`amenability`); the membership trials take exact dot products only where
-their float estimates allow a maximum (`membership`).  `apply_poly_to_block`
-and the exact block product remain the fallback of a failing membership
-trial and the tests' oracle for both.
+Polynomials of an operator are exact only, with rational coefficients and
+diagonal blocks (TypeError on a float operator), and one integer kernel,
+`_divided_numerators`, evaluates them: p at each distinct upper-left entry
+once, Dp and p(c) per coordinate.  The character steps float p(X) and
+X p(X) - X from its integers (`amenability`); `apply_poly_to_block` builds
+the exact p(X), the membership trials' fallback and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -240,32 +237,16 @@ def build_shifted_T(spectrum: SpectrumSequence, n: int) -> BlockOperator:
     )
 
 
-def _horner_numerators(nums: Sequence[int], num_a: int, num_c: int,
-                       e: int) -> tuple[int, int, int, int]:
-    """(H_a, G, H_c, E^k) with p(a) = H_a / (L E^k), Dp = G / (L E^k) and
-    p(c) = H_c / (L E^k), for a = A / E, c = C / E (A = num_a, C = num_c,
-    E = e) and p = sum_j N_j z^j / L of degree k, N nonempty.
-
-    One homogenised pass H <- H A + N_j E^(k-j) (and likewise with C),
-    G <- G A + H_c runs on integers only; G is its own accumulator, so Dp is
-    never derived from p(a) or p(c).
-    """
-    ha = hc = nums[-1]
-    g = 0
-    scale = 1
-    for n in reversed(nums[:-1]):
-        scale *= e
-        g = g * num_a + hc
-        ha = ha * num_a + n * scale
-        hc = hc * num_c + n * scale
-    return ha, g * e, hc, scale
-
-
 def _divided_numerators(nums: Sequence[int], num_a: int, num_c: int,
                         e: int) -> tuple[int, int, int]:
-    """(G, H_c, E^k) of `_horner_numerators`, without its H_a accumulator:
-    Dp = G / (L E^k) and p(c) = H_c / (L E^k).  At a = c, these are p'(a)
-    and p(a)."""
+    """(G, H_c, E^k) with Dp = G / (L E^k) and p(c) = H_c / (L E^k), for
+    a = A / E, c = C / E (A = num_a, C = num_c, E = e), p = sum_j N_j z^j / L
+    of degree k, N nonempty, and Dp the divided difference of p at a and c.
+
+    One homogenised pass H <- H C + N_j E^(k-j), G <- G A + H runs on
+    integers only, through Dp_j = Dp_(j+1) a + p_(j+1)(c), so the confluent
+    case a = c, where the pair is p'(a) and p(a), needs no branch.
+    """
     hc = nums[-1]
     g = 0
     scale = 1
@@ -284,10 +265,11 @@ def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperat
     2x2 matrix [[a, b], [0, c]] = [[b11[n], b12[n]], [0, b22[n]]], and
     p(X)_n = [[p(a), b Dp], [0, p(c)]] with the divided difference
     Dp = (p(a) - p(c)) / (a - c), or p'(a) when a == c.  The coefficients
-    are written once as integer numerators N_j over their lcm L, and per
-    coordinate one `_horner_numerators` pass over E = lcm(den a, den c)
-    yields p(a), p(c) and Dp together through Dp_j = Dp_{j+1} a + p_{j+1}(c),
-    so the confluent case needs no branch.  Each is normalized once, and b
+    are written once as integer numerators N_j over their lcm L.  p(a) comes
+    from one `_divided_numerators` pass at a = c per distinct a, and Dp and
+    p(c) from one pass per coordinate over E = lcm(den a, den c), the passes
+    of the character steps (`amenability._polynomial_norms`); the confluent
+    case a = c needs no branch.  Each is normalized once, and b
     (rational or a `Surd`) enters only in the single product b Dp.  A float
     or `Surd` coefficient, or a diagonal entry that is not an int or
     Fraction, raises TypeError.
@@ -297,15 +279,19 @@ def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperat
     if any(coefficients[:1]):
         raise ValueError("constant term must vanish; the algebra model is non-unital")
     nums, den = _common_denominator((0, *coefficients[1:]))
+    heads = {}  # a -> p(a)
     top, acc, bot = [], [], []
     for a, b, c in zip(X.b11.diag, X.b12.diag, X.b22.diag):
         if not (isinstance(a, (int, Fraction)) and isinstance(c, (int, Fraction))):
             raise TypeError(f"diagonal entries {a!r}, {c!r}: must be int or Fraction")
+        if a not in heads:
+            _, h, scale = _divided_numerators(nums, a.numerator, a.numerator, a.denominator)
+            heads[a] = Fraction(h, den * scale)
         e = lcm(a.denominator, c.denominator)
-        ha, g, hc, scale = _horner_numerators(nums, a.numerator * (e // a.denominator),
-                                              c.numerator * (e // c.denominator), e)
+        g, hc, scale = _divided_numerators(nums, a.numerator * (e // a.denominator),
+                                           c.numerator * (e // c.denominator), e)
         d = den * scale
-        top.append(Fraction(ha, d))
+        top.append(heads[a])
         acc.append(Fraction(g, d) * b)
         bot.append(Fraction(hc, d))
     return BlockOperator(DiagonalOperator(tuple(top)), DiagonalOperator(tuple(acc)),

@@ -21,7 +21,7 @@ from amenalab import (BlockOperator, InternalConsistencyError, Polynomial, Surd,
                       apply_poly_to_block, membership_residual, operator_norm, sup_norm)
 from amenalab.amenability import DerivationSpace
 from amenalab.membership import MembershipTrial
-from amenalab.scalars import _common_denominator, _root_split, _split_float, as_fraction
+from amenalab.scalars import _common_denominator, as_fraction, scaled_float
 
 
 def dense_exact(X: BlockOperator) -> list[list]:
@@ -168,9 +168,9 @@ def character_value(X: BlockOperator, n: int):
 def integer_trial_table(T: BlockOperator, spectrum, k: int) -> list | None:
     """Every coordinate's integers for membership trials of degree at most k
     on T = [[0, b], [0, lambda_n]], lambda_n = C / E, sqrt(lambda_n) b = P / Q:
-    the weights C^(j-1) E^(k-j), C, E^k, CQ and PE, and the integers and
-    root parts that float b Dp.  None unless every coordinate has that shape
-    with b rational or s sqrt(d) and sqrt(lambda_n) b rational."""
+    the weights C^(j-1) E^(k-j), C, E, E^k, CQ and PE, and b.  None unless
+    every coordinate has that shape with b rational or s sqrt(d) and
+    sqrt(lambda_n) b rational."""
     table = []
     for a, b, c, lam, root in zip(T.b11.diag, T.b12.diag, T.b22.diag, spectrum.values,
                                   spectrum.roots):
@@ -181,15 +181,9 @@ def integer_trial_table(T: BlockOperator, spectrum, k: int) -> list | None:
         if isinstance(product, Surd):
             return None
         num, e = lam.numerator, lam.denominator
-        scale = e ** k
-        if isinstance(b, Surd):
-            p0, q0, *parts = _root_split(b.d.numerator, b.d.denominator)
-            top = (p0 * e * b.s.numerator, q0 * scale * b.s.denominator, parts)
-        else:
-            top = (e * b.numerator, scale * b.denominator, None)
         weights = [num ** (j - 1) * e ** (k - j) for j in range(1, k + 1)]
-        table.append((weights, num, scale, num * product.denominator,
-                      product.numerator * e, *top))
+        table.append((weights, num, e, e ** k, num * product.denominator,
+                      product.numerator * e, b))
     return table
 
 
@@ -201,13 +195,11 @@ def integer_trial_floats(p: Polynomial, table: list) -> list[tuple[float, float]
     nums, den = p._integers
     nums = nums[1:]
     out = []
-    for weights, c, scale, cq, pe, top_num, top_den, parts in table:
+    for weights, c, e, scale, cq, pe, b in table:
         g = sum(x * w for x, w in zip(nums, weights))
         if g * cq != pe * g:
             return None
-        top = (g * top_num / (den * top_den) if parts is None
-               else _split_float(g * top_num, den * top_den, *parts))
-        out.append((top, c * g / (den * scale)))
+        out.append((scaled_float(b, e * g, den * scale), c * g / (den * scale)))
     return out
 
 

@@ -13,7 +13,7 @@ from amenalab import (InternalConsistencyError, Polynomial, apply_poly_to_block,
                       approximate_with_derivative, build_T, build_shifted_T, divide_shifted,
                       evaluate_on_grid, exact_sqrt, interval_sups, make_spectrum,
                       mvt_bound_check, notch, sup_norm, unit_notch)
-from amenalab.polynomials import (_bernstein_controls, _float_grid, _floats, _grid,
+from amenalab.polynomials import (_bernstein_controls, _floats, _grid,
                                   _grid_sup, _sup_candidates)
 from amenalab.membership import membership_trials
 from amenalab.scalars import as_fraction
@@ -518,7 +518,8 @@ def test_sup_candidates_keep_every_point_when_the_bound_overflows():
 
 def test_sup_candidates_prune_a_notch_derivative():
     f = notch(2, make_spectrum("geometric", 16))
-    ctrl = _float_grid(approximate_with_derivative(f, 128).derivative(), f.a, f.b, 4096)[0]
+    dp = approximate_with_derivative(f, 128).derivative()
+    ctrl = _floats(*_bernstein_controls(dp, f.a, f.b))
     assert np.count_nonzero(_sup_candidates(ctrl, _grid(4096))) <= 4096 // 16
 
 

@@ -263,7 +263,8 @@ def test_surd_float_takes_an_unreduced_quotient():
 
 def _split_radicands() -> list[Fraction]:
     """Geometric (a/b)**k, harmonic 1/k, random ratios below 10**6 and below
-    10**40, and squares of primes above 2**15 times small primes."""
+    10**40, squares of primes above 2**15 times small primes, and high
+    powers, whose primes each divide out many times."""
     rng = random.Random("split")
     values = [Fraction(a, b) ** k for b in range(2, 21) for a in range(1, b)
               for k in range(1, 13)]
@@ -271,6 +272,8 @@ def _split_radicands() -> list[Fraction]:
     values += [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(400)]
     values += [Fraction(rng.randint(1, 10 ** 40), rng.randint(1, 10 ** 40)) for _ in range(30)]
     values += [Fraction(2 * 40009 ** 2, 3), Fraction(32771 ** 2, 7), Fraction(5, 32779 ** 2 * 3)]
+    values += [Fraction(9, 10) ** 1023, Fraction(1, 2) ** 1023, Fraction(3, 7) ** 511,
+               Fraction(12, 35) ** 255]
     return sorted(set(_non_squares(values)))
 
 

@@ -117,11 +117,11 @@ def test_verify_weak_trials_share_one_weight_table(monkeypatch, tmp_path, capsys
     """The 100 membership trials pass without a Horner pass or a composition:
     each trial takes dot products only at the coordinates that its float
     estimate leaves as candidates for a maximum, with weights built once per
-    coordinate that some trial needs: 3 of the 64.  They made 6,400
-    `_horner_numerators` passes at M = 64, each rebuilding the powers of the
-    coordinate's denominator, and then built the weights of all 64."""
+    coordinate that some trial needs: 3 of the 64.  They made 6,400 Horner
+    passes at M = 64, each rebuilding the powers of the coordinate's
+    denominator, and then built the weights of all 64."""
     m = 64
-    horner = count_calls(monkeypatch, "amenalab.spectrum", "_horner_numerators")
+    horner = count_calls(monkeypatch, "amenalab.spectrum", "_divided_numerators")
     weights = count_calls(monkeypatch, "amenalab.membership", "_trial_weights")
     compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
     assert main(["verify", "weak", "--count", str(m), "--out", str(tmp_path)]) == 0

@@ -14,12 +14,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _rational_linalg as rl
-from .polynomials import (InternalConsistencyError, Polynomial, approximate_with_derivative,
+from .polynomials import (InternalConsistencyError, Polynomial, _bernstein_controls,
+                          _bernstein_horner, _weights, approximate_with_derivative,
                           interval_sups, notch, unit_notch)
 from .reports import ConvergenceReport
 from .scalars import _common_denominator, as_fraction, is_exact_zero, scaled_float, to_float
-from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, _divided_numerators,
-                       block_norms, build_T, build_shifted_T, operator_norm)
+from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, block_norms, build_T,
+                       build_shifted_T, operator_norm)
 
 
 def algebra_element(spectrum: SpectrumSequence, symbol: Sequence) -> BlockOperator:
@@ -364,43 +365,75 @@ def _polynomial_norms(p: Polynomial, X: BlockOperator) -> tuple[float, float, _S
 
     Coordinate n of X is [[a, b], [0, c]], so u_n = [[p(a), b Dp], [0, p(c)]]
     and (X u - X)_n = [[a (p(a) - 1), b (a Dp + p(c) - 1)], [0, c (p(c) - 1)]],
-    with Dp the divided difference of p at a and c.  The upper-left entry a
-    takes few values: lambda_n at every coordinate of a kernel step, 0 in the
-    unit step.  So p(a) and p'(a) come from one `_divided_numerators` pass
-    at a = c per distinct a, and p(a) and a (p(a) - 1) are floated once.  Per
-    coordinate, one pass with a = A / E, c = C / E gives Dp = G / d and
-    p(c) = H_c / d, and each remaining entry is floated once from integers
-    over d or E d (`scaled_float` for b).  A confluent coordinate, a = c,
-    needs no branch.  Each float is that of an exact value, correctly
-    rounded, so it does not depend on the denominator it is taken over.
+    with Dp the divided difference of p at a and c.  p is evaluated in
+    Bernstein form, on its controls c_j over [lo, hi]:
+    at a point z with t = (z - lo) / (hi - lo) = T / D, one homogeneous
+    Bernstein-Horner pass gives p(z) = sum_j c_j C(k, j) T^j (D - T)^(k-j)
+    / D^k, and p'(a) comes from one pass over the differences of the
+    controls.  The upper-left entry a takes few values: lambda_n at every
+    coordinate of a kernel step and 0 in the unit step, the ends t = 1 and
+    t = 0 of the birth interval, where D = 1 and the pass returns an end
+    control.  So p(a) and p'(a) are evaluated once per distinct a, and per
+    coordinate one pass gives p(c); then Dp = (p(a) - p(c)) / (a - c), with
+    a - c = (hi - lo) (t_a - t_c), costs a few products of a large integer by
+    a small one, and a confluent coordinate, t_a = t_c, takes p'(a).  Each
+    entry is floated once from integers (`scaled_float` for b); each float
+    is that of an exact value, correctly rounded, so it does not depend on
+    the denominator it is taken over.  A born approximant vanishes at 0 by
+    construction; any other p has its constant term checked.
     """
-    nums, den = p._integers
-    if nums[0]:
+    if p._birth is None and p._integers[0][0]:
         raise ValueError("constant term must vanish; the algebra model is non-unital")
+    # an approximant's birth controls, or the controls on [0, 1], where t = z
+    lo, hi, ctrl, den = p._birth or (Fraction(0), Fraction(1), *_bernstein_controls(p, 0, 1))
+    (lo_num, width_num), lo_den = _common_denominator([lo, hi - lo])
+    k = len(ctrl) - 1
+    weights = _weights(ctrl)
+    slopes = _weights([y - x for x, y in zip(ctrl, ctrl[1:])] or [0])
+
+    def t_of(z) -> tuple[int, int]:
+        """(T, D) in lowest terms, t = (z - lo) / (hi - lo) = T / D."""
+        top, bottom = z.numerator * lo_den - lo_num * z.denominator, z.denominator * width_num
+        g = math.gcd(top, bottom)
+        return top // g, bottom // g
+
     values = _StepValues({}, [])
-    heads = {}  # a -> (float p(a), float a (p(a) - 1))
+    heads = {}  # a -> (T_a, D_a, H, S, float p(a), float a (p(a) - 1)), p(a) = H / (den S)
     u, r = [], []
     for a, b, c in zip(X.b11.diag, X.b12.diag, X.b22.diag):
-        if a not in heads:
-            dp, h, scale = _divided_numerators(nums, a.numerator, a.numerator, a.denominator)
-            d = den * scale
-            values.at[a] = (h, dp, d)
-            heads[a] = (h / d, a.numerator * (h - d) / (a.denominator * d))
-        pa, ra = heads[a]
-        e = math.lcm(a.denominator, c.denominator)
-        big_a, big_c = a.numerator * (e // a.denominator), c.numerator * (e // c.denominator)
-        g, hc, scale = _divided_numerators(nums, big_a, big_c, e)
-        d = den * scale
-        ed = e * d
+        head = heads.get(a)
+        if head is None:
+            ta, da = t_of(a)
+            h, s = _bernstein_horner(weights, ta, da), da ** k
+            # p'(a) = k sum_j (c_(j+1) - c_j) B_(j,k-1)(t_a) / (den (hi - lo))
+            values.at[a] = (h * width_num, k * _bernstein_horner(slopes, ta, da) * da * lo_den,
+                            den * s * width_num)
+            head = heads[a] = (ta, da, h, s, h / (den * s),
+                               a.numerator * (h - den * s) / (a.denominator * den * s))
+        ta, da, h, s, pa, ra = head
+        tc, dc = t_of(c)
+        cross = ta * dc - tc * da  # (a - c) D_a D_c / (hi - lo)
+        if cross:
+            hc, sc = _bernstein_horner(weights, tc, dc), dc ** k
+            g = (h * sc - hc * s) * da * dc * lo_den
+            if cross < 0:
+                g, cross = -g, -cross
+            d = den * s * sc * width_num * cross
+            hc *= s * width_num * cross
+        else:
+            _, g, d = values.at[a]
+            hc = h * width_num
+        big_a, e = a.numerator, a.denominator
         u.append((pa, scaled_float(b, g, d), hc / d))
-        r.append((ra, scaled_float(b, big_a * g + e * (hc - d), ed), big_c * (hc - d) / ed))
+        r.append((ra, scaled_float(b, big_a * g + e * (hc - d), e * d),
+                  c.numerator * (hc - d) / (c.denominator * d)))
         values.rows.append((big_a, e, g, hc, d))
     # the rows of coordinates, transposed, are the three float diagonal blocks
     return (operator_norm(BlockOperator(*map(DiagonalOperator, zip(*r)))),
             operator_norm(BlockOperator(*map(DiagonalOperator, zip(*u)))), values)
 
 
-def _divided_sup(p: Polynomial, lam_n: Fraction, values: _StepValues) -> float:
+def _divided_sup(lam_n: Fraction, values: _StepValues) -> float:
     """sup|q| over the spectrum and the origin for the q of `divide_shifted`,
     z q(z) = lambda_n p(lambda_n) - (lambda_n - z) p(lambda_n - z), bitwise
     `sup_norm(divide_shifted(p, lam_n), spectrum)`, from closed forms in the
@@ -429,7 +462,7 @@ def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence,
     lam_n = spectrum.lam(n)
     lam_1 = spectrum.lam(1)
     residual, element_norm, values = _polynomial_norms(p, build_shifted_T(spectrum, n))
-    q_sup = _divided_sup(p, lam_n, values)
+    q_sup = _divided_sup(lam_n, values)
     p_sup, dp_sup = interval_sups(p, lam_n - lam_1, lam_n, memo)
     rhs = p_sup + float(lam_n) * dp_sup
     certified = p_sup + math.sqrt(float(lam_1)) * (rhs + p_sup) / float(lam_n)
@@ -464,13 +497,13 @@ def report_from_steps(steps: Sequence[ApproximationStep], tolerance: float | Non
                              rows, met, bounded, tol_field)
 
 
-def _quotient_sup(p: Polynomial, values: _StepValues) -> float:
+def _quotient_sup(values: _StepValues) -> float:
     """sup|p / z| over the spectrum and the origin, bitwise
     `sup_norm(Polynomial(p.coefficients[1:]), spectrum)`: at coordinate m of
     T, a = 0 and c = lambda_m, so q(lambda_m) = Dp from its
-    `_polynomial_norms` values, and q(0) = p_1."""
-    q_zero = float(p.coefficients[1]) if p.degree >= 1 else 0.0
-    return max(abs(q_zero), *(abs(g / d) for _, _, g, _, d in values.rows))
+    `_polynomial_norms` values, and q(0) = p'(0)."""
+    _, g0, d0 = values.at[0]
+    return max(abs(g0 / d0), *(abs(g / d) for _, _, g, _, d in values.rows))
 
 
 def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence,
@@ -481,7 +514,7 @@ def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence,
     `interval_sups`."""
     lam_1 = spectrum.lam(1)
     residual, element_norm, values = _polynomial_norms(p, build_T(spectrum))
-    q_sup = _quotient_sup(p, values)
+    q_sup = _quotient_sup(values)
     p_sup, q_bound = interval_sups(p, Fraction(0), lam_1, memo)
     certified = p_sup + math.sqrt(float(lam_1)) * q_bound
     return ApproximationStep(max(p.degree, 0), residual, element_norm, q_bound,

@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,49 +96,69 @@ def _entry_float(b) -> float:
     return _quotient_float(b.numerator, b.denominator)
 
 
-def _trial_estimates(alphas: np.ndarray, x: np.ndarray,
+def _scaled_coefficients(nums: Sequence[int], den: int) -> tuple[list[float], int]:
+    """(alphas, s): alpha_j = fl(2^s N_j / L) for the numerators N_1..N_K of
+    a trial over L, with s from bit lengths such that the largest
+    |2^s N_j / L| lies in (1/2, 2), or s = 0 when every N_j is 0.  Each is
+    correctly rounded by one integer division, below the normal range too,
+    where its absolute error is at most 2^-1075, and none overflows."""
+    top = max((abs(n).bit_length() for n in nums), default=0)
+    s = den.bit_length() - top if top else 0
+    return [(n << s) / den if s >= 0 else n / (den << -s) for n in nums], s
+
+
+def _trial_estimates(alphas: np.ndarray, shifts: np.ndarray, x: np.ndarray,
                      b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Float estimates est with proven bounds err (trials x coordinates) of
-    each trial's floats at each coordinate, (est, err) for hypot(top, bottom)
-    and then for |bottom|: |est - float| <= err wherever both are finite.
+    2^s times each trial's floats at each coordinate, s = shifts[t] for
+    trial t: (est, err) for hypot(top, bottom) and then for |bottom|, with
+    |est - 2^s float| <= err wherever both are finite.
 
-    Row t of `alphas` holds alpha_j = fl(a_j), a_j = N_j / L, j = 1..K, the
-    coefficients of z^j of a trial (zeros past its degree); x_n = fl(lambda_n)
-    and b_n = to_float(b_n) at each coordinate.  Each is zero or normal, with
-    a relative error of at most u = 2^-53, or 2u for a Surd b_n
-    (`surd_float`); the callers drop the coordinates where x or b is NaN
-    (`_quotient_float`, `_entry_float`), and an alpha of NaN makes its row
-    NaN.  Exactly,
-        D = sum_j a_j lambda^(j-1) = Dp,   S = sum_j |a_j| lambda^(j-1),
-    and the trial's floats at n are bottom = fl(lambda D), correctly rounded;
-    top = the float of b D, correctly rounded for a rational b and within
-    1.13 u for a Surd b (`surd_float`); and their np.hypot, within 1 ulp
-    (libm), so 2u.
+    Row t of `alphas` holds alpha_j = fl(2^s a_j), a_j = N_j / L, j = 1..K,
+    the coefficients of z^j of a trial scaled by `_scaled_coefficients`
+    (zeros past its degree): the largest is within a factor 2 of 1, and each
+    has a relative error of at most u = 2^-53 plus, below the normal range,
+    an absolute one of at most 2^-1075.  x_n = fl(lambda_n) and
+    b_n = to_float(b_n) at each coordinate are zero or normal, with a
+    relative error of at most u, or 2u for a Surd b_n (`surd_float`); the
+    callers drop the coordinates where x or b is NaN (`_quotient_float`,
+    `_entry_float`).  Exactly,
+        D = sum_j 2^s a_j lambda^(j-1) = 2^s Dp,   S = sum_j 2^s |a_j| lambda^(j-1),
+    and the trial's floats at n are bottom = fl(lambda Dp), correctly
+    rounded; top = the float of b Dp, correctly rounded for a rational b and
+    within 1.13 u for a Surd b (`surd_float`); and their np.hypot, within
+    1 ulp (libm), so 2u.  Where these land below the normal range each
+    rounding adds at most 2^-1074 instead, 2^(s-1074) once scaled by 2^s.
 
     One elementwise Horner pass over (trials x coordinates) arrays computes
     D~ and S~ from the alphas and x, and W~ for W = sum_(i<K) x^i.  With
     gamma_m = m u / (1 - m u), rounding the inputs multiplies each term
-    a_j lambda^(j-1) by a factor within gamma_K of 1 (one rounding of a_j,
-    j - 1 of lambda), and Horner's K - 1 products and sums add at most
-    gamma_(2K-2) times the magnitude sum (N. J. Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 5.1).  A product
-    that underflows adds at most 2^-1075, which the later steps multiply by
-    at most x^i (1 + gamma_2K).  So
-        |D~ - D| <= gamma_3K S + 2^-1074 W,   S <= S~ / (1 - gamma_3K) + 2^-1074 W.
-    The estimates are |fl(x D~)| for |bottom| and np.hypot(fl(b D~), fl(x D~))
-    for the norm.  hypot is 1-Lipschitz in each argument, so to first order
-    in u, with R = (lambda + |b|) S,
-        | |fl(x D~)| - |bottom| | <= (3K + 3) u lambda S   (D~, x, the product, bottom),
-        |fl(b D~) - top|          <= (3K + 5) u |b| S      (D~, 2u of b, the product, 2u of top),
-        |hypot estimate - hypot|  <= (3K + 9) u R          (both, and 2u for each hypot),
-    plus (lambda + |b|) 2^-1074 W from the underflow in D~ and 4 2^-1074 for
-    the final products and floats that land below the normal range.
-    Rounding |est| + err and |est| - err needs u R more.
+    2^s a_j lambda^(j-1) by a factor within gamma_K of 1 (one rounding of
+    alpha_j, j - 1 of lambda), and Horner's K - 1 products and sums add at
+    most gamma_(2K-2) times the magnitude sum (N. J. Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 5.1).  An alpha_j
+    below the normal range and a product that underflows each add at most
+    2^-1075, which the later steps multiply by at most x^i (1 + gamma_2K).
+    So
+        |D~ - D| <= gamma_3K S + 2^-1073 W,   S <= S~ / (1 - gamma_3K) + 2^-1073 W.
+    The estimates are |fl(x D~)| for 2^s |bottom| and
+    np.hypot(fl(b D~), fl(x D~)) for 2^s hypot(top, bottom).  hypot is
+    1-Lipschitz in each argument, so to first order in u, with
+    R = (lambda + |b|) S,
+        | |fl(x D~)| - 2^s |bottom| | <= (3K + 3) u lambda S   (D~, x, the product, bottom),
+        |fl(b D~) - 2^s top|          <= (3K + 5) u |b| S      (D~, 2u of b, the product, 2u of top),
+        |hypot estimate - 2^s hypot|  <= (3K + 9) u R          (both, and 2u for each hypot),
+    plus (lambda + |b|) 2^-1073 W from the underflow in D~, 4 2^-1074 for
+    the estimate's final products and floats that land below the normal
+    range, and 4 2^(s-1074) for the trial's own.  Rounding |est| + err and
+    |est| - err needs u R more.
 
-    So err = (6K + 24) u R~ + 2^-1073 ((x + |b|) W~ + 4), with R~ = x S~ for
-    |bottom| and (x + |b|) S~ for the norm: twice the first-order need, and
-    the other half absorbs every second-order term, O(K^2 u^2) R, for any K
-    below 2^40, and the rounding of err itself.
+    So err = (6K + 24) u R~ + 2^-1072 (x + |b|) W~ + 2^-1071 (1 + 2^s), with
+    R~ = x S~ for |bottom| and (x + |b|) S~ for the norm: twice the
+    first-order need, and the other half absorbs every second-order term,
+    O(K^2 u^2) R, for any K below 2^40, and the rounding of err itself.  A
+    positive factor 2^s leaves a trial's maxima where they are, so the
+    bounds rule out coordinates for the unscaled floats too.
     """
     k = alphas.shape[1]
     b = np.abs(b)
@@ -155,25 +175,25 @@ def _trial_estimates(alphas: np.ndarray, x: np.ndarray,
         d, s = acc
         bottom = np.abs(x * d)
         factor = (6 * k + 24) * 2.0 ** -53
-        floor = 2.0 ** -1073 * ((x + b) * w + 4.0)
+        floor = 2.0 ** -1072 * (x + b) * w + 2.0 ** -1071 * (1 + np.ldexp(1.0, shifts))[:, None]
         return [(np.hypot(b * d, bottom), factor * ((x + b) * s) + floor),
                 (bottom, factor * (x * s) + floor)]
 
 
-def _trial_candidates(alphas: np.ndarray, x: list[float], b: list[float]) -> list[list[list[int]]]:
+def _trial_candidates(alphas: np.ndarray, shifts: np.ndarray, x: list[float],
+                      b: list[float]) -> list[list[list[int]]]:
     """For each trial, the coordinates whose exact floats may hold its
     maximum: one list for hypot(top, bottom), one for |bottom|.  By the
-    bounds of `_trial_estimates`, est + err bounds a float above and
-    est - err below, so a coordinate whose upper bound falls short of the
-    trial's largest lower bound cannot hold the maximum.  A coordinate with
-    an input of NaN (x or b) is kept in every trial, and a trial with any
-    non-finite upper bound (an alpha of NaN, or an overflow) keeps every
-    coordinate."""
+    bounds of `_trial_estimates`, est + err bounds 2^s times a float above
+    and est - err below, so a coordinate whose upper bound falls short of
+    the trial's largest lower bound cannot hold the maximum.  A coordinate
+    with an input of NaN (x or b) is kept in every trial, and a trial with
+    any non-finite upper bound (an overflow) keeps every coordinate."""
     bounded = [n for n, (u, v) in enumerate(zip(x, b)) if not (math.isnan(u) or math.isnan(v))]
     unbounded = sorted(set(range(len(x))).difference(bounded))
     lists = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for est, err in _trial_estimates(alphas, np.array([x[n] for n in bounded]),
+        for est, err in _trial_estimates(alphas, shifts, np.array([x[n] for n in bounded]),
                                          np.array([b[n] for n in bounded])):
             high = est + err
             keep = high >= np.max(est - err, axis=1, initial=-np.inf, keepdims=True)
@@ -225,10 +245,11 @@ def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
         raise ValueError("constant term must vanish; the algebra model is non-unital")
     k = max([0, *(len(nums) - 1 for nums, _ in integers)])
     alphas = np.zeros((len(polynomials), k))
+    shifts = np.zeros(len(polynomials), dtype=int)
     for t, (nums, den) in enumerate(integers):
-        alphas[t, :len(nums) - 1] = [_quotient_float(n, den) for n in nums[1:]]
+        alphas[t, :len(nums) - 1], shifts[t] = _scaled_coefficients(nums[1:], den)
     hyp_at, bottom_at = _trial_candidates(
-        alphas, [_quotient_float(lam.numerator, lam.denominator) for lam, _, _ in table],
+        alphas, shifts, [_quotient_float(lam.numerator, lam.denominator) for lam, _, _ in table],
         [_entry_float(b) for _, b, _ in table])
     row = functools.cache(lambda n: _trial_row(table[n][0], k))
     failing = [n for n, (_, _, agrees) in enumerate(table) if not agrees]

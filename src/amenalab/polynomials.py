@@ -3,14 +3,14 @@ pinned root at the origin, the shifted division identity, and sup norms.
 
 Coefficients are Fractions in ascending degree, so every algebraic identity
 (division, reconstruction, vanishing constant term) holds exactly.  Each
-approximant is born in t = (z - a) / (b - a) on its interval [a, b], on
-integer numerators over one denominator: the node values give its
-t-coefficients by forward differences, the origin pin is applied in t, and
-exactly one Taylor shift takes it to z.  It keeps its t-form, so its
-Bernstein controls on [a, b] are read from birth by one Pascal pass.
-Dense-grid evaluation converts to Bernstein form on the interval of interest
-and runs a float de Casteljau sweep: high-degree monomial Horner in float is
-unusable here because the exact coefficients grow combinatorially large.
+approximant is born as its Bernstein controls on its interval, on integer
+numerators over one denominator, in O(k) (`approximate_with_derivative`).
+The character steps evaluate and bound it on these controls alone; its
+coefficients in z are an on-demand view, computed by forward differences
+and one Taylor shift when first read.
+Dense-grid evaluation runs a float de Casteljau sweep on the Bernstein
+controls of the interval of interest: high-degree monomial Horner in float
+is unusable here because the exact coefficients grow combinatorially large.
 The exact kernels (evaluation at a rational point, the Taylor shift, the
 shifted division, Bernstein conversion) run their inner loops on integer
 numerators over one common denominator (`scalars._common_denominator`) and
@@ -25,9 +25,9 @@ an O(k) Bernstein-Horner pass on the values alone picks the points to sweep.
 Its forward-error bound is one number per polynomial: the sweep's magnitude
 sums are at most max |control| (1 + u)^k on the grid, whose arrays are built
 once per process.  Either way the result is bitwise the full sweep's maximum.
-`interval_sups` gives sup|p| and sup|p'| on an interval from one exact
-conversion of p, and floats each control by one integer division; its memo
-is keyed by (p, a, b), and a polynomial hashes by its integer numerators.
+`interval_sups` gives sup|p| and sup|p'| on an interval from p's controls
+there, and floats each control by one integer division; its memo is keyed
+by the interval and the controls, so a lookup computes no coefficient.
 `sup_norm` is the sup over a spectrum and the origin, evaluated exactly.
 Of the mean-value check, the pipelines call only `interval_sups`: the
 character steps take sup|q| of the divided polynomial from closed forms in
@@ -59,19 +59,34 @@ class InternalConsistencyError(RuntimeError):
     """An algebraic identity that must hold exactly failed to hold."""
 
 
-@dataclass(frozen=True)
 class Polynomial:
     """Polynomial with exact rational coefficients, ascending degree, trimmed.
     Coefficients and scalar factors are int or Fraction; a float raises
-    TypeError."""
+    TypeError.  Immutable; equal polynomials compare and hash equal.
 
-    coefficients: tuple[Fraction, ...]
+    An approximant is born as its Bernstein controls on an interval (`_born`)
+    and has no coefficients until they are read: `coefficients`,
+    `_integers`, hashing, equality and evaluation compute them once, by
+    forward differences and one Taylor shift."""
 
-    def __post_init__(self):
-        coeffs = [_rational(c) for c in self.coefficients]
+    # (a, b, control numerators, denominator) on the birth interval [a, b],
+    # exact degree; None for a polynomial built from coefficients.
+    _birth = None
+
+    def __init__(self, coefficients: Sequence):
+        coeffs = [_rational(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        self.__dict__["coefficients"] = tuple(coeffs)
+
+    @classmethod
+    def _born(cls, a: Fraction, b: Fraction, ctrl: list[int], den: int) -> "Polynomial":
+        p = cls.__new__(cls)
+        p.__dict__["_birth"] = (a, b, ctrl, den)
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Polynomial is immutable: cannot set {name!r}")
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -85,18 +100,31 @@ class Polynomial:
     def monomial(cls, power: int, c=1) -> "Polynomial":
         return cls((Fraction(0),) * power + (_rational(c),))
 
-    # (a, b, numerators, denominator) of the t-form on the birth interval
-    # [a, b], set by `approximate_with_derivative`; not a dataclass field, so
-    # equality and hashing see the coefficients only.
-    _birth = None
+    @cached_property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """Read only for a born polynomial; the others set it at creation."""
+        nums, den = self._integers
+        return tuple(Fraction(n, den) for n in nums) if any(nums) else ()
 
     @cached_property
     def _integers(self) -> tuple[tuple[int, ...], int]:
         """The coefficients as integer numerators N_i over their common
         denominator L, computed once per polynomial; ((0,), 1) for zero, so
-        every integer kernel sees at least one numerator."""
-        nums, den = _common_denominator(self.coefficients or (0,))
+        every integer kernel sees at least one numerator.  A born polynomial
+        takes its t-coefficients from its controls and one Taylor shift."""
+        if self._birth is None:
+            nums, den = _common_denominator(self.coefficients or (0,))
+            return tuple(nums), den
+        a, b, ctrl, den = self._birth
+        width = b - a
+        acc, scale = self._compose_integers(_t_coefficients(ctrl), -a / width, 1 / width)
+        nums, den = _reduced(acc, den * scale)
         return tuple(nums), den
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self._integers == other._integers
 
     def __hash__(self) -> int:
         """The hash of `_integers`: equal polynomials have equal coefficients,
@@ -104,10 +132,17 @@ class Polynomial:
         hashing Fractions."""
         return hash(self._integers)
 
+    def __repr__(self) -> str:
+        return f"Polynomial(coefficients={self.coefficients!r})"
+
     @property
     def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
+        """Degree; -1 for the zero polynomial.  A born polynomial reads it
+        from its controls."""
+        if self._birth is None:
+            return len(self.coefficients) - 1
+        ctrl = self._birth[2]
+        return len(ctrl) - 1 if any(ctrl) else -1
 
     def __call__(self, z) -> Fraction:
         """Exact Horner evaluation at a rational z = Z / D (int or Fraction).
@@ -289,102 +324,185 @@ def _from_integers(nums: list[int], den: int) -> Polynomial:
     return p
 
 
-def _origin_pin(f, degree: int, a: Fraction, width: Fraction, t0: Fraction) -> list[int]:
-    """Integer t-coefficients of a nonzero multiple of the origin pin, a
-    polynomial of degree max(degree, number of anchors) that vanishes at the
-    notch anchors and is localized at the Bernstein node nearest the origin.
+def _bernstein_horner(weights: Sequence[int], top: int, bottom: int) -> int:
+    """sum_j W_j T^j (D - T)^(k - j) at t = T / D (T = top, D = bottom), W
+    nonempty: with W_j = c_j C(k, j) for Bernstein controls c_j, D^k times
+    their polynomial's value at t.  Homogenised Horner in T with the running
+    power of D - T, on integers; at t = 1 the result is W_k, at t = 0 W_0 D^k."""
+    rest = bottom - top
+    acc = weights[-1]
+    scale = 1
+    for w in reversed(weights[:-1]):
+        scale *= rest
+        acc = acc * top + w * scale
+    return acc
 
-    The bump is the Bernstein basis polynomial C(m, j0) t^j0 (1 - t)^(m - j0)
-    at the node j0 / m nearest t0, and each anchor g contributes the linear
-    factor that vanishes at t = (g - a) / width.  Subtracting (raw value at
-    the origin) / (pin value at the origin) times this pin forces an exact
-    root at the origin without disturbing the plateau: a global constant
-    shift would be size O(1) whenever the dip sits below the Bernstein
-    resolution.
+
+@cache
+def _binomials(k: int) -> tuple[int, ...]:
+    """C(k, 0), ..., C(k, k), built once per process and degree."""
+    return tuple(comb(k, j) for j in range(k + 1))
+
+
+def _weights(ctrl: Sequence[int]) -> list[int]:
+    """The Bernstein-Horner weights c_j C(k, j) of controls c_0..c_k."""
+    return [c * w for c, w in zip(ctrl, _binomials(len(ctrl) - 1))]
+
+
+def _origin_pin(f, degree: int, a: Fraction, width: Fraction,
+                t0: Fraction) -> tuple[int, list[int], int]:
+    """(j0, pin, n): the integer Bernstein controls, of degree
+    n = max(degree, number of anchors), of a nonzero multiple of the origin
+    pin, a polynomial that vanishes at the notch anchors and is localized at
+    the Bernstein node nearest the origin.  They are zero outside
+    j0 .. j0 + len(pin) - 1.
+
+    The bump is the Bernstein basis polynomial of degree m = n - (number of
+    anchors) at the node j0 / m nearest t0: its controls are a single 1 at
+    j0.  Each anchor g contributes the linear factor D t - R that vanishes
+    at t = R / D = (g - a) / width, with Bernstein controls (-R, D - R); the
+    product of degree d controls c_i with it has the degree d + 1 controls
+    (d + 1 - i) (-R) c_i + i (D - R) c_(i-1), up to the factor 1 / (d + 1).
+    Subtracting (raw value at the origin) / (pin value at the origin) times
+    this pin forces an exact root at the origin without disturbing the
+    plateau: a global constant shift would be size O(1) whenever the dip
+    sits below the Bernstein resolution.
     """
     anchors = [as_fraction(g) for g in getattr(f, "anchors", ())]
     m = max(degree - len(anchors), 0)
     j0 = min(max(int(round(t0 * m)), 0), m)
-    cj = comb(m, j0)
-    pin = [0] * j0 + [(-1) ** s * cj * comb(m - j0, s) for s in range(m - j0 + 1)]
+    pin, d = [1], m
     for g in anchors:
         root = (g - a) / width
-        low, high = -root.numerator, root.denominator
-        pin = [low * x + high * y for x, y in zip(pin + [0], [0] + pin)]
-    return pin
+        low, high = -root.numerator, root.denominator - root.numerator
+        d += 1
+        pin = [(d - i) * low * x + i * high * y
+               for i, x, y in zip(range(j0, d + 1), pin + [0], [0] + pin)]
+    return j0, pin, d
+
+
+def _node_values(f, k: int, a: Fraction, width: Fraction) -> tuple[list[int], int]:
+    """f at the nodes a + width j / k, as integer numerators over one
+    denominator.  A notch decides its plateau |z| >= delta on integers, so
+    only the nodes in its dip build a Fraction; any other f builds one per
+    node."""
+    # node j is a + width j / k = (lo k + j step) / (node_den k)
+    (lo, step), node_den = _common_denominator([a, width])
+    nodes = [lo * k + j * step for j in range(k + 1)]
+    if not isinstance(f, NotchFunction):
+        return _common_denominator([f.value(Fraction(z, node_den * k)) for z in nodes])
+    bound = f.delta.numerator * node_den * k
+    dip = {j: f.value(Fraction(z, node_den * k)) for j, z in enumerate(nodes)
+           if abs(z) * f.delta.denominator < bound}
+    den = lcm(*(v.denominator for v in dip.values()))
+    return [dip[j].numerator * (den // dip[j].denominator) if j in dip else den
+            for j in range(k + 1)], den
+
+
+def _exact_degree(ctrl: list[int], den: int) -> tuple[list[int], int]:
+    """The controls of the same polynomial at its exact degree, reduced, with
+    den > 0 and gcd(den, *controls) = 1, so zero is [0] over 1.  The top
+    t-coefficient sum_j (-1)^(k-j) C(k, j) c_j of degree k controls vanishes
+    exactly when the degree is below k; only then are the t-coefficients
+    trimmed and converted back by one Pascal pass."""
+    k = len(ctrl) - 1
+    if k and not sum((-1) ** (k - j) * w for j, w in enumerate(_weights(ctrl))):
+        nums = _t_coefficients(ctrl)
+        while len(nums) > 1 and not nums[-1]:
+            nums.pop()
+        ctrl, den = _pascal_controls(nums, den)
+    if den < 0:
+        ctrl, den = [-c for c in ctrl], -den
+    g = gcd(den, *ctrl)
+    return [c // g for c in ctrl], den // g
 
 
 def approximate_with_derivative(f, degree: int) -> Polynomial:
-    """Bernstein approximant of f on [f.a, f.b] with an exact root at 0.
+    """Bernstein approximant of f on [f.a, f.b] with an exact root at 0,
+    born as its Bernstein controls on [f.a, f.b].
 
     Converges to f together with its first derivative as the degree grows.
     `f` is normally a NotchFunction; any object with fields a, b and an exact
     `value` method works (plumbing self-tests feed plain monomials).
 
-    The approximant is built in t = (z - a) / (b - a) on integer numerators
-    over one denominator.  Its t^m coefficient is C(k, m) times the m-th
-    forward difference of the node values.  The root at the origin
-    t0 = -a / (b - a) is enforced with the pin of `_origin_pin`:
-    p_t = raw_t - raw_t(t0) pin_t / pin_t(t0), both values by integer Horner.
-    When the origin is an interval endpoint, the raw Bernstein polynomial
-    already interpolates f(0) = 0 and no pin is needed.  One Taylor shift
-    takes p_t to z, and the trimmed p_t is kept for `_bernstein_controls`
-    on [a, b].
+    The raw approximant's controls are the node values f(a + (b - a) j / k),
+    on integer numerators over one denominator (`_node_values`).  The root
+    at the origin t0 = -a / (b - a) is enforced with the pin of
+    `_origin_pin`: p = raw - raw(t0) pin / pin(t0), both values from one
+    Bernstein-Horner pass, so p's controls are the node values except at
+    the few indices where the pin's are nonzero.  When the origin is an
+    interval endpoint, raw(t0) is the node value f(0) = 0 and no pin is
+    needed.  The controls are taken to the exact degree (`_exact_degree`),
+    so the sup sweeps run at the same degree as on the trimmed coefficients.
+    No coefficient in z is computed until one is read (`Polynomial`).
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
     a, b = as_fraction(f.a), as_fraction(f.b)
     width = b - a
-    # node j is a + width j / k = (lo k + j step) / (node_den k), one Fraction each
-    (lo, step), node_den = _common_denominator([a, width])
-    row, den = _common_denominator([f.value(Fraction(lo * degree + j * step, node_den * degree))
-                                    for j in range(degree + 1)])
-    nums = []
-    for m in range(degree + 1):
-        nums.append(comb(degree, m) * row[0])
-        row = [y - x for x, y in zip(row, row[1:])]
+    ctrl, den = _node_values(f, degree, a, width)
     t0 = -a / width
-    at_t0, raw_scale = _horner(nums, t0.numerator, t0.denominator)
+    at_t0 = _bernstein_horner(_weights(ctrl), t0.numerator, t0.denominator)
     if at_t0:
-        pin = _origin_pin(f, degree, a, width, t0)
-        pin_t0, pin_scale = _horner(pin, t0.numerator, t0.denominator)
+        j0, pin, n = _origin_pin(f, degree, a, width, t0)
+        # with more anchors than the degree, raw is elevated to the pin's degree n
+        scale = 1
+        for d in range(degree, n):
+            ctrl = [i * x + (d + 1 - i) * y for i, x, y in zip(range(d + 2), [0] + ctrl, ctrl + [0])]
+            scale *= d + 1
+        pin_t0 = _bernstein_horner(_weights([0] * j0 + pin + [0] * (n + 1 - j0 - len(pin))),
+                                   t0.numerator, t0.denominator)
         if pin_t0 == 0:
             raise InternalConsistencyError("origin pin degenerated to zero at the origin")
-        # raw_t(t0) / pin_t(t0) = (at_t0 pin_scale) / (den raw_scale pin_t0) = y / (den x)
-        x, y = raw_scale * pin_t0, at_t0 * pin_scale
+        # raw(t0) / pin(t0) = (at_t0 / (den D^degree)) / (pin_t0 / D^n) = y / (den scale x)
+        x, y = pin_t0, at_t0 * t0.denominator ** (n - degree) * scale
         g = gcd(x, y)
         x, y = x // g, y // g
-        nums += [0] * (len(pin) - len(nums))
-        nums = [n * x - y * c for n, c in zip(nums, pin)]
-        den *= x
-    nums, den = _reduced(nums, den)
-    acc, scale = Polynomial._compose_integers(nums, t0, 1 / width)
-    p = _from_integers(acc, den * scale)
-    object.__setattr__(p, "_birth", (a, b, tuple(nums), den))
-    return p
+        ctrl = [c * x for c in ctrl]
+        for i, c in enumerate(pin, start=j0):
+            ctrl[i] -= y * c
+        den *= scale * x
+    return Polynomial._born(a, b, *_exact_degree(ctrl, den))
 
 
-def _bernstein_controls(p: Polynomial, a, b) -> tuple[list[int], int]:
-    """Exact Bernstein control points of p on [a, b], as integer numerators
-    over one common denominator (not reduced).  On an approximant's birth
-    interval the t-form it was born with is read, so only the Pascal pass runs;
-    any other interval takes one Taylor shift to t = (z - a) / (b - a)."""
-    a, b = as_fraction(a), as_fraction(b)
-    if p._birth is not None and p._birth[:2] == (a, b):
-        nums, den = p._birth[2:]
-    else:
-        nums, den = p._integers
-        nums, scale = p._compose_integers(nums, a, b - a)
-        den *= scale
+def _t_coefficients(ctrl: Sequence[int]) -> list[int]:
+    """The t-coefficients C(d, m) Delta^m c_0 of degree d controls, over the
+    controls' denominator: forward differences on integers."""
+    d = len(ctrl) - 1
+    nums, row = [], list(ctrl)
+    for m in range(d + 1):
+        nums.append(comb(d, m) * row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    return nums
+
+
+def _pascal_controls(nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    """The Bernstein controls of sum_m (N_m / L) t^m, over one common
+    denominator (not reduced).
+
+    ctrl_i = sum_m C(i, m) / C(d, m) g_m = (1 / (L d!)) sum_m C(i, m) m! (d - m)! G_m;
+    the binomial sums over m are the first entries of a Pascal-style triangle.
+    """
     d = len(nums) - 1
-    # ctrl_i = sum_m C(i, m) / C(d, m) g_m = (1 / (L d!)) sum_m C(i, m) m! (d - m)! G_m;
-    # the binomial sums over m are the first entries of a Pascal-style triangle.
     row = [factorial(m) * factorial(d - m) * n for m, n in enumerate(nums)]
     ctrl = []
     for _ in range(d + 1):
         ctrl.append(row[0])
         row = [x + y for x, y in zip(row, row[1:])]
     return ctrl, den * factorial(d)
+
+
+def _bernstein_controls(p: Polynomial, a, b) -> tuple[list[int], int]:
+    """Exact Bernstein control points of p on [a, b], as integer numerators
+    over one common denominator.  On an approximant's birth interval they
+    are its birth controls (reduced, not to be mutated); any other interval
+    takes one Taylor shift to t = (z - a) / (b - a) and one Pascal pass."""
+    a, b = as_fraction(a), as_fraction(b)
+    if p._birth is not None and p._birth[:2] == (a, b):
+        return p._birth[2:]
+    nums, den = p._integers
+    nums, scale = p._compose_integers(nums, a, b - a)
+    return _pascal_controls(nums, den * scale)
 
 
 def _floats(nums: Sequence[int], den: int) -> np.ndarray:
@@ -507,8 +625,7 @@ def _sup_candidates(ctrl: np.ndarray, grid: _Grid) -> np.ndarray:
     is taken as infinite rather than converted).
     """
     k = len(ctrl) - 1
-    binom = np.array([float(c) if c.bit_length() < 1024 else np.inf
-                      for c in (comb(k, i) for i in range(k + 1))])
+    binom = np.array([float(c) if c.bit_length() < 1024 else np.inf for c in _binomials(k)])
     with np.errstate(over="ignore", invalid="ignore"):
         coef = ctrl * binom
         value = np.empty(len(grid.t))
@@ -564,8 +681,9 @@ def sup_norm(p: Polynomial, spectrum: SpectrumSequence) -> float:
 
 def interval_sups(p: Polynomial, a, b, memo: dict | None = None) -> tuple[float, float]:
     """(sup|p|, sup|p'|) over the interval (a, b), a != b, sampled on a
-    uniform grid of DEFAULT_GRID points, from one exact Bernstein conversion
-    of p.
+    uniform grid of DEFAULT_GRID points, from p's exact Bernstein controls on
+    [a, b]: an approximant's birth controls on its birth interval, one
+    conversion otherwise.
 
     Each is bitwise the largest |value| of `evaluate_on_grid`, decided by the
     hull certificate of `_grid_sup` when it applies, and otherwise by a de
@@ -575,15 +693,16 @@ def interval_sups(p: Polynomial, a, b, memo: dict | None = None) -> tuple[float,
     With p's controls c_i of degree d on [a, b], p' has the controls
     d (c_(i+1) - c_i) / (b - a), so p' is not converted again.  Callers that
     meet equal polynomials on equal intervals share a `memo` dict, keyed by
-    (p, a, b), so that each pair is computed once; `verify character` does.
-    A lookup hashes p by its integer numerators, not its Fractions.
+    (a, b, den, *controls), so that each pair is computed once; `verify
+    character` does.  The key hashes integers and the two interval ends,
+    and never computes an approximant's coefficients.
     """
     a, b = as_fraction(a), as_fraction(b)
-    key = (p, a, b)
+    nums, den = _bernstein_controls(p, a, b)
+    key = (a, b, den, *nums)
     sups = None if memo is None else memo.get(key)
     if sups is not None:
         return sups
-    nums, den = _bernstein_controls(p, a, b)
     width = b - a
     scale = (len(nums) - 1) * width.denominator
     slopes = [scale * (y - x) for x, y in zip(nums, nums[1:])] or [0]

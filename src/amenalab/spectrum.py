@@ -7,11 +7,14 @@ operators of the pipelines are graded at each coordinate n: rational diagonal
 blocks and an upper-right block in Q*sqrt(lambda_n), a Fraction or a `Surd`
 s*sqrt(lambda_n).  Sums and products keep the grading (see `scalars`).
 Polynomials of an operator are exact only, with rational coefficients and
-diagonal blocks (TypeError on a float operator), and one integer kernel,
-`_divided_numerators`, evaluates them: p at each distinct upper-left entry
-once, Dp and p(c) per coordinate.  The character steps float p(X) and
-X p(X) - X from its integers (`amenability`); `apply_poly_to_block` builds
-the exact p(X), the membership trials' fallback and the tests' oracle.
+diagonal blocks (TypeError on a float operator).  `apply_poly_to_block`
+builds the exact p(X), the membership trials' fallback and the tests'
+oracle, from the coefficients in z: its integer kernel `_divided_numerators`
+evaluates p at each distinct upper-left entry once, and Dp and p(c) per
+coordinate.  The character steps evaluate their approximants in Bernstein
+form instead and float p(X) and X p(X) - X from those integers
+(`amenability._polynomial_norms`); the membership trials float theirs from
+one dot product per coordinate (`membership`).
 """
 
 from __future__ import annotations
@@ -267,9 +270,8 @@ def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperat
     Dp = (p(a) - p(c)) / (a - c), or p'(a) when a == c.  The coefficients
     are written once as integer numerators N_j over their lcm L.  p(a) comes
     from one `_divided_numerators` pass at a = c per distinct a, and Dp and
-    p(c) from one pass per coordinate over E = lcm(den a, den c), the passes
-    of the character steps (`amenability._polynomial_norms`); the confluent
-    case a = c needs no branch.  Each is normalized once, and b
+    p(c) from one pass per coordinate over E = lcm(den a, den c); the
+    confluent case a = c needs no branch.  Each is normalized once, and b
     (rational or a `Surd`) enters only in the single product b Dp.  A float
     or `Surd` coefficient, or a diagonal entry that is not an int or
     Fraction, raises TypeError.

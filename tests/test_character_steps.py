@@ -24,7 +24,7 @@ from amenalab.polynomials import _from_integers
 from amenalab.scalars import exact_sqrt
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from amenalab.cli import main
-from oracle_utils import count_calls
+from oracle_utils import count_calls, count_method_calls
 
 DEGREES = (8, 16, 32, 64, 128)
 EXPLICIT = ("9/10", "1/2", "1/4", "1/7", "1/100")  # 1/4 has a rational root
@@ -118,11 +118,11 @@ def test_quotient_sups_bitwise_equal_sup_norm(case):
         for p in kernel_polynomials(n, s):
             _, _, values = _polynomial_norms(p, build_shifted_T(s, n))
             want = sup_norm(divide_shifted(p, lam), s)
-            assert _divided_sup(p, lam, values).hex() == want.hex(), (n, p)
+            assert _divided_sup(lam, values).hex() == want.hex(), (n, p)
     for p in unit_polynomials(s):
         _, _, values = _polynomial_norms(p, build_T(s))
         want = sup_norm(Polynomial(p.coefficients[1:]), s)
-        assert _quotient_sup(p, values).hex() == want.hex(), p
+        assert _quotient_sup(values).hex() == want.hex(), p
 
 
 def test_special_polynomials_reach_the_closed_form_norm():
@@ -167,40 +167,37 @@ def test_verify_character_leaves_the_block_algebra(monkeypatch, tmp_path, capsys
     assert products[0] == 1
 
 
-def spy_divided_passes(monkeypatch) -> list[tuple[Fraction, Fraction]]:
-    """(a, c) of every per-coordinate integer pass of the character steps."""
+def spy_bernstein_passes(monkeypatch) -> list[Fraction]:
+    """t = T / D of every Bernstein-Horner pass of the character steps."""
     calls = []
-    real = amenability._divided_numerators
+    real = amenability._bernstein_horner
 
-    def spy(nums, num_a, num_c, e):
-        calls.append((Fraction(num_a, e), Fraction(num_c, e)))
-        return real(nums, num_a, num_c, e)
+    def spy(weights, top, bottom):
+        calls.append(Fraction(top, bottom))
+        return real(weights, top, bottom)
 
-    monkeypatch.setattr(amenability, "_divided_numerators", spy)
+    monkeypatch.setattr(amenability, "_bernstein_horner", spy)
     return calls
 
 
 @pytest.mark.parametrize("case", ["geometric_half_16", "ratio_9_10_12", "mixed_grade_8"])
 def test_steps_evaluate_p_at_the_upper_left_entry_once(monkeypatch, case):
-    """A kernel step's upper-left entry is lambda_n at every coordinate, and p
-    is evaluated there once per step: one pass at a = c = lambda_n, which
-    serves ||u||, the residual and q(0), and one pass per coordinate for Dp
-    and p(c).  Before, every coordinate's pass and `_divided_sup` each
-    evaluated p(lambda_n) again: M + 1 times.  The unit step likewise
-    evaluates p at 0 once."""
+    """A kernel step's upper-left entry is lambda_n at every coordinate, the
+    end t = 1 of the birth interval, and p and p' are evaluated there once
+    per step; then one pass per coordinate gives p(c): M + 2 passes in all.
+    The unit step likewise evaluates p and p' once at its upper-left entry
+    0, the end t = 0."""
     s = SPECTRA[case]
-    calls = spy_divided_passes(monkeypatch)
+    calls = spy_bernstein_passes(monkeypatch)
     for n in (1, 2, 3):
-        lam = s.lam(n)
         calls.clear()
         approximate_identity_step(approximate_with_derivative(notch(n, s), 64), n, s)
-        assert [c for _, c in calls if c == lam] == [lam]
-        assert len(calls) == len(s) + 1
-        assert all(a == lam for a, _ in calls)
+        assert calls.count(1) == 2
+        assert len(calls) == len(s) + 2
     calls.clear()
     unit_approximation_step(approximate_with_derivative(unit_notch(s), 64), s)
-    assert [c for _, c in calls if c == 0] == [0]
-    assert len(calls) == len(s) + 1
+    assert calls.count(0) == 2
+    assert len(calls) == len(s) + 2
 
 
 def test_polynomial_norms_on_a_hand_built_operator_with_confluent_coordinates():
@@ -245,11 +242,13 @@ def test_a_polynomial_hashes_by_its_integers():
 
 
 def test_interval_sups_memo_hits_share_the_kernel_n1_and_unit_approximants(monkeypatch):
-    """On a geometric spectrum `kernel_n1` and `unit` are born equal on
-    [0, lambda_1] as two objects; the memo converts each pair once.  A memo
-    hit hashes the key's two interval ends, not the polynomial's Fractions."""
+    """On a geometric spectrum `kernel_n1` and `unit` are born with equal
+    controls on [0, lambda_1] as two objects; the memo sweeps each pair once.
+    A memo hit hashes the key's two interval ends and integers, no Fraction
+    coefficient, and neither lookup computes a coefficient in z."""
     s = SPECTRA["geometric_half_16"]
-    conversions = count_calls(monkeypatch, "amenalab.polynomials", "_bernstein_controls")
+    pascal = count_calls(monkeypatch, "amenalab.polynomials", "_pascal_controls")
+    shifts = count_method_calls(monkeypatch, Polynomial, "_compose_integers")
     hashed = [0]
     fraction_hash = Fraction.__hash__
 
@@ -258,16 +257,18 @@ def test_interval_sups_memo_hits_share_the_kernel_n1_and_unit_approximants(monke
         return fraction_hash(self)
 
     memo: dict = {}
+    pairs = []
     for k in DEGREES:
         p = approximate_with_derivative(notch(1, s), k)
         q = approximate_with_derivative(unit_notch(s), k)
-        assert p is not q and p == q and hash(p) == hash(q)
         first = interval_sups(p, Fraction(0), s.lam(1), memo)
         monkeypatch.setattr(Fraction, "__hash__", counted)
         hashed[0] = 0
         assert interval_sups(q, Fraction(0), s.lam(1), memo) is first
         assert hashed[0] <= 2
         monkeypatch.setattr(Fraction, "__hash__", fraction_hash)
-    assert conversions[0] == len(DEGREES)
+        pairs.append((p, q))
+    assert pascal[0] == 0 and shifts[0] == 0
     assert len(memo) == len(DEGREES)
-
+    for p, q in pairs:
+        assert p is not q and p == q and hash(p) == hash(q)

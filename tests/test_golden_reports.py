@@ -4,14 +4,18 @@
 1/2, `verify character --ratio 9/10 --count 32 --degrees 8:128` runs the
 character pipeline on spectrum points with denominators up to 10^32, and
 `verify character --kind harmonic --count 16 --degrees 8:256` is the only
-run above Bernstein degree 128.  The first two digests were recorded before
-the exact polynomial kernels lost their float branches and their
-zero-polynomial special cases, the third before the interval sups lost their
-magnitude rows and the character steps their per-coordinate p(lambda_n), so
-a change to any report byte shows here.
+run above Bernstein degree 128, and `verify all` on the mixed-grade config
+(an explicit spectrum with rational roots and the radicand 2, degrees up to
+256) runs every pipeline on graded entries.  The first two digests were
+recorded before the exact polynomial kernels lost their float branches and
+their zero-polynomial special cases, the third before the interval sups lost
+their magnitude rows and the character steps their per-coordinate
+p(lambda_n), the fourth before the approximants were born as their Bernstein
+controls, so a change to any report byte shows here.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -46,6 +50,26 @@ GOLDEN_CHARACTER_HARMONIC_16_256 = {
     "character_unit.csv": "0cddda632a1cb1d6ff9c84ddce7a42c7158afc2e8ce1c6f1ee98f705447d9e65",
 }
 
+GOLDEN_MIXED_GRADE = {
+    "character_bai.csv": "b940b6a9ffa0685af55a82e116d16cc83fdd2340d9b2e98d8dce43092876efeb",
+    "character_kernel_n1.csv": "de719f750c0dc275dd6d0cac834a92e725ad4852d2847e09faafb7782d0b0f92",
+    "character_kernel_n2.csv": "9f16ffee8a044a08a0bcc769b9d2af4d3ea725a2697f458b43ab9740bdb44887",
+    "character_kernel_n3.csv": "b85a8de4a529d9af0f2fe83b9aa4fbd3299bf03e91dfaaacb1fe9c194461810c",
+    "character_unit.csv": "8756b5feba31232ebdfeafb339a31649b7f2c9e3a7c9ffb0dfec07ed14c91751",
+    "derivations_dichotomy.csv": "e8cc5ba7f6b5ad0387ed6bfcf4d12937cf985bfa244491aaabbae0dde61a0c35",
+    "similarity_growth.csv": "a19e1b7d5428d832c871df3f12168af494bef18fdb5905ba07d6b1aa35cba1f9",
+    "weak_generation.csv": "d0f16c3df9a7a59d2dae07678d9c5aac7adfa0c5b6297d1f386f15cd57afc7a2",
+    "weak_idempotency.csv": "fcc14e0d0a4adeb4f5da0cb7a0abf7fe9ce34ec52a3d480cbdfb072bbf8a29de",
+    "weak_membership.csv": "149e159c58fdafec0bf373a6e1439678625cbc898df9bba8f8ccc71dbf492bcb",
+}
+
+# the mixed-grade config of the CI smoke step
+MIXED_GRADE_CONFIG = {
+    "spectrum": {"kind": "explicit",
+                 "values": ["1", "1/2", "1/3", "1/4", "2/9", "1/9", "1/16", "1/18"]},
+    "truncations": [2, 4, 6, 8], "degrees": [8, 16, 32, 64, 128, 256],
+}
+
 
 @pytest.mark.parametrize("argv, summary, golden", [
     (["verify", "all", "--count", "8"], "16/16 checks passed", GOLDEN_ALL_8),
@@ -53,8 +77,12 @@ GOLDEN_CHARACTER_HARMONIC_16_256 = {
      "9/9 checks passed", GOLDEN_CHARACTER_RATIO_9_10_32),
     (["verify", "character", "--kind", "harmonic", "--count", "16", "--degrees", "8:256"],
      "9/9 checks passed", GOLDEN_CHARACTER_HARMONIC_16_256),
-], ids=["all_8", "character_ratio_9_10_32", "character_harmonic_16_256"])
+    (["verify", "all", "--config", "mixed.json"], "16/16 checks passed", GOLDEN_MIXED_GRADE),
+], ids=["all_8", "character_ratio_9_10_32", "character_harmonic_16_256", "all_mixed_grade"])
 def test_reports_are_golden(tmp_path, capsys, argv, summary, golden):
+    config = tmp_path / "mixed.json"
+    config.write_text(json.dumps(MIXED_GRADE_CONFIG))
+    argv = [str(config) if a == config.name else a for a in argv]
     out_dir = tmp_path / "reports"
     assert main([*argv, "--out", str(out_dir)]) == 0
     assert summary in capsys.readouterr().out

@@ -92,39 +92,40 @@ def test_trials_bitwise_equal_the_all_coordinates_oracle(case, source, monkeypat
 
 def estimates_and_floats(polys, s):
     """(`_trial_estimates` on the inputs `membership_trials` builds, the
-    oracle's (top, bottom) floats as trials x coordinates arrays, the mask of
-    coordinates with both inputs in the normal range)."""
+    oracle's (top, bottom) floats as trials x coordinates arrays, each
+    trial's scale exponent, the mask of coordinates with both inputs in the
+    normal range)."""
     T = build_T(s)
     k = max(p.degree for p in polys)
     alphas = np.zeros((len(polys), k))
+    shifts = np.zeros(len(polys), dtype=int)
     for t, p in enumerate(polys):
         nums, den = p._integers
-        alphas[t, :len(nums) - 1] = [mt._quotient_float(n, den) for n in nums[1:]]
+        alphas[t, :len(nums) - 1], shifts[t] = mt._scaled_coefficients(nums[1:], den)
     x = np.array([mt._quotient_float(v.numerator, v.denominator) for v in s.values])
     b = np.array([mt._entry_float(r) for r in s.roots])
     safe = ~(np.isnan(x) | np.isnan(b))
     table = integer_trial_table(T, s, k)
     floats = np.array([integer_trial_floats(p, table) for p in polys])[:, safe]
-    return mt._trial_estimates(alphas, x[safe], b[safe]), floats, safe
+    return mt._trial_estimates(alphas, shifts, x[safe], b[safe]), floats, shifts, safe
 
 
 @pytest.mark.parametrize("case", sorted(SPECTRA))
 def test_estimate_bound_holds_at_every_coordinate(case):
-    """|estimate - float| <= err for the norm's hypot and for |bottom| at every
-    trial and coordinate, on cancelling and random polynomials, where the
-    estimate's own rounding is largest relative to the result."""
+    """|estimate - 2^s float| <= err for the norm's hypot and for |bottom| at
+    every trial and coordinate, on cancelling and random polynomials, where
+    the estimate's own rounding is largest relative to the result."""
     s = SPECTRA[case]
     polys = cancelling_polynomials(s) + (random_polynomials() if case not in LARGE
                                          else cli_polynomials(case)[:10])
-    ((hyp, hyp_err), (bottom, bottom_err)), floats, safe = estimates_and_floats(polys, s)
+    ((hyp, hyp_err), (bottom, bottom_err)), floats, shifts, safe = estimates_and_floats(polys, s)
     tops, bottoms = floats[..., 0], floats[..., 1]
-    # exactly the trials with a coefficient below the normal range have no
-    # bound (z (z - lambda_m)^k at M = 1023 for large m)
-    bounded = np.isfinite(hyp_err).all(axis=1)
-    assert bounded.tolist() == [all(c == 0 or abs(c) >= 2.0 ** -1022 for c in p.coefficients)
-                                for p in polys]
-    assert (np.abs(hyp - np.hypot(tops, bottoms)) <= hyp_err)[bounded].all()
-    assert (np.abs(bottom - np.abs(bottoms)) <= bottom_err)[bounded].all()
+    # every trial is bounded, those with coefficients below the normal range
+    # too (z (z - lambda_m)^k at M = 1023 for large m)
+    assert np.isfinite(hyp_err).all() and np.isfinite(bottom_err).all()
+    scale = shifts[:, None]
+    assert (np.abs(hyp - np.ldexp(np.hypot(tops, bottoms), scale)) <= hyp_err).all()
+    assert (np.abs(bottom - np.ldexp(np.abs(bottoms), scale)) <= bottom_err).all()
     assert safe.sum() == len(s) - (case == "geometric_half_1023")  # 2^-1023 is subnormal
 
 
@@ -151,21 +152,20 @@ def test_no_polynomials_and_the_zero_polynomial():
     assert bits(got) == bits(integer_trial_oracle(polys, T, s))
 
 
-# Inputs the estimate cannot bound, each with finite exact floats: the Horner
-# estimate overflows at lambda_1 = 1/4 (A (1 + 1/4) > 2^1024 for A = 1.5e308);
-# at lambda_1 = 2^400, z (z - lambda_1)^2 vanishes but its error bound, of
-# order lambda_1^3, overflows; a coefficient beyond the float range; and a
-# subnormal one.
+# Inputs the estimate cannot bound, each with finite exact floats: scaled by
+# 2^2000 to the coefficient 1, 2^-2000 z^4 has the Horner estimate
+# lambda_1^4 = 2^1200 at lambda_1 = 2^300, while its floats are 2^-800 and
+# 2^-950; at lambda_1 = 2^400, z (z - lambda_1)^2 vanishes but its error
+# bound, of order lambda_1^3, overflows; and a coefficient beyond the float
+# range, scaled to 1, leaves estimates that underflow at points near 10^-300.
 OUT_OF_RANGE = {
     "bound_overflows": (make_spectrum("explicit", values=[Fraction(2 ** 400), Fraction(1, 2)]),
                         Polynomial((0, 2 ** 800, -2 ** 401, 1))),
-    "estimate_overflows": (make_spectrum("geometric", 6, ratio=Fraction(1, 4)),
-                           Polynomial((0, 15 * 10 ** 307, 15 * 10 ** 307))),
+    "estimate_overflows": (make_spectrum("explicit", values=[Fraction(2 ** 300), Fraction(1, 2)]),
+                           Polynomial((0, 0, 0, 0, Fraction(1, 2 ** 2000)))),
     "coefficient_overflows": (make_spectrum("explicit", values=[Fraction(1, 10 ** 300),
                                                                 Fraction(1, 10 ** 301)]),
                               Polynomial((0, 0, 10 ** 400))),
-    "coefficient_subnormal": (make_spectrum("harmonic", 6),
-                              Polynomial((0, Fraction(1, 10 ** 320), 1))),
 }
 
 
@@ -179,3 +179,38 @@ def test_out_of_range_estimates_take_the_full_path(case, monkeypatch):
     rows = count_calls(monkeypatch, "amenalab.membership", "_trial_row")
     assert bits(membership_trials(polys, T, s)) == bits(want)
     assert rows[0] == len(s)  # the out-of-range trial computed every coordinate
+
+
+# Trials whose coefficients leave the normal range unscaled: 6 of the
+# cancelling polynomials at M = 1023 and one whose coefficients span 2^1063,
+# each with a coefficient below it, and one with coefficients of 1.5e308,
+# whose unscaled estimate overflowed at lambda_1 = 1/4.
+SCALED = {
+    "coefficient_subnormal": (make_spectrum("harmonic", 6),
+                              [Polynomial((0, Fraction(1, 10 ** 320), 1))]),
+    "coefficient_huge": (make_spectrum("geometric", 6, ratio=Fraction(1, 4)),
+                         [Polynomial((0, 15 * 10 ** 307, 15 * 10 ** 307))]),
+    "geometric_half_1023": (SPECTRA["geometric_half_1023"],
+                            [p for p in cancelling_polynomials(SPECTRA["geometric_half_1023"])
+                             if any(c and abs(c) < 2.0 ** -1022 for c in p.coefficients)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALED))
+def test_scaled_coefficients_keep_few_coordinates(case, monkeypatch):
+    """Scaled by a power of two to a largest coefficient near 1, and floated
+    below the normal range too, a trial's coefficients get a proven bound,
+    so it computes its exact floats at a few coordinates only; each float is
+    bitwise the composition's (`_reference_trial`; at M = 1023 for the
+    trials up to degree 6, since composing one of degree 13 takes up to
+    1.7 s, and the all-coordinates oracle checks them all above)."""
+    spectrum, trials = SCALED[case]
+    T = build_T(spectrum)
+    assert len(trials) == (6 if case == "geometric_half_1023" else 1)
+    rows = count_calls(monkeypatch, "amenalab.membership", "_trial_row")
+    got = membership_trials(trials, T, spectrum)
+    assert rows[0] <= 2 * len(trials) < len(spectrum)
+    monkeypatch.undo()
+    for p, trial in zip(trials, got):
+        if p.degree <= 6:
+            assert bits([trial]) == bits([mt._reference_trial(p, T, spectrum)])

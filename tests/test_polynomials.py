@@ -353,6 +353,64 @@ def test_birth_controls_equal_the_shifted_controls(monkeypatch, degree):
         monkeypatch.undo()
 
 
+MIXED_GRADE = ("1", "1/2", "1/3", "1/4", "2/9", "1/9", "1/16", "1/18")
+# (spectrum, degrees) of every character run of the benchmark, the golden
+# reports and CI: `verify character --count 16 --degrees 8:128` (whose
+# degrees include the default run's), `verify all --kind harmonic --count 8`,
+# `verify all --count 8`, `--ratio 9/10 --count 32 --degrees 8:128`,
+# `--kind harmonic --count 16 --degrees 8:256`, the mixed-grade config and
+# `--ratio 9/10 --count 256 --degrees 8:32`.
+CHARACTER_CONFIGS = {
+    "geometric_half_16": (make_spectrum("geometric", 16), (8, 16, 32, 64, 128)),
+    "harmonic_8": (make_spectrum("harmonic", 8), (8, 16, 32, 64)),
+    "geometric_half_8": (make_spectrum("geometric", 8), (8, 16, 32, 64)),
+    "ratio_9_10_32": (make_spectrum("geometric", 32, ratio=Fraction(9, 10)),
+                      (8, 16, 32, 64, 128)),
+    "harmonic_16": (make_spectrum("harmonic", 16), (8, 16, 32, 64, 128, 256)),
+    "mixed_grade_8": (make_spectrum("explicit", values=[Fraction(v) for v in MIXED_GRADE]),
+                      (8, 16, 32, 64, 128, 256)),
+    "ratio_9_10_256": (make_spectrum("geometric", 256, ratio=Fraction(9, 10)), (8, 16, 32)),
+}
+
+
+@pytest.mark.parametrize("case", [*sorted(CHARACTER_CONFIGS), "degree_trim"])
+def test_born_controls_equal_the_shifted_controls_of_the_z_form(case):
+    """Every approximant of the character runs is born with the Bernstein
+    controls that the Fraction oracle's z-form gives by a Taylor shift and a
+    Pascal pass, exactly and at the same degree, and its lazy z-form is the
+    oracle's.  The degree-trim case: B_k(x) = x and B_k(x^2) have degree 1
+    and 2 at every k, so their born controls of degree k are reduced."""
+    if case == "degree_trim":
+        square = PlainFunction(Fraction(0), Fraction(1), lambda x: x * x)
+        functions, degrees = (PLAIN_FUNCTIONS[0], square), (2, 7, 16, 64)
+    else:
+        s, degrees = CHARACTER_CONFIGS[case]
+        functions = (*(notch(n, s) for n in (1, 2, 3)), unit_notch(s))
+    for f in functions:
+        for k in degrees:
+            p = approximate_with_derivative(f, k)
+            oracle = approximant_oracle(f, k)
+            born = exact_values(*_bernstein_controls(p, f.a, f.b))
+            assert born == exact_values(*_bernstein_controls(oracle, f.a, f.b)), (f, k)
+            assert p.degree == oracle.degree and len(born) == max(p.degree, 0) + 1
+            assert p.coefficients == oracle.coefficients
+    if case == "degree_trim":
+        assert p.degree == 2
+
+
+def test_more_anchors_than_the_degree():
+    """Three anchors at degree 2: the pin has degree 3, and the node values'
+    controls are elevated to it before the pin is subtracted."""
+    @dataclass(frozen=True)
+    class Anchored(PlainFunction):
+        anchors: tuple = (Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4))
+
+    f = Anchored(Fraction(-1), Fraction(1), lambda x: x * x + 1)
+    p = approximate_with_derivative(f, 2)
+    assert p.degree == 3 and p(0) == 0
+    assert p == approximant_oracle(f, 2)
+
+
 def test_birth_form_is_trimmed():
     """B_16(x) = x and B_16(x^2) = x/16 + 15 x^2/16 on [0, 1]: the birth t-form
     of degree 16 trims to the approximant's degree."""
@@ -463,7 +521,8 @@ def test_sup_norm_equals_full_sweep_on_notch_approximants(kind, ratio, degree):
                 interval_sups(p.derivative(), f.a, f.b)[0]) == expected
         memo = {}
         assert interval_sups(p, f.a, f.b, memo) == expected
-        assert memo == {(p, f.a, f.b): expected}
+        nums, den = _bernstein_controls(p, f.a, f.b)
+        assert memo == {(f.a, f.b, den, *nums): expected}
 
 
 @settings(max_examples=60, deadline=None)

@@ -132,23 +132,33 @@ def test_verify_weak_trials_share_one_weight_table(monkeypatch, tmp_path, capsys
 
 
 def test_verify_character_sweeps_each_interval_sup_once(monkeypatch, tmp_path, capsys):
-    """On a geometric spectrum `kernel_n1` and `unit` get the same polynomial
+    """On a geometric spectrum `kernel_n1` and `unit` get the same controls
     on [0, lambda_1] at every degree: 5 degrees x (3 kernels + unit) = 20
-    (polynomial, interval) pairs, of which 15 are distinct, and each is
-    converted to Bernstein form once for both p and p'.  Of the 30 distinct
-    sups, the hull certificate decides the `kernel_n1`/`unit` p and p' at
-    every degree, so 20 sweeps run.  Each of the 20 approximants takes one
-    Taylor shift; the kernel steps read sup|q| from closed forms, with no
-    shifted division, and every conversion is on a birth interval, so
-    neither takes one."""
+    (polynomial, interval) pairs, of which 15 are distinct, and the memo
+    takes each one's sups of p and p' once: 30 grid sups.  The hull
+    certificate decides the `kernel_n1`/`unit` p and p' at every degree, so
+    20 sweeps run."""
     sweeps = count_calls(monkeypatch, "amenalab.polynomials", "_de_casteljau")
-    conversions = count_calls(monkeypatch, "amenalab.polynomials", "_bernstein_controls")
-    shifts = count_method_calls(monkeypatch, Polynomial, "_compose_integers")
+    sups = count_calls(monkeypatch, "amenalab.polynomials", "_grid_sup")
     main(["verify", "character", "--count", "16", "--degrees", "8:128", "--out", str(tmp_path)])
     capsys.readouterr()
-    assert conversions[0] == 15
+    assert sups[0] == 30
     assert sweeps[0] == 20
-    assert shifts[0] == 20
+
+
+@pytest.mark.parametrize("argv", [[], ["--count", "16", "--degrees", "8:128"]],
+                         ids=["defaults", "geo16_d128"])
+def test_verify_character_stays_in_bernstein_form(monkeypatch, tmp_path, capsys, argv):
+    """Every approximant is born as its Bernstein controls, and the steps
+    evaluate and bound it on them: no Taylor shift, no Pascal pass and no
+    forward differences to t-coefficients, so no coefficient in z is ever
+    computed."""
+    shifts = count_method_calls(monkeypatch, Polynomial, "_compose_integers")
+    pascal = count_calls(monkeypatch, "amenalab.polynomials", "_pascal_controls")
+    t_forms = count_calls(monkeypatch, "amenalab.polynomials", "_t_coefficients")
+    assert main(["verify", "character", *argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (shifts[0], pascal[0], t_forms[0]) == (0, 0, 0)
 
 
 # Spectra of the membership trials: geometric 1/2 has a rational root at every

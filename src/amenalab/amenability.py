@@ -14,13 +14,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _rational_linalg as rl
-from .polynomials import (InternalConsistencyError, Polynomial, _bernstein_controls,
-                          _bernstein_horner, _weights, approximate_with_derivative,
-                          interval_sups, notch, unit_notch)
+from .polynomials import (InternalConsistencyError, Polynomial, _bernstein_controls, _horner,
+                          _weights, approximate_with_derivative, interval_sups, notch,
+                          unit_notch)
 from .reports import ConvergenceReport
 from .scalars import _common_denominator, as_fraction, is_exact_zero, scaled_float, to_float
 from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, block_norms, build_T,
-                       build_shifted_T, operator_norm)
+                       operator_norm)
 
 
 def algebra_element(spectrum: SpectrumSequence, symbol: Sequence) -> BlockOperator:
@@ -349,85 +349,70 @@ class ApproximationStep(NamedTuple):
 
 class _StepValues(NamedTuple):
     """The exact values that `_polynomial_norms` computes and the closed forms
-    of sup|q| read again.  `at` maps each distinct upper-left entry a to
-    (H, G, d), with p(a) = H / d and p'(a) = G / d; `rows` holds
-    (A, E, G, H_c, d) per coordinate, with a = A / E, Dp = G / d and
-    p(c) = H_c / d."""
+    of sup|q| read again: `head` = (H, G, d) with p(a) = H / d and
+    p'(a) = G / d at the upper-left entry a, and `rows` holds (G, H_c, d)
+    per coordinate, with Dp = G / d and p(c) = H_c / d."""
 
-    at: dict
-    rows: list
+    head: tuple[int, int, int]
+    rows: list[tuple[int, int, int]]
 
 
-def _polynomial_norms(p: Polynomial, X: BlockOperator) -> tuple[float, float, _StepValues]:
-    """(||X u - X||, ||u||, values) for u = p(X), p(0) = 0, on an X with
-    rational diagonal blocks, bitwise `operator_norm` of the floats of the
-    exact X u - X and u, which are never built.
+def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int,
+                      spectrum: SpectrumSequence) -> tuple[float, float, _StepValues]:
+    """(||X u - X||, ||u||, values) for u = p(X), p(0) = 0, X = alpha I + beta T
+    with beta = +-1, bitwise `operator_norm` of the floats of the exact
+    X u - X and u, which are never built; neither is X.
 
-    Coordinate n of X is [[a, b], [0, c]], so u_n = [[p(a), b Dp], [0, p(c)]]
-    and (X u - X)_n = [[a (p(a) - 1), b (a Dp + p(c) - 1)], [0, c (p(c) - 1)]],
-    with Dp the divided difference of p at a and c.  p is evaluated in
-    Bernstein form, on its controls c_j over [lo, hi]:
-    at a point z with t = (z - lo) / (hi - lo) = T / D, one homogeneous
-    Bernstein-Horner pass gives p(z) = sum_j c_j C(k, j) T^j (D - T)^(k-j)
-    / D^k, and p'(a) comes from one pass over the differences of the
-    controls.  The upper-left entry a takes few values: lambda_n at every
-    coordinate of a kernel step and 0 in the unit step, the ends t = 1 and
-    t = 0 of the birth interval, where D = 1 and the pass returns an end
-    control.  So p(a) and p'(a) are evaluated once per distinct a, and per
-    coordinate one pass gives p(c); then Dp = (p(a) - p(c)) / (a - c), with
-    a - c = (hi - lo) (t_a - t_c), costs a few products of a large integer by
-    a small one, and a confluent coordinate, t_a = t_c, takes p'(a).  Each
-    entry is floated once from integers (`scaled_float` for b); each float
-    is that of an exact value, correctly rounded, so it does not depend on
-    the denominator it is taken over.  A born approximant vanishes at 0 by
-    construction; any other p has its constant term checked.
+    Coordinate m of X is [[a, b], [0, c]] with a = alpha, b = beta sqrt(lambda_m)
+    and c = alpha + beta lambda_m, so u_m = [[p(a), b Dp], [0, p(c)]] and
+    (X u - X)_m = [[a (p(a) - 1), b (a Dp + p(c) - 1)], [0, c (p(c) - 1)]],
+    with Dp = (p(c) - p(a)) / (c - a) the divided difference; c - a is
+    beta lambda_m, never 0.  p is read as its Bernstein controls c_j on the
+    interval of length lambda_1 with a at one end and every c inside
+    (`_bernstein_controls`: an approximant's birth controls, one conversion
+    for any other p).  a is the end t = 0 when beta = 1 and t = 1 when
+    beta = -1, so p(a) is an end control and p'(a) beta k / lambda_1 times
+    the end difference.  With lambda_m / lambda_1 = s / d, c sits at
+    t = s / d or 1 - s / d, and per coordinate one homogeneous pass gives
+    p(c) as sum_j c_j C(k, j) s^j (d - s)^(k-j) / (den d^k), or with s and
+    d - s swapped (`_horner`).  Then b Dp = sqrt(lambda_m) (p(c) - p(a)) /
+    lambda_m, free of beta.  Each entry is floated once from integers
+    (`scaled_float` for b); each float is that of an exact value, correctly
+    rounded, so it does not depend on the denominator it is taken over.  A
+    born approximant vanishes at 0 by construction; any other p has its
+    constant term checked.
     """
     if p._birth is None and p._integers[0][0]:
         raise ValueError("constant term must vanish; the algebra model is non-unital")
-    # an approximant's birth controls, or the controls on [0, 1], where t = z
-    lo, hi, ctrl, den = p._birth or (Fraction(0), Fraction(1), *_bernstein_controls(p, 0, 1))
-    (lo_num, width_num), lo_den = _common_denominator([lo, hi - lo])
+    lam_1 = spectrum.lam(1)
+    lo = alpha if beta > 0 else alpha - lam_1
+    ctrl, den = _bernstein_controls(p, lo, lo + lam_1)
     k = len(ctrl) - 1
     weights = _weights(ctrl)
-    slopes = _weights([y - x for x, y in zip(ctrl, ctrl[1:])] or [0])
-
-    def t_of(z) -> tuple[int, int]:
-        """(T, D) in lowest terms, t = (z - lo) / (hi - lo) = T / D."""
-        top, bottom = z.numerator * lo_den - lo_num * z.denominator, z.denominator * width_num
-        g = math.gcd(top, bottom)
-        return top // g, bottom // g
-
-    values = _StepValues({}, [])
-    heads = {}  # a -> (T_a, D_a, H, S, float p(a), float a (p(a) - 1)), p(a) = H / (den S)
+    l1_num, l1_den = lam_1.numerator, lam_1.denominator
+    big_a, e = alpha.numerator, alpha.denominator
+    end = 0 if beta > 0 else -1  # the index of a's end control
+    h = ctrl[end]  # p(a) = h / den
+    pa, ra = h / den, big_a * (h - den) / (e * den)
+    values = _StepValues((h * l1_num, beta * k * (ctrl[end + beta] - h) * l1_den if k else 0,
+                          den * l1_num), [])
     u, r = [], []
-    for a, b, c in zip(X.b11.diag, X.b12.diag, X.b22.diag):
-        head = heads.get(a)
-        if head is None:
-            ta, da = t_of(a)
-            h, s = _bernstein_horner(weights, ta, da), da ** k
-            # p'(a) = k sum_j (c_(j+1) - c_j) B_(j,k-1)(t_a) / (den (hi - lo))
-            values.at[a] = (h * width_num, k * _bernstein_horner(slopes, ta, da) * da * lo_den,
-                            den * s * width_num)
-            head = heads[a] = (ta, da, h, s, h / (den * s),
-                               a.numerator * (h - den * s) / (a.denominator * den * s))
-        ta, da, h, s, pa, ra = head
-        tc, dc = t_of(c)
-        cross = ta * dc - tc * da  # (a - c) D_a D_c / (hi - lo)
-        if cross:
-            hc, sc = _bernstein_horner(weights, tc, dc), dc ** k
-            g = (h * sc - hc * s) * da * dc * lo_den
-            if cross < 0:
-                g, cross = -g, -cross
-            d = den * s * sc * width_num * cross
-            hc *= s * width_num * cross
-        else:
-            _, g, d = values.at[a]
-            hc = h * width_num
-        big_a, e = a.numerator, a.denominator
-        u.append((pa, scaled_float(b, g, d), hc / d))
-        r.append((ra, scaled_float(b, big_a * g + e * (hc - d), e * d),
-                  c.numerator * (hc - d) / (c.denominator * d)))
-        values.rows.append((big_a, e, g, hc, d))
+    for lam, root in zip(spectrum.values, spectrum.roots):
+        t = lam / lam_1
+        s, d = t.numerator, t.denominator
+        dk = d ** k
+        # den d^k p(c)
+        hc = _horner(weights, s, d - s) if beta > 0 else _horner(weights, d - s, s)
+        # with q = den d^k l1_num s, (p(c) - p(a)) / lambda_m = diff / q and p(c) = hc / q
+        diff = (hc - h * dk) * d * l1_den
+        q = den * dk * l1_num * s
+        hc *= l1_num * s
+        c = alpha + beta * lam
+        u.append((pa, scaled_float(root, diff, q), hc / q))
+        # b (a Dp + p(c) - 1) = sqrt(lambda_m) (a diff + beta (hc - q)) / q
+        r.append((ra, scaled_float(root, big_a * diff + beta * e * (hc - q), e * q),
+                  c.numerator * (hc - q) / (c.denominator * q)))
+        values.rows.append((beta * diff, hc, q))
     # the rows of coordinates, transposed, are the three float diagonal blocks
     return (operator_norm(BlockOperator(*map(DiagonalOperator, zip(*r)))),
             operator_norm(BlockOperator(*map(DiagonalOperator, zip(*u)))), values)
@@ -439,11 +424,11 @@ def _divided_sup(lam_n: Fraction, values: _StepValues) -> float:
     `sup_norm(divide_shifted(p, lam_n), spectrum)`, from closed forms in the
     `_polynomial_norms` values of lambda_n I - T: at coordinate m,
     a = lambda_n and c = lambda_n - lambda_m, so q(lambda_m) = a Dp + p(c),
-    and q(0) = p(lambda_n) + lambda_n p'(lambda_n)."""
+    and q(0) = p(a) + a p'(a) from the head."""
     top, bottom = lam_n.numerator, lam_n.denominator
-    h, dp, d = values.at[lam_n]
+    h, dp, d = values.head
     return max(abs((bottom * h + top * dp) / (bottom * d)),
-               *(abs((big_a * g + e * hc) / (e * d)) for big_a, e, g, hc, d in values.rows))
+               *(abs((top * g + bottom * hc) / (bottom * d)) for g, hc, d in values.rows))
 
 
 def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence,
@@ -461,7 +446,7 @@ def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence,
     """
     lam_n = spectrum.lam(n)
     lam_1 = spectrum.lam(1)
-    residual, element_norm, values = _polynomial_norms(p, build_shifted_T(spectrum, n))
+    residual, element_norm, values = _polynomial_norms(p, lam_n, -1, spectrum)
     q_sup = _divided_sup(lam_n, values)
     p_sup, dp_sup = interval_sups(p, lam_n - lam_1, lam_n, memo)
     rhs = p_sup + float(lam_n) * dp_sup
@@ -501,9 +486,9 @@ def _quotient_sup(values: _StepValues) -> float:
     """sup|p / z| over the spectrum and the origin, bitwise
     `sup_norm(Polynomial(p.coefficients[1:]), spectrum)`: at coordinate m of
     T, a = 0 and c = lambda_m, so q(lambda_m) = Dp from its
-    `_polynomial_norms` values, and q(0) = p'(0)."""
-    _, g0, d0 = values.at[0]
-    return max(abs(g0 / d0), *(abs(g / d) for _, _, g, _, d in values.rows))
+    `_polynomial_norms` values, and q(0) = p'(0) from the head."""
+    _, g0, d0 = values.head
+    return max(abs(g0 / d0), *(abs(g / d) for g, _, d in values.rows))
 
 
 def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence,
@@ -513,7 +498,7 @@ def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence,
     bounded by sup|p'| on [0, lambda_1].  `memo` is the memo of
     `interval_sups`."""
     lam_1 = spectrum.lam(1)
-    residual, element_norm, values = _polynomial_norms(p, build_T(spectrum))
+    residual, element_norm, values = _polynomial_norms(p, Fraction(0), 1, spectrum)
     q_sup = _quotient_sup(values)
     p_sup, q_bound = interval_sups(p, Fraction(0), lam_1, memo)
     certified = p_sup + math.sqrt(float(lam_1)) * q_bound
@@ -550,18 +535,18 @@ def bai_defect(generator, bound: float) -> float:
     as in a Jordan block), every u in the span is strictly upper triangular,
     so Q u vanishes on the first superdiagonal and ||Q u - Q|| >= max |q_{i,i+1}|
     = ||Q||, which u = 0 attains: the defect is ||Q|| at every bound.  Any other
-    generator raises ValueError.
+    generator raises ValueError.  Entries are int or Fraction (a float raises
+    TypeError); the bound may be a float, taken at its exact value.
     """
     shape = np.shape(generator)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("generator must be a square matrix")
     if bound <= 0:
         raise ValueError("bound: must be positive")
-    Q = [[as_fraction(x) for x in row]
-         for row in (generator.tolist() if isinstance(generator, np.ndarray) else generator)]
-    n = len(Q)
+    q = _to_exact_matrix(generator)
+    n = shape[0]
     if n == 1:
-        return float(abs(Q[0][0]) * max(0, 1 - as_fraction(bound)))
-    if any(Q[i][j] for i in range(n) for j in range(n) if j != i + 1):
+        return float(Fraction(abs(q.nums[0]), q.den) * max(0, 1 - as_fraction(bound)))
+    if any(x for i, x in enumerate(q.nums) if i % n != i // n + 1):
         raise ValueError("generator: must be 1x1 or a weighted shift")
-    return float(max(abs(Q[i][i + 1]) for i in range(n - 1)))
+    return float(Fraction(max(abs(x) for x in q.nums[1::n + 1]), q.den))

@@ -375,7 +375,7 @@ def _verify_character(cfg: RunConfig):
         defect = bai_defect(jordan2, c)
         bai_rows.append((i, abs(defect - 1.0), defect, c))
         bai_ok = bai_ok and abs(defect - 1.0) <= 1e-9
-    unit_defect = bai_defect([[1.0]], 10.0)
+    unit_defect = bai_defect([[1]], 10.0)
     bai_rows.append((4, unit_defect, unit_defect, 10.0))
     bai_ok = bai_ok and unit_defect <= 1e-9
     floor_defect = bai_defect(jordan3, 1000.0)

@@ -147,15 +147,15 @@ class Polynomial:
     def __call__(self, z) -> Fraction:
         """Exact Horner evaluation at a rational z = Z / D (int or Fraction).
 
-        Horner runs on the integer numerators N_j of the coefficients,
-        h <- h Z + N_j D^(k-j), and divides by L D^k once.  Any other z, a
-        float or a `Surd`, raises TypeError.
+        `_horner` runs on the integer numerators N_j of the coefficients,
+        h <- h Z + N_j D^(k-j), and the sum is divided by L D^k once.  Any
+        other z, a float or a `Surd`, raises TypeError.
         """
         if not isinstance(z, (int, Fraction)):
             raise TypeError(f"z: {z!r} is not an exact rational")
         nums, den = self._integers
-        acc, scale = _horner(nums, z.numerator, z.denominator)
-        return Fraction(acc, den * scale)
+        return Fraction(_horner(nums, z.numerator, z.denominator),
+                        den * z.denominator ** (len(nums) - 1))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coefficients, other.coefficients
@@ -289,15 +289,18 @@ def unit_notch(spectrum: SpectrumSequence) -> NotchFunction:
                          (spectrum.lam(len(spectrum)),))
 
 
-def _horner(nums: Sequence[int], top: int, bottom: int) -> tuple[int, int]:
-    """(H, D^k) with sum_i N_i x^i = H / D^k at x = X / D (X = top, D = bottom):
-    the homogenised Horner pass H <- H X + N_i D^(k-i) on integers, N nonempty."""
-    acc = nums[-1]
+def _horner(weights: Sequence[int], x: int, y: int) -> int:
+    """sum_j W_j x^j y^(k - j), W nonempty: the homogenised Horner pass
+    H <- H x + W_j y^(k-j) on integers, the one exact evaluation kernel.
+    With the coefficients' numerators and y = D it is D^k times their
+    polynomial at x / D; with the Bernstein weights c_j C(k, j) (`_weights`)
+    and y = D - T it is D^k times the Bernstein form at t = T / D."""
+    acc = weights[-1]
     scale = 1
-    for n in reversed(nums[:-1]):
-        scale *= bottom
-        acc = acc * top + n * scale
-    return acc, scale
+    for w in reversed(weights[:-1]):
+        scale *= y
+        acc = acc * x + w * scale
+    return acc
 
 
 def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -322,20 +325,6 @@ def _from_integers(nums: list[int], den: int) -> Polynomial:
     p = Polynomial(tuple(Fraction(n, den) for n in nums))
     object.__setattr__(p, "_integers", (tuple(nums), den))
     return p
-
-
-def _bernstein_horner(weights: Sequence[int], top: int, bottom: int) -> int:
-    """sum_j W_j T^j (D - T)^(k - j) at t = T / D (T = top, D = bottom), W
-    nonempty: with W_j = c_j C(k, j) for Bernstein controls c_j, D^k times
-    their polynomial's value at t.  Homogenised Horner in T with the running
-    power of D - T, on integers; at t = 1 the result is W_k, at t = 0 W_0 D^k."""
-    rest = bottom - top
-    acc = weights[-1]
-    scale = 1
-    for w in reversed(weights[:-1]):
-        scale *= rest
-        acc = acc * top + w * scale
-    return acc
 
 
 @cache
@@ -442,7 +431,8 @@ def approximate_with_derivative(f, degree: int) -> Polynomial:
     width = b - a
     ctrl, den = _node_values(f, degree, a, width)
     t0 = -a / width
-    at_t0 = _bernstein_horner(_weights(ctrl), t0.numerator, t0.denominator)
+    top, bottom = t0.numerator, t0.denominator
+    at_t0 = _horner(_weights(ctrl), top, bottom - top)
     if at_t0:
         j0, pin, n = _origin_pin(f, degree, a, width, t0)
         # with more anchors than the degree, raw is elevated to the pin's degree n
@@ -450,12 +440,12 @@ def approximate_with_derivative(f, degree: int) -> Polynomial:
         for d in range(degree, n):
             ctrl = [i * x + (d + 1 - i) * y for i, x, y in zip(range(d + 2), [0] + ctrl, ctrl + [0])]
             scale *= d + 1
-        pin_t0 = _bernstein_horner(_weights([0] * j0 + pin + [0] * (n + 1 - j0 - len(pin))),
-                                   t0.numerator, t0.denominator)
+        pin_t0 = _horner(_weights([0] * j0 + pin + [0] * (n + 1 - j0 - len(pin))),
+                         top, bottom - top)
         if pin_t0 == 0:
             raise InternalConsistencyError("origin pin degenerated to zero at the origin")
         # raw(t0) / pin(t0) = (at_t0 / (den D^degree)) / (pin_t0 / D^n) = y / (den scale x)
-        x, y = pin_t0, at_t0 * t0.denominator ** (n - degree) * scale
+        x, y = pin_t0, at_t0 * bottom ** (n - degree) * scale
         g = gcd(x, y)
         x, y = x // g, y // g
         ctrl = [c * x for c in ctrl]

@@ -11,10 +11,12 @@ diagonal blocks (TypeError on a float operator).  `apply_poly_to_block`
 builds the exact p(X), the membership trials' fallback and the tests'
 oracle, from the coefficients in z: its integer kernel `_divided_numerators`
 evaluates p at each distinct upper-left entry once, and Dp and p(c) per
-coordinate.  The character steps evaluate their approximants in Bernstein
-form instead and float p(X) and X p(X) - X from those integers
-(`amenability._polynomial_norms`); the membership trials float theirs from
-one dot product per coordinate (`membership`).
+coordinate.  The character steps build no operator: their X is
+alpha I + beta T, read from the spectrum, and they evaluate p in Bernstein
+form and float p(X) and X p(X) - X from those integers
+(`amenability._polynomial_norms`), so `build_shifted_T` is the tests'
+oracle; the membership trials float theirs from one dot product per
+coordinate (`membership`).
 """
 
 from __future__ import annotations

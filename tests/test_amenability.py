@@ -310,7 +310,7 @@ def test_bai_defect_nilpotent_block_pinned_at_one():
 
 
 def test_bai_defect_invertible_idempotent_like():
-    assert bai_defect([[1.0]], 10.0) == pytest.approx(0.0, abs=1e-12)
+    assert bai_defect([[1]], 10.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bai_defect_three_by_three_floor():
@@ -319,9 +319,17 @@ def test_bai_defect_three_by_three_floor():
 
 
 def test_bai_defect_cap_binds():
-    # scalar generator 0.1: unconstrained best is u = 10 Q with norm 1;
-    # under cap 0.5 the boundary solution u = 5 Q leaves defect 0.05
-    assert bai_defect([[0.1]], 0.5) == 0.05
+    # scalar generator 1/10: unconstrained best is u = 10 Q with norm 1;
+    # under cap 0.5 the boundary solution u = 5 Q leaves defect 1/20
+    assert bai_defect([[Fraction(1, 10)]], 0.5) == 0.05
+
+
+@pytest.mark.parametrize("generator", [[[0.1]], [[0, 1.0], [0, 0]],
+                                       np.array([[0.0, 1.0], [0.0, 0.0]])])
+def test_bai_defect_rejects_float_entries(generator):
+    """A float entry is not silently taken at its binary value."""
+    with pytest.raises(TypeError, match="exact rational"):
+        bai_defect(generator, 0.5)
 
 
 @given(q=st.fractions(-5, 5, max_denominator=12), cap=st.one_of(st.fractions(Fraction(1, 12), 1, max_denominator=12),

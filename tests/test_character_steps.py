@@ -21,7 +21,6 @@ from amenalab import (ApproximationStep, Polynomial, apply_poly_to_block,
 from amenalab import amenability
 from amenalab.amenability import _divided_sup, _polynomial_norms, _quotient_sup
 from amenalab.polynomials import _from_integers
-from amenalab.scalars import exact_sqrt
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from amenalab.cli import main
 from oracle_utils import count_calls, count_method_calls
@@ -116,11 +115,11 @@ def test_quotient_sups_bitwise_equal_sup_norm(case):
     for n in (1, 2, 3):
         lam = s.lam(n)
         for p in kernel_polynomials(n, s):
-            _, _, values = _polynomial_norms(p, build_shifted_T(s, n))
+            _, _, values = _polynomial_norms(p, lam, -1, s)
             want = sup_norm(divide_shifted(p, lam), s)
             assert _divided_sup(lam, values).hex() == want.hex(), (n, p)
     for p in unit_polynomials(s):
-        _, _, values = _polynomial_norms(p, build_T(s))
+        _, _, values = _polynomial_norms(p, Fraction(0), 1, s)
         want = sup_norm(Polynomial(p.coefficients[1:]), s)
         assert _quotient_sup(values).hex() == want.hex(), p
 
@@ -147,8 +146,10 @@ def test_steps_reject_a_constant_term():
 
 
 def test_verify_character_leaves_the_block_algebra(monkeypatch, tmp_path, capsys):
-    """No step builds p(X) or divides p by a shift: the pipeline's only exact
-    block product is T U in `character.unit_exact_identity`."""
+    """No step builds X = lambda_n I - T or p(X), or divides p by a shift:
+    the pipeline's only exact block product is T U in
+    `character.unit_exact_identity`."""
+    shifted = count_calls(monkeypatch, "amenalab.spectrum", "build_shifted_T")
     compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
     divisions = count_calls(monkeypatch, "amenalab.polynomials", "divide_shifted")
     products = [0]
@@ -162,68 +163,98 @@ def test_verify_character_leaves_the_block_algebra(monkeypatch, tmp_path, capsys
     assert main(["verify", "character", "--count", "16", "--degrees", "8:128",
                  "--out", str(tmp_path)]) == 0
     capsys.readouterr()
+    assert shifted[0] == 0
     assert compositions[0] == 0
     assert divisions[0] == 0
     assert products[0] == 1
 
 
-def spy_bernstein_passes(monkeypatch) -> list[Fraction]:
-    """t = T / D of every Bernstein-Horner pass of the character steps."""
+def spy_horner_passes(monkeypatch) -> list[Fraction]:
+    """t = x / (x + y) of every Bernstein pass of the character steps."""
     calls = []
-    real = amenability._bernstein_horner
+    real = amenability._horner
 
-    def spy(weights, top, bottom):
-        calls.append(Fraction(top, bottom))
-        return real(weights, top, bottom)
+    def spy(weights, x, y):
+        calls.append(Fraction(x, x + y))
+        return real(weights, x, y)
 
-    monkeypatch.setattr(amenability, "_bernstein_horner", spy)
+    monkeypatch.setattr(amenability, "_horner", spy)
     return calls
 
 
 @pytest.mark.parametrize("case", ["geometric_half_16", "ratio_9_10_12", "mixed_grade_8"])
 def test_steps_evaluate_p_at_the_upper_left_entry_once(monkeypatch, case):
-    """A kernel step's upper-left entry is lambda_n at every coordinate, the
-    end t = 1 of the birth interval, and p and p' are evaluated there once
-    per step; then one pass per coordinate gives p(c): M + 2 passes in all.
-    The unit step likewise evaluates p and p' once at its upper-left entry
-    0, the end t = 0."""
+    """The upper-left entry a is an end of the controls' interval, t = 1 in
+    a kernel step and t = 0 in the unit step, so p(a) and p'(a) are an end
+    control and an end difference and take no pass.  Each coordinate m
+    takes one pass, at t = (lambda_1 - lambda_m) / lambda_1 in a kernel
+    step and t = lambda_m / lambda_1 in the unit step, never at a's end:
+    M passes in all."""
     s = SPECTRA[case]
-    calls = spy_bernstein_passes(monkeypatch)
+    ratios = [lam / s.lam(1) for lam in s.values]
+    calls = spy_horner_passes(monkeypatch)
     for n in (1, 2, 3):
         calls.clear()
         approximate_identity_step(approximate_with_derivative(notch(n, s), 64), n, s)
-        assert calls.count(1) == 2
-        assert len(calls) == len(s) + 2
+        assert calls == [1 - t for t in ratios]
     calls.clear()
     unit_approximation_step(approximate_with_derivative(unit_notch(s), 64), s)
-    assert calls.count(0) == 2
-    assert len(calls) == len(s) + 2
+    assert calls == ratios
 
 
-def test_polynomial_norms_on_a_hand_built_operator_with_confluent_coordinates():
-    """Upper-left entries that vary, repeat, and equal the lower-right entry
-    (a = c, where Dp is p'(a)): the norms are still bitwise those of the
-    exact block composition, and the exact values are p's."""
-    X = BlockOperator(
-        DiagonalOperator((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3), Fraction(2, 5), 0)),
-        DiagonalOperator((exact_sqrt(Fraction(1, 2)), Fraction(1), Fraction(-2, 3),
-                          exact_sqrt(Fraction(1, 3)), Fraction(5))),
-        DiagonalOperator((Fraction(1, 2), Fraction(1, 5), Fraction(1, 3), Fraction(0),
-                          Fraction(0))))
-    for p in (Polynomial((0, 3, Fraction(-1, 2), Fraction(5, 7))), Polynomial((0, 0, 1)),
-              Polynomial((0, Fraction(1, 3))), Polynomial.zero(),
-              approximate_with_derivative(notch(2, SPECTRA["harmonic_8"]), 32)):
-        u = apply_poly_to_block(p.coefficients, X)
-        want = (operator_norm(((X @ u) - X).to_float()), operator_norm(u.to_float()))
-        residual, element_norm, values = _polynomial_norms(p, X)
-        assert (residual.hex(), element_norm.hex()) == tuple(x.hex() for x in want), p
-        assert sorted(values.at) == [0, Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)]
-        dp = p.derivative()
-        for a, (h, g, d) in values.at.items():
-            assert (Fraction(h, d), Fraction(g, d)) == (p(a), dp(a))
-        for (big_a, e, g, hc, d), a, c in zip(values.rows, X.b11.diag, X.b22.diag):
-            assert Fraction(big_a, e) == a and Fraction(hc, d) == p(c)
-            assert Fraction(g, d) == (dp(a) if a == c else (p(a) - p(c)) / (a - c))
+def test_steps_build_only_the_two_float_blocks(monkeypatch):
+    """A step builds no exact operator: its only `BlockOperator`s are the
+    float blocks of u and X u - X that it hands to `operator_norm`."""
+    s = SPECTRA["mixed_grade_8"]
+    built = []
+    post_init = BlockOperator.__post_init__
+
+    def recorded(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BlockOperator, "__post_init__", recorded)
+    for step in (lambda p: approximate_identity_step(p, 2, s),
+                 lambda p: unit_approximation_step(p, s)):
+        built.clear()
+        step(Polynomial((0, 3, Fraction(-1, 2))))
+        assert len(built) == 2
+        assert all(type(x) is float for X in built for block in (X.b11, X.b12, X.b22)
+                   for x in block.diag)
+
+
+@pytest.mark.parametrize("case", ["mixed_grade_8", "ratio_9_10_12"])
+def test_polynomial_norms_values_on_alpha_i_plus_beta_t(case):
+    """On X = alpha I + beta T, the head is (p(a), p'(a)) at a = alpha and
+    row m is (Dp, p(c)) at c = alpha + beta lambda_m, exactly, by Horner on
+    the coefficients (`Polynomial.__call__`, `derivative`); and the norms are
+    bitwise those of the exact block composition.  Born approximants run on
+    their birth interval and off it, z-form polynomials, zero included, at
+    the kernel and unit entries and at an upper-left entry of neither."""
+    s = SPECTRA[case]
+    M = len(s)
+    T = build_T(s)
+    born = [approximate_with_derivative(notch(n, s), 32) for n in (1, 2, 3)]
+    born.append(approximate_with_derivative(unit_notch(s), 32))
+    zform = [Polynomial((0, 3, Fraction(-1, 2), Fraction(5, 7))), Polynomial((0, 0, 1)),
+             Polynomial((0, Fraction(1, 3))), Polynomial.zero()]
+    entries = [(s.lam(1), -1), (s.lam(2), -1), (s.lam(3), -1), (Fraction(0), 1),
+               (Fraction(1, 7), 1)]
+    for alpha, beta in entries:
+        X = BlockOperator(DiagonalOperator.constant(M, alpha), DiagonalOperator.zeros(M),
+                          DiagonalOperator.constant(M, alpha)) + T.scale(beta)
+        for p in born + zform:
+            u = apply_poly_to_block(p.coefficients, X)
+            want = (operator_norm(((X @ u) - X).to_float()), operator_norm(u.to_float()))
+            residual, element_norm, values = _polynomial_norms(p, alpha, beta, s)
+            assert (residual.hex(), element_norm.hex()) == tuple(x.hex() for x in want), p
+            dp = p.derivative()
+            h, g, d = values.head
+            assert (Fraction(h, d), Fraction(g, d)) == (p(alpha), dp(alpha))
+            assert len(values.rows) == M
+            for (g, hc, d), lam in zip(values.rows, s.values):
+                c = alpha + beta * lam
+                assert (Fraction(g, d), Fraction(hc, d)) == ((p(c) - p(alpha)) / (c - alpha), p(c))
 
 
 def test_a_polynomial_hashes_by_its_integers():

@@ -31,7 +31,7 @@ from .polynomials import Polynomial
 from .reports import ConvergenceReport, write_report
 from .scalars import as_fraction
 from .similarity import conjugate_by_upper_unipotent, similarity_growth_sweep
-from .spectrum import DiagonalOperator, SpectrumSequence, build_T, make_spectrum, operator_norm
+from .spectrum import SpectrumSequence, build_T, make_spectrum, operator_norm
 
 WEAK_DEFAULT_COUNT = 64
 CHARACTER_DEFAULT_COUNT = 16
@@ -216,10 +216,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         truncations = _int_list(file_cfg.get("truncations", (4, 8, 16, 20)), "truncations")
     _validate_increasing(truncations, "truncations")
 
-    if args.degrees is not None:
-        degrees = _parse_degrees(args.degrees)
-    else:
-        degrees = _int_list(file_cfg.get("degrees", (8, 16, 32, 64)), "degrees")
+    degrees = args.degrees if args.degrees is not None else file_cfg.get("degrees", (8, 16, 32, 64))
+    degrees = _parse_degrees(degrees) if isinstance(degrees, str) else _int_list(degrees, "degrees")
     _validate_increasing(degrees, "degrees")
     if any(k < 2 for k in degrees):
         raise ConfigError("degrees: entries must be at least 2")
@@ -392,13 +390,10 @@ def _verify_character(cfg: RunConfig):
 
 
 def _verify_similarity(cfg: RunConfig):
-    spectra = {m: _spectrum_at(cfg, m) for m in cfg.truncations}
-    report, solves = similarity_growth_sweep(spectra.__getitem__, cfg.truncations)
-    residual_ok = all(solve.residual == 0.0 for solve in solves)
-    top = spectra[cfg.truncations[-1]]
-    T = build_T(top)
-    negative_root_inverse = DiagonalOperator(tuple(-1 / r for r in top.roots))
-    conj = conjugate_by_upper_unipotent(T, negative_root_inverse)
+    spectrum = _spectrum_at(cfg, cfg.truncations[-1])
+    report, solve = similarity_growth_sweep(spectrum, cfg.truncations)
+    residual_ok = solve.residual == 0.0  # bounds the residual of every truncation
+    conj = conjugate_by_upper_unipotent(build_T(spectrum), -solve.intertwiner)
     zeroed = conj.b12.is_zero()
     checks = [
         Check("similarity.growth", report.bounded,

@@ -1,8 +1,9 @@
 """The membership trials of `verify weak`: the floats of p(T) for many
-polynomials p, bitwise those of the exact block composition, mostly without
-building it.  Exact integer tests decide membership, and a float pass with
-proven error bounds leaves the exact floats to the few coordinates where a
-trial's maximum can be.
+polynomials p, bitwise those of the exact block composition.  On the paper's
+T, read from its spectrum, every p(T) is an algebra element and the
+composition is never built: a float pass with proven error bounds leaves the
+exact floats to the few coordinates where a trial's maximum can be.  Any
+other T takes the composition itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .amenability import membership_residual
 from .polynomials import Polynomial, sup_norm
-from .scalars import Surd, is_exact_zero, scaled_float, to_float
+from .scalars import Surd, scaled_float, to_float
 from .spectrum import BlockOperator, SpectrumSequence, apply_poly_to_block, operator_norm
 
 
@@ -49,28 +50,18 @@ def _trial_row(lam: Fraction, k: int) -> tuple:
     return _trial_weights(c, e, k), c, e, e ** k
 
 
-def _trial_table(T: BlockOperator, spectrum: SpectrumSequence) -> list | None:
-    """(lambda_n, b_n, CQ == PE) at each coordinate n of
-    T = [[0, b], [0, lambda_n]], lambda_n = C / E, sqrt(lambda_n) b = P / Q:
-    the entries that the trials float and, decided once for all trials,
-    whether p(lambda_n) = sqrt(lambda_n) b_n Dp holds for every p.  None
-    unless every coordinate has that shape with b rational or s sqrt(d) and
-    sqrt(lambda_n) b rational.  The integers of a coordinate are built by
-    `_trial_row` only where some trial needs them."""
-    if T.dim != len(spectrum):
-        raise ValueError("operator dimension does not match the truncation")
-    table = []
-    for a, b, c, lam, root in zip(T.b11.diag, T.b12.diag, T.b22.diag, spectrum.values,
-                                  spectrum.roots):
-        if not (is_exact_zero(a) and isinstance(c, (int, Fraction)) and c == lam
-                and isinstance(b, (int, Fraction, Surd))):
-            return None
-        product = root * b
-        if isinstance(product, Surd):
-            return None
-        table.append((lam, b, lam.numerator * product.denominator
-                      == product.numerator * lam.denominator))
-    return table
+def _is_built_T(T: BlockOperator, spectrum: SpectrumSequence) -> bool:
+    """Whether T is `build_T(spectrum)` entry for entry, with the same types:
+    Fraction zeros, the spectrum's points and its roots, so that no float
+    entry passes.  A Surd is compared by its parts, since == on two Surds of
+    different radicands raises."""
+    def key(x):
+        return (Surd, x.s, x.d) if isinstance(x, Surd) else (type(x), x)
+
+    zero = key(Fraction(0))
+    return (T.dim == len(spectrum) and all(key(a) == zero for a in T.b11.diag)
+            and list(map(key, T.b12.diag)) == list(map(key, spectrum.roots))
+            and list(map(key, T.b22.diag)) == list(map(key, spectrum.values)))
 
 
 _TINY = 2.0 ** -1022  # the least normal float
@@ -210,35 +201,26 @@ def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
                       spectrum: SpectrumSequence) -> list[MembershipTrial]:
     """For each p, bitwise `membership_residual(X, spectrum)`,
     `operator_norm(X.to_float())` and `sup_norm(p, spectrum)` of
-    X = apply_poly_to_block(p.coefficients, T), most often without building X.
+    X = apply_poly_to_block(p.coefficients, T), without building X when T is
+    `build_T(spectrum)`; on any other T every trial is the composition.
 
-    For T = [[0, b], [0, N]] with b_n rational or s sqrt(d), and
-    sqrt(lambda_n) b_n rational (as for `build_T`, where b = N^(1/2)), the
-    work is that of T~ = [[0, I], [0, N]], all rational: coordinate n of
-    p(T) is [[p(0), b_n Dp], [0, p(lambda_n)]] with p(0) = 0 and Dp the
-    divided difference of p at 0 and lambda_n, and for invertible b,
-    T = D T~ D^-1 with D = diag(I, b^-1).  With lambda_n = C / E and K the
+    On T = [[0, N^(1/2)], [0, N]] the work is that of T~ = [[0, I], [0, N]],
+    all rational: coordinate n of p(T) is [[p(0), sqrt(lambda_n) Dp], [0,
+    p(lambda_n)]] with p(0) = 0 and Dp the divided difference of p at 0 and
+    lambda_n, and T = D T~ D^-1 with D = diag(I, N^(-1/2)).  So p(T) is an
+    algebra element, residual 0, and its norm and spectral sup are maxima
+    over n of floats of exact values.  With lambda_n = C / E and K the
     largest trial degree, each trial's numerator g at n is one dot product
     with the weights C^(j-1) E^(K-j) (`_trial_weights`), and
-    p(lambda_n) = C g / (L E^K), Dp = E g / (L E^K).
-
-    p(T) is an algebra element iff p(lambda_n) = sqrt(lambda_n) b_n Dp at
-    every n, that is g (CQ - PE) = 0 with sqrt(lambda_n) b_n = P / Q.  So
-    CQ = PE is decided once per coordinate (`_trial_table`), and a trial
-    needs g only where it fails: nowhere for `build_T`, and any nonzero g
-    there (T's upper-right block is not N^(1/2), up to the zeros of Dp)
-    sends the trial to the composition itself.  A passing trial has
-    residual 0, and its norm and spectral sup are maxima over n of floats of
-    exact values.  One float pass with proven error bounds over every trial
-    and coordinate (`_trial_candidates`) rules out the coordinates that
-    cannot hold a maximum, so g and the exact floats (`scaled_float` for
-    b_n Dp) are computed only on the few that can, and
-    the integers of a coordinate (`_trial_row`) only where some trial needs
-    them.  Every trial on a T of another shape is the composition itself.
+    p(lambda_n) = C g / (L E^K), Dp = E g / (L E^K).  One float pass with
+    proven error bounds over every trial and coordinate
+    (`_trial_candidates`) rules out the coordinates that cannot hold a
+    maximum, so g and the exact floats (`scaled_float` for sqrt(lambda_n) Dp)
+    are computed only on the few that can, and the integers of a coordinate
+    (`_trial_row`) only where some trial needs them.
     """
     polynomials = list(polynomials)
-    table = _trial_table(T, spectrum)
-    if table is None:
+    if not _is_built_T(T, spectrum):
         return [_reference_trial(p, T, spectrum) for p in polynomials]
     integers = [p._integers for p in polynomials]
     if any(nums[0] for nums, _ in integers):
@@ -248,24 +230,20 @@ def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
     shifts = np.zeros(len(polynomials), dtype=int)
     for t, (nums, den) in enumerate(integers):
         alphas[t, :len(nums) - 1], shifts[t] = _scaled_coefficients(nums[1:], den)
+    points, roots = spectrum.values, spectrum.roots
     hyp_at, bottom_at = _trial_candidates(
-        alphas, shifts, [_quotient_float(lam.numerator, lam.denominator) for lam, _, _ in table],
-        [_entry_float(b) for _, b, _ in table])
-    row = functools.cache(lambda n: _trial_row(table[n][0], k))
-    failing = [n for n, (_, _, agrees) in enumerate(table) if not agrees]
-    exact = []  # per trial: None for the composition, else its (top, bottom) pairs and sup
+        alphas, shifts, [_quotient_float(lam.numerator, lam.denominator) for lam in points],
+        [_entry_float(r) for r in roots])
+    row = functools.cache(lambda n: _trial_row(points[n], k))
+    exact = []  # per trial: its (top, bottom) pairs and its sup
     for (nums, den), hyp_n, bottom_n in zip(integers, hyp_at, bottom_at):
-        nums = nums[1:]
-        if any(sum(map(operator.mul, nums, row(n)[0])) for n in failing):
-            exact.append(None)
-            continue
-        floats = {}
+        nums, floats = nums[1:], {}
         for n in {*hyp_n, *bottom_n}:
             weights, c, e, scale = row(n)
             g = sum(map(operator.mul, nums, weights))
-            floats[n] = scaled_float(table[n][1], e * g, den * scale), c * g / (den * scale)
+            floats[n] = scaled_float(roots[n], e * g, den * scale), c * g / (den * scale)
         exact.append(([floats[n] for n in hyp_n], max(0.0, *(abs(floats[n][1]) for n in bottom_n))))
-    pairs = np.reshape([pair for e in exact if e for pair in e[0]], (-1, 2))
+    pairs = np.reshape([pair for hyp, _ in exact for pair in hyp], (-1, 2))
     hyps = iter(np.hypot(pairs[:, 0], pairs[:, 1]).tolist())
-    return [MembershipTrial(0.0, max(itertools.islice(hyps, len(e[0]))), e[1])  # |p(0)| = 0
-            if e else _reference_trial(p, T, spectrum) for p, e in zip(polynomials, exact)]
+    return [MembershipTrial(0.0, max(itertools.islice(hyps, len(hyp))), sup)  # |p(0)| = 0
+            for hyp, sup in exact]

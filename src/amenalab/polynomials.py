@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .scalars import _common_denominator, _rational, as_fraction
+from .scalars import _common_denominator, _rational
 from .spectrum import SpectrumSequence
 
 DEFAULT_GRID = 4096
@@ -204,7 +204,7 @@ class Polynomial:
         With alpha = u / E and beta = v / E, Horner runs on the integer
         polynomial sum_i N_i E^(k-i) (u + v z)^i.
         """
-        alpha, beta = as_fraction(alpha), as_fraction(beta)
+        alpha, beta = _rational(alpha), _rational(beta)
         e = lcm(alpha.denominator, beta.denominator)
         u, v = alpha.numerator * (e // alpha.denominator), beta.numerator * (e // beta.denominator)
         if not u:  # a pure scaling, N_i v^i E^(k-i)
@@ -240,14 +240,14 @@ class NotchFunction:
             raise ValueError("the interval must contain the origin")
 
     def value(self, z):
-        z = abs(as_fraction(z))
+        z = abs(_rational(z))
         if z >= self.delta:  # the plateau, decided before any division
             return Fraction(1)
         u = z / self.delta
         return 3 * u * u - 2 * u ** 3
 
     def derivative(self, z):
-        z = as_fraction(z)
+        z = _rational(z)
         u = abs(z) / self.delta
         if u >= 1 or z == 0:
             return Fraction(0)
@@ -339,15 +339,15 @@ def _weights(ctrl: Sequence[int]) -> list[int]:
 
 
 def _origin_pin(f, degree: int, a: Fraction, width: Fraction,
-                t0: Fraction) -> tuple[int, list[int], int]:
-    """(j0, pin, n): the integer Bernstein controls, of degree
-    n = max(degree, number of anchors), of a nonzero multiple of the origin
-    pin, a polynomial that vanishes at the notch anchors and is localized at
-    the Bernstein node nearest the origin.  They are zero outside
+                t0: Fraction) -> tuple[int, list[int]]:
+    """(j0, pin): the integer Bernstein controls, of the degree (at least
+    the number of anchors), of a nonzero multiple of the origin pin, a
+    polynomial that vanishes at the notch anchors and is localized at the
+    Bernstein node nearest the origin.  They are zero outside
     j0 .. j0 + len(pin) - 1.
 
-    The bump is the Bernstein basis polynomial of degree m = n - (number of
-    anchors) at the node j0 / m nearest t0: its controls are a single 1 at
+    The bump is the Bernstein basis polynomial of degree m = degree - (number
+    of anchors) at the node j0 / m nearest t0: its controls are a single 1 at
     j0.  Each anchor g contributes the linear factor D t - R that vanishes
     at t = R / D = (g - a) / width, with Bernstein controls (-R, D - R); the
     product of degree d controls c_i with it has the degree d + 1 controls
@@ -357,8 +357,8 @@ def _origin_pin(f, degree: int, a: Fraction, width: Fraction,
     plateau: a global constant shift would be size O(1) whenever the dip
     sits below the Bernstein resolution.
     """
-    anchors = [as_fraction(g) for g in getattr(f, "anchors", ())]
-    m = max(degree - len(anchors), 0)
+    anchors = [_rational(g) for g in getattr(f, "anchors", ())]
+    m = degree - len(anchors)
     j0 = min(max(int(round(t0 * m)), 0), m)
     pin, d = [1], m
     for g in anchors:
@@ -367,7 +367,7 @@ def _origin_pin(f, degree: int, a: Fraction, width: Fraction,
         d += 1
         pin = [(d - i) * low * x + i * high * y
                for i, x, y in zip(range(j0, d + 1), pin + [0], [0] + pin)]
-    return j0, pin, d
+    return j0, pin
 
 
 def _node_values(f, k: int, a: Fraction, width: Fraction) -> tuple[list[int], int]:
@@ -412,7 +412,8 @@ def approximate_with_derivative(f, degree: int) -> Polynomial:
 
     Converges to f together with its first derivative as the degree grows.
     `f` is normally a NotchFunction; any object with fields a, b and an exact
-    `value` method works (plumbing self-tests feed plain monomials).
+    `value` method works (plumbing self-tests feed plain monomials).  Its
+    `anchors`, if any, must not outnumber the degree (ValueError).
 
     The raw approximant's controls are the node values f(a + (b - a) j / k),
     on integer numerators over one denominator (`_node_values`).  The root
@@ -427,31 +428,27 @@ def approximate_with_derivative(f, degree: int) -> Polynomial:
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    a, b = as_fraction(f.a), as_fraction(f.b)
+    if len(getattr(f, "anchors", ())) > degree:
+        raise ValueError("degree must be at least the number of anchors")
+    a, b = _rational(f.a), _rational(f.b)
     width = b - a
     ctrl, den = _node_values(f, degree, a, width)
     t0 = -a / width
     top, bottom = t0.numerator, t0.denominator
     at_t0 = _horner(_weights(ctrl), top, bottom - top)
     if at_t0:
-        j0, pin, n = _origin_pin(f, degree, a, width, t0)
-        # with more anchors than the degree, raw is elevated to the pin's degree n
-        scale = 1
-        for d in range(degree, n):
-            ctrl = [i * x + (d + 1 - i) * y for i, x, y in zip(range(d + 2), [0] + ctrl, ctrl + [0])]
-            scale *= d + 1
-        pin_t0 = _horner(_weights([0] * j0 + pin + [0] * (n + 1 - j0 - len(pin))),
+        j0, pin = _origin_pin(f, degree, a, width, t0)
+        pin_t0 = _horner(_weights([0] * j0 + pin + [0] * (degree + 1 - j0 - len(pin))),
                          top, bottom - top)
         if pin_t0 == 0:
             raise InternalConsistencyError("origin pin degenerated to zero at the origin")
-        # raw(t0) / pin(t0) = (at_t0 / (den D^degree)) / (pin_t0 / D^n) = y / (den scale x)
-        x, y = pin_t0, at_t0 * bottom ** (n - degree) * scale
-        g = gcd(x, y)
-        x, y = x // g, y // g
+        # raw(t0) / pin(t0) = (at_t0 / (den D^degree)) / (pin_t0 / D^degree) = y / (den x)
+        g = gcd(pin_t0, at_t0)
+        x, y = pin_t0 // g, at_t0 // g
         ctrl = [c * x for c in ctrl]
         for i, c in enumerate(pin, start=j0):
             ctrl[i] -= y * c
-        den *= scale * x
+        den *= x
     return Polynomial._born(a, b, *_exact_degree(ctrl, den))
 
 
@@ -487,7 +484,7 @@ def _bernstein_controls(p: Polynomial, a, b) -> tuple[list[int], int]:
     over one common denominator.  On an approximant's birth interval they
     are its birth controls (reduced, not to be mutated); any other interval
     takes one Taylor shift to t = (z - a) / (b - a) and one Pascal pass."""
-    a, b = as_fraction(a), as_fraction(b)
+    a, b = _rational(a), _rational(b)
     if p._birth is not None and p._birth[:2] == (a, b):
         return p._birth[2:]
     nums, den = p._integers
@@ -687,7 +684,7 @@ def interval_sups(p: Polynomial, a, b, memo: dict | None = None) -> tuple[float,
     character` does.  The key hashes integers and the two interval ends,
     and never computes an approximant's coefficients.
     """
-    a, b = as_fraction(a), as_fraction(b)
+    a, b = _rational(a), _rational(b)
     nums, den = _bernstein_controls(p, a, b)
     key = (a, b, den, *nums)
     sups = None if memo is None else memo.get(key)
@@ -710,7 +707,7 @@ def divide_shifted(p: Polynomial, lam) -> Polynomial:
     checked against an independent Horner evaluation of p(lam); a mismatch
     is an internal inconsistency.
     """
-    lam = as_fraction(lam)
+    lam = _rational(lam)
     nums, den = p._integers
     r, scale = p._compose_integers(nums, lam, -1)
     den *= scale
@@ -736,7 +733,7 @@ def mvt_bound_check(p: Polynomial, q: Polynomial, lam, spectrum: SpectrumSequenc
     spectrum (plus origin) must not exceed sup|p| + lam * sup|p'| over
     [lam - lambda_1, lam].  Returns the verdict with both sides and sup|p|.
     `memo` is handed to `interval_sups`."""
-    lam = as_fraction(lam)
+    lam = _rational(lam)
     lhs = sup_norm(q, spectrum)
     p_sup, dp_sup = interval_sups(p, lam - spectrum.lam(1), lam, memo)
     rhs = p_sup + float(lam) * dp_sup

@@ -1,15 +1,18 @@
 """Similarity diagnostics: conjugation by upper-unipotent block operators, the
 minimal intertwiner for the square-root relation, and its norm growth across
-truncations.  On any finite truncation the intertwiner exists; the meaningful
-finite shadow of non-similarity is that its norm diverges with the truncation.
+truncations, each a prefix of one spectrum.  On any finite truncation the
+intertwiner exists; the meaningful finite shadow of non-similarity is that
+its norm diverges with the truncation.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .reports import ConvergenceReport
+from .scalars import to_float
 from .spectrum import BlockOperator, DiagonalOperator, SpectrumSequence
 
 
@@ -47,22 +50,28 @@ def minimal_intertwiner(spectrum: SpectrumSequence) -> IntertwinerSolve:
     return IntertwinerSolve(len(spectrum), B, B.norm(), residual_diag.norm())
 
 
-def similarity_growth_sweep(spectrum_factory: Callable[[int], SpectrumSequence],
-                            truncations: Sequence[int]
-                            ) -> tuple[ConvergenceReport, list[IntertwinerSolve]]:
-    """Minimal intertwiner norm per truncation size, with the solves behind it.
+def similarity_growth_sweep(spectrum: SpectrumSequence, truncations: Sequence[int]
+                            ) -> tuple[ConvergenceReport, IntertwinerSolve]:
+    """Minimal intertwiner norm per truncation size, with the solve behind it.
 
-    Verdicts: `threshold_met` is vacuously true with tolerance 0 (the sweep
-    has no threshold); the `bounded` slot certifies strict norm growth, the
-    finite shadow of unboundedness.  The solves are handed back so that
-    callers read their residuals without solving again.
+    Each truncation is a prefix of `spectrum`, and so is its intertwiner:
+    one solve on the whole spectrum, whose residual bounds every prefix's,
+    gives the norm at M as the largest |B_n|, n <= M, bitwise the prefix
+    solve's `DiagonalOperator.norm`.  Verdicts: `threshold_met` is vacuously
+    true with tolerance 0 (the sweep has no threshold); the `bounded` slot
+    certifies strict norm growth, the finite shadow of unboundedness.  The
+    solve is handed back so that callers read its residual and intertwiner
+    without solving again.
     """
     if not truncations:
         raise ValueError("truncations: must not be empty")
     if any(b <= a for a, b in zip(truncations, truncations[1:])):
         raise ValueError("truncations: must be strictly increasing")
-    solves = [minimal_intertwiner(spectrum_factory(m)) for m in truncations]
-    rows = [(int(m), solve.norm) for m, solve in zip(truncations, solves)]
+    if truncations[0] < 1 or truncations[-1] > len(spectrum):
+        raise ValueError("truncations: must lie between 1 and the spectrum length")
+    solve = minimal_intertwiner(spectrum)
+    norms = list(itertools.accumulate((abs(to_float(b)) for b in solve.intertwiner.diag), max))
+    rows = [(int(m), norms[m - 1]) for m in truncations]
     increasing = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
     report = ConvergenceReport(("M", "intertwiner_norm"), tuple(rows), True, increasing, 0.0)
-    return report, solves
+    return report, solve

@@ -151,6 +151,21 @@ def test_degree_range_expansion(tmp_path, capsys):
     assert [line.split(",")[0] for line in rows[2:]] == ["8", "16", "32", "64"]
 
 
+@pytest.mark.parametrize("degrees", ["8:64", "8,16,32,64"])
+def test_degree_string_in_a_config_file(degrees, tmp_path, capsys):
+    """A `degrees` string in a config file is read as the flag reads it: the
+    same check lines and the same config hash."""
+    assert run(["verify", "character", "--count", "4", "--degrees", degrees,
+                "--out", str(tmp_path / "flag")]) == 0
+    flag_out = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spectrum": {"count": 4}, "degrees": degrees}))
+    assert run(["verify", "character", "--config", str(cfg),
+                "--out", str(tmp_path / "file")]) == 0
+    assert capsys.readouterr().out == flag_out
+    assert "character.kernel_n1" in flag_out
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -399,16 +399,17 @@ def test_born_controls_equal_the_shifted_controls_of_the_z_form(case):
 
 
 def test_more_anchors_than_the_degree():
-    """Three anchors at degree 2: the pin has degree 3, and the node values'
-    controls are elevated to it before the pin is subtracted."""
+    """Three anchors at degree 2: no pin of degree 2 vanishes at all three, so
+    the approximant is refused; at degree 3 the pin exists."""
     @dataclass(frozen=True)
     class Anchored(PlainFunction):
         anchors: tuple = (Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4))
 
     f = Anchored(Fraction(-1), Fraction(1), lambda x: x * x + 1)
-    p = approximate_with_derivative(f, 2)
-    assert p.degree == 3 and p(0) == 0
-    assert p == approximant_oracle(f, 2)
+    with pytest.raises(ValueError, match="anchors"):
+        approximate_with_derivative(f, 2)
+    p = approximate_with_derivative(f, 3)
+    assert p(0) == 0 and p == approximant_oracle(f, 3)
 
 
 def test_birth_form_is_trimmed():
@@ -632,6 +633,29 @@ def test_scalar_product_rejects_a_float():
         with pytest.raises(TypeError):
             product()
     assert 3 * p == p * Fraction(3) == Polynomial((0, 3, 1))
+
+
+_P = Polynomial((0, 1, Fraction(1, 3)))
+_S = make_spectrum("geometric", 4)
+FLOAT_ENTRY_POINTS = {
+    "compose_affine": lambda: _P.compose_affine(0.1, 1.0),
+    "divide_shifted": lambda: divide_shifted(_P, 0.1),
+    "interval_sups": lambda: interval_sups(_P, 0.0, 0.1),
+    "evaluate_on_grid": lambda: evaluate_on_grid(_P, 0.0, 0.5, 9),
+    "mvt_bound_check": lambda: mvt_bound_check(_P, divide_shifted(_P, Fraction(1, 2)), 0.5, _S),
+    "notch_value": lambda: notch(1, _S).value(0.1),
+    "notch_derivative": lambda: notch(1, _S).derivative(0.1),
+    "approximate_with_derivative": lambda: approximate_with_derivative(
+        PlainFunction(-0.5, Fraction(1, 2), lambda x: x), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_ENTRY_POINTS))
+def test_entry_points_reject_a_float(name):
+    """A float argument raises TypeError instead of entering the exact tier
+    as its binary value."""
+    with pytest.raises(TypeError):
+        FLOAT_ENTRY_POINTS[name]()
 
 
 def test_zero_polynomial_runs_the_integer_kernels():

@@ -79,30 +79,51 @@ def test_minimal_intertwiner_least_squares_oracle():
 
 
 def test_growth_sweep_geometric():
-    report, _ = similarity_growth_sweep(lambda m: make_spectrum("geometric", m), [4, 8, 16])
+    report, _ = similarity_growth_sweep(make_spectrum("geometric", 16), [4, 8, 16])
     assert report.rows == ((4, 4.0), (8, 16.0), (16, 256.0))
     assert report.bounded  # strictly increasing
     assert report.threshold_met and report.tolerance == 0.0  # the sweep has no threshold
 
 
 def test_growth_sweep_harmonic():
-    report, _ = similarity_growth_sweep(lambda m: make_spectrum("harmonic", m), [4, 16])
+    report, _ = similarity_growth_sweep(make_spectrum("harmonic", 20), [4, 16])
     assert report.rows == ((4, 2.0), (16, 4.0))
     assert report.bounded
 
 
 def test_growth_sweep_singleton():
-    report, _ = similarity_growth_sweep(lambda m: make_spectrum("geometric", m), [6])
+    report, _ = similarity_growth_sweep(make_spectrum("geometric", 6), [6])
     assert report.bounded and report.rows == ((6, 8.0),)
 
 
+# the mixed-grade spectrum of the CI smoke: rational roots at 1, 1/4, 1/9,
+# 1/16, and sqrt(2) shared by 2/9 and 1/18
+MIXED = make_spectrum("explicit", values=[Fraction(v) for v in (
+    "1", "1/2", "1/3", "1/4", "2/9", "1/9", "1/16", "1/18")])
+
+
+SWEEP_CASES = [
+    (make_spectrum("harmonic", 16), [4, 16]),
+    (make_spectrum("geometric", 100, ratio=Fraction(9, 10)), [4, 8, 16, 20, 100]),
+    (MIXED, [1, 2, 5, 8]),
+]
+
+
 def test_growth_sweep_collects_each_solve():
-    report, solves = similarity_growth_sweep(lambda m: make_spectrum("harmonic", m), [4, 16])
-    assert [(s.truncation, s.norm) for s in solves] == list(report.rows)
-    assert all(s.residual == 0.0 for s in solves)
+    """One solve on the whole spectrum: each row's norm is bitwise the norm
+    of the solve on that truncation alone, and the residual is zero."""
+    for spectrum, truncations in SWEEP_CASES:
+        report, solve = similarity_growth_sweep(spectrum, truncations)
+        assert solve.truncation == len(spectrum) and solve.residual == 0.0
+        prefixes = [make_spectrum("explicit", values=spectrum.values[:m]) for m in truncations]
+        assert list(report.rows) == [(m, minimal_intertwiner(p).norm)
+                                     for m, p in zip(truncations, prefixes)]
+        assert all(type(norm) is float for _, norm in report.rows)
 
 
 def test_verify_similarity_solves_each_truncation_once(monkeypatch, tmp_path, capsys):
+    """Every truncation is a prefix of the largest, so one solve, at the
+    largest, serves them all."""
     from amenalab.cli import main
 
     calls = []
@@ -117,26 +138,32 @@ def test_verify_similarity_solves_each_truncation_once(monkeypatch, tmp_path, ca
             monkeypatch.setattr(module, "minimal_intertwiner", counted)
     assert main(["verify", "similarity", "--out", str(tmp_path)]) == 0
     assert "[PASS] similarity.exact_solve" in capsys.readouterr().out
-    assert calls == [4, 8, 16, 20]  # the default truncations
+    assert calls == [20]  # the largest default truncation
 
 
 def test_verify_similarity_builds_each_spectrum_once(monkeypatch, tmp_path, capsys):
-    """One spectrum per default truncation plus the one that validates the
-    config, and each sqrt(lambda_n) once: the conjugation check reuses the top
-    truncation's spectrum and roots, and the solves read the cached roots."""
+    """One spectrum that validates the config and one at the largest
+    truncation, and each sqrt(lambda_n) once: the sweep, the conjugation
+    check and its negative inverse root all read that spectrum's roots."""
     from amenalab.cli import main
 
     spectra = count_calls(monkeypatch, "amenalab.spectrum", "make_spectrum")
     roots = count_calls(monkeypatch, "amenalab.scalars", "exact_sqrt")
     assert main(["verify", "similarity", "--out", str(tmp_path)]) == 0
     assert "[PASS] similarity.conjugation_zeroing" in capsys.readouterr().out
-    assert spectra[0] == 5
-    assert roots[0] == 4 + 8 + 16 + 20
+    assert spectra[0] == 2
+    assert roots[0] == 20
 
 
 def test_growth_sweep_validation():
+    s = make_spectrum("geometric", 8)
     with pytest.raises(ValueError, match="truncations"):
-        similarity_growth_sweep(lambda m: make_spectrum("geometric", m), [8, 4])
+        similarity_growth_sweep(s, [8, 4])
+    with pytest.raises(ValueError, match="truncations"):
+        similarity_growth_sweep(s, [])
+    for truncations in ([4, 9], [0, 4]):  # past the spectrum's end, or below 1
+        with pytest.raises(ValueError, match="truncations"):
+            similarity_growth_sweep(s, truncations)
 
 
 def test_conjugation_zeroing_with_negative_inverse_root():

@@ -203,7 +203,7 @@ def test_membership_trials_bitwise_equal_block_composition(case, source, monkeyp
     want = [reference_trial(p, T, s) for p in polys]
     compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
     got = membership_trials(polys, T, s)
-    assert compositions[0] == 0  # every trial passed the integer test
+    assert compositions[0] == 0  # no trial built the composition
     for p, w, g in zip(polys, want, got):
         assert g.residual == 0.0
         assert bits(g) == bits(w), p
@@ -231,20 +231,24 @@ def broken_generators(s):
 @pytest.mark.parametrize("case", sorted(TRIAL_SPECTRA))
 @pytest.mark.parametrize("broken", ["root_doubled", "rational_root_doubled", "point_moved",
                                     "upper_left"])
-def test_membership_trials_reject_a_broken_generator(case, broken):
+def test_membership_trials_reject_a_broken_generator(case, broken, monkeypatch):
     """p(T) for a T that is not the paper's generator is no algebra element:
-    the trials report a positive residual, bitwise the block composition's."""
+    every trial is the block composition, with a positive residual."""
     s = TRIAL_SPECTRA[case]
     T = broken_generators(s)[broken]
     polys = cli_trial_polynomials()[:10]
-    for p, got in zip(polys, membership_trials(polys, T, s)):
-        assert got.residual > 0.0, p
-        assert bits(got) == bits(reference_trial(p, T, s)), p
+    want = [reference_trial(p, T, s) for p in polys]
+    compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
+    got = membership_trials(polys, T, s)
+    assert compositions[0] == len(polys)
+    for p, w, g in zip(polys, want, got):
+        assert g.residual > 0.0, p
+        assert bits(g) == bits(w), p
 
 
-def test_membership_trials_integer_test_rejects_a_wrong_root(monkeypatch):
-    """A doubled root keeps T in the integer pass's shape, so the integer test
-    itself must reject each trial before the composition is built."""
+def test_membership_trials_compose_on_a_wrong_root(monkeypatch):
+    """A doubled root leaves T the shape [[0, b], [0, N]] of the paper's
+    generator, but not its entries, so each trial is the composition."""
     s = make_spectrum("harmonic", 8)
     T = broken_generators(s)["root_doubled"]
     polys = cli_trial_polynomials()[:5]
@@ -252,6 +256,25 @@ def test_membership_trials_integer_test_rejects_a_wrong_root(monkeypatch):
     trials = membership_trials(polys, T, s)
     assert compositions[0] == len(polys)
     assert all(t.residual > 0.0 for t in trials)
+
+
+def test_membership_trials_compare_entry_types(monkeypatch):
+    """The paper's T built from an equal spectrum takes the fast path; the
+    same values under other types (int zeros, a float copy) do not.  The
+    int-zero copy gives the same trials through the composition, and the
+    float copy raises TypeError there, as floats in the exact tier must."""
+    s = make_spectrum("harmonic", 8)
+    polys = cli_trial_polynomials()[:5]
+    compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
+    want = membership_trials(polys, build_T(make_spectrum("harmonic", 8)), s)
+    assert compositions[0] == 0
+    T = build_T(s)
+    int_zeros = BlockOperator(DiagonalOperator((0,) * len(s)), T.b12, T.b22)
+    assert bits(v for t in membership_trials(polys, int_zeros, s) for v in t) \
+        == bits(v for t in want for v in t)
+    assert compositions[0] == len(polys)
+    with pytest.raises(TypeError):
+        membership_trials(polys, T.to_float(), s)
 
 
 def test_membership_trials_reject_a_constant_term():

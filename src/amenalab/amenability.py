@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _rational_linalg as rl
 from .polynomials import (InternalConsistencyError, Polynomial, _bernstein_controls, _horner,
-                          _weights, approximate_with_derivative, interval_sups, notch,
-                          unit_notch)
+                          _weights, approximate_with_derivative, interval_sups,
+                          interval_sups_many, notch, unit_notch)
 from .reports import ConvergenceReport
 from .scalars import _common_denominator, as_fraction, is_exact_zero, scaled_float, to_float
 from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, block_norms, build_T,
@@ -357,8 +357,18 @@ class _StepValues(NamedTuple):
     rows: list[tuple[int, int, int]]
 
 
-def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int,
-                      spectrum: SpectrumSequence) -> tuple[float, float, _StepValues]:
+def _step_coordinates(alpha: Fraction, beta: int, spectrum: SpectrumSequence) -> list[tuple]:
+    """What `_polynomial_norms` reads of each coordinate m of X = alpha I +
+    beta T at every degree, computed once per ladder: (s, d, sqrt(lambda_m),
+    C, E) with lambda_m / lambda_1 = s / d and alpha + beta lambda_m = C / E."""
+    lam_1 = spectrum.lam(1)
+    pairs = [(lam / lam_1, alpha + beta * lam) for lam in spectrum.values]
+    return [(t.numerator, t.denominator, root, c.numerator, c.denominator)
+            for (t, c), root in zip(pairs, spectrum.roots)]
+
+
+def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: SpectrumSequence,
+                      coords: list[tuple] | None = None) -> tuple[float, float, _StepValues]:
     """(||X u - X||, ||u||, values) for u = p(X), p(0) = 0, X = alpha I + beta T
     with beta = +-1, bitwise `operator_norm` of the floats of the exact
     X u - X and u, which are never built; neither is X.
@@ -380,11 +390,12 @@ def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int,
     (`scaled_float` for b); each float is that of an exact value, correctly
     rounded, so it does not depend on the denominator it is taken over.  A
     born approximant vanishes at 0 by construction; any other p has its
-    constant term checked.
+    constant term checked.  A ladder passes `coords`, its `_step_coordinates`.
     """
     if p._birth is None and p._integers[0][0]:
         raise ValueError("constant term must vanish; the algebra model is non-unital")
     lam_1 = spectrum.lam(1)
+    coords = coords or _step_coordinates(alpha, beta, spectrum)
     lo = alpha if beta > 0 else alpha - lam_1
     ctrl, den = _bernstein_controls(p, lo, lo + lam_1)
     k = len(ctrl) - 1
@@ -397,9 +408,7 @@ def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int,
     values = _StepValues((h * l1_num, beta * k * (ctrl[end + beta] - h) * l1_den if k else 0,
                           den * l1_num), [])
     u, r = [], []
-    for lam, root in zip(spectrum.values, spectrum.roots):
-        t = lam / lam_1
-        s, d = t.numerator, t.denominator
+    for s, d, root, c_num, c_den in coords:
         dk = d ** k
         # den d^k p(c)
         hc = _horner(weights, s, d - s) if beta > 0 else _horner(weights, d - s, s)
@@ -407,11 +416,10 @@ def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int,
         diff = (hc - h * dk) * d * l1_den
         q = den * dk * l1_num * s
         hc *= l1_num * s
-        c = alpha + beta * lam
         u.append((pa, scaled_float(root, diff, q), hc / q))
         # b (a Dp + p(c) - 1) = sqrt(lambda_m) (a diff + beta (hc - q)) / q
         r.append((ra, scaled_float(root, big_a * diff + beta * e * (hc - q), e * q),
-                  c.numerator * (hc - q) / (c.denominator * q)))
+                  c_num * (hc - q) / (c_den * q)))
         values.rows.append((beta * diff, hc, q))
     # the rows of coordinates, transposed, are the three float diagonal blocks
     return (operator_norm(BlockOperator(*map(DiagonalOperator, zip(*r)))),
@@ -431,6 +439,25 @@ def _divided_sup(lam_n: Fraction, values: _StepValues) -> float:
                *(abs((top * g + bottom * hc) / (bottom * d)) for g, hc, d in values.rows))
 
 
+def _step(p: Polynomial, n: int | None, spectrum: SpectrumSequence, sups: tuple[float, float],
+          coords: list[tuple] | None = None) -> ApproximationStep:
+    """The step of the kernel-n ladder, or of the unit ladder for n None,
+    given p's `interval_sups` on its notch interval."""
+    lam_1 = spectrum.lam(1)
+    p_sup, dp_sup = sups
+    if n is None:
+        residual, element_norm, values = _polynomial_norms(p, Fraction(0), 1, spectrum, coords)
+        q_sup, bound = _quotient_sup(values), dp_sup
+        certified = p_sup + math.sqrt(float(lam_1)) * bound
+    else:
+        lam_n = spectrum.lam(n)
+        residual, element_norm, values = _polynomial_norms(p, lam_n, -1, spectrum, coords)
+        q_sup, bound = _divided_sup(lam_n, values), p_sup + float(lam_n) * dp_sup
+        certified = p_sup + math.sqrt(float(lam_1)) * (bound + p_sup) / float(lam_n)
+    return ApproximationStep(max(p.degree, 0), residual, element_norm, bound,
+                             q_sup <= bound + 1e-12, certified)
+
+
 def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence,
                               memo: dict | None = None) -> ApproximationStep:
     """One sweep step for the n-th kernel algebra: u = p(X) for the shifted
@@ -445,25 +472,12 @@ def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence,
     memo of `interval_sups`.
     """
     lam_n = spectrum.lam(n)
-    lam_1 = spectrum.lam(1)
-    residual, element_norm, values = _polynomial_norms(p, lam_n, -1, spectrum)
-    q_sup = _divided_sup(lam_n, values)
-    p_sup, dp_sup = interval_sups(p, lam_n - lam_1, lam_n, memo)
-    rhs = p_sup + float(lam_n) * dp_sup
-    certified = p_sup + math.sqrt(float(lam_1)) * (rhs + p_sup) / float(lam_n)
-    return ApproximationStep(max(p.degree, 0), residual, element_norm,
-                             rhs, q_sup <= rhs + 1e-12, certified)
+    return _step(p, n, spectrum, interval_sups(p, lam_n - spectrum.lam(1), lam_n, memo))
 
 
 def approximate_identity_steps(n: int, spectrum: SpectrumSequence, degrees: Sequence[int],
                                memo: dict | None = None) -> list[ApproximationStep]:
-    _validate_degrees(degrees)
-    f = notch(n, spectrum)
-    steps = []
-    for k in degrees:
-        p = approximate_with_derivative(f, k)
-        steps.append(approximate_identity_step(p, n, spectrum, memo)._replace(degree=k))
-    return steps
+    return character_ladders(spectrum, [n], degrees, memo)[0]
 
 
 def report_from_steps(steps: Sequence[ApproximationStep], tolerance: float | None) -> ConvergenceReport:
@@ -497,24 +511,33 @@ def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence,
     ||T u - T|| (`_polynomial_norms`), with q = p / z (`_quotient_sup`)
     bounded by sup|p'| on [0, lambda_1].  `memo` is the memo of
     `interval_sups`."""
-    lam_1 = spectrum.lam(1)
-    residual, element_norm, values = _polynomial_norms(p, Fraction(0), 1, spectrum)
-    q_sup = _quotient_sup(values)
-    p_sup, q_bound = interval_sups(p, Fraction(0), lam_1, memo)
-    certified = p_sup + math.sqrt(float(lam_1)) * q_bound
-    return ApproximationStep(max(p.degree, 0), residual, element_norm, q_bound,
-                             q_sup <= q_bound + 1e-12, certified)
+    return _step(p, None, spectrum, interval_sups(p, Fraction(0), spectrum.lam(1), memo))
 
 
 def unit_approximation_steps(spectrum: SpectrumSequence, degrees: Sequence[int],
                              memo: dict | None = None) -> list[ApproximationStep]:
+    return character_ladders(spectrum, [None], degrees, memo)[0]
+
+
+def character_ladders(spectrum: SpectrumSequence, ladders: Sequence[int | None],
+                      degrees: Sequence[int], memo: dict | None = None
+                      ) -> list[list[ApproximationStep]]:
+    """The steps at every degree of each ladder: the kernel n, or the unit
+    for None (`_step`).  Every approximant is built first, then all their
+    `interval_sups` come from one `interval_sups_many` call, and only then
+    run the exact norms; `verify character` makes one call for all its
+    ladders."""
     _validate_degrees(degrees)
-    f = unit_notch(spectrum)
-    steps = []
-    for k in degrees:
-        p = approximate_with_derivative(f, k)
-        steps.append(unit_approximation_step(p, spectrum, memo)._replace(degree=k))
-    return steps
+    built = [(n, unit_notch(spectrum) if n is None else notch(n, spectrum)) for n in ladders]
+    built = [(n, f, [approximate_with_derivative(f, k) for k in degrees]) for n, f in built]
+    sups = iter(interval_sups_many([(p, f.a, f.b) for _, f, ps in built for p in ps], memo))
+    out = []
+    for n, f, ps in built:
+        # X is T for the unit (f.a = 0) and lambda_n I - T for a kernel (f.b = lambda_n)
+        coords = _step_coordinates(*((f.a, 1) if n is None else (f.b, -1)), spectrum)
+        out.append([_step(p, n, spectrum, next(sups), coords)._replace(degree=k)
+                    for p, k in zip(ps, degrees)])
+    return out
 
 
 def _validate_degrees(degrees: Sequence[int]):

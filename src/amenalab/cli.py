@@ -10,7 +10,6 @@ Reports are byte-identical across runs with the same configuration.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -22,10 +21,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .amenability import (approximate_identity_steps, bai_defect, derivation_space,
+from .amenability import (bai_defect, character_ladders, derivation_space,
                           generation_defect_closed_form, generation_sweep, idempotency_sweep,
-                          idempotent_norm_closed_form, idempotent_sum, report_from_steps,
-                          unit_approximation_steps)
+                          idempotent_norm_closed_form, idempotent_sum, report_from_steps)
 from .membership import membership_trials
 from .polynomials import Polynomial
 from .reports import ConvergenceReport, write_report
@@ -77,9 +75,18 @@ class RunConfig:
         }
 
 
+try:  # the interpreter's built-in sha256: hashlib would load OpenSSL for one digest
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+
 def config_hash(cfg: RunConfig) -> str:
     blob = json.dumps(cfg.canonical(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return _sha256(blob.encode()).hexdigest()[:12]
 
 
 class Check(NamedTuple):
@@ -329,14 +336,11 @@ def _verify_weak(cfg: RunConfig):
 
 def _verify_character(cfg: RunConfig):
     spectrum = _spectrum_at(cfg, _default_count(cfg, CHARACTER_DEFAULT_COUNT))
-    m = len(spectrum)
     checks = []
     files = []
-    sups: dict = {}  # interval sups shared by the kernel and unit sweeps
-    for n in (1, 2, 3):
-        if n > m:
-            continue
-        steps = approximate_identity_steps(n, spectrum, cfg.degrees, sups)
+    kernels = [n for n in (1, 2, 3) if n <= len(spectrum)]
+    *ladders, unit_steps = character_ladders(spectrum, [*kernels, None], cfg.degrees)
+    for n, steps in zip(kernels, ladders):
         report = report_from_steps(steps, cfg.tol_analytic)
         monotone = all(b.residual <= a.residual + 1e-12 for a, b in zip(steps, steps[1:]))
         mvt_all = all(s.mvt_ok for s in steps)
@@ -350,7 +354,6 @@ def _verify_character(cfg: RunConfig):
                             "tests/test_acceptance.py::test_c06_mvt_bound"))
         files.append((f"character_kernel_n{n}", report))
 
-    unit_steps = unit_approximation_steps(spectrum, cfg.degrees, sups)
     unit_report = report_from_steps(unit_steps, None)
     checks.append(Check("character.unit_trend",
                         unit_report.threshold_met and unit_report.bounded,

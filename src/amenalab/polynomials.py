@@ -14,13 +14,14 @@ is unusable here because the exact coefficients grow combinatorially large.
 The exact kernels (evaluation at a rational point, the Taylor shift, the
 shifted division, Bernstein conversion) run their inner loops on integer
 numerators over one common denominator (`scalars._common_denominator`) and
-build each output Fraction once; the sweep updates one array in place.
+build each output Fraction once.  The one float sweep, `_de_casteljau`, takes
+many rows of controls at once and updates one block of columns in place.
 Each kernel has one path: evaluation takes an int or Fraction only (a float
 or a `Surd` raises TypeError), and the zero polynomial has the integer form
 ((0,), 1), so no kernel special-cases it.
 The grid sup needs only the largest value.  When the largest |control| sits
 at an endpoint and a one-line float test bounds every swept value by it (the
-hull certificate of `_grid_sup`), it is the sup and no sweep runs; otherwise
+hull certificate of `_grid_sups`), it is the sup and no sweep runs; otherwise
 an O(k) Bernstein-Horner pass on the values alone picks the points to sweep.
 Its forward-error bound is one number per polynomial: the sweep's magnitude
 sums are at most max |control| (1 + u)^k on the grid, whose arrays are built
@@ -28,6 +29,8 @@ once per process.  Either way the result is bitwise the full sweep's maximum.
 `interval_sups` gives sup|p| and sup|p'| on an interval from p's controls
 there, and floats each control by one integer division; its memo is keyed
 by the interval and the controls, so a lookup computes no coefficient.
+`verify character` asks for every sup of its run in one `interval_sups_many`
+call, so its run sweeps once.
 `sup_norm` is the sup over a spectrum and the origin, evaluated exactly.
 Of the mean-value check, the pipelines call only `interval_sups`: the
 character steps take sup|q| of the divided polynomial from closed forms in
@@ -526,35 +529,53 @@ def _grid(num: int) -> _Grid:
     return grid
 
 
-def _de_casteljau(ctrl: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Float de Casteljau sweep of the controls at every column (t_j, s_j).
+def _de_casteljau(rows: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
+                  ) -> list[np.ndarray]:
+    """Float de Casteljau sweeps of rows (controls, t, s), all in one pass:
+    each row's values at its columns (t_j, s_j).
 
-    In place, block by block: each step is still round(beta_i * s) +
-    round(beta_(i+1) * t), so the floats equal those of the plain sweep and
-    each column's value depends on its own t_j and s_j only.
+    Every column carries its row's controls.  The columns are ordered by
+    degree, highest first, and go in blocks of GRID_BLOCK; level r of a
+    block updates only its leading columns, those of degree at least r.  So
+    each step is still round(beta_i * s) + round(beta_(i+1) * t) on the
+    column's own controls, t_j and s_j: every value is bitwise that of the
+    plain sweep of its row alone, and the memory is one block at its degree.
     """
-    k = len(ctrl) - 1
-    num = len(t)
-    out = np.empty(num)
-    beta = np.empty((k + 1, min(num, GRID_BLOCK)))
-    scratch = np.empty((k, beta.shape[1]))
-    for lo in range(0, num, GRID_BLOCK):
-        tb, sb = t[lo:lo + GRID_BLOCK], s[lo:lo + GRID_BLOCK]
-        w = len(tb)
-        beta[:, :w] = ctrl[:, None]
+    if not rows:
+        return []
+    order = sorted(range(len(rows)), key=lambda i: len(rows[i][0]), reverse=True)
+    ctrls, ts, ss = zip(*(rows[i] for i in order))
+    ctrl = np.zeros((len(ctrls[0]), len(rows)))  # column j: the controls of sorted row j
+    for j, c in enumerate(ctrls):
+        ctrl[:len(c), j] = c
+    sizes = [len(t) for t in ts]
+    owner = np.repeat(np.arange(len(rows)), sizes)
+    degrees = np.repeat([len(c) - 1 for c in ctrls], sizes)
+    t, s = np.concatenate(ts), np.concatenate(ss)
+    out = np.empty(len(t))
+    for lo in range(0, len(t), GRID_BLOCK):
+        block = slice(lo, lo + GRID_BLOCK)
+        k = int(degrees[lo])
+        beta = ctrl[:k + 1, owner[block]]
+        scratch = np.empty((k, beta.shape[1]))
+        # widths[r]: the number of leading columns of degree at least r
+        widths = np.searchsorted(-degrees[block], -np.arange(k + 1), side="right").tolist()
+        tb, sb = t[block], s[block]
         for r in range(k, 0, -1):
-            np.multiply(beta[1:r + 1, :w], tb, out=scratch[:r, :w])
-            beta[:r, :w] *= sb
+            w = widths[r]
+            np.multiply(beta[1:r + 1, :w], tb[:w], out=scratch[:r, :w])
+            beta[:r, :w] *= sb[:w]
             beta[:r, :w] += scratch[:r, :w]
-        out[lo:lo + w] = beta[0, :w]
-    return out
+        out[block] = beta[0]
+    parts = np.split(out, np.cumsum(sizes)[:-1])
+    return [parts[j] for j in np.argsort(order)]
 
 
 def evaluate_on_grid(p: Polynomial, a, b, num: int) -> np.ndarray:
     """Numerically stable dense evaluation: exact Bernstein form, then a
     vectorized float de Casteljau sweep over a uniform grid (endpoints included)."""
     grid = _grid(num)
-    return _de_casteljau(_floats(*_bernstein_controls(p, a, b)), grid.t, grid.s)
+    return _de_casteljau([(_floats(*_bernstein_controls(p, a, b)), grid.t, grid.s)])[0]
 
 
 def _power(x: np.ndarray, k: int) -> np.ndarray:
@@ -630,33 +651,42 @@ def _sup_candidates(ctrl: np.ndarray, grid: _Grid) -> np.ndarray:
     return keep if np.isfinite(high).all() else np.ones_like(keep)
 
 
-def _grid_sup(ctrl: np.ndarray) -> float:
-    """Largest |value| of the `_de_casteljau` sweep of the controls over the
-    DEFAULT_GRID-point grid, bitwise.
+def _grid_sups(ctrls: Sequence[np.ndarray]) -> list[float]:
+    """Largest |value| of the `_de_casteljau` sweep of each row of controls
+    over the DEFAULT_GRID-point grid, bitwise; every row that needs a sweep
+    goes into one `_de_casteljau` call.
 
     Hull certificate.  Let C = max |ctrl|.  If C is finite, C is |ctrl[0]|
     or |ctrl[-1]|, and fl(fl(C s) + fl(C t)) <= C on every grid column, the
-    sweep's maximum is C and no sweep runs.  Proof: rounding to nearest is
-    monotone and odd, so with s, t >= 0, |beta_i| <= C and |beta_(i+1)| <= C
-    give |fl(fl(beta_i s) + fl(beta_(i+1) t))| <= fl(fl(C s) + fl(C t)) <= C,
-    and by induction over the k levels every swept |D_j| <= C.  The column
-    t = 0, s = 1 returns ctrl[0] exactly, and t = 1, s = 0 returns ctrl[-1],
-    so C is attained.  This is the convex-hull property of the Bernstein
-    form, kept exact in floats by the guard.  The guard is needed: for most
-    C that are not powers of two it fails, and rightly so.  p = 1/10 - z^8/1000
-    on [0, 1] has the endpoint control 0.1 = C, but the sweep's maximum is
-    0.10000000000000012.
+    sweep's maximum is C and the row is not swept.  Proof: rounding to
+    nearest is monotone and odd, so with s, t >= 0, |beta_i| <= C and
+    |beta_(i+1)| <= C give |fl(fl(beta_i s) + fl(beta_(i+1) t))| <=
+    fl(fl(C s) + fl(C t)) <= C, and by induction over the k levels every
+    swept |D_j| <= C.  The column t = 0, s = 1 returns ctrl[0] exactly, and
+    t = 1, s = 0 returns ctrl[-1], so C is attained.  This is the
+    convex-hull property of the Bernstein form, kept exact in floats by the
+    guard.  The guard is needed: for most C that are not powers of two it
+    fails, and rightly so.  p = 1/10 - z^8/1000 on [0, 1] has the endpoint
+    control 0.1 = C, but the sweep's maximum is 0.10000000000000012.
 
-    Otherwise the sweep runs only on the columns `_sup_candidates` keeps.
+    Otherwise the row is swept only at the columns `_sup_candidates` keeps.
     """
     grid = _grid(DEFAULT_GRID)
     t, s = grid.t, grid.s
-    top = np.max(np.abs(ctrl))
-    if (np.isfinite(top) and (top == abs(ctrl[0]) or top == abs(ctrl[-1]))
-            and np.all(top * s + top * t <= top)):
-        return float(top)
-    keep = _sup_candidates(ctrl, grid)
-    return float(np.max(np.abs(_de_casteljau(ctrl, t[keep], s[keep]))))
+    sups: list = [None] * len(ctrls)
+    swept, rows = [], []
+    for i, ctrl in enumerate(ctrls):
+        top = np.max(np.abs(ctrl))
+        if (np.isfinite(top) and (top == abs(ctrl[0]) or top == abs(ctrl[-1]))
+                and np.all(top * s + top * t <= top)):
+            sups[i] = float(top)
+        else:
+            keep = _sup_candidates(ctrl, grid)
+            swept.append(i)
+            rows.append((ctrl, t[keep], s[keep]))
+    for i, values in zip(swept, _de_casteljau(rows)):
+        sups[i] = float(np.max(np.abs(values)))
+    return sups
 
 
 def sup_norm(p: Polynomial, spectrum: SpectrumSequence) -> float:
@@ -670,33 +700,45 @@ def interval_sups(p: Polynomial, a, b, memo: dict | None = None) -> tuple[float,
     """(sup|p|, sup|p'|) over the interval (a, b), a != b, sampled on a
     uniform grid of DEFAULT_GRID points, from p's exact Bernstein controls on
     [a, b]: an approximant's birth controls on its birth interval, one
-    conversion otherwise.
+    conversion otherwise.  The one-request case of `interval_sups_many`.
 
     Each is bitwise the largest |value| of `evaluate_on_grid`, decided by the
-    hull certificate of `_grid_sup` when it applies, and otherwise by a de
+    hull certificate of `_grid_sups` when it applies, and otherwise by a de
     Casteljau sweep over only the points that an O(k) evaluation with a
     proven error bound cannot rule out (`_sup_candidates`).
 
     With p's controls c_i of degree d on [a, b], p' has the controls
     d (c_(i+1) - c_i) / (b - a), so p' is not converted again.  Callers that
     meet equal polynomials on equal intervals share a `memo` dict, keyed by
-    (a, b, den, *controls), so that each pair is computed once; `verify
-    character` does.  The key hashes integers and the two interval ends,
-    and never computes an approximant's coefficients.
+    (a, b, den, *controls), so that each pair is computed once.  The key
+    hashes integers and the two interval ends, and never computes an
+    approximant's coefficients.
     """
-    a, b = _rational(a), _rational(b)
-    nums, den = _bernstein_controls(p, a, b)
-    key = (a, b, den, *nums)
-    sups = None if memo is None else memo.get(key)
-    if sups is not None:
-        return sups
-    width = b - a
-    scale = (len(nums) - 1) * width.denominator
-    slopes = [scale * (y - x) for x, y in zip(nums, nums[1:])] or [0]
-    sups = (_grid_sup(_floats(nums, den)), _grid_sup(_floats(slopes, den * width.numerator)))
+    return interval_sups_many([(p, a, b)], memo)[0]
+
+
+def interval_sups_many(requests: Sequence[tuple[Polynomial, object, object]],
+                       memo: dict | None = None) -> list[tuple[float, float]]:
+    """`interval_sups` of every (p, a, b) request, in order.  Equal keys in
+    the batch are computed once, and every grid sup that the memo does not
+    hold goes into one `_grid_sups` call, so into one sweep."""
+    got, fresh = [], {}
+    for p, a, b in requests:
+        a, b = _rational(a), _rational(b)
+        nums, den = _bernstein_controls(p, a, b)
+        key = (a, b, den, *nums)
+        sups = None if memo is None else memo.get(key)
+        if sups is None and key not in fresh:
+            width = b - a
+            scale = (len(nums) - 1) * width.denominator
+            slopes = [scale * (y - x) for x, y in zip(nums, nums[1:])] or [0]
+            fresh[key] = (_floats(nums, den), _floats(slopes, den * width.numerator))
+        got.append((sups, key))
+    flat = iter(_grid_sups([ctrl for pair in fresh.values() for ctrl in pair]))
+    done = {key: (next(flat), next(flat)) for key in fresh}
     if memo is not None:
-        memo[key] = sups
-    return sups
+        memo.update(done)
+    return [done[key] if sups is None else sups for sups, key in got]
 
 
 def divide_shifted(p: Polynomial, lam) -> Polynomial:

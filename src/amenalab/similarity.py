@@ -18,12 +18,15 @@ from .spectrum import BlockOperator, DiagonalOperator, SpectrumSequence
 
 @dataclass(frozen=True)
 class IntertwinerSolve:
-    """Minimal-norm diagonal solution B of B N = N^(1/2) on a truncation."""
+    """Minimal-norm diagonal solution B of B N = N^(1/2) on a truncation.
+    `prefix_norms[m - 1]` is the largest |B_n|, n <= m, the norm of the
+    solve on the first m points; `norm` is the last of them."""
 
     truncation: int
     intertwiner: DiagonalOperator
     norm: float
     residual: float
+    prefix_norms: tuple[float, ...]
 
 
 def conjugate_by_upper_unipotent(X: BlockOperator, B: DiagonalOperator) -> BlockOperator:
@@ -42,12 +45,16 @@ def minimal_intertwiner(spectrum: SpectrumSequence) -> IntertwinerSolve:
     """Solve B N = N^(1/2) entrywise: B = diag(lambda_n^(-1/2)), residual zero.
 
     The spectrum's points are positive by construction and its cached roots
-    are read, so B is always defined on the truncation.
+    are read, so B is always defined on the truncation.  Each entry of B is
+    floated once, for the prefix maxima of |B_n|; the last is bitwise
+    `B.norm()`.  An exactly zero residual is 0.0 with no float taken.
     """
     roots = spectrum.roots
     B = DiagonalOperator(tuple(1 / r for r in roots))
     residual_diag = (B @ spectrum.diagonal()) - DiagonalOperator(roots)
-    return IntertwinerSolve(len(spectrum), B, B.norm(), residual_diag.norm())
+    residual = 0.0 if residual_diag.is_zero() else residual_diag.norm()
+    norms = tuple(itertools.accumulate((abs(to_float(b)) for b in B.diag), max))
+    return IntertwinerSolve(len(spectrum), B, norms[-1], residual, norms)
 
 
 def similarity_growth_sweep(spectrum: SpectrumSequence, truncations: Sequence[int]
@@ -56,12 +63,12 @@ def similarity_growth_sweep(spectrum: SpectrumSequence, truncations: Sequence[in
 
     Each truncation is a prefix of `spectrum`, and so is its intertwiner:
     one solve on the whole spectrum, whose residual bounds every prefix's,
-    gives the norm at M as the largest |B_n|, n <= M, bitwise the prefix
-    solve's `DiagonalOperator.norm`.  Verdicts: `threshold_met` is vacuously
-    true with tolerance 0 (the sweep has no threshold); the `bounded` slot
-    certifies strict norm growth, the finite shadow of unboundedness.  The
-    solve is handed back so that callers read its residual and intertwiner
-    without solving again.
+    gives the norm at M as its prefix maximum, the largest |B_n|, n <= M,
+    bitwise the prefix solve's `DiagonalOperator.norm`.  Verdicts:
+    `threshold_met` is vacuously true with tolerance 0 (the sweep has no
+    threshold); the `bounded` slot certifies strict norm growth, the finite
+    shadow of unboundedness.  The solve is handed back so that callers read
+    its residual and intertwiner without solving again.
     """
     if not truncations:
         raise ValueError("truncations: must not be empty")
@@ -70,8 +77,7 @@ def similarity_growth_sweep(spectrum: SpectrumSequence, truncations: Sequence[in
     if truncations[0] < 1 or truncations[-1] > len(spectrum):
         raise ValueError("truncations: must lie between 1 and the spectrum length")
     solve = minimal_intertwiner(spectrum)
-    norms = list(itertools.accumulate((abs(to_float(b)) for b in solve.intertwiner.diag), max))
-    rows = [(int(m), norms[m - 1]) for m in truncations]
+    rows = [(int(m), solve.prefix_norms[m - 1]) for m in truncations]
     increasing = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
     report = ConvergenceReport(("M", "intertwiner_norm"), tuple(rows), True, increasing, 0.0)
     return report, solve

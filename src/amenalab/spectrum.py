@@ -215,11 +215,11 @@ class BlockOperator:
     def to_dense(self) -> np.ndarray:
         """Dense 2M x 2M float matrix, for the generic linear-algebra oracles."""
         m = self.dim
+        i = np.arange(m)
         out = np.zeros((2 * m, 2 * m))
-        for i in range(m):
-            out[i, i] = to_float(self.b11.diag[i])
-            out[i, m + i] = to_float(self.b12.diag[i])
-            out[m + i, m + i] = to_float(self.b22.diag[i])
+        out[i, i] = [to_float(x) for x in self.b11.diag]
+        out[i, m + i] = [to_float(x) for x in self.b12.diag]
+        out[m + i, m + i] = [to_float(x) for x in self.b22.diag]
         return out
 
 

@@ -157,6 +157,20 @@ def spectrum_floats(s) -> np.ndarray:
     return np.array([float(v) for v in s.values])
 
 
+def plain_de_casteljau(ctrl: Sequence[float], t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The float de Casteljau sweep of one row of controls at the columns
+    (t_j, s_j), column by column in plain Python floats: k levels of
+    beta_i <- beta_i s_j + beta_(i+1) t_j, each product and sum rounded
+    once, with no blocks, no batching and no numpy arithmetic."""
+    out = []
+    for tj, sj in zip(t.tolist(), s.tolist()):
+        beta = [float(c) for c in ctrl]
+        for r in range(len(beta) - 1, 0, -1):
+            beta = [x * sj + y * tj for x, y in zip(beta[:r], beta[1:r + 1])]
+        out.append(beta[0])
+    return np.array(out)
+
+
 def character_value(X: BlockOperator, n: int):
     """The n-th multiplicative functional: the n-th entry of the lower-right
     block."""
@@ -224,9 +238,19 @@ def integer_trial_oracle(polynomials: Sequence[Polynomial], T: BlockOperator,
     return out
 
 
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace `original` in every amenalab namespace that holds it (modules
+    bind it with `from ... import`)."""
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "amenalab" or mod_name.startswith("amenalab."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, replacement)
+
+
 def count_calls(monkeypatch, module: str, name: str) -> list[int]:
     """Count the calls of `module.name`, patched in every amenalab namespace
-    that holds it (modules bind it with `from ... import`)."""
+    that holds it."""
     original = getattr(sys.modules[module], name)
     calls = [0]
 
@@ -234,11 +258,21 @@ def count_calls(monkeypatch, module: str, name: str) -> list[int]:
         calls[0] += 1
         return original(*args, **kwargs)
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "amenalab" or mod_name.startswith("amenalab."):
-            for key, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, key, counted)
+    _patch_everywhere(monkeypatch, original, counted)
+    return calls
+
+
+def record_calls(monkeypatch, module: str, name: str) -> list[tuple]:
+    """The positional arguments of every call of `module.name`, patched as
+    in `count_calls`."""
+    original = getattr(sys.modules[module], name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    _patch_everywhere(monkeypatch, original, recorded)
     return calls
 
 

@@ -15,6 +15,8 @@ from amenalab import (ApproximationStep, Polynomial, algebra_element, apply_poly
                       idempotent_norm_closed_form, idempotent_partial_sum, make_spectrum,
                       membership_residual, operator_norm, report_from_steps,
                       unit_approximation_step, unit_approximation_steps)
+from amenalab.amenability import character_ladders
+from amenalab.polynomials import approximate_with_derivative, notch, unit_notch
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from oracle_utils import (character_value, derivation_dimension_oracle, jordan_block,
                           matmul_exact, random_rational_poly, spectral_norm_oracle)
@@ -283,6 +285,26 @@ def test_unit_approximation_trend():
     residuals = [st.residual for st in steps]
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
     assert max(st.element_norm for st in steps) <= max(st.certified_bound for st in steps)
+
+
+@pytest.mark.parametrize("spectrum", [make_spectrum("harmonic", 8), make_spectrum("geometric", 2),
+                                      make_spectrum("geometric", 12, ratio=Fraction(9, 10))],
+                         ids=["harmonic_8", "geometric_2", "ratio_9_10_12"])
+def test_character_ladders_equal_the_single_steps(spectrum):
+    """The ladders of `verify character` (kernels n = 1, 2, 3 up to M, then
+    the unit), in one call with one batch of interval sups, are bitwise the
+    steps taken one polynomial at a time, each with its own sups and
+    coordinates."""
+    degrees = [8, 16, 32]
+    kernels = [n for n in (1, 2, 3) if n <= len(spectrum)]
+    ladders = character_ladders(spectrum, [*kernels, None], degrees)
+    want = [[approximate_identity_step(approximate_with_derivative(notch(n, spectrum), k),
+                                       n, spectrum) for k in degrees] for n in kernels]
+    want.append([unit_approximation_step(approximate_with_derivative(unit_notch(spectrum), k),
+                                         spectrum) for k in degrees])
+    assert repr(ladders) == repr(want)
+    with pytest.raises(ValueError, match="degrees"):
+        character_ladders(spectrum, [1, None], [])
 
 
 def test_report_from_steps_verdicts():

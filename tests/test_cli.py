@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amenalab.cli import MAX_SIZE, RUNNERS, main
+from amenalab.cli import MAX_SIZE, RUNNERS, _build_parser, config_hash, main, resolve_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -140,6 +140,46 @@ def test_closed_stdout_pipe_exits_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert first.startswith(b"# amenalab spectrum ")
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_config(tmp_path):
+    """The digest in every report header is the first 12 hex digits of the
+    SHA-256 of the canonical config, whichever module computes it;
+    `hashlib.sha256` is the oracle."""
+    import hashlib
+
+    config = tmp_path / "cfg.json"
+    config.write_text('{"spectrum": {"kind": "explicit", "values": ["1", "1/2", "2/9"]},'
+                      ' "truncations": [1, 3], "degrees": "8:32"}')
+    for argv in (["verify", "weak"],
+                 ["verify", "character", "--count", "16", "--degrees", "8:128"],
+                 ["verify", "all", "--kind", "harmonic", "--count", "8"],
+                 ["verify", "similarity", "--ratio", "9/10", "--truncations", "4,8,16"],
+                 ["spectrum", "--ratio", "0.9", "--count", "2"],
+                 ["verify", "all", "--config", str(config), "--format", "json"]):
+        cfg = resolve_config(_build_parser().parse_args(argv))
+        blob = json.dumps(cfg.canonical(), sort_keys=True, separators=(",", ":")).encode()
+        assert config_hash(cfg) == hashlib.sha256(blob).hexdigest()[:12], argv
+
+
+NO_OPENSSL = """
+import sys
+from amenalab.cli import main
+code = main(["verify", "all", "--count", "8", "--out", sys.argv[1]])
+print(code, "_hashlib" in sys.modules, "hashlib" in sys.modules)
+"""
+
+
+def test_verify_never_loads_openssl(tmp_path):
+    """In a fresh interpreter a full `verify` run hashes its config with the
+    interpreter's built-in SHA-256: neither hashlib nor OpenSSL's _hashlib
+    is loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", NO_OPENSSL, str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_degree_range_expansion(tmp_path, capsys):

@@ -13,13 +13,13 @@ from amenalab import (InternalConsistencyError, Polynomial, apply_poly_to_block,
                       approximate_with_derivative, build_T, build_shifted_T, divide_shifted,
                       evaluate_on_grid, exact_sqrt, interval_sups, make_spectrum,
                       mvt_bound_check, notch, sup_norm, unit_notch)
-from amenalab.polynomials import (_bernstein_controls, _floats, _grid,
-                                  _grid_sup, _sup_candidates)
+from amenalab.polynomials import (GRID_BLOCK, _bernstein_controls, _de_casteljau, _floats,
+                                  _grid, _grid_sups, _sup_candidates, interval_sups_many)
 from amenalab.membership import membership_trials
 from amenalab.scalars import as_fraction
-from oracle_utils import (approximant_oracle, bernstein_to_monomial, count_calls,
-                          count_method_calls, from_rational_strings, notch_derivative_array,
-                          notch_value_array, poly_to_sympy, random_rational_poly,
+from oracle_utils import (approximant_oracle, bernstein_to_monomial, count_method_calls,
+                          from_rational_strings, notch_derivative_array, notch_value_array,
+                          plain_de_casteljau, poly_to_sympy, random_rational_poly, record_calls,
                           to_rational_strings)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=10)
@@ -562,9 +562,9 @@ def test_sup_norm_equals_full_sweep_on_random_polynomials(coeffs, a, width):
     ([0, 2, -2], 1),
 ], ids=["negative_end", "both_ends", "plateau", "guard_rejects", "largest_inside"])
 def test_hull_certificate_decides_endpoint_maxima_without_a_sweep(monkeypatch, coeffs, sweeps):
-    calls = count_calls(monkeypatch, "amenalab.polynomials", "_de_casteljau")
-    _grid_sup(_floats(*_bernstein_controls(Polynomial(tuple(coeffs)), Fraction(0), Fraction(1))))
-    assert calls[0] == sweeps
+    calls = record_calls(monkeypatch, "amenalab.polynomials", "_de_casteljau")
+    _grid_sups([_floats(*_bernstein_controls(Polynomial(tuple(coeffs)), Fraction(0), Fraction(1)))])
+    assert sum(len(rows) for rows, in calls) == sweeps
 
 
 def test_sup_candidates_keep_every_point_when_the_bound_overflows():
@@ -581,6 +581,64 @@ def test_sup_candidates_prune_a_notch_derivative():
     dp = approximate_with_derivative(f, 128).derivative()
     ctrl = _floats(*_bernstein_controls(dp, f.a, f.b))
     assert np.count_nonzero(_sup_candidates(ctrl, _grid(4096))) <= 4096 // 16
+
+
+def test_batched_sweep_equals_plain_sweep_per_row():
+    """`_de_casteljau` sweeps rows of degrees 0 to 300 in one call, each at
+    its own grid columns: none, a few, or all 4096, a row that spans several
+    GRID_BLOCK blocks and shares its first and last with rows of higher and
+    lower degree.  Every value is bitwise the plain sweep of its row alone."""
+    rng = np.random.default_rng(26)
+    grid = _grid(4096)
+    rows = [(rng.standard_normal(10), grid.t[:0], grid.s[:0])]
+    for k in (0, 1, 300, 7, 64, 2, 128, 33, 255, 17, 300, 5):
+        cols = np.sort(rng.choice(4096, size=rng.integers(1, 25), replace=False))
+        rows.append((rng.standard_normal(k + 1), grid.t[cols], grid.s[cols]))
+    rows.append((rng.standard_normal(25), grid.t, grid.s))
+    assert 4096 > 3 * GRID_BLOCK
+    got = _de_casteljau(rows)
+    assert len(got) == len(rows)
+    for (ctrl, t, s), values in zip(rows, got):
+        assert values.tobytes() == plain_de_casteljau(ctrl, t, s).tobytes()
+
+
+def test_grid_sups_sweep_a_batch_once(monkeypatch):
+    """`_grid_sups` on rows of mixed degree: the hull certificate decides the
+    unit approximant, the filter prunes the kernel_n2 one, and a row whose
+    error bound overflows keeps every grid column.  The rows left go into one
+    `_de_casteljau` call, and each sup is bitwise the largest |value| of the
+    plain sweep of its row over the whole grid."""
+    s = make_spectrum("geometric", 16)
+    rows = []
+    for f, k in ((notch(2, s), 33), (unit_notch(s), 8)):
+        p = approximate_with_derivative(f, k)
+        rows.append(_floats(*_bernstein_controls(p, f.a, f.b)))
+        rows.append(_floats(*_bernstein_controls(p.derivative(), f.a, f.b)))
+    rows.append(np.array([1e305, -1e305] * 12 + [1e305]))  # degree 24, C(24, 12) 1e305 overflows
+    calls = record_calls(monkeypatch, "amenalab.polynomials", "_de_casteljau")
+    got = _grid_sups(rows)
+    assert len(calls) == 1
+    kept = sorted(len(t) for _, t, _ in calls[0][0])
+    assert kept[-1] == 4096 and len(kept) < len(rows) and kept[0] < 4096 // 16
+    grid = _grid(4096)
+    for ctrl, sup in zip(rows, got):
+        assert sup == float(np.max(np.abs(plain_de_casteljau(ctrl, grid.t, grid.s))))
+
+
+def test_interval_sups_many_equal_one_request_each():
+    """A batch gives each request's `interval_sups`, in order, computes equal
+    keys once (kernel_n1 and the unit share their controls on [0, 1], and one
+    request repeats), and fills and reads the shared memo."""
+    s = make_spectrum("harmonic", 8)
+    requests = [(approximate_with_derivative(f, k), f.a, f.b)
+                for f in (notch(1, s), unit_notch(s), notch(3, s)) for k in (8, 16)]
+    requests.append(requests[0])
+    want = [interval_sups(p, a, b) for p, a, b in requests]
+    memo = {}
+    got = interval_sups_many(requests, memo)
+    assert got == want and got[0] is got[-1] and len(memo) == 4
+    assert all(x is y for x, y in zip(interval_sups_many(requests, memo), got))
+    assert interval_sups_many([], memo) == []
 
 
 def test_grid_is_built_once_and_read_only():

@@ -121,6 +121,23 @@ def test_growth_sweep_collects_each_solve():
         assert all(type(norm) is float for _, norm in report.rows)
 
 
+def test_growth_sweep_floats_each_entry_once(monkeypatch):
+    """The sweep floats each intertwiner entry once, for the prefix maxima,
+    and none of the exact zeros of the residual: M `to_float` calls (3M
+    before).  The solve's norm is bitwise `DiagonalOperator.norm` of its B,
+    and each prefix maximum that of B's prefix."""
+    spectrum = make_spectrum("harmonic", 1024)
+    calls = count_calls(monkeypatch, "amenalab.scalars", "to_float")
+    report, solve = similarity_growth_sweep(spectrum, [64, 256, 1024])
+    assert calls[0] == 1024
+    monkeypatch.undo()
+    diag = solve.intertwiner.diag
+    assert solve.residual == 0.0 and solve.norm.hex() == solve.intertwiner.norm().hex()
+    for m in (1, 2, 64, 1000, 1024):
+        assert solve.prefix_norms[m - 1].hex() == DiagonalOperator(diag[:m]).norm().hex()
+    assert [norm for _, norm in report.rows] == [solve.prefix_norms[m - 1] for m in (64, 256, 1024)]
+
+
 def test_verify_similarity_solves_each_truncation_once(monkeypatch, tmp_path, capsys):
     """Every truncation is a prefix of the largest, so one solve, at the
     largest, serves them all."""

@@ -23,7 +23,7 @@ from amenalab.amenability import generation_sweep, idempotency_sweep
 from amenalab.membership import membership_trials
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from amenalab.cli import _membership_polynomials, main
-from oracle_utils import count_calls, count_method_calls
+from oracle_utils import count_calls, count_method_calls, record_calls
 
 EXPLICIT = ("9/10", "1/2", "1/4", "1/7", "1/100")  # 1/4 has a rational root
 
@@ -134,16 +134,18 @@ def test_verify_weak_trials_share_one_weight_table(monkeypatch, tmp_path, capsys
 def test_verify_character_sweeps_each_interval_sup_once(monkeypatch, tmp_path, capsys):
     """On a geometric spectrum `kernel_n1` and `unit` get the same controls
     on [0, lambda_1] at every degree: 5 degrees x (3 kernels + unit) = 20
-    (polynomial, interval) pairs, of which 15 are distinct, and the memo
-    takes each one's sups of p and p' once: 30 grid sups.  The hull
-    certificate decides the `kernel_n1`/`unit` p and p' at every degree, so
-    20 sweeps run."""
-    sweeps = count_calls(monkeypatch, "amenalab.polynomials", "_de_casteljau")
-    sups = count_calls(monkeypatch, "amenalab.polynomials", "_grid_sup")
+    (polynomial, interval) pairs, all requested in one batch, of which 15
+    are distinct, and the batch takes each one's sups of p and p' once: 30
+    grid sups.  The hull certificate decides the `kernel_n1`/`unit` p and p'
+    at every degree, so 20 rows are swept, all in one sweep."""
+    batches = record_calls(monkeypatch, "amenalab.polynomials", "interval_sups_many")
+    sups = record_calls(monkeypatch, "amenalab.polynomials", "_grid_sups")
+    sweeps = record_calls(monkeypatch, "amenalab.polynomials", "_de_casteljau")
     main(["verify", "character", "--count", "16", "--degrees", "8:128", "--out", str(tmp_path)])
     capsys.readouterr()
-    assert sups[0] == 30
-    assert sweeps[0] == 20
+    assert [len(requests) for requests, *_ in batches] == [20]
+    assert [len(ctrls) for ctrls, in sups] == [30]
+    assert [len(rows) for rows, in sweeps] == [20]
 
 
 @pytest.mark.parametrize("argv", [[], ["--count", "16", "--degrees", "8:128"]],

@@ -9,6 +9,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -18,9 +19,9 @@ from .polynomials import (InternalConsistencyError, Polynomial, _bernstein_contr
                           _weights, approximate_with_derivative, interval_sups,
                           interval_sups_many, notch, unit_notch)
 from .reports import ConvergenceReport
-from .scalars import _common_denominator, as_fraction, is_exact_zero, scaled_float, to_float
-from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, block_norms, build_T,
-                       operator_norm)
+from .scalars import (_common_denominator, as_fraction, exact_key, is_exact_zero, scaled_float,
+                      to_float)
+from .spectrum import BlockOperator, DiagonalOperator, SpectrumSequence, build_T, operator_norm
 
 
 def algebra_element(spectrum: SpectrumSequence, symbol: Sequence) -> BlockOperator:
@@ -87,16 +88,18 @@ def generation_defect(m: int, spectrum: SpectrumSequence) -> float:
 
 
 def generation_defect_closed_form(m: int, spectrum: SpectrumSequence) -> float:
-    """sqrt(lambda_{m+1} + lambda_{m+1}^2) for m < M, and 0 at m = M."""
+    """sqrt(lambda_{m+1} + lambda_{m+1}^2) for m < M, and 0 at m = M; for
+    lambda = p/q, lambda + lambda^2 = p (q + p) / q^2 in lowest terms."""
     if m == len(spectrum):
         return 0.0
-    lam = spectrum.lam(m + 1)
-    return float(lam + lam ** 2) ** 0.5
+    p, q = spectrum.lam(m + 1).as_integer_ratio()
+    return (p * (q + p) / (q * q)) ** 0.5
 
 
 def idempotent_norm_closed_form(n: int, spectrum: SpectrumSequence) -> float:
-    """||E_n|| = sqrt(1/lambda_n + 1)."""
-    return float(1 / spectrum.lam(n) + 1) ** 0.5
+    """||E_n|| = sqrt(1/lambda_n + 1) = sqrt((q + p) / p), in lowest terms, for lambda_n = p/q."""
+    p, q = spectrum.lam(n).as_integer_ratio()
+    return ((q + p) / p) ** 0.5
 
 
 class IdempotencySweep(NamedTuple):
@@ -106,19 +109,20 @@ class IdempotencySweep(NamedTuple):
 
 
 def idempotency_sweep(spectrum: SpectrumSequence) -> IdempotencySweep:
-    """Every E_n checked from one exact U @ U - U, U = `idempotent_sum`.
-
-    E_n is U's coordinate-n block and zero elsewhere, so E_n^2 - E_n is the
-    coordinate-n block of U^2 - U, and the norm of an operator that vanishes
-    off coordinate n is that coordinate's block norm: the floats equal those
-    of `idempotent_E` taken one n at a time.
+    """Every E_n checked at its one nonzero block [[0, top], [0, bottom]],
+    top = 1/sqrt(lambda_n), bottom = sqrt(lambda_n) top, whose square minus
+    itself is [[0, top bottom - top], [0, bottom^2 - bottom]].  The norm of
+    an operator that vanishes off coordinate n is that coordinate's block
+    norm, so the floats are those of `idempotent_E`, and no operator is built.
     """
-    U = idempotent_sum(spectrum)
-    defect = (U @ U) - U
-    exact = tuple(all(is_exact_zero(x) for x in entries)
-                  for entries in zip(defect.b11.diag, defect.b12.diag, defect.b22.diag))
-    return IdempotencySweep(exact, tuple(block_norms(defect).tolist()),
-                            tuple(block_norms(U).tolist()))
+    tops = [1 / root for root in spectrum.roots]
+    bottoms = [root * top for root, top in zip(spectrum.roots, tops)]
+    d12 = [top * bottom - top for top, bottom in zip(tops, bottoms)]
+    d22 = [bottom * bottom - bottom for bottom in bottoms]
+    d12_f, d22_f, top_f, bottom_f = ([to_float(x) for x in xs] for xs in (d12, d22, tops, bottoms))
+    exact = tuple(is_exact_zero(a) and is_exact_zero(b) for a, b in zip(d12, d22))
+    return IdempotencySweep(exact, tuple(np.hypot(d12_f, d22_f).tolist()),
+                            tuple(np.hypot(top_f, bottom_f).tolist()))
 
 
 class GenerationSweep(NamedTuple):
@@ -134,16 +138,32 @@ def generation_sweep(spectrum: SpectrumSequence) -> GenerationSweep:
     S_m agrees with S_M on the coordinates k <= m and vanishes beyond, so
     T - S_m is T - S_M on k <= m and T on k > m.  Each norm is a maximum of
     block norms, hence a prefix or suffix maximum, bitwise the dense value.
+    T is read from the spectrum, with its roots' `root_floats`.
     """
-    T = build_T(spectrum)
     full = idempotent_partial_sum(len(spectrum), spectrum)
-    rest = T - full
-    head = np.maximum.accumulate(block_norms(rest))
-    tail = np.maximum.accumulate(block_norms(T)[::-1])[::-1]
-    beyond = np.append(tail[1:], 0.0)  # max over k > m of the blocks of T
-    return GenerationSweep(tuple(np.maximum(head, beyond).tolist()),
-                           tuple(np.maximum.accumulate(block_norms(full)).tolist()),
-                           rest.is_zero())
+    if not full.b11.is_zero():
+        raise ValueError("the partial sums need a vanishing upper-left block")
+    lams = [to_float(v) for v in spectrum.values]
+    s12, rest12, zero12 = _floats_against(spectrum.roots, spectrum.root_floats, full.b12.diag)
+    s22, rest22, zero22 = _floats_against(spectrum.values, lams, full.b22.diag)
+    t_norms = np.hypot(spectrum.root_floats, lams).tolist()
+    beyond = [*accumulate(t_norms[:0:-1], max)][::-1] + [0.0]  # max over k > m of T's blocks
+    head = accumulate(np.hypot(rest12, rest22).tolist(), max)
+    return GenerationSweep(tuple(map(max, head, beyond)),
+                           tuple(accumulate(np.hypot(s12, s22).tolist(), max)), zero12 and zero22)
+
+
+def _floats_against(t_diag, t_floats, s_diag) -> tuple[list[float], list[float], bool]:
+    """The floats of each s and of t - s, and whether each t - s is exactly
+    0; an s equal to its t (`exact_key`) reuses t's float, with no subtraction."""
+    s_floats, rest_floats, zero = [], [], True
+    for t, f, s in zip(t_diag, t_floats, s_diag):
+        same = exact_key(s) == exact_key(t)
+        rest = 0 if same else t - s
+        zero = zero and is_exact_zero(rest)
+        s_floats.append(f if same else to_float(s))
+        rest_floats.append(0.0 if same else to_float(rest))
+    return s_floats, rest_floats, zero
 
 
 # --- derivation spaces -------------------------------------------------------

@@ -25,7 +25,7 @@ from .amenability import (bai_defect, character_ladders, derivation_space,
                           generation_defect_closed_form, generation_sweep, idempotency_sweep,
                           idempotent_norm_closed_form, idempotent_sum, report_from_steps)
 from .membership import membership_trials
-from .polynomials import Polynomial
+from .polynomials import _from_integers
 from .reports import ConvergenceReport, write_report
 from .scalars import as_fraction
 from .similarity import conjugate_by_upper_unipotent, similarity_growth_sweep
@@ -40,6 +40,8 @@ MEMBERSHIP_SEED = 7
 # M = 1024 scale goal, and small enough that every size is built in bounded time.
 MAX_SIZE = 4096
 VERIFY_TARGETS = ("weak", "character", "similarity", "derivations")
+CONFIG_KEYS = set("spectrum truncations degrees tol_algebraic tol_analytic format out".split())
+SPECTRUM_KEYS = {"kind", "ratio", "count", "values"}
 
 
 class ConfigError(Exception):
@@ -198,6 +200,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     spec_cfg = file_cfg.get("spectrum", {})
     if not isinstance(spec_cfg, dict):
         raise ConfigError("spectrum: expected a JSON object")
+    unknown = [*sorted(set(file_cfg) - CONFIG_KEYS),
+               *(f"spectrum.{key}" for key in sorted(set(spec_cfg) - SPECTRUM_KEYS))]
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown config key")
 
     kind = args.kind or spec_cfg.get("kind", "geometric")
     if kind not in ("geometric", "harmonic", "explicit"):
@@ -279,13 +285,13 @@ def _spectrum_at(cfg: RunConfig, count: int) -> SpectrumSequence:
 # --- verify pipelines ---------------------------------------------------------
 
 def _membership_polynomials():
-    """The random polynomials of the membership trials, one at a time."""
+    """The trials' random polynomials, born as integers over the lcm of their denominators."""
     rng = random.Random(MEMBERSHIP_SEED)
     for _ in range(MEMBERSHIP_TRIALS):
         degree = rng.randint(1, 16)
-        coeffs = [Fraction(0)] + [Fraction(rng.randint(-99, 99), rng.randint(1, 12))
-                                  for _ in range(degree)]
-        yield Polynomial(tuple(coeffs))
+        pairs = [(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(degree)]
+        den = math.lcm(*(b for _, b in pairs))
+        yield _from_integers([0, *(a * (den // b) for a, b in pairs)], den)
 
 
 def _verify_weak(cfg: RunConfig):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .amenability import membership_residual
 from .polynomials import Polynomial, sup_norm
-from .scalars import Surd, scaled_float, to_float
+from .scalars import exact_key, scaled_float
 from .spectrum import BlockOperator, SpectrumSequence, apply_poly_to_block, operator_norm
 
 
@@ -52,16 +52,12 @@ def _trial_row(lam: Fraction, k: int) -> tuple:
 
 def _is_built_T(T: BlockOperator, spectrum: SpectrumSequence) -> bool:
     """Whether T is `build_T(spectrum)` entry for entry, with the same types:
-    Fraction zeros, the spectrum's points and its roots, so that no float
-    entry passes.  A Surd is compared by its parts, since == on two Surds of
-    different radicands raises."""
-    def key(x):
-        return (Surd, x.s, x.d) if isinstance(x, Surd) else (type(x), x)
-
-    zero = key(Fraction(0))
-    return (T.dim == len(spectrum) and all(key(a) == zero for a in T.b11.diag)
-            and list(map(key, T.b12.diag)) == list(map(key, spectrum.roots))
-            and list(map(key, T.b22.diag)) == list(map(key, spectrum.values)))
+    Fraction zeros, the spectrum's points and its roots, compared by
+    `exact_key`, so that no float entry passes."""
+    zero = exact_key(Fraction(0))
+    return (T.dim == len(spectrum) and all(exact_key(a) == zero for a in T.b11.diag)
+            and list(map(exact_key, T.b12.diag)) == list(map(exact_key, spectrum.roots))
+            and list(map(exact_key, T.b22.diag)) == list(map(exact_key, spectrum.values)))
 
 
 _TINY = 2.0 ** -1022  # the least normal float
@@ -78,13 +74,10 @@ def _quotient_float(num: int, den: int) -> float:
     return f if not num or _TINY <= abs(f) else math.nan
 
 
-def _entry_float(b) -> float:
-    """to_float(b) for a rational or `Surd` entry, NaN where it leaves the
-    normal range, as in `_quotient_float`; a Surd floats within 1.13 2^-53."""
-    if isinstance(b, Surd):
-        f = to_float(b)
-        return f if _TINY <= abs(f) < math.inf else math.nan
-    return _quotient_float(b.numerator, b.denominator)
+def _normal(f: float) -> float:
+    """f where it is a normal float, else NaN, as in `_quotient_float`: a
+    root's float (`root_floats`) is within 1.13 2^-53 of it there."""
+    return f if _TINY <= abs(f) < math.inf else math.nan
 
 
 def _scaled_coefficients(nums: Sequence[int], den: int) -> tuple[list[float], int]:
@@ -113,7 +106,7 @@ def _trial_estimates(alphas: np.ndarray, shifts: np.ndarray, x: np.ndarray,
     b_n = to_float(b_n) at each coordinate are zero or normal, with a
     relative error of at most u, or 2u for a Surd b_n (`surd_float`); the
     callers drop the coordinates where x or b is NaN (`_quotient_float`,
-    `_entry_float`).  Exactly,
+    `_normal`).  Exactly,
         D = sum_j 2^s a_j lambda^(j-1) = 2^s Dp,   S = sum_j 2^s |a_j| lambda^(j-1),
     and the trial's floats at n are bottom = fl(lambda Dp), correctly
     rounded; top = the float of b Dp, correctly rounded for a rational b and
@@ -233,7 +226,7 @@ def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
     points, roots = spectrum.values, spectrum.roots
     hyp_at, bottom_at = _trial_candidates(
         alphas, shifts, [_quotient_float(lam.numerator, lam.denominator) for lam in points],
-        [_entry_float(r) for r in roots])
+        [_normal(f) for f in spectrum.root_floats])  # a root is never 0
     row = functools.cache(lambda n: _trial_row(points[n], k))
     exact = []  # per trial: its (top, bottom) pairs and its sup
     for (nums, den), hyp_n, bottom_n in zip(integers, hyp_at, bottom_at):

@@ -323,10 +323,10 @@ def _from_integers(nums: list[int], den: int) -> Polynomial:
     """The polynomial sum_i N_i z^i / den, reduced by its content once.
     Reduced numerators over a positive denominator are exactly what
     `_common_denominator` gives for the coefficients, so `_integers` is
-    seeded with them and each Fraction is built once."""
+    seeded with them; `coefficients` builds its Fractions if it is read."""
     nums, den = _reduced(nums, den)
-    p = Polynomial(tuple(Fraction(n, den) for n in nums))
-    object.__setattr__(p, "_integers", (tuple(nums), den))
+    p = Polynomial.__new__(Polynomial)
+    p.__dict__["_integers"] = (tuple(nums), den)
     return p
 
 

@@ -48,6 +48,8 @@ class ConvergenceReport:
 
 
 def _format_cell(v) -> str:
+    if type(v) is float:  # nearly every cell, so it skips the checks below
+        return repr(v)
     if isinstance(v, bool):
         return str(int(v))
     if isinstance(v, int):

@@ -330,6 +330,11 @@ def scaled_float(x, num: int, den: int) -> float:
     return num * x.numerator / (den * x.denominator)
 
 
+def exact_key(x) -> tuple:
+    """x by type and value, a Surd by its parts (== raises on two radicands)."""
+    return (Surd, x.s, x.d) if isinstance(x, Surd) else (type(x), x)
+
+
 def is_exact_zero(x) -> bool:
     """Exact zero test; a Surd is never zero, so plain equality decides it."""
     return x == 0

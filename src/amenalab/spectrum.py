@@ -16,7 +16,8 @@ alpha I + beta T, read from the spectrum, and they evaluate p in Bernstein
 form and float p(X) and X p(X) - X from those integers
 (`amenability._polynomial_norms`), so `build_shifted_T` is the tests'
 oracle; the membership trials float theirs from one dot product per
-coordinate (`membership`).
+coordinate (`membership`).  `verify weak` reads T's entries and floats from
+`SpectrumSequence`, where each root and its float is taken once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import inf, lcm
 from typing import Sequence
 
 import numpy as np
@@ -68,9 +69,22 @@ class SpectrumSequence:
         """The exact sqrt(lambda_n), computed once per spectrum."""
         return tuple(exact_sqrt(v) for v in self.values)
 
+    @cached_property
+    def root_floats(self) -> tuple[float, ...]:
+        """to_float of each root, taken once per spectrum; a rational root
+        beyond the float range is inf, as a Surd's float is."""
+        return tuple(map(_float_or_inf, self.roots))
+
     def diagonal(self) -> "DiagonalOperator":
         """The diagonal operator carrying the spectrum points."""
         return DiagonalOperator(self.values)
+
+
+def _float_or_inf(x) -> float:
+    try:
+        return to_float(x)
+    except OverflowError:  # int / int raises where a float would be inf
+        return inf
 
 
 def make_spectrum(kind: SpectrumKind, count: int | None = None, *,

@@ -3,12 +3,14 @@ arithmetic, SVD spectral norms, a brute-force derivation solver over the full
 linear-map space, seeded random rational generators, exact sympy values
 of scalar entries, the Bernstein approximant built in z with Fraction
 arithmetic, the derivation solver on Fractions, and the membership trials
-with every float at every coordinate.  These deliberately avoid
+with every float at every coordinate and their polynomials built from
+Fractions.  These deliberately avoid
 the code paths they are used to check.  Small helpers that only the tests
 use live here too, not in the package."""
 
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 from math import comb
@@ -150,6 +152,19 @@ def to_rational_strings(p: Polynomial) -> list[str]:
 
 def from_rational_strings(items: Sequence[str]) -> Polynomial:
     return Polynomial(tuple(Fraction(s) for s in items))
+
+
+def fraction_membership_polynomials(seed: int, trials: int) -> list[Polynomial]:
+    """The membership trials' polynomials built from Fraction coefficients:
+    the same randint stream as `amenalab.cli._membership_polynomials`."""
+    rng = random.Random(seed)
+    polys = []
+    for _ in range(trials):
+        degree = rng.randint(1, 16)
+        coeffs = [Fraction(0)] + [Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+                                  for _ in range(degree)]
+        polys.append(Polynomial(tuple(coeffs)))
+    return polys
 
 
 def spectrum_floats(s) -> np.ndarray:

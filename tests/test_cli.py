@@ -110,6 +110,20 @@ def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field)
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"degree": [8, 16]}, "degree"),
+    ({"spectrum": {"ratios": "9/10"}}, "spectrum.ratios"),
+])
+def test_config_rejects_unknown_keys(tmp_path, capsys, config, key):
+    """A misspelt key exits 2 and is named, rather than run on the defaults."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run(["verify", "weak", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: unknown config key") and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_verify_rejects_unwritable_out(tmp_path, capsys, monkeypatch):
     def must_not_run(cfg):
         raise AssertionError("a pipeline ran before the output directory was checked")

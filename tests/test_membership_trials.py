@@ -103,7 +103,7 @@ def estimates_and_floats(polys, s):
         nums, den = p._integers
         alphas[t, :len(nums) - 1], shifts[t] = mt._scaled_coefficients(nums[1:], den)
     x = np.array([mt._quotient_float(v.numerator, v.denominator) for v in s.values])
-    b = np.array([mt._entry_float(r) for r in s.roots])
+    b = np.array([mt._normal(f) for f in s.root_floats])
     safe = ~(np.isnan(x) | np.isnan(b))
     table = integer_trial_table(T, s, k)
     floats = np.array([integer_trial_floats(p, table) for p in polys])[:, safe]

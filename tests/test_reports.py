@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from amenalab import ConvergenceReport, write_report
+from amenalab.reports import _format_cell
 
 
 def make_report():
@@ -57,3 +59,12 @@ def test_write_report_formats(tmp_path):
     assert json.loads(json_path.read_text())["tolerance"] == 1e-3
     with pytest.raises(ValueError, match="format"):
         write_report(report, tmp_path / "r.xml", "xml")
+
+
+@pytest.mark.parametrize("v", [0.0, -0.0, 0.1, 5e-324, 1.5e300, float("inf"), float("nan"),
+                               np.float64(0.1), np.float32(0.1), 3, True, False, np.int64(3)])
+def test_format_cell_float_fast_path_keeps_the_type_chain(v):
+    """A float cell is its repr, bitwise what the isinstance chain gives."""
+    want = (str(int(v)) if isinstance(v, bool) else str(v) if isinstance(v, int)
+            else repr(float(v)))
+    assert _format_cell(v) == want

@@ -10,6 +10,7 @@ trials from `apply_poly_to_block`, `membership_residual`, `operator_norm` and
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -21,9 +22,11 @@ from amenalab import (Polynomial, apply_poly_to_block, build_T, generation_defec
                       sup_norm)
 from amenalab.amenability import generation_sweep, idempotency_sweep
 from amenalab.membership import membership_trials
+from amenalab.scalars import to_float
 from amenalab.spectrum import BlockOperator, DiagonalOperator
-from amenalab.cli import _membership_polynomials, main
-from oracle_utils import count_calls, count_method_calls, record_calls
+from amenalab.cli import MEMBERSHIP_SEED, MEMBERSHIP_TRIALS, _membership_polynomials, main
+from oracle_utils import (count_calls, count_method_calls, fraction_membership_polynomials,
+                          record_calls)
 
 EXPLICIT = ("9/10", "1/2", "1/4", "1/7", "1/100")  # 1/4 has a rational root
 
@@ -129,6 +132,73 @@ def test_verify_weak_trials_share_one_weight_table(monkeypatch, tmp_path, capsys
     assert horner[0] == 0
     assert compositions[0] == 0
     assert weights[0] == 3
+
+
+def test_verify_weak_floats_each_exact_number_once(monkeypatch, tmp_path, capsys):
+    """T is read from its spectrum, each root floated once (`root_floats`),
+    and each E_n is checked at its own coordinate.  At M = 64 the 32
+    irrational roots and the 32 irrational 1/sqrt(lambda_n) are floated
+    once each, plus the trials' 98 candidate floats: 162 `surd_float` calls.
+    Each irrational root was floated three times (T's block, S_M's block
+    and the trials' b), 226 calls, and U and U @ U - U were built."""
+    m = 64
+    surd_floats = count_calls(monkeypatch, "amenalab.scalars", "surd_float")
+    sums = count_calls(monkeypatch, "amenalab.amenability", "idempotent_sum")
+    matmuls = [0]
+    matmul = BlockOperator.__matmul__
+
+    def counted(self, other):
+        matmuls[0] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(BlockOperator, "__matmul__", counted)
+    assert main(["verify", "weak", "--count", str(m), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert surd_floats[0] <= 162
+    assert (sums[0], matmuls[0]) == (0, 0)
+
+
+# The explicit spectrum of CI's mixed-grade smoke: rational roots at 1, 1/4,
+# 1/9 and 1/16, and one radicand, sqrt(2), shared by 2/9 and 1/18.
+MIXED_GRADE = ("1", "1/2", "1/3", "1/4", "2/9", "1/9", "1/16", "1/18")
+ROOT_SPECTRA = {
+    "geometric_half_64": make_spectrum("geometric", 64),
+    "ratio_9_10_64": make_spectrum("geometric", 64, ratio=Fraction(9, 10)),
+    "harmonic_64": make_spectrum("harmonic", 64),
+    "mixed_grade": make_spectrum("explicit", values=[Fraction(v) for v in MIXED_GRADE]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_SPECTRA))
+def test_root_floats_are_the_floats_of_the_roots(case):
+    s = ROOT_SPECTRA[case]
+    assert bits(s.root_floats) == bits(to_float(r) for r in s.roots)
+
+
+def test_a_root_beyond_the_float_range_floats_to_inf():
+    """A rational root too large for a float is inf in `root_floats`, as a
+    Surd's float is; the trials keep its coordinate as they keep any NaN
+    input, and equal the block composition there."""
+    s = make_spectrum("explicit", values=[Fraction(2 ** 2100), Fraction(1, 2)])
+    assert s.root_floats[0] == math.inf
+    T = build_T(s)
+    polys = [Polynomial((0, Fraction(1, 2 ** 1100))),
+             Polynomial((0, Fraction(1, 2 ** 1200), Fraction(1, 2 ** 3200)))]
+    for p, trial in zip(polys, membership_trials(polys, T, s)):
+        assert bits(trial) == bits(reference_trial(p, T, s)), p
+
+
+def test_membership_polynomials_equal_the_fraction_oracle():
+    """Born on integers, the trials' polynomials equal those built from
+    Fraction coefficients on the same randint stream, coefficient for
+    coefficient and in `_integers`; their Fractions are built only once
+    `coefficients` is read."""
+    got = list(_membership_polynomials())
+    want = fraction_membership_polynomials(MEMBERSHIP_SEED, MEMBERSHIP_TRIALS)
+    assert len(got) == len(want) == MEMBERSHIP_TRIALS
+    assert not any("coefficients" in vars(p) for p in got)
+    assert [p._integers for p in got] == [p._integers for p in want]
+    assert [p.coefficients for p in got] == [p.coefficients for p in want]
 
 
 def test_verify_character_sweeps_each_interval_sup_once(monkeypatch, tmp_path, capsys):

@@ -388,7 +388,7 @@ def _step_coordinates(alpha: Fraction, beta: int, spectrum: SpectrumSequence) ->
 
 
 def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: SpectrumSequence,
-                      coords: list[tuple] | None = None) -> tuple[float, float, _StepValues]:
+                      coords: list[tuple]) -> tuple[float, float, _StepValues]:
     """(||X u - X||, ||u||, values) for u = p(X), p(0) = 0, X = alpha I + beta T
     with beta = +-1, bitwise `operator_norm` of the floats of the exact
     X u - X and u, which are never built; neither is X.
@@ -410,12 +410,11 @@ def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: Spect
     (`scaled_float` for b); each float is that of an exact value, correctly
     rounded, so it does not depend on the denominator it is taken over.  A
     born approximant vanishes at 0 by construction; any other p has its
-    constant term checked.  A ladder passes `coords`, its `_step_coordinates`.
+    constant term checked.  `coords` is its `_step_coordinates`.
     """
     if p._birth is None and p._integers[0][0]:
         raise ValueError("constant term must vanish; the algebra model is non-unital")
     lam_1 = spectrum.lam(1)
-    coords = coords or _step_coordinates(alpha, beta, spectrum)
     lo = alpha if beta > 0 else alpha - lam_1
     ctrl, den = _bernstein_controls(p, lo, lo + lam_1)
     k = len(ctrl) - 1
@@ -460,9 +459,9 @@ def _divided_sup(lam_n: Fraction, values: _StepValues) -> float:
 
 
 def _step(p: Polynomial, n: int | None, spectrum: SpectrumSequence, sups: tuple[float, float],
-          coords: list[tuple] | None = None) -> ApproximationStep:
+          coords: list[tuple]) -> ApproximationStep:
     """The step of the kernel-n ladder, or of the unit ladder for n None,
-    given p's `interval_sups` on its notch interval."""
+    given p's `interval_sups` on its notch interval and `_step_coordinates`."""
     lam_1 = spectrum.lam(1)
     p_sup, dp_sup = sups
     if n is None:
@@ -478,8 +477,8 @@ def _step(p: Polynomial, n: int | None, spectrum: SpectrumSequence, sups: tuple[
                              q_sup <= bound + 1e-12, certified)
 
 
-def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence,
-                              memo: dict | None = None) -> ApproximationStep:
+def approximate_identity_step(p: Polynomial, n: int,
+                              spectrum: SpectrumSequence) -> ApproximationStep:
     """One sweep step for the n-th kernel algebra: u = p(X) for the shifted
     generator X = lambda_n I - T, the multiplication residual ||X u - X|| and
     the element norm ||u|| (`_polynomial_norms`), and a certificate for the
@@ -488,16 +487,16 @@ def approximate_identity_step(p: Polynomial, n: int, spectrum: SpectrumSequence,
     The certificate combines the eigenvalue sup of p with the mean-value bound
     for the divided polynomial q (`_divided_sup`), which controls the
     off-diagonal block.  The floats are bitwise those of the exact block
-    composition with `divide_shifted` and `mvt_bound_check`; `memo` is the
-    memo of `interval_sups`.
+    composition with `divide_shifted` and `mvt_bound_check`.
     """
     lam_n = spectrum.lam(n)
-    return _step(p, n, spectrum, interval_sups(p, lam_n - spectrum.lam(1), lam_n, memo))
+    return _step(p, n, spectrum, interval_sups(p, lam_n - spectrum.lam(1), lam_n),
+                 _step_coordinates(lam_n, -1, spectrum))
 
 
-def approximate_identity_steps(n: int, spectrum: SpectrumSequence, degrees: Sequence[int],
-                               memo: dict | None = None) -> list[ApproximationStep]:
-    return character_ladders(spectrum, [n], degrees, memo)[0]
+def approximate_identity_steps(n: int, spectrum: SpectrumSequence,
+                               degrees: Sequence[int]) -> list[ApproximationStep]:
+    return character_ladders(spectrum, [n], degrees)[0]
 
 
 def report_from_steps(steps: Sequence[ApproximationStep], tolerance: float | None) -> ConvergenceReport:
@@ -525,23 +524,21 @@ def _quotient_sup(values: _StepValues) -> float:
     return max(abs(g0 / d0), *(abs(g / d) for g, _, d in values.rows))
 
 
-def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence,
-                            memo: dict | None = None) -> ApproximationStep:
+def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence) -> ApproximationStep:
     """One sweep step against the generator itself: u = p(T) and the residual
     ||T u - T|| (`_polynomial_norms`), with q = p / z (`_quotient_sup`)
-    bounded by sup|p'| on [0, lambda_1].  `memo` is the memo of
-    `interval_sups`."""
-    return _step(p, None, spectrum, interval_sups(p, Fraction(0), spectrum.lam(1), memo))
+    bounded by sup|p'| on [0, lambda_1]."""
+    return _step(p, None, spectrum, interval_sups(p, Fraction(0), spectrum.lam(1)),
+                 _step_coordinates(Fraction(0), 1, spectrum))
 
 
-def unit_approximation_steps(spectrum: SpectrumSequence, degrees: Sequence[int],
-                             memo: dict | None = None) -> list[ApproximationStep]:
-    return character_ladders(spectrum, [None], degrees, memo)[0]
+def unit_approximation_steps(spectrum: SpectrumSequence,
+                             degrees: Sequence[int]) -> list[ApproximationStep]:
+    return character_ladders(spectrum, [None], degrees)[0]
 
 
 def character_ladders(spectrum: SpectrumSequence, ladders: Sequence[int | None],
-                      degrees: Sequence[int], memo: dict | None = None
-                      ) -> list[list[ApproximationStep]]:
+                      degrees: Sequence[int]) -> list[list[ApproximationStep]]:
     """The steps at every degree of each ladder: the kernel n, or the unit
     for None (`_step`).  Every approximant is built first, then all their
     `interval_sups` come from one `interval_sups_many` call, and only then
@@ -550,7 +547,7 @@ def character_ladders(spectrum: SpectrumSequence, ladders: Sequence[int | None],
     _validate_degrees(degrees)
     built = [(n, unit_notch(spectrum) if n is None else notch(n, spectrum)) for n in ladders]
     built = [(n, f, [approximate_with_derivative(f, k) for k in degrees]) for n, f in built]
-    sups = iter(interval_sups_many([(p, f.a, f.b) for _, f, ps in built for p in ps], memo))
+    sups = iter(interval_sups_many([(p, f.a, f.b) for _, f, ps in built for p in ps]))
     out = []
     for n, f, ps in built:
         # X is T for the unit (f.a = 0) and lambda_n I - T for a kernel (f.b = lambda_n)

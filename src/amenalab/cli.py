@@ -313,7 +313,7 @@ def _verify_weak(cfg: RunConfig):
               "tests/test_acceptance.py::test_c01_idempotency"),
     ]
 
-    trials = membership_trials(_membership_polynomials(), build_T(spectrum), spectrum)
+    trials = membership_trials(_membership_polynomials(), spectrum)
     mem_rows = [(i, *trial) for i, trial in enumerate(trials, start=1)]
     mem_worst = max(trial.residual for trial in trials)
     mem_report = ConvergenceReport(("index", "residual", "u_norm", "q_bound"),

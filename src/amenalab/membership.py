@@ -1,9 +1,8 @@
 """The membership trials of `verify weak`: the floats of p(T) for many
-polynomials p, bitwise those of the exact block composition.  On the paper's
-T, read from its spectrum, every p(T) is an algebra element and the
+polynomials p on the paper's T, read from its spectrum, bitwise those of the
+exact block composition.  Every p(T) is an algebra element and the
 composition is never built: a float pass with proven error bounds leaves the
-exact floats to the few coordinates where a trial's maximum can be.  Any
-other T takes the composition itself.
+exact floats to the few coordinates where a trial's maximum can be.
 """
 
 from __future__ import annotations
@@ -17,23 +16,15 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .amenability import membership_residual
-from .polynomials import Polynomial, sup_norm
-from .scalars import exact_key, scaled_float
-from .spectrum import BlockOperator, SpectrumSequence, apply_poly_to_block, operator_norm
+from .polynomials import Polynomial
+from .scalars import scaled_float
+from .spectrum import SpectrumSequence
 
 
 class MembershipTrial(NamedTuple):
     residual: float       # `membership_residual` of p(T)
     norm: float           # ||p(T)||
     spectral_sup: float   # sup |p| over the spectrum plus the origin
-
-
-def _reference_trial(p: Polynomial, T: BlockOperator,
-                     spectrum: SpectrumSequence) -> MembershipTrial:
-    X = apply_poly_to_block(p.coefficients, T)
-    return MembershipTrial(membership_residual(X, spectrum), operator_norm(X.to_float()),
-                           sup_norm(p, spectrum))
 
 
 def _trial_weights(c: int, e: int, k: int) -> list[int]:
@@ -48,16 +39,6 @@ def _trial_row(lam: Fraction, k: int) -> tuple:
     lambda_n = C / E: the `_trial_weights`, C, E and E^k."""
     c, e = lam.numerator, lam.denominator
     return _trial_weights(c, e, k), c, e, e ** k
-
-
-def _is_built_T(T: BlockOperator, spectrum: SpectrumSequence) -> bool:
-    """Whether T is `build_T(spectrum)` entry for entry, with the same types:
-    Fraction zeros, the spectrum's points and its roots, compared by
-    `exact_key`, so that no float entry passes."""
-    zero = exact_key(Fraction(0))
-    return (T.dim == len(spectrum) and all(exact_key(a) == zero for a in T.b11.diag)
-            and list(map(exact_key, T.b12.diag)) == list(map(exact_key, spectrum.roots))
-            and list(map(exact_key, T.b22.diag)) == list(map(exact_key, spectrum.values)))
 
 
 _TINY = 2.0 ** -1022  # the least normal float
@@ -190,12 +171,12 @@ def _trial_candidates(alphas: np.ndarray, shifts: np.ndarray, x: list[float],
     return lists
 
 
-def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
+def membership_trials(polynomials: Iterable[Polynomial],
                       spectrum: SpectrumSequence) -> list[MembershipTrial]:
     """For each p, bitwise `membership_residual(X, spectrum)`,
     `operator_norm(X.to_float())` and `sup_norm(p, spectrum)` of
-    X = apply_poly_to_block(p.coefficients, T), without building X when T is
-    `build_T(spectrum)`; on any other T every trial is the composition.
+    X = apply_poly_to_block(p.coefficients, build_T(spectrum)), without
+    building X or T.
 
     On T = [[0, N^(1/2)], [0, N]] the work is that of T~ = [[0, I], [0, N]],
     all rational: coordinate n of p(T) is [[p(0), sqrt(lambda_n) Dp], [0,
@@ -213,8 +194,6 @@ def membership_trials(polynomials: Iterable[Polynomial], T: BlockOperator,
     (`_trial_row`) only where some trial needs them.
     """
     polynomials = list(polynomials)
-    if not _is_built_T(T, spectrum):
-        return [_reference_trial(p, T, spectrum) for p in polynomials]
     integers = [p._integers for p in polynomials]
     if any(nums[0] for nums, _ in integers):
         raise ValueError("constant term must vanish; the algebra model is non-unital")

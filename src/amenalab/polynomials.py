@@ -27,17 +27,16 @@ Its forward-error bound is one number per polynomial: the sweep's magnitude
 sums are at most max |control| (1 + u)^k on the grid, whose arrays are built
 once per process.  Either way the result is bitwise the full sweep's maximum.
 `interval_sups` gives sup|p| and sup|p'| on an interval from p's controls
-there, and floats each control by one integer division; its memo is keyed
-by the interval and the controls, so a lookup computes no coefficient.
-`verify character` asks for every sup of its run in one `interval_sups_many`
-call, so its run sweeps once.
+there, and floats each control by one integer division.  `verify character`
+asks for every sup of its run in one `interval_sups_many` call, which takes
+equal (interval, controls) requests once, so its run sweeps once.
 `sup_norm` is the sup over a spectrum and the origin, evaluated exactly.
 Of the mean-value check, the pipelines call only `interval_sups`: the
 character steps take sup|q| of the divided polynomial from closed forms in
-the values of p(X) (`amenability`), so `divide_shifted`, `mvt_bound_check`
-and, outside a failing membership trial, `sup_norm` serve as the tests'
-oracles.  Coefficients and scalar factors of a `Polynomial` are int or
-Fraction; a float raises TypeError.
+the values of p(X) (`amenability`) and the membership trials sup|p| from
+their own floats, so `divide_shifted`, `mvt_bound_check` and `sup_norm` serve
+as the tests' oracles.  Coefficients and scalar factors of a `Polynomial` are
+int or Fraction; a float raises TypeError.
 """
 
 from __future__ import annotations
@@ -131,8 +130,7 @@ class Polynomial:
 
     def __hash__(self) -> int:
         """The hash of `_integers`: equal polynomials have equal coefficients,
-        hence equal canonical integers, and hashing ints is cheaper than
-        hashing Fractions."""
+        hence equal canonical integers."""
         return hash(self._integers)
 
     def __repr__(self) -> str:
@@ -696,7 +694,7 @@ def sup_norm(p: Polynomial, spectrum: SpectrumSequence) -> float:
     return max(abs(float(p(z))) for z in (Fraction(0), *spectrum.values))
 
 
-def interval_sups(p: Polynomial, a, b, memo: dict | None = None) -> tuple[float, float]:
+def interval_sups(p: Polynomial, a, b) -> tuple[float, float]:
     """(sup|p|, sup|p'|) over the interval (a, b), a != b, sampled on a
     uniform grid of DEFAULT_GRID points, from p's exact Bernstein controls on
     [a, b]: an approximant's birth controls on its birth interval, one
@@ -708,37 +706,32 @@ def interval_sups(p: Polynomial, a, b, memo: dict | None = None) -> tuple[float,
     proven error bound cannot rule out (`_sup_candidates`).
 
     With p's controls c_i of degree d on [a, b], p' has the controls
-    d (c_(i+1) - c_i) / (b - a), so p' is not converted again.  Callers that
-    meet equal polynomials on equal intervals share a `memo` dict, keyed by
-    (a, b, den, *controls), so that each pair is computed once.  The key
-    hashes integers and the two interval ends, and never computes an
-    approximant's coefficients.
+    d (c_(i+1) - c_i) / (b - a), so p' is not converted again.
     """
-    return interval_sups_many([(p, a, b)], memo)[0]
+    return interval_sups_many([(p, a, b)])[0]
 
 
-def interval_sups_many(requests: Sequence[tuple[Polynomial, object, object]],
-                       memo: dict | None = None) -> list[tuple[float, float]]:
-    """`interval_sups` of every (p, a, b) request, in order.  Equal keys in
-    the batch are computed once, and every grid sup that the memo does not
-    hold goes into one `_grid_sups` call, so into one sweep."""
-    got, fresh = [], {}
+def interval_sups_many(requests: Sequence[tuple[Polynomial, object, object]]
+                       ) -> list[tuple[float, float]]:
+    """`interval_sups` of every (p, a, b) request, in order.  Requests with
+    equal keys (a, b, den, *controls) are computed once: the key hashes
+    integers and the two interval ends, and never computes an approximant's
+    coefficients.  Every grid sup goes into one `_grid_sups` call, so into
+    one sweep."""
+    keys, fresh = [], {}
     for p, a, b in requests:
         a, b = _rational(a), _rational(b)
         nums, den = _bernstein_controls(p, a, b)
         key = (a, b, den, *nums)
-        sups = None if memo is None else memo.get(key)
-        if sups is None and key not in fresh:
+        if key not in fresh:
             width = b - a
             scale = (len(nums) - 1) * width.denominator
             slopes = [scale * (y - x) for x, y in zip(nums, nums[1:])] or [0]
             fresh[key] = (_floats(nums, den), _floats(slopes, den * width.numerator))
-        got.append((sups, key))
+        keys.append(key)
     flat = iter(_grid_sups([ctrl for pair in fresh.values() for ctrl in pair]))
     done = {key: (next(flat), next(flat)) for key in fresh}
-    if memo is not None:
-        memo.update(done)
-    return [done[key] if sups is None else sups for sups, key in got]
+    return [done[key] for key in keys]
 
 
 def divide_shifted(p: Polynomial, lam) -> Polynomial:
@@ -769,14 +762,12 @@ class MvtCheck(NamedTuple):
     p_sup: float
 
 
-def mvt_bound_check(p: Polynomial, q: Polynomial, lam, spectrum: SpectrumSequence,
-                    memo: dict | None = None) -> MvtCheck:
+def mvt_bound_check(p: Polynomial, q: Polynomial, lam, spectrum: SpectrumSequence) -> MvtCheck:
     """Mean-value bound for the divided polynomial: the sup of |q| over the
     spectrum (plus origin) must not exceed sup|p| + lam * sup|p'| over
-    [lam - lambda_1, lam].  Returns the verdict with both sides and sup|p|.
-    `memo` is handed to `interval_sups`."""
+    [lam - lambda_1, lam].  Returns the verdict with both sides and sup|p|."""
     lam = _rational(lam)
     lhs = sup_norm(q, spectrum)
-    p_sup, dp_sup = interval_sups(p, lam - spectrum.lam(1), lam, memo)
+    p_sup, dp_sup = interval_sups(p, lam - spectrum.lam(1), lam)
     rhs = p_sup + float(lam) * dp_sup
     return MvtCheck(lhs <= rhs + 1e-12, lhs, rhs, p_sup)

@@ -75,8 +75,9 @@ def as_fraction(x) -> Fraction:
 
 
 def _common_denominator(values: Sequence) -> tuple[list[int], int]:
-    """Integer numerators N_i and their common denominator L, v_i = N_i / L."""
-    values = [as_fraction(v) for v in values]
+    """Integer numerators N_i and their common denominator L, v_i = N_i / L,
+    of int or Fraction values; a float or any other value raises TypeError."""
+    values = [_rational(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 

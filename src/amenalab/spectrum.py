@@ -8,15 +8,14 @@ blocks and an upper-right block in Q*sqrt(lambda_n), a Fraction or a `Surd`
 s*sqrt(lambda_n).  Sums and products keep the grading (see `scalars`).
 Polynomials of an operator are exact only, with rational coefficients and
 diagonal blocks (TypeError on a float operator).  `apply_poly_to_block`
-builds the exact p(X), the membership trials' fallback and the tests'
-oracle, from the coefficients in z: its integer kernel `_divided_numerators`
-evaluates p at each distinct upper-left entry once, and Dp and p(c) per
-coordinate.  The character steps build no operator: their X is
-alpha I + beta T, read from the spectrum, and they evaluate p in Bernstein
-form and float p(X) and X p(X) - X from those integers
-(`amenability._polynomial_norms`), so `build_shifted_T` is the tests'
-oracle; the membership trials float theirs from one dot product per
-coordinate (`membership`).  `verify weak` reads T's entries and floats from
+builds the exact p(X), the tests' oracle, from the coefficients in z: its
+integer kernel `_divided_numerators` evaluates p at each distinct upper-left
+entry once, and Dp and p(c) per coordinate.  The pipelines build no p(X).
+The character steps' X is alpha I + beta T, read from the spectrum: they
+evaluate p in Bernstein form and float p(X) and X p(X) - X from those
+integers (`amenability._polynomial_norms`), so `build_shifted_T` is the
+tests' oracle too; the membership trials float theirs from one dot product
+per coordinate (`membership`).  `verify weak` reads T's entries and floats from
 `SpectrumSequence`, where each root and its float is taken once.
 """
 

@@ -232,6 +232,13 @@ def integer_trial_floats(p: Polynomial, table: list) -> list[tuple[float, float]
     return out
 
 
+def reference_trial(p: Polynomial, T: BlockOperator, spectrum) -> MembershipTrial:
+    """A membership trial by the exact block composition p(T), for any T."""
+    X = apply_poly_to_block(p.coefficients, T)
+    return MembershipTrial(membership_residual(X, spectrum), operator_norm(X.to_float()),
+                           sup_norm(p, spectrum))
+
+
 def integer_trial_oracle(polynomials: Sequence[Polynomial], T: BlockOperator,
                          spectrum) -> list[MembershipTrial]:
     """The membership trials with every float at every coordinate: the norm is
@@ -243,9 +250,7 @@ def integer_trial_oracle(polynomials: Sequence[Polynomial], T: BlockOperator,
     for p in polynomials:
         floats = integer_trial_floats(p, table) if table is not None else None
         if floats is None:
-            X = apply_poly_to_block(p.coefficients, T)
-            out.append(MembershipTrial(membership_residual(X, spectrum),
-                                       operator_norm(X.to_float()), sup_norm(p, spectrum)))
+            out.append(reference_trial(p, T, spectrum))
             continue
         tops, bottoms = (np.array(v) for v in zip(*floats))
         out.append(MembershipTrial(0.0, float(np.max(np.hypot(tops, bottoms), initial=0.0)),

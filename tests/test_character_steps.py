@@ -19,11 +19,11 @@ from amenalab import (ApproximationStep, Polynomial, apply_poly_to_block,
                       mvt_bound_check, notch, operator_norm, sup_norm, unit_approximation_step,
                       unit_notch)
 from amenalab import amenability
-from amenalab.amenability import _divided_sup, _polynomial_norms, _quotient_sup
-from amenalab.polynomials import _from_integers
+from amenalab.amenability import _divided_sup, _polynomial_norms, _quotient_sup, _step_coordinates
+from amenalab.polynomials import _from_integers, interval_sups_many
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from amenalab.cli import main
-from oracle_utils import count_calls, count_method_calls
+from oracle_utils import count_calls, count_method_calls, record_calls
 
 DEGREES = (8, 16, 32, 64, 128)
 EXPLICIT = ("9/10", "1/2", "1/4", "1/7", "1/100")  # 1/4 has a rational root
@@ -39,29 +39,34 @@ SPECTRA = {
 }
 
 
-def oracle_kernel_step(p, n, s, memo):
+def oracle_kernel_step(p, n, s):
     lam_n, lam_1 = s.lam(n), s.lam(1)
     X = build_shifted_T(s, n)
     u = apply_poly_to_block(p.coefficients, X)
     residual = operator_norm(((X @ u) - X).to_float())
     element_norm = operator_norm(u.to_float())
-    check = mvt_bound_check(p, divide_shifted(p, lam_n), lam_n, s, memo)
+    check = mvt_bound_check(p, divide_shifted(p, lam_n), lam_n, s)
     certified = check.p_sup + math.sqrt(float(lam_1)) * (check.rhs + check.p_sup) / float(lam_n)
     return ApproximationStep(max(p.degree, 0), residual, element_norm, check.rhs, check.ok,
                              certified)
 
 
-def oracle_unit_step(p, s, memo):
+def oracle_unit_step(p, s):
     lam_1 = s.lam(1)
     T = build_T(s)
     u = apply_poly_to_block(p.coefficients, T)
     residual = operator_norm(((T @ u) - T).to_float())
     element_norm = operator_norm(u.to_float())
-    p_sup, q_bound = interval_sups(p, Fraction(0), lam_1, memo)
+    p_sup, q_bound = interval_sups(p, Fraction(0), lam_1)
     mvt_ok = sup_norm(Polynomial(p.coefficients[1:]), s) <= q_bound + 1e-12
     certified = p_sup + math.sqrt(float(lam_1)) * q_bound
     return ApproximationStep(max(p.degree, 0), residual, element_norm, q_bound, mvt_ok,
                              certified)
+
+
+def polynomial_norms(p, alpha, beta, s):
+    """`_polynomial_norms` with the coordinates a ladder would pass."""
+    return _polynomial_norms(p, alpha, beta, s, _step_coordinates(alpha, beta, s))
 
 
 def bits(step):
@@ -90,20 +95,18 @@ def unit_polynomials(s):
 @pytest.mark.parametrize("case", sorted(SPECTRA))
 def test_kernel_steps_bitwise_equal_block_composition(case):
     s = SPECTRA[case]
-    memo: dict = {}
     for n in (1, 2, 3):
         for p in kernel_polynomials(n, s):
-            want = oracle_kernel_step(p, n, s, memo)
-            assert bits(approximate_identity_step(p, n, s, memo)) == bits(want), (n, p)
+            want = oracle_kernel_step(p, n, s)
+            assert bits(approximate_identity_step(p, n, s)) == bits(want), (n, p)
 
 
 @pytest.mark.parametrize("case", sorted(SPECTRA))
 def test_unit_steps_bitwise_equal_block_composition(case):
     s = SPECTRA[case]
-    memo: dict = {}
     for p in unit_polynomials(s):
-        want = oracle_unit_step(p, s, memo)
-        assert bits(unit_approximation_step(p, s, memo)) == bits(want), p
+        want = oracle_unit_step(p, s)
+        assert bits(unit_approximation_step(p, s)) == bits(want), p
 
 
 @pytest.mark.parametrize("case", sorted(SPECTRA))
@@ -115,11 +118,11 @@ def test_quotient_sups_bitwise_equal_sup_norm(case):
     for n in (1, 2, 3):
         lam = s.lam(n)
         for p in kernel_polynomials(n, s):
-            _, _, values = _polynomial_norms(p, lam, -1, s)
+            _, _, values = polynomial_norms(p, lam, -1, s)
             want = sup_norm(divide_shifted(p, lam), s)
             assert _divided_sup(lam, values).hex() == want.hex(), (n, p)
     for p in unit_polynomials(s):
-        _, _, values = _polynomial_norms(p, Fraction(0), 1, s)
+        _, _, values = polynomial_norms(p, Fraction(0), 1, s)
         want = sup_norm(Polynomial(p.coefficients[1:]), s)
         assert _quotient_sup(values).hex() == want.hex(), p
 
@@ -246,7 +249,7 @@ def test_polynomial_norms_values_on_alpha_i_plus_beta_t(case):
         for p in born + zform:
             u = apply_poly_to_block(p.coefficients, X)
             want = (operator_norm(((X @ u) - X).to_float()), operator_norm(u.to_float()))
-            residual, element_norm, values = _polynomial_norms(p, alpha, beta, s)
+            residual, element_norm, values = polynomial_norms(p, alpha, beta, s)
             assert (residual.hex(), element_norm.hex()) == tuple(x.hex() for x in want), p
             dp = p.derivative()
             h, g, d = values.head
@@ -259,7 +262,7 @@ def test_polynomial_norms_values_on_alpha_i_plus_beta_t(case):
 
 def test_a_polynomial_hashes_by_its_integers():
     """A Fraction-built polynomial and the same one from unreduced integer
-    numerators are equal and hash equal, so either finds the other in a memo."""
+    numerators are equal and hash equal, so either finds the other in a dict."""
     pairs = [
         (Polynomial((Fraction(1, 3), Fraction(2, 3), -1)), _from_integers([-2, -4, 6], -6)),
         (Polynomial((0, Fraction(5, 4), 0, Fraction(-1, 8))), _from_integers([0, 10, 0, -1, 0], 8)),
@@ -272,14 +275,19 @@ def test_a_polynomial_hashes_by_its_integers():
     assert Polynomial((0, 1)) != Polynomial((0, 2))
 
 
-def test_interval_sups_memo_hits_share_the_kernel_n1_and_unit_approximants(monkeypatch):
+def test_interval_sups_many_sweeps_shared_kernel_n1_and_unit_keys_once(monkeypatch):
     """On a geometric spectrum `kernel_n1` and `unit` are born with equal
-    controls on [0, lambda_1] as two objects; the memo sweeps each pair once.
-    A memo hit hashes the key's two interval ends and integers, no Fraction
-    coefficient, and neither lookup computes a coefficient in z."""
+    controls on [0, lambda_1] as two objects.  One batch of both at every
+    degree takes each key's two grid sups once, and equal keys get the same
+    sups.  A key hashes its two interval ends and integers, no Fraction
+    coefficient, and no coefficient in z is computed."""
     s = SPECTRA["geometric_half_16"]
     pascal = count_calls(monkeypatch, "amenalab.polynomials", "_pascal_controls")
     shifts = count_method_calls(monkeypatch, Polynomial, "_compose_integers")
+    grid_sups = record_calls(monkeypatch, "amenalab.polynomials", "_grid_sups")
+    pairs = [(approximate_with_derivative(notch(1, s), k),
+              approximate_with_derivative(unit_notch(s), k)) for k in DEGREES]
+    requests = [(p, Fraction(0), s.lam(1)) for pair in pairs for p in pair]
     hashed = [0]
     fraction_hash = Fraction.__hash__
 
@@ -287,19 +295,14 @@ def test_interval_sups_memo_hits_share_the_kernel_n1_and_unit_approximants(monke
         hashed[0] += 1
         return fraction_hash(self)
 
-    memo: dict = {}
-    pairs = []
-    for k in DEGREES:
-        p = approximate_with_derivative(notch(1, s), k)
-        q = approximate_with_derivative(unit_notch(s), k)
-        first = interval_sups(p, Fraction(0), s.lam(1), memo)
-        monkeypatch.setattr(Fraction, "__hash__", counted)
-        hashed[0] = 0
-        assert interval_sups(q, Fraction(0), s.lam(1), memo) is first
-        assert hashed[0] <= 2
-        monkeypatch.setattr(Fraction, "__hash__", fraction_hash)
-        pairs.append((p, q))
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    got = interval_sups_many(requests)
+    monkeypatch.setattr(Fraction, "__hash__", fraction_hash)
+    assert hashed[0] <= 8 * len(requests)
+    assert [len(ctrls) for ctrls, in grid_sups] == [2 * len(DEGREES)]
     assert pascal[0] == 0 and shifts[0] == 0
-    assert len(memo) == len(DEGREES)
+    for first, second in zip(got[::2], got[1::2]):
+        assert first is second
+    assert got == [interval_sups(p, a, b) for p, a, b in requests]
     for p, q in pairs:
         assert p is not q and p == q and hash(p) == hash(q)

@@ -16,7 +16,8 @@ import amenalab.membership as mt
 from amenalab import Polynomial, build_T, make_spectrum
 from amenalab.membership import membership_trials
 from amenalab.cli import _membership_polynomials
-from oracle_utils import count_calls, integer_trial_floats, integer_trial_oracle, integer_trial_table
+from oracle_utils import (count_calls, integer_trial_floats, integer_trial_oracle,
+                          integer_trial_table, reference_trial)
 
 CLI_POLYNOMIALS = list(_membership_polynomials())
 
@@ -83,7 +84,7 @@ def test_trials_bitwise_equal_the_all_coordinates_oracle(case, source, monkeypat
     polys = polynomials(case, source)
     want = integer_trial_oracle(polys, T, s)
     rows = count_calls(monkeypatch, "amenalab.membership", "_trial_row")
-    got = membership_trials(polys, T, s)
+    got = membership_trials(polys, s)
     assert bits(got) == bits(want)
     assert all(trial.residual == 0.0 for trial in got)
     if source == "cli" and len(s) >= 64:
@@ -136,18 +137,18 @@ def test_tie_polynomial_gives_the_oracle_bits(case):
     T = build_T(s)
     tie = Polynomial((0, -s.lam(1) - s.lam(2), 1))
     assert abs(tie(s.lam(1))) == abs(tie(s.lam(2)))
-    assert bits(membership_trials([tie], T, s)) == bits(integer_trial_oracle([tie], T, s))
+    assert bits(membership_trials([tie], s)) == bits(integer_trial_oracle([tie], T, s))
 
 
 def test_no_polynomials_and_the_zero_polynomial():
     s = make_spectrum("harmonic", 8)
     T = build_T(s)
-    assert membership_trials([], T, s) == []
+    assert membership_trials([], s) == []
     zero = Polynomial(())
     # K = 0: no trial has a coefficient past the constant
-    assert membership_trials([zero, zero], T, s) == [(0.0, 0.0, 0.0)] * 2
+    assert membership_trials([zero, zero], s) == [(0.0, 0.0, 0.0)] * 2
     polys = [zero, CLI_POLYNOMIALS[0], zero]
-    got = membership_trials(polys, T, s)
+    got = membership_trials(polys, s)
     assert got[0] == got[2] == (0.0, 0.0, 0.0)
     assert bits(got) == bits(integer_trial_oracle(polys, T, s))
 
@@ -177,7 +178,7 @@ def test_out_of_range_estimates_take_the_full_path(case, monkeypatch):
     want = integer_trial_oracle(polys, T, s)
     assert all(np.isfinite(v) for trial in want for v in trial)
     rows = count_calls(monkeypatch, "amenalab.membership", "_trial_row")
-    assert bits(membership_trials(polys, T, s)) == bits(want)
+    assert bits(membership_trials(polys, s)) == bits(want)
     assert rows[0] == len(s)  # the out-of-range trial computed every coordinate
 
 
@@ -201,16 +202,16 @@ def test_scaled_coefficients_keep_few_coordinates(case, monkeypatch):
     """Scaled by a power of two to a largest coefficient near 1, and floated
     below the normal range too, a trial's coefficients get a proven bound,
     so it computes its exact floats at a few coordinates only; each float is
-    bitwise the composition's (`_reference_trial`; at M = 1023 for the
+    bitwise the composition's (`reference_trial`; at M = 1023 for the
     trials up to degree 6, since composing one of degree 13 takes up to
     1.7 s, and the all-coordinates oracle checks them all above)."""
     spectrum, trials = SCALED[case]
     T = build_T(spectrum)
     assert len(trials) == (6 if case == "geometric_half_1023" else 1)
     rows = count_calls(monkeypatch, "amenalab.membership", "_trial_row")
-    got = membership_trials(trials, T, spectrum)
+    got = membership_trials(trials, spectrum)
     assert rows[0] <= 2 * len(trials) < len(spectrum)
     monkeypatch.undo()
     for p, trial in zip(trials, got):
         if p.degree <= 6:
-            assert bits([trial]) == bits([mt._reference_trial(p, T, spectrum)])
+            assert bits([trial]) == bits([reference_trial(p, T, spectrum)])

@@ -20,7 +20,7 @@ from amenalab.scalars import as_fraction
 from oracle_utils import (approximant_oracle, bernstein_to_monomial, count_method_calls,
                           from_rational_strings, notch_derivative_array, notch_value_array,
                           plain_de_casteljau, poly_to_sympy, random_rational_poly, record_calls,
-                          to_rational_strings)
+                          reference_trial, to_rational_strings)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=10)
 
@@ -261,6 +261,15 @@ def test_zero_pin_without_anchors():
     f = PlainFunction(Fraction(-1), Fraction(1), lambda x: x * x + 1)
     p = approximate_with_derivative(f, 4)
     assert p(Fraction(0)) == 0
+
+
+def test_bernstein_rejects_float_function_values():
+    """Floats never enter the exact tier: a function whose values are floats
+    raises TypeError, where each value's binary fraction once became a
+    control numerator over a power of two."""
+    f = PlainFunction(Fraction(0), Fraction(1), lambda x: float(x) / 3)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        approximate_with_derivative(f, 4)
 
 
 def test_bernstein_rejects_tiny_degree():
@@ -520,10 +529,7 @@ def test_sup_norm_equals_full_sweep_on_notch_approximants(kind, ratio, degree):
         expected = (_full_sweep_sup(p, f.a, f.b), _full_sweep_sup(p.derivative(), f.a, f.b))
         assert (interval_sups(p, f.a, f.b)[0],
                 interval_sups(p.derivative(), f.a, f.b)[0]) == expected
-        memo = {}
-        assert interval_sups(p, f.a, f.b, memo) == expected
-        nums, den = _bernstein_controls(p, f.a, f.b)
-        assert memo == {(f.a, f.b, den, *nums): expected}
+        assert interval_sups_many([(p, f.a, f.b)] * 2) == [expected] * 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -625,20 +631,21 @@ def test_grid_sups_sweep_a_batch_once(monkeypatch):
         assert sup == float(np.max(np.abs(plain_de_casteljau(ctrl, grid.t, grid.s))))
 
 
-def test_interval_sups_many_equal_one_request_each():
-    """A batch gives each request's `interval_sups`, in order, computes equal
-    keys once (kernel_n1 and the unit share their controls on [0, 1], and one
-    request repeats), and fills and reads the shared memo."""
+def test_interval_sups_many_equal_one_request_each(monkeypatch):
+    """A batch gives each request's `interval_sups`, in order, and sweeps
+    each key once: kernel_n1 and the unit share their controls on [0, 1],
+    and one request repeats, so 7 requests have 4 keys, whose p and p' make
+    8 grid sups in one call, and equal keys get the same sups."""
     s = make_spectrum("harmonic", 8)
     requests = [(approximate_with_derivative(f, k), f.a, f.b)
                 for f in (notch(1, s), unit_notch(s), notch(3, s)) for k in (8, 16)]
     requests.append(requests[0])
     want = [interval_sups(p, a, b) for p, a, b in requests]
-    memo = {}
-    got = interval_sups_many(requests, memo)
-    assert got == want and got[0] is got[-1] and len(memo) == 4
-    assert all(x is y for x, y in zip(interval_sups_many(requests, memo), got))
-    assert interval_sups_many([], memo) == []
+    calls = record_calls(monkeypatch, "amenalab.polynomials", "_grid_sups")
+    got = interval_sups_many(requests)
+    assert got == want and [len(ctrls) for ctrls, in calls] == [8]
+    assert got[0] is got[-1] and got[0] is got[2] and got[1] is got[3]
+    assert interval_sups_many([]) == []
 
 
 def test_grid_is_built_once_and_read_only():
@@ -741,8 +748,8 @@ def test_zero_polynomial_runs_the_integer_kernels():
         image = apply_poly_to_block(zero.coefficients, X)
         assert all(type(x) is Fraction and x == 0
                    for block in (image.b11, image.b12, image.b22) for x in block.diag)
-        # the T~ integer trial on T, the composition itself on the shifted generator
-        assert membership_trials([zero], X, s) == [(0.0, 0.0, 0.0)]
+        assert reference_trial(zero, X, s) == (0.0, 0.0, 0.0)
+    assert membership_trials([zero], s) == [(0.0, 0.0, 0.0)]
 
 
 def test_mvt_bound_linear_case():

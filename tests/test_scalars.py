@@ -378,3 +378,13 @@ def test_surd_rejects_invalid_parts():
         Surd(0.5, 2)
     with pytest.raises(ValueError, match="no real square root"):
         exact_sqrt(Fraction(-1, 2))
+
+
+def test_common_denominator_takes_int_and_fraction_only():
+    """Every integer kernel reads its inputs through `_common_denominator`,
+    so a float, a string or a Surd there raises TypeError instead of
+    entering the exact tier at its binary value."""
+    assert scalars._common_denominator([1, Fraction(-1, 6), Fraction(3, 4)]) == ([12, -2, 9], 12)
+    for bad in (0.5, "1/2", exact_sqrt(Fraction(2))):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            scalars._common_denominator([Fraction(1, 3), bad])

@@ -4,8 +4,8 @@ of `verify character`.
 The report rows must equal, bit for bit, the dense definitions taken one n
 or one m at a time; the expected values here come only from `idempotent_E`,
 `idempotent_partial_sum` and `generation_defect`, and for the membership
-trials from `apply_poly_to_block`, `membership_residual`, `operator_norm` and
-`sup_norm`.  Work is guarded by deterministic call counts rather than timings.
+trials from the composition `reference_trial` (tests/oracle_utils.py).
+Work is guarded by deterministic call counts rather than timings.
 """
 
 import hashlib
@@ -17,16 +17,15 @@ from fractions import Fraction
 import pytest
 
 import amenalab.amenability as am
-from amenalab import (Polynomial, apply_poly_to_block, build_T, generation_defect, idempotent_E,
-                      idempotent_partial_sum, make_spectrum, membership_residual, operator_norm,
-                      sup_norm)
+from amenalab import (Polynomial, build_T, generation_defect, idempotent_E,
+                      idempotent_partial_sum, make_spectrum, operator_norm)
 from amenalab.amenability import generation_sweep, idempotency_sweep
 from amenalab.membership import membership_trials
 from amenalab.scalars import to_float
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from amenalab.cli import MEMBERSHIP_SEED, MEMBERSHIP_TRIALS, _membership_polynomials, main
 from oracle_utils import (count_calls, count_method_calls, fraction_membership_polynomials,
-                          record_calls)
+                          record_calls, reference_trial)
 
 EXPLICIT = ("9/10", "1/2", "1/4", "1/7", "1/100")  # 1/4 has a rational root
 
@@ -184,7 +183,7 @@ def test_a_root_beyond_the_float_range_floats_to_inf():
     T = build_T(s)
     polys = [Polynomial((0, Fraction(1, 2 ** 1100))),
              Polynomial((0, Fraction(1, 2 ** 1200), Fraction(1, 2 ** 3200)))]
-    for p, trial in zip(polys, membership_trials(polys, T, s)):
+    for p, trial in zip(polys, membership_trials(polys, s)):
         assert bits(trial) == bits(reference_trial(p, T, s)), p
 
 
@@ -261,11 +260,6 @@ def random_polynomials(spectrum) -> list[Polynomial]:
     return polys
 
 
-def reference_trial(p, T, s):
-    X = apply_poly_to_block(p.coefficients, T)
-    return membership_residual(X, s), operator_norm(X.to_float()), sup_norm(p, s)
-
-
 @pytest.mark.parametrize("case", sorted(TRIAL_SPECTRA))
 @pytest.mark.parametrize("source", ["cli_seed", "random"])
 def test_membership_trials_bitwise_equal_block_composition(case, source, monkeypatch):
@@ -274,7 +268,7 @@ def test_membership_trials_bitwise_equal_block_composition(case, source, monkeyp
     polys = cli_trial_polynomials() if source == "cli_seed" else random_polynomials(s)
     want = [reference_trial(p, T, s) for p in polys]
     compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
-    got = membership_trials(polys, T, s)
+    got = membership_trials(polys, s)
     assert compositions[0] == 0  # no trial built the composition
     for p, w, g in zip(polys, want, got):
         assert g.residual == 0.0
@@ -303,56 +297,32 @@ def broken_generators(s):
 @pytest.mark.parametrize("case", sorted(TRIAL_SPECTRA))
 @pytest.mark.parametrize("broken", ["root_doubled", "rational_root_doubled", "point_moved",
                                     "upper_left"])
-def test_membership_trials_reject_a_broken_generator(case, broken, monkeypatch):
-    """p(T) for a T that is not the paper's generator is no algebra element:
-    every trial is the block composition, with a positive residual."""
+def test_membership_trials_reject_a_broken_generator(case, broken):
+    """The trials run on the paper's generator alone; the composition oracle
+    they are checked against must tell a broken one apart: p(T) for a T
+    with one wrong entry is no algebra element, so every trial's residual
+    is positive."""
     s = TRIAL_SPECTRA[case]
     T = broken_generators(s)[broken]
-    polys = cli_trial_polynomials()[:10]
-    want = [reference_trial(p, T, s) for p in polys]
-    compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
-    got = membership_trials(polys, T, s)
-    assert compositions[0] == len(polys)
-    for p, w, g in zip(polys, want, got):
-        assert g.residual > 0.0, p
-        assert bits(g) == bits(w), p
-
-
-def test_membership_trials_compose_on_a_wrong_root(monkeypatch):
-    """A doubled root leaves T the shape [[0, b], [0, N]] of the paper's
-    generator, but not its entries, so each trial is the composition."""
-    s = make_spectrum("harmonic", 8)
-    T = broken_generators(s)["root_doubled"]
-    polys = cli_trial_polynomials()[:5]
-    compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
-    trials = membership_trials(polys, T, s)
-    assert compositions[0] == len(polys)
-    assert all(t.residual > 0.0 for t in trials)
-
-
-def test_membership_trials_compare_entry_types(monkeypatch):
-    """The paper's T built from an equal spectrum takes the fast path; the
-    same values under other types (int zeros, a float copy) do not.  The
-    int-zero copy gives the same trials through the composition, and the
-    float copy raises TypeError there, as floats in the exact tier must."""
-    s = make_spectrum("harmonic", 8)
-    polys = cli_trial_polynomials()[:5]
-    compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
-    want = membership_trials(polys, build_T(make_spectrum("harmonic", 8)), s)
-    assert compositions[0] == 0
-    T = build_T(s)
-    int_zeros = BlockOperator(DiagonalOperator((0,) * len(s)), T.b12, T.b22)
-    assert bits(v for t in membership_trials(polys, int_zeros, s) for v in t) \
-        == bits(v for t in want for v in t)
-    assert compositions[0] == len(polys)
-    with pytest.raises(TypeError):
-        membership_trials(polys, T.to_float(), s)
+    for p in cli_trial_polynomials()[:10]:
+        assert reference_trial(p, T, s).residual > 0.0, p
 
 
 def test_membership_trials_reject_a_constant_term():
     s = make_spectrum("harmonic", 4)
     with pytest.raises(ValueError, match="constant term"):
-        membership_trials([Polynomial((Fraction(1, 3), 2))], build_T(s), s)
+        membership_trials([Polynomial((Fraction(1, 3), 2))], s)
+
+
+def test_verify_weak_builds_no_operator_for_the_trials(monkeypatch, tmp_path, capsys):
+    """`verify weak` reads T from its spectrum: neither T nor any p(T) is
+    built, for the trials or for any other check."""
+    m = 64
+    built = count_calls(monkeypatch, "amenalab.spectrum", "build_T")
+    compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
+    assert main(["verify", "weak", "--count", str(m), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (built[0], compositions[0]) == (0, 0)
 
 
 # SHA-256 of each report of `verify weak --kind geometric --ratio 9/10

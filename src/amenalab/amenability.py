@@ -178,10 +178,16 @@ class _Flat(NamedTuple):
     den: int
 
 
+def _matrix_rows(m) -> list[list]:
+    """The rows of a matrix given as nested sequences, or by a `tolist` that
+    gives them (a numpy array); a row that is not a sequence raises TypeError."""
+    return [list(r) for r in (m.tolist() if hasattr(m, "tolist") else m)]
+
+
 def _to_exact_matrix(m) -> _Flat:
     """int and Fraction entries (a numpy integer array too) over their common
     denominator; any other entry, a float included, raises TypeError."""
-    rows = [list(r) for r in (m.tolist() if isinstance(m, np.ndarray) else m)]
+    rows = _matrix_rows(m)
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise ValueError("generators and module elements must be square matrices")
@@ -578,13 +584,16 @@ def bai_defect(generator, bound: float) -> float:
     generator raises ValueError.  Entries are int or Fraction (a float raises
     TypeError); the bound may be a float, taken at its exact value.
     """
-    shape = np.shape(generator)
-    if len(shape) != 2 or shape[0] != shape[1]:
+    try:
+        rows = _matrix_rows(generator)
+    except TypeError:  # a scalar, or a row that is not a sequence
+        rows = []
+    if not rows or any(len(r) != len(rows) for r in rows):
         raise ValueError("generator must be a square matrix")
     if bound <= 0:
         raise ValueError("bound: must be positive")
-    q = _to_exact_matrix(generator)
-    n = shape[0]
+    q = _to_exact_matrix(rows)
+    n = len(rows)
     if n == 1:
         return float(Fraction(abs(q.nums[0]), q.den) * max(0, 1 - as_fraction(bound)))
     if any(x for i, x in enumerate(q.nums) if i % n != i // n + 1):

@@ -15,7 +15,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
@@ -60,6 +60,7 @@ class RunConfig:
     tol_analytic: float
     fmt: str
     out: str
+    spectrum: SpectrumSequence | None = None  # built by `resolve_config`; not in the digest
 
     def canonical(self) -> dict:
         return {
@@ -249,8 +250,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     cfg = RunConfig(kind, ratio, count, values, truncations, degrees,
                     tol_algebraic, tol_analytic, fmt, out)
-    _spectrum_at(cfg, _default_count(cfg, SPECTRUM_DEFAULT_COUNT))  # validates spectrum fields
-    return cfg
+    # validates the spectrum fields; a pipeline of the same count reuses it
+    return replace(cfg, spectrum=_spectrum_at(cfg, _default_count(cfg, SPECTRUM_DEFAULT_COUNT)))
 
 
 def _default_count(cfg: RunConfig, fallback: int) -> int:
@@ -262,6 +263,8 @@ def _default_count(cfg: RunConfig, fallback: int) -> int:
 
 
 def _spectrum_at(cfg: RunConfig, count: int) -> SpectrumSequence:
+    if cfg.spectrum is not None and len(cfg.spectrum) == count:
+        return cfg.spectrum
     try:
         if cfg.kind == "explicit":
             if cfg.values is None:

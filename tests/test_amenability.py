@@ -393,6 +393,27 @@ def test_bai_defect_rejects_generators_without_closed_form(generator):
         bai_defect(generator, 10.0)
 
 
+@pytest.mark.parametrize("generator", [np.array([[0, 3], [0, 0]]), np.array([[0, 3], [0, 0]], np.int8),
+                                       [[0, 3], [0, 0]], ((0, Fraction(3)), (0, 0))])
+def test_bai_defect_reads_integer_arrays_and_nested_sequences(generator):
+    """A numpy integer array is read by its `tolist`, as Python ints."""
+    assert bai_defect(generator, 10.0) == 3.0
+
+
+@pytest.mark.parametrize("generator", [[[0, 1], [0]], [[0], [0, 1]], [[1, 2, 3]], [[]], [],
+                                       np.array([0, 1]), 5])
+def test_bai_defect_rejects_ragged_and_non_square_generators(generator):
+    with pytest.raises(ValueError, match="generator must be a square matrix"):
+        bai_defect(generator, 10.0)
+
+
+def test_exact_matrices_reject_ragged_rows():
+    with pytest.raises(ValueError, match="generators and module elements must be square matrices"):
+        derivation_space([[[0, 1], [0]]])
+    assert derivation_space([np.array([[0, 1], [0, 0]])]).dimension == \
+        derivation_space([[[0, 1], [0, 0]]]).dimension
+
+
 def test_bai_defect_validation():
     with pytest.raises(ValueError, match="square"):
         bai_defect([[1, 2, 3]], 1.0)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amenalab.cli import MAX_SIZE, RUNNERS, _build_parser, config_hash, main, resolve_config
+from amenalab.spectrum import SpectrumSequence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -247,6 +248,26 @@ def test_verify_reports_are_byte_identical(tmp_path):
     first = (dirs[0] / "similarity_growth.csv").read_bytes()
     second = (dirs[1] / "similarity_growth.csv").read_bytes()
     assert first == second
+
+
+@pytest.mark.parametrize("argv, sizes", [(["verify", "weak", "--count", "64"], [64]),
+                                         (["verify", "all", "--count", "8"], [8, 20])])
+def test_each_run_builds_one_spectrum_per_count(argv, sizes, monkeypatch, tmp_path, capsys):
+    """The spectrum `resolve_config` builds to validate the fields is the one
+    the pipelines read: `verify weak` builds one, and `verify all --count 8`
+    one at 8 for the weak and character stages and one at 20, similarity's
+    largest truncation."""
+    built = []
+    check = SpectrumSequence.__post_init__
+
+    def counted(self):
+        built.append(len(self))
+        check(self)
+
+    monkeypatch.setattr(SpectrumSequence, "__post_init__", counted)
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(built) == sizes
 
 
 def test_verify_weak_small_truncation(tmp_path, capsys):

@@ -1,16 +1,22 @@
 """The membership trials of `verify weak` against the all-coordinates oracle.
 
 `membership_trials` computes exact floats only at the coordinates where an
-error-bounded float estimate leaves room for a trial's maximum;
+error-bounded float estimate leaves room for a trial's maximum, visiting the
+coordinates until a monotone tail bound rules out the rest;
 `integer_trial_oracle` (tests/oracle_utils.py) computes every float at every
 coordinate.  Their bits must agree, the stated error bound must hold at every
-coordinate, and inputs the estimate cannot bound take the full path.
+coordinate, each tail bound must cover every later coordinate, and inputs the
+estimate cannot bound take the full path.
 """
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amenalab.membership as mt
 from amenalab import Polynomial, build_T, make_spectrum
@@ -91,24 +97,27 @@ def test_trials_bitwise_equal_the_all_coordinates_oracle(case, source, monkeypat
         assert rows[0] <= len(s) // 8  # most coordinates never get their integers
 
 
+def trial_inputs(s) -> tuple[list[float], list[float]]:
+    """The x and b floats `membership_trials` builds for a spectrum."""
+    return ([mt._quotient_float(v.numerator, v.denominator) for v in s.values],
+            [mt._normal(f) for f in s.root_floats])
+
+
 def estimates_and_floats(polys, s):
-    """(`_trial_estimates` on the inputs `membership_trials` builds, the
-    oracle's (top, bottom) floats as trials x coordinates arrays, each
-    trial's scale exponent, the mask of coordinates with both inputs in the
-    normal range)."""
-    T = build_T(s)
-    k = max(p.degree for p in polys)
-    alphas = np.zeros((len(polys), k))
-    shifts = np.zeros(len(polys), dtype=int)
-    for t, p in enumerate(polys):
+    """Per trial: its scale exponent, and `_coordinate_bounds` with the
+    oracle's (top, bottom) floats at each coordinate whose inputs are both in
+    the normal range; and the number of those coordinates."""
+    x, b = trial_inputs(s)
+    safe = [n for n in range(len(s)) if not (math.isnan(x[n]) or math.isnan(b[n]))]
+    table = integer_trial_table(build_T(s), s, max(p.degree for p in polys))
+    trials = []
+    for p in polys:
         nums, den = p._integers
-        alphas[t, :len(nums) - 1], shifts[t] = mt._scaled_coefficients(nums[1:], den)
-    x = np.array([mt._quotient_float(v.numerator, v.denominator) for v in s.values])
-    b = np.array([mt._normal(f) for f in s.root_floats])
-    safe = ~(np.isnan(x) | np.isnan(b))
-    table = integer_trial_table(T, s, k)
-    floats = np.array([integer_trial_floats(p, table) for p in polys])[:, safe]
-    return mt._trial_estimates(alphas, shifts, x[safe], b[safe]), floats, shifts, safe
+        alphas, shift = mt._scaled_coefficients(nums[1:], den)
+        floats = integer_trial_floats(p, table)
+        trials.append((shift, [(mt._coordinate_bounds(alphas, shift, x[n], b[n]), floats[n])
+                               for n in safe]))
+    return trials, len(safe)
 
 
 @pytest.mark.parametrize("case", sorted(SPECTRA))
@@ -119,15 +128,107 @@ def test_estimate_bound_holds_at_every_coordinate(case):
     s = SPECTRA[case]
     polys = cancelling_polynomials(s) + (random_polynomials() if case not in LARGE
                                          else cli_polynomials(case)[:10])
-    ((hyp, hyp_err), (bottom, bottom_err)), floats, shifts, safe = estimates_and_floats(polys, s)
-    tops, bottoms = floats[..., 0], floats[..., 1]
-    # every trial is bounded, those with coefficients below the normal range
-    # too (z (z - lambda_m)^k at M = 1023 for large m)
-    assert np.isfinite(hyp_err).all() and np.isfinite(bottom_err).all()
-    scale = shifts[:, None]
-    assert (np.abs(hyp - np.ldexp(np.hypot(tops, bottoms), scale)) <= hyp_err).all()
-    assert (np.abs(bottom - np.ldexp(np.abs(bottoms), scale)) <= bottom_err).all()
-    assert safe.sum() == len(s) - (case == "geometric_half_1023")  # 2^-1023 is subnormal
+    trials, safe = estimates_and_floats(polys, s)
+    for shift, rows in trials:
+        for (hyp, hyp_err, bottom, bottom_err, *_), (top, bot) in rows:
+            # every trial is bounded, those with coefficients below the normal
+            # range too (z (z - lambda_m)^k at M = 1023 for large m)
+            assert math.isfinite(hyp_err) and math.isfinite(bottom_err)
+            assert abs(hyp - np.ldexp(np.hypot(top, bot), shift)) <= hyp_err
+            assert abs(bottom - np.ldexp(abs(bot), shift)) <= bottom_err
+    assert safe == len(s) - (case == "geometric_half_1023")  # 2^-1023 is subnormal
+
+
+# z^4 / 2^2000 scales by s > 1023, where the bounds' floor 2^(s-1071) is inf.
+OVERFLOWING = Polynomial((0, 0, 0, 0, Fraction(1, 2 ** 2000)))
+
+
+@st.composite
+def tail_cases(draw):
+    """A geometric, harmonic or explicit spectrum, the explicit one with
+    points above 1, with a subnormal point 2^-1060 appended; random trials
+    and one whose bounds overflow."""
+    kind = draw(st.sampled_from(["geometric", "harmonic", "explicit"]))
+    m = draw(st.integers(1, 24))
+    if kind == "geometric":
+        ratio = draw(st.sampled_from([Fraction(1, 2), Fraction(9, 10), Fraction(1, 7)]))
+        values = list(make_spectrum(kind, m, ratio=ratio).values)
+    elif kind == "harmonic":
+        values = list(make_spectrum(kind, m).values)
+    else:
+        points = st.fractions(Fraction(1, 1000), 1000, max_denominator=1000)
+        values = sorted(set(draw(st.lists(points, min_size=1, max_size=m))), reverse=True)
+    coefficient = st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4)
+    polys = draw(st.lists(st.lists(coefficient, min_size=1, max_size=10), min_size=1, max_size=6))
+    return (make_spectrum("explicit", values=[*values, Fraction(1, 2 ** 1060)]),
+            [*(Polynomial((0, *c)) for c in polys), OVERFLOWING])
+
+
+@given(case=tail_cases())
+@settings(max_examples=80, deadline=None)
+def test_tail_bound_covers_every_later_coordinate(case):
+    """At every coordinate K with normal inputs, each tail bound is at least
+    2^s times the trial's float at every n >= K: the subnormal last point
+    and the overflowing trial's coordinates included, compared exactly."""
+    s, polys = case
+    x, b = trial_inputs(s)
+    table = integer_trial_table(build_T(s), s, max(p.degree for p in polys))
+    for p in polys:
+        nums, den = p._integers
+        alphas, shift = mt._scaled_coefficients(nums[1:], den)
+        scale = Fraction(2) ** shift
+        hyp_after, bottom_after = [Fraction(0)], [Fraction(0)]  # maxima over n >= K, from the end
+        for top, bottom in reversed(integer_trial_floats(p, table)):
+            hyp_after.append(max(hyp_after[-1], Fraction(float(np.hypot(top, bottom))) * scale))
+            bottom_after.append(max(bottom_after[-1], Fraction(abs(bottom)) * scale))
+        for k in range(len(s)):
+            if math.isnan(x[k]) or math.isnan(b[k]):
+                continue
+            *_, hyp_tail, bottom_tail = mt._coordinate_bounds(alphas, shift, x[k], b[k])
+            for tail, floats in ((hyp_tail, hyp_after), (bottom_tail, bottom_after)):
+                assert tail == math.inf if p is OVERFLOWING else tail < math.inf
+                assert tail == math.inf or Fraction(tail) >= floats[len(s) - k]
+
+
+def test_weak_geo64_trials_visit_few_coordinates():
+    """The tail bounds close each `verify weak` trial on geometric 1/2 at
+    M = 64 after at most 4 of its 64 coordinates, 78 of the 100 after the
+    first; each keeps one candidate for its norm, and one for its sup but in
+    one trial, which keeps two."""
+    s = SPECTRA["geometric_half_64"]
+    x, b = trial_inputs(s)
+    found = [mt._trial_candidates(*mt._scaled_coefficients(nums[1:], den), x, b, [])
+             for nums, den in (p._integers for p in CLI_POLYNOMIALS)]
+    assert Counter(c.visited for c in found) == {1: 78, 2: 10, 3: 9, 4: 3}
+    assert [len(c.hyp) for c in found] == [1] * 100
+    assert sorted(len(c.bottom) for c in found) == [1] * 99 + [2]
+
+
+def test_tail_closes_only_past_the_coordinate_it_bounds():
+    """On lambda = 1, 1/2, 1/100, p = z - 7/10 z^2 has its largest |p| and
+    norm block at lambda_2, above those at lambda_1, while the tail bounds at
+    lambda_3 already fall below those at lambda_1: the pass visits lambda_2
+    before it stops, and keeps it alone."""
+    s = make_spectrum("explicit", values=[Fraction(1), Fraction(1, 2), Fraction(1, 100)])
+    p = Polynomial((0, 1, Fraction(-7, 10)))
+    x, b = trial_inputs(s)
+    nums, den = p._integers
+    assert mt._trial_candidates(*mt._scaled_coefficients(nums[1:], den), x, b, []) == ([1], [1], 2)
+    assert bits(membership_trials([p], s)) == bits(integer_trial_oracle([p], build_T(s), s))
+
+
+def test_membership_trials_build_no_array_before_the_final_hypot(monkeypatch):
+    """The filter runs on Python floats: with numpy's array constructors
+    made to raise, the trials still give the oracle's bits."""
+    s = SPECTRA["ratio_9_10_256"]
+    want = bits(integer_trial_oracle(CLI_POLYNOMIALS, build_T(s), s))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership_trials built a numpy array")
+
+    for name in ("array", "zeros", "zeros_like", "ones", "ones_like", "empty", "stack"):
+        monkeypatch.setattr(np, name, refuse)
+    assert bits(membership_trials(CLI_POLYNOMIALS, s)) == want
 
 
 @pytest.mark.parametrize("case", ["geometric_half_64", "ratio_9_10_16", "harmonic_64",

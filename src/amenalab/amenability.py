@@ -7,20 +7,17 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from . import _rational_linalg as rl
 from .polynomials import (InternalConsistencyError, Polynomial, _bernstein_controls, _horner,
                           _weights, approximate_with_derivative, interval_sups,
                           interval_sups_many, notch, unit_notch)
 from .reports import ConvergenceReport
-from .scalars import (_common_denominator, as_fraction, exact_key, is_exact_zero, scaled_float,
-                      to_float)
+from .scalars import (_common_denominator, as_fraction, exact_key, hypot, is_exact_zero,
+                      scaled_float, to_float)
 from .spectrum import BlockOperator, DiagonalOperator, SpectrumSequence, build_T, operator_norm
 
 
@@ -121,8 +118,8 @@ def idempotency_sweep(spectrum: SpectrumSequence) -> IdempotencySweep:
     d22 = [bottom * bottom - bottom for bottom in bottoms]
     d12_f, d22_f, top_f, bottom_f = ([to_float(x) for x in xs] for xs in (d12, d22, tops, bottoms))
     exact = tuple(is_exact_zero(a) and is_exact_zero(b) for a, b in zip(d12, d22))
-    return IdempotencySweep(exact, tuple(np.hypot(d12_f, d22_f).tolist()),
-                            tuple(np.hypot(top_f, bottom_f).tolist()))
+    return IdempotencySweep(exact, tuple(map(hypot, d12_f, d22_f)),
+                            tuple(map(hypot, top_f, bottom_f)))
 
 
 class GenerationSweep(NamedTuple):
@@ -146,11 +143,11 @@ def generation_sweep(spectrum: SpectrumSequence) -> GenerationSweep:
     lams = [to_float(v) for v in spectrum.values]
     s12, rest12, zero12 = _floats_against(spectrum.roots, spectrum.root_floats, full.b12.diag)
     s22, rest22, zero22 = _floats_against(spectrum.values, lams, full.b22.diag)
-    t_norms = np.hypot(spectrum.root_floats, lams).tolist()
+    t_norms = list(map(hypot, spectrum.root_floats, lams))
     beyond = [*accumulate(t_norms[:0:-1], max)][::-1] + [0.0]  # max over k > m of T's blocks
-    head = accumulate(np.hypot(rest12, rest22).tolist(), max)
+    head = accumulate(map(hypot, rest12, rest22), max)
     return GenerationSweep(tuple(map(max, head, beyond)),
-                           tuple(accumulate(np.hypot(s12, s22).tolist(), max)), zero12 and zero22)
+                           tuple(accumulate(map(hypot, s12, s22), max)), zero12 and zero22)
 
 
 def _floats_against(t_diag, t_floats, s_diag) -> tuple[list[float], list[float], bool]:
@@ -248,8 +245,7 @@ def _commute(a: _Flat, b: _Flat, n: int) -> bool:
     return _mat_mul(a, b, n).nums == _mat_mul(b, a, n).nums
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(NamedTuple):
     """Nullspace basis of the Leibniz system on an algebra basis.
 
     Each basis element is one derivation, recorded by its values on the

@@ -15,7 +15,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
@@ -48,8 +47,7 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     kind: str
     ratio: Fraction
     count: int | None
@@ -251,7 +249,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(kind, ratio, count, values, truncations, degrees,
                     tol_algebraic, tol_analytic, fmt, out)
     # validates the spectrum fields; a pipeline of the same count reuses it
-    return replace(cfg, spectrum=_spectrum_at(cfg, _default_count(cfg, SPECTRUM_DEFAULT_COUNT)))
+    return cfg._replace(spectrum=_spectrum_at(cfg, _default_count(cfg, SPECTRUM_DEFAULT_COUNT)))
 
 
 def _default_count(cfg: RunConfig, fallback: int) -> int:

@@ -4,23 +4,20 @@ exact block composition.  Every p(T) is an algebra element and the
 composition is never built: one scalar float pass per trial, with proven
 error bounds, visits the coordinates in decreasing lambda until one monotone
 bound rules out the whole tail, and leaves the exact floats to the few
-coordinates where a trial's maximum can be.  numpy's only part is the final
-`np.hypot` of those floats.
+coordinates where a trial's maximum can be.  Each norm there is one scalar
+`hypot`, libm's as numpy's, so no numpy runs here.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .polynomials import Polynomial
-from .scalars import scaled_float
+from .scalars import hypot, scaled_float
 from .spectrum import SpectrumSequence
 
 
@@ -95,7 +92,7 @@ def _coordinate_bounds(alphas: Sequence[float], s: int, x: float,
     and the trial's floats at the coordinate are bottom = fl(lambda Dp),
     correctly rounded; top = the float of sqrt(lambda) Dp, correctly rounded
     for a rational root and within 1.13 u for a Surd (`surd_float`); and
-    their np.hypot, within 1 ulp (libm), so 2u.  Where these land below the
+    their `hypot`, within 1 ulp (libm), so 2u.  Where these land below the
     normal range each rounding adds at most 2^-1074 instead, 2^(s-1074)
     once scaled by 2^s.
 
@@ -225,7 +222,8 @@ def membership_trials(polynomials: Iterable[Polynomial],
     the rest, and keeps only those that can hold a maximum, so g and the
     exact floats (`scaled_float` for sqrt(lambda_n) Dp) are computed only on
     those few, and the integers of a coordinate (`_trial_row`) only where
-    some trial needs them.  numpy's one part is the final `np.hypot`.
+    some trial needs them.  Each (top, bottom) pair's norm is one scalar
+    `hypot`, bitwise numpy's.
     """
     polynomials = list(polynomials)
     integers = [p._integers for p in polynomials]
@@ -237,7 +235,7 @@ def membership_trials(polynomials: Iterable[Polynomial],
     b = [_normal(f) for f in spectrum.root_floats]  # a root is never 0
     unbounded = [n for n, (u, v) in enumerate(zip(x, b)) if math.isnan(u) or math.isnan(v)]
     row = functools.cache(lambda n: _trial_row(points[n], k))
-    exact = []  # per trial: its (top, bottom) pairs and its sup
+    trials = []
     for nums, den in integers:
         hyp_n, bottom_n, _ = _trial_candidates(*_scaled_coefficients(nums[1:], den), x, b,
                                                unbounded)
@@ -246,8 +244,6 @@ def membership_trials(polynomials: Iterable[Polynomial],
             weights, c, e, scale = row(n)
             g = sum(map(operator.mul, nums, weights))
             floats[n] = scaled_float(roots[n], e * g, den * scale), c * g / (den * scale)
-        exact.append(([floats[n] for n in hyp_n], max(0.0, *(abs(floats[n][1]) for n in bottom_n))))
-    pairs = np.reshape([pair for hyp, _ in exact for pair in hyp], (-1, 2))
-    hyps = iter(np.hypot(pairs[:, 0], pairs[:, 1]).tolist())
-    return [MembershipTrial(0.0, max(itertools.islice(hyps, len(hyp))), sup)  # |p(0)| = 0
-            for hyp, sup in exact]
+        trials.append(MembershipTrial(0.0, max(hypot(*floats[n]) for n in hyp_n),  # |p(0)| = 0
+                                      max(0.0, *(abs(floats[n][1]) for n in bottom_n))))
+    return trials

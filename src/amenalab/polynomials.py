@@ -41,7 +41,6 @@ int or Fraction; a float raises TypeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, factorial, gcd, lcm
@@ -49,7 +48,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .scalars import _common_denominator, _rational
+from .scalars import _common_denominator, _Frozen, _rational
 from .spectrum import SpectrumSequence
 
 DEFAULT_GRID = 4096
@@ -220,8 +219,7 @@ class Polynomial:
         return acc, scale
 
 
-@dataclass(frozen=True)
-class NotchFunction:
+class NotchFunction(_Frozen):
     """C^1 piecewise-cubic function on [a, b]: 0 at the origin, 1 outside the
     dip of half-width delta, rising on each side by a smoothstep.
 
@@ -229,16 +227,15 @@ class NotchFunction:
     approximation stage uses them to keep its origin pin away from the plateau.
     """
 
-    a: Fraction
-    b: Fraction
-    delta: Fraction
-    anchors: tuple[Fraction, ...] = ()
+    _fields = ("a", "b", "delta", "anchors")
 
-    def __post_init__(self):
-        if self.delta <= 0:
+    def __init__(self, a: Fraction, b: Fraction, delta: Fraction,
+                 anchors: tuple[Fraction, ...] = ()):
+        if delta <= 0:
             raise ValueError("delta: must be positive")
-        if not self.a <= 0 <= self.b:
+        if not a <= 0 <= b:
             raise ValueError("the interval must contain the origin")
+        self._set(a, b, delta, anchors)
 
     def value(self, z):
         z = abs(_rational(z))

@@ -4,28 +4,26 @@ deterministic CSV / JSON serialization."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
+from .scalars import _Frozen
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+
+class ConvergenceReport(_Frozen):
     """Rows of (index, measurements...) sorted by index, plus two verdicts:
     `threshold_met` (the target quantity beat the tolerance) and `bounded`
     (the certified norm bound held).  Both are recomputed by the builders
     from the rows alone."""
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    threshold_met: bool
-    bounded: bool
-    tolerance: float
+    _fields = ("columns", "rows", "threshold_met", "bounded", "tolerance")
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        if any(len(r) != len(self.columns) for r in rows):
+    def __init__(self, columns: tuple[str, ...], rows, threshold_met: bool, bounded: bool,
+                 tolerance: float):
+        rows = tuple(tuple(r) for r in rows)
+        if any(len(r) != len(columns) for r in rows):
             raise ValueError("row width does not match the column labels")
-        object.__setattr__(self, "rows", tuple(sorted(rows, key=lambda r: r[0])))
+        self._set(columns, tuple(sorted(rows, key=lambda r: r[0])), threshold_met, bounded,
+                  tolerance)
 
     def to_csv(self, comment: str | None = None) -> str:
         lines = []

@@ -339,3 +339,38 @@ def exact_key(x) -> tuple:
 def is_exact_zero(x) -> bool:
     """Exact zero test; a Surd is never zero, so plain equality decides it."""
     return x == 0
+
+
+def hypot(x: float, y: float) -> float:
+    """libm's hypot, bitwise numpy's: a complex abs calls it too, and raises
+    OverflowError where the result is inf."""
+    try:
+        return abs(complex(x, y))
+    except OverflowError:
+        return math.inf
+
+
+class _Frozen:
+    """An immutable record of its `_fields`, set once by `_set`; it compares,
+    hashes and prints as their tuple, with no code generated at import."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__  # called with (self, name)
+
+    def _set(self, *values):
+        vars(self).update(zip(self._fields, values))
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._astuple()))
+        return f"{type(self).__name__}({args})"

@@ -8,16 +8,14 @@ its norm diverges with the truncation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .reports import ConvergenceReport
 from .scalars import to_float
 from .spectrum import BlockOperator, DiagonalOperator, SpectrumSequence
 
 
-@dataclass(frozen=True)
-class IntertwinerSolve:
+class IntertwinerSolve(NamedTuple):
     """Minimal-norm diagonal solution B of B N = N^(1/2) on a truncation.
     `prefix_norms[m - 1]` is the largest |B_n|, n <= m, the norm of the
     solve on the first m points; `norm` is the last of them."""

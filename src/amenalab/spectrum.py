@@ -21,7 +21,6 @@ per coordinate (`membership`).  `verify weak` reads T's entries and floats from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
@@ -29,30 +28,30 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import _common_denominator, as_fraction, exact_sqrt, is_exact_zero, to_float
+from .scalars import (_common_denominator, _Frozen, as_fraction, exact_sqrt, is_exact_zero,
+                      to_float)
 
 SpectrumKind = str  # "geometric" | "harmonic" | "explicit"
 
 
-@dataclass(frozen=True)
-class SpectrumSequence:
+class SpectrumSequence(_Frozen):
     """Strictly decreasing positive reals lambda_1 > ... > lambda_M.
 
     The origin belongs to the spectrum set implicitly and is never stored.
     `descriptor` records how the sequence was generated, for reproducibility.
     """
 
-    values: tuple[Fraction, ...]
-    descriptor: str = "explicit"
+    _fields = ("values", "descriptor")
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple[Fraction, ...], descriptor: str = "explicit"):
+        if not values:
             raise ValueError("values: must contain at least one point")
-        for i, v in enumerate(self.values, start=1):
+        for i, v in enumerate(values, start=1):
             if v <= 0:
                 raise ValueError(f"values: not positive at index {i}")
-            if i >= 2 and v >= self.values[i - 2]:
+            if i >= 2 and v >= values[i - 2]:
                 raise ValueError(f"values: not strictly decreasing at index {i}")
+        self._set(values, descriptor)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -112,14 +111,13 @@ def make_spectrum(kind: SpectrumKind, count: int | None = None, *,
     raise ValueError(f"kind: unknown spectrum kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class DiagonalOperator:
+class DiagonalOperator(_Frozen):
     """Diagonal operator; its norm is exactly the max modulus of the entries."""
 
-    diag: tuple
+    _fields = ("diag",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "diag", tuple(self.diag))
+    def __init__(self, diag):
+        self._set(tuple(diag))
 
     def __len__(self) -> int:
         return len(self.diag)
@@ -170,19 +168,16 @@ class DiagonalOperator:
         return DiagonalOperator(tuple(to_float(a) for a in self.diag))
 
 
-@dataclass(frozen=True)
-class BlockOperator:
+class BlockOperator(_Frozen):
     """Upper-triangular block operator [[b11, b12], [0, b22]] with diagonal blocks:
     up to a permutation, the direct sum of the 2x2 [[b11[n], b12[n]], [0, b22[n]]]."""
 
-    b11: DiagonalOperator
-    b12: DiagonalOperator
-    b22: DiagonalOperator
+    _fields = ("b11", "b12", "b22")
 
-    def __post_init__(self):
-        m = len(self.b11)
-        if any(len(b) != m for b in (self.b12, self.b22)):
+    def __init__(self, b11: DiagonalOperator, b12: DiagonalOperator, b22: DiagonalOperator):
+        if len(b12) != len(b11) or len(b22) != len(b11):
             raise ValueError("all three blocks must share one dimension")
+        self._set(b11, b12, b22)
 
     @property
     def dim(self) -> int:

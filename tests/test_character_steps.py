@@ -210,13 +210,13 @@ def test_steps_build_only_the_two_float_blocks(monkeypatch):
     float blocks of u and X u - X that it hands to `operator_norm`."""
     s = SPECTRA["mixed_grade_8"]
     built = []
-    post_init = BlockOperator.__post_init__
+    init = BlockOperator.__init__
 
-    def recorded(self):
+    def recorded(self, *blocks):
+        init(self, *blocks)
         built.append(self)
-        post_init(self)
 
-    monkeypatch.setattr(BlockOperator, "__post_init__", recorded)
+    monkeypatch.setattr(BlockOperator, "__init__", recorded)
     for step in (lambda p: approximate_identity_step(p, 2, s),
                  lambda p: unit_approximation_step(p, s)):
         built.clear()

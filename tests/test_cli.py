@@ -258,13 +258,13 @@ def test_each_run_builds_one_spectrum_per_count(argv, sizes, monkeypatch, tmp_pa
     one at 8 for the weak and character stages and one at 20, similarity's
     largest truncation."""
     built = []
-    check = SpectrumSequence.__post_init__
+    init = SpectrumSequence.__init__
 
-    def counted(self):
+    def counted(self, *args):
+        init(self, *args)
         built.append(len(self))
-        check(self)
 
-    monkeypatch.setattr(SpectrumSequence, "__post_init__", counted)
+    monkeypatch.setattr(SpectrumSequence, "__init__", counted)
     assert run([*argv, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert sorted(built) == sizes

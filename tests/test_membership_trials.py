@@ -218,15 +218,17 @@ def test_tail_closes_only_past_the_coordinate_it_bounds():
 
 
 def test_membership_trials_build_no_array_before_the_final_hypot(monkeypatch):
-    """The filter runs on Python floats: with numpy's array constructors
-    made to raise, the trials still give the oracle's bits."""
+    """The filter and the final norms run on Python floats: with numpy's
+    array constructors, `hypot` and `reshape` made to raise, the trials
+    still give the oracle's bits."""
     s = SPECTRA["ratio_9_10_256"]
     want = bits(integer_trial_oracle(CLI_POLYNOMIALS, build_T(s), s))
 
     def refuse(*args, **kwargs):
         raise AssertionError("membership_trials built a numpy array")
 
-    for name in ("array", "zeros", "zeros_like", "ones", "ones_like", "empty", "stack"):
+    for name in ("array", "asarray", "zeros", "zeros_like", "ones", "ones_like", "empty", "stack",
+                 "hypot", "reshape"):
         monkeypatch.setattr(np, name, refuse)
     assert bits(membership_trials(CLI_POLYNOMIALS, s)) == want
 

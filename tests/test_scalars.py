@@ -2,6 +2,7 @@ import math
 import operator
 import os
 import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -388,3 +389,37 @@ def test_common_denominator_takes_int_and_fraction_only():
     for bad in (0.5, "1/2", exact_sqrt(Fraction(2))):
         with pytest.raises(TypeError, match="not an exact rational"):
             scalars._common_denominator([Fraction(1, 3), bad])
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def test_hypot_is_bitwise_numpy_hypot():
+    """`scalars.hypot` (the complex abs) gives np.hypot's bits: on random bit
+    patterns over the full exponent range (subnormals, inf and nan among
+    them), on near-equal pairs, on signed zeros and the float range's ends,
+    and where the result overflows to inf.  A nan result is compared as nan."""
+    import numpy as np
+
+    rng = np.random.default_rng(30)
+    raw = rng.integers(0, 2 ** 64, size=(2, 100_000), dtype=np.uint64).view(np.float64)
+    mags = np.ldexp(rng.random((2, 50_000)), rng.integers(-1074, 1025, size=(2, 50_000)))
+    near = rng.random(20_000) * 10.0 ** rng.integers(-300, 300, size=20_000)
+    tiny, big = 5e-324, sys.float_info.max
+    special = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, 1e-310, 1.0, -1.0, 1e308,
+               -1e308, big, -big, math.inf, -math.inf, math.nan, -math.nan]
+    xs = [*raw[0], *mags[0], *near, *np.nextafter(near, np.inf),
+          *(a for a in special for _ in special)]
+    ys = [*raw[1], *mags[1], *np.nextafter(near, np.inf), *near, *(special * len(special))]
+    with np.errstate(all="ignore"):
+        want = np.hypot(np.array(xs), np.array(ys)).tolist()
+    got = list(map(scalars.hypot, map(float, xs), map(float, ys)))
+    assert [_bits(g) for g, w in zip(got, want) if not math.isnan(w)] == [
+        _bits(w) for w in want if not math.isnan(w)]
+    assert [math.isnan(g) for g in got] == [math.isnan(w) for w in want]
+    with pytest.raises(OverflowError):  # the path that `hypot` maps to inf
+        abs(complex(big, big))
+    assert scalars.hypot(big, big) == scalars.hypot(1.5e308, -1.5e308) == math.inf
+    assert scalars.hypot(-0.0, -0.0) == 0.0 and _bits(scalars.hypot(-0.0, -0.0)) == 0
+    assert scalars.hypot(math.nan, -math.inf) == math.inf

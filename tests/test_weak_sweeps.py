@@ -308,6 +308,27 @@ def test_membership_trials_reject_a_broken_generator(case, broken):
         assert reference_trial(p, T, s).residual > 0.0, p
 
 
+def test_verify_weak_runs_without_numpy_hypot(monkeypatch, tmp_path, capsys):
+    """`verify weak` takes every block norm from the scalar `hypot`: with
+    numpy.hypot and numpy.reshape made to raise, its exit code, stdout and
+    reports equal those of an unpatched run."""
+    import numpy as np
+
+    def outcome(out):
+        code = main(["verify", "weak", "--count", "64", "--out", str(out)])
+        return (code, capsys.readouterr().out.replace(str(out), "OUT"),
+                {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+
+    want = outcome(tmp_path / "plain")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy ran on the weak path")
+
+    monkeypatch.setattr(np, "hypot", refuse)
+    monkeypatch.setattr(np, "reshape", refuse)
+    assert outcome(tmp_path / "patched") == want
+
+
 def test_membership_trials_reject_a_constant_term():
     s = make_spectrum("harmonic", 4)
     with pytest.raises(ValueError, match="constant term"):

@@ -9,7 +9,6 @@ Reports are byte-identical across runs with the same configuration.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -184,14 +183,19 @@ def _validate_increasing(items: Sequence[int], field: str):
         raise ConfigError(f"{field}: entries must not exceed {MAX_SIZE}")
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(flags: dict[str, str]) -> RunConfig:
+    """The run's config: each field from its flag's raw string (`parse_argv`),
+    else from the JSON file named by `config`, else its default.  Flag and
+    file values pass the same checks, so each error names the config field."""
     file_cfg: dict = {}
-    if getattr(args, "config", None):
+    path = flags.get("config")
+    if path:
         try:
-            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"),
-                                  parse_float=Decimal)
+            file_cfg = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=Decimal)
         except FileNotFoundError:
-            raise ConfigError(f"config: file not found: {args.config}")
+            raise ConfigError(f"config: file not found: {path}")
+        except OSError as exc:  # a directory or an unreadable file
+            raise ConfigError(f"config: {exc}")
         except ValueError as exc:  # also an undecodable file or an oversized integer
             raise ConfigError(f"config: invalid JSON ({exc})")
         if not isinstance(file_cfg, dict):
@@ -204,12 +208,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise ConfigError(f"{unknown[0]}: unknown config key")
 
-    kind = args.kind or spec_cfg.get("kind", "geometric")
+    kind = flags.get("kind", spec_cfg.get("kind", "geometric"))
     if kind not in ("geometric", "harmonic", "explicit"):
         raise ConfigError(f"spectrum.kind: unknown kind {kind!r}")
-    ratio = _exact_number(args.ratio if args.ratio is not None else spec_cfg.get("ratio", "0.5"),
-                          "spectrum.ratio")
-    count = args.count if args.count is not None else spec_cfg.get("count")
+    ratio = _exact_number(flags.get("ratio", spec_cfg.get("ratio", "0.5")), "spectrum.ratio")
+    count = flags.get("count", spec_cfg.get("count"))
     if count is not None:
         count = _as_int(count, "count")
         if count < 1:
@@ -222,27 +225,25 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("spectrum.values: expected a list of finite numbers")
         values = tuple(_exact_number(v, "spectrum.values") for v in values)
 
-    if args.truncations is not None:
-        truncations = _int_list(args.truncations, "truncations")
-    else:
-        truncations = _int_list(file_cfg.get("truncations", (4, 8, 16, 20)), "truncations")
+    truncations = _int_list(flags.get("truncations", file_cfg.get("truncations", (4, 8, 16, 20))),
+                            "truncations")
     _validate_increasing(truncations, "truncations")
 
-    degrees = args.degrees if args.degrees is not None else file_cfg.get("degrees", (8, 16, 32, 64))
+    degrees = flags.get("degrees", file_cfg.get("degrees", (8, 16, 32, 64)))
     degrees = _parse_degrees(degrees) if isinstance(degrees, str) else _int_list(degrees, "degrees")
     _validate_increasing(degrees, "degrees")
     if any(k < 2 for k in degrees):
         raise ConfigError("degrees: entries must be at least 2")
 
-    tol_algebraic = _tolerance(args.tol_algebraic if args.tol_algebraic is not None
-                               else file_cfg.get("tol_algebraic", 1e-12), "tol_algebraic")
-    tol_analytic = _tolerance(args.tol_analytic if args.tol_analytic is not None
-                              else file_cfg.get("tol_analytic", 1e-3), "tol_analytic")
+    tol_algebraic = _tolerance(flags.get("tol_algebraic", file_cfg.get("tol_algebraic", 1e-12)),
+                               "tol_algebraic")
+    tol_analytic = _tolerance(flags.get("tol_analytic", file_cfg.get("tol_analytic", 1e-3)),
+                              "tol_analytic")
 
-    fmt = args.format or file_cfg.get("format", "csv")
+    fmt = flags.get("format", file_cfg.get("format", "csv"))
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: must be 'csv' or 'json', got {fmt!r}")
-    out = args.out or file_cfg.get("out", "reports")
+    out = flags.get("out") or file_cfg.get("out", "reports")
     if not isinstance(out, str):
         raise ConfigError("out: expected a directory path")
 
@@ -502,37 +503,67 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="amenalab",
-        description="Numerical laboratory for a compact triangular operator family: "
-                    "idempotent generation, approximate identities, similarity growth.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    spectrum_p = sub.add_parser("spectrum", help="print the spectrum and derived constants")
-    verify_p = sub.add_parser("verify", help="run verification pipelines and write reports")
-    verify_p.add_argument("target", choices=[*VERIFY_TARGETS, "all"])
-    for p in (spectrum_p, verify_p):
-        p.add_argument("--kind", choices=["geometric", "harmonic", "explicit"])
-        p.add_argument("--ratio", help="decimal or fraction, e.g. 0.9 or 9/10")
-        p.add_argument("--count", type=int)
-        p.add_argument("--truncations", help="comma-separated truncation sizes, e.g. 4,8,16")
-        p.add_argument("--degrees", help="comma list or doubling range a:b, e.g. 8:64")
-        p.add_argument("--tol-algebraic", dest="tol_algebraic", type=float)
-        p.add_argument("--tol-analytic", dest="tol_analytic", type=float)
-        p.add_argument("--config", help="JSON configuration file; flags override it")
-        p.add_argument("--out", help="report output directory (default: reports)")
-        p.add_argument("--format", choices=["csv", "json"])
-    return parser
+FLAGS = ("--kind", "--ratio", "--count", "--truncations", "--degrees", "--tol-algebraic",
+         "--tol-analytic", "--config", "--out", "--format")
+HELP = {"-h", "--help"}
+USAGE = """\
+usage: amenalab spectrum [flags]         print the spectrum, ||T||, ||E_n||, tail norms
+       amenalab verify TARGET [flags]    TARGET: weak | character | similarity | derivations | all
+
+Each flag is --name VALUE or --name=VALUE, after TARGET; every flag overrides the config file.
+  --kind {geometric,harmonic,explicit}   spectrum family        (default geometric)
+  --ratio R                              geometric ratio, exact decimal or p/q (default 0.5)
+  --count N                              truncation size (default: 64 for weak, 16 for character)
+  --truncations a,b,c                    similarity sweep sizes (default 4,8,16,20)
+  --degrees a:b | a,b,c                  Bernstein degrees; a:b doubles from a to b (default 8:64)
+  --tol-algebraic X                      exact-identity float tolerance (default 1e-12)
+  --tol-analytic Y                       sweep residual tolerance       (default 1e-3)
+  --config PATH                          JSON configuration file
+  --out DIR                              report directory (default reports)
+  --format {csv,json}                    report format (default csv)
+"""
+
+
+def parse_argv(argv: Sequence[str]) -> tuple[str, str | None, dict[str, str]] | None:
+    """`spectrum [flags]` or `verify TARGET [flags]` as (command, target, flags),
+    or None for -h/--help.  `flags` maps each given flag's field (`--tol-analytic`
+    -> `tol_analytic`) to its raw string, the last one given winning; its
+    values are checked by `resolve_config`, with the config file's."""
+    if not HELP.isdisjoint(argv):
+        return None
+    args = iter(argv)
+    command = next(args, "")
+    target = None
+    if command == "verify":
+        target = next(args, "")
+        if target not in (*VERIFY_TARGETS, "all"):
+            raise ConfigError(f"target: expected one of {', '.join(VERIFY_TARGETS)}, all; "
+                              f"got {target!r}")
+    elif command != "spectrum":
+        raise ConfigError(f"command: expected 'spectrum' or 'verify', got {command!r}")
+    flags = {}
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name not in FLAGS:
+            raise ConfigError(f"{name}: unknown option")
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"{name}: expected a value")
+        flags[name[2:].replace("-", "_")] = value
+    return command, target, flags
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if args.command == "spectrum":
-            code = cmd_spectrum(cfg)
+        parsed = parse_argv(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            print(USAGE, end="")
+            code = 0
         else:
-            code = cmd_verify(args.target, cfg)
+            command, target, flags = parsed
+            cfg = resolve_config(flags)
+            code = cmd_spectrum(cfg) if command == "spectrum" else cmd_verify(target, cfg)
         sys.stdout.flush()  # a closed pipe then raises here, not at interpreter exit
         return code
     except ConfigError as exc:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amenalab.cli import MAX_SIZE, RUNNERS, _build_parser, config_hash, main, resolve_config
+from amenalab.cli import (FLAGS, MAX_SIZE, RUNNERS, USAGE, config_hash, main, parse_argv,
+                          resolve_config)
 from amenalab.spectrum import SpectrumSequence
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,6 +99,10 @@ def test_verify_rejects_bad_tolerance(capsys):
     ({"tol_algebraic": True}, [], "tol_algebraic:"),
     ({"spectrum": {"kind": "explicit", "values": [True]}}, [], "spectrum.values:"),
     ({"spectrum": {"ratio": False}}, [], "spectrum.ratio:"),
+    (None, ["--count", "abc"], "count:"),
+    (None, ["--kind", "bogus"], "spectrum.kind:"),
+    (None, ["--format", "xml"], "format:"),
+    (None, ["--tol-analytic", "x"], "tol_analytic:"),
 ])
 def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field):
     argv = ["verify", "similarity", "--out", str(tmp_path / "r"), *flags]
@@ -123,6 +128,57 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, config, key):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: unknown config key") and "Traceback" not in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["verify", "weak", "--bogus", "1"], "--bogus: unknown option"),
+    (["verify", "weak", "--cou", "8"], "--cou: unknown option"),  # no prefix abbreviations
+    (["verify", "weak", "8"], "8: unknown option"),
+    (["spectrum", "-x"], "-x: unknown option"),
+    (["verify", "weak", "--count"], "--count: expected a value"),
+    (["verify", "weak", "--count", "--out", "r"], "--count: expected a value"),
+    ([], "command:"),
+    (["check"], "command:"),
+    (["verify"], "target:"),
+    (["verify", "weakly"], "target:"),
+    (["verify", "--count", "8", "weak"], "target:"),  # TARGET comes before the flags
+])
+def test_malformed_argv_exits_2(tmp_path, monkeypatch, capsys, argv, field):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field}") and "Traceback" not in captured.err
+    assert captured.out == "" and not list(tmp_path.iterdir())
+
+
+def test_config_naming_a_directory_exits_2(tmp_path, capsys):
+    assert run(["verify", "weak", "--config", str(tmp_path), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["spectrum", "-h"],
+                                  ["verify", "--help"], ["verify", "weak", "--count", "8", "-h"]])
+def test_help_prints_usage_and_exits_0(argv, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == USAGE
+    assert all(flag in USAGE for flag in FLAGS)
+
+
+def test_flag_value_forms_agree():
+    """`--name=value` and `--name value` give the same config and digest; a
+    later flag overrides an earlier one."""
+    spaced = ["verify", "all", "--kind", "harmonic", "--count", "8", "--degrees", "8:64",
+              "--tol-analytic", "1e-3", "--format", "json", "--ratio", "9/10"]
+    joined = ["verify", "all", "--kind=harmonic", "--count=8", "--degrees=8:64",
+              "--tol-analytic=1e-3", "--format=json", "--ratio=9/10"]
+    a, b = (resolve_config(parse_argv(argv)[2]) for argv in (spaced, joined))
+    assert a == b and config_hash(a) == config_hash(b)
+    again = resolve_config(parse_argv([*joined, "--count", "16", "--count=8"])[2])
+    assert config_hash(again) == config_hash(a)
+    assert parse_argv(["spectrum", "--out=a=b", "--ratio", "-1"]) == (
+        "spectrum", None, {"out": "a=b", "ratio": "-1"})
 
 
 def test_verify_rejects_unwritable_out(tmp_path, capsys, monkeypatch):
@@ -172,29 +228,41 @@ def test_config_hash_is_the_sha256_of_the_canonical_config(tmp_path):
                  ["verify", "similarity", "--ratio", "9/10", "--truncations", "4,8,16"],
                  ["spectrum", "--ratio", "0.9", "--count", "2"],
                  ["verify", "all", "--config", str(config), "--format", "json"]):
-        cfg = resolve_config(_build_parser().parse_args(argv))
+        cfg = resolve_config(parse_argv(argv)[2])
         blob = json.dumps(cfg.canonical(), sort_keys=True, separators=(",", ":")).encode()
         assert config_hash(cfg) == hashlib.sha256(blob).hexdigest()[:12], argv
 
 
-NO_OPENSSL = """
+FRESH_VERIFY = """
 import sys
 from amenalab.cli import main
 code = main(["verify", "all", "--count", "8", "--out", sys.argv[1]])
-print(code, "_hashlib" in sys.modules, "hashlib" in sys.modules)
+print(code, *(name in sys.modules for name in sys.argv[2:]))
 """
+
+
+def fresh_verify_all(out_dir, modules):
+    """Run `verify all --count 8` in a fresh interpreter; its exit code and,
+    for each named module, whether the run loaded it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", FRESH_VERIFY, str(out_dir), *modules],
+                         capture_output=True, text=True, env=env, check=True)
+    return out.stdout.splitlines()[-1]
 
 
 def test_verify_never_loads_openssl(tmp_path):
     """In a fresh interpreter a full `verify` run hashes its config with the
     interpreter's built-in SHA-256: neither hashlib nor OpenSSL's _hashlib
     is loaded."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", NO_OPENSSL, str(tmp_path)],
-                         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.splitlines()[-1] == "0 False False"
+    assert fresh_verify_all(tmp_path, ["_hashlib", "hashlib"]) == "0 False False"
+
+
+def test_verify_never_loads_argparse(tmp_path):
+    """The CLI reads its argv itself: a full `verify` run loads neither
+    argparse nor the gettext and locale modules argparse's messages pull in."""
+    assert fresh_verify_all(tmp_path, ["argparse", "gettext", "locale"]) == "0 False False False"
 
 
 def test_degree_range_expansion(tmp_path, capsys):
@@ -342,3 +410,27 @@ def test_spectrum_fuzzed_config_exits_cleanly(config):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config))
         assert main(["spectrum", "--config", str(path)]) in (0, 2)
+
+
+flag_values = st.one_of(st.text(max_size=8), st.integers(-3, 64).map(str),
+                        st.sampled_from(["0.9", "9/10", "1/0", "inf", "nan", "1e400",
+                                         "1e-999999999", "8:64", "64:8", "4,8", "explicit",
+                                         "harmonic", "json", ".", "", "--count"]))
+flag_names = st.one_of(st.sampled_from(FLAGS), st.sampled_from(["--bogus", "-h", "-x", "count"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(flag_names, flag_values, st.booleans()), max_size=4))
+def test_spectrum_fuzzed_flags_exit_cleanly(flags):
+    """Any `spectrum` argv, each flag as `--name value` or `--name=value`,
+    exits 0 or 2, never with a traceback."""
+    argv = ["spectrum"]
+    for name, value, joined in flags:
+        argv += [f"{name}={value}"] if joined else [name, value]
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a relative --config or --out stays inside the temporary directory
+        try:
+            assert main(argv) in (0, 2)
+        finally:
+            os.chdir(cwd)

@@ -16,7 +16,7 @@ import pytest
 from amenalab import (BlockOperator, ConvergenceReport, DerivationSpace, DiagonalOperator,
                       IntertwinerSolve, NotchFunction, SpectrumSequence, derivation_space,
                       make_spectrum, minimal_intertwiner, notch)
-from amenalab.cli import RunConfig, _build_parser, config_hash, resolve_config
+from amenalab.cli import RunConfig, config_hash, parse_argv, resolve_config
 
 ROOT = Path(__file__).resolve().parents[1]
 HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
@@ -131,12 +131,12 @@ def test_convergence_report_sorts_rows_and_checks_width():
 
 def test_run_config_replace_keeps_the_digest():
     argv = ["verify", "all", "--kind", "harmonic", "--count", "8"]
-    cfg = resolve_config(_build_parser().parse_args(argv))
+    cfg = resolve_config(parse_argv(argv)[2])
     assert isinstance(cfg, RunConfig) and cfg.spectrum == make_spectrum("harmonic", 8)
     bare = cfg._replace(spectrum=None)
     assert bare.spectrum is None and config_hash(bare) == config_hash(cfg)
     assert config_hash(cfg._replace(count=9)) != config_hash(cfg)
-    again = resolve_config(_build_parser().parse_args(argv))
+    again = resolve_config(parse_argv(argv)[2])
     assert again == cfg and hash(again) == hash(cfg) and again != bare
     assert RunConfig._fields[-1] == "spectrum" and RunConfig._field_defaults == {"spectrum": None}
     assert (cfg.count, cfg.kind, cfg.fmt) == (8, "harmonic", "csv")  # `count` is the field

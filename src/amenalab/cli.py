@@ -191,11 +191,15 @@ def resolve_config(flags: dict[str, str]) -> RunConfig:
     path = flags.get("config")
     if path:
         try:
-            file_cfg = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=Decimal)
+            raw = Path(path).read_bytes()
         except FileNotFoundError:
             raise ConfigError(f"config: file not found: {path}")
         except OSError as exc:  # a directory or an unreadable file
             raise ConfigError(f"config: {exc}")
+        except ValueError as exc:  # a NUL byte in the path
+            raise ConfigError(f"config: bad path {path!r} ({exc})")
+        try:
+            file_cfg = json.loads(raw.decode("utf-8"), parse_float=Decimal)
         except ValueError as exc:  # also an undecodable file or an oversized integer
             raise ConfigError(f"config: invalid JSON ({exc})")
         if not isinstance(file_cfg, dict):

@@ -22,8 +22,10 @@ or a `Surd` raises TypeError), and the zero polynomial has the integer form
 The grid sup needs only the largest value.  When the largest |control| sits
 at an endpoint and a one-line float test bounds every swept value by it (the
 hull certificate of `_grid_sups`), it is the sup and no sweep runs; otherwise
-an O(k) Bernstein-Horner pass on the values alone picks the points to sweep.
-Its forward-error bound is one number per polynomial: the sweep's magnitude
+a Bernstein-Horner pass on the values alone picks the points to sweep.  The
+pass reads only the controls off the row's plateau, its most frequent
+control: a notch approximant has 2 to 4 of them at any degree.  Its
+forward-error bound is one number per polynomial: the sweep's magnitude
 sums are at most max |control| (1 + u)^k on the grid, whose arrays are built
 once per process.  Either way the result is bitwise the full sweep's maximum.
 `interval_sups` gives sup|p| and sup|p'| on an interval from p's controls
@@ -41,6 +43,7 @@ int or Fraction; a float raises TypeError.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, factorial, gcd, lcm
@@ -591,56 +594,89 @@ def _sup_candidates(ctrl: np.ndarray, grid: _Grid) -> np.ndarray:
     """Mask of the grid columns whose `_de_casteljau` value may have the
     largest magnitude; every other column provably has a smaller one.
 
-    With u = 2^-53, gamma_m = m u / (1 - m u), a_i = beta_i C(k, i) and, in
+    With u = 2^-53, gamma_n = n u / (1 - n u), C = max |beta_i| and, in
     exact arithmetic on the same doubles t and s,
-        Q = sum_i a_i t^i s^(k-i),   S = sum_i |a_i| t^i s^(k-i),
+        Q = sum_i beta_i C(k, i) t^i s^(k-i),   S = sum_i |beta_i| C(k, i) t^i s^(k-i),
     the sweep returns D with |D - Q| <= gamma_2k S (Farouki and Rajan 1987:
     every path from a control to the result passes k levels of one product
-    and one sum).  One bound on S serves every column: with C = max |beta_i|,
-    S <= C sum_i C(k, i) t^i s^(k-i) = C (t + s)^k, and s = fl(1 - t) gives
-    t + s <= 1 + u, so S <= C (1 + u)^k.  So only the values need a pass.
-    An O(k) pass (Schumaker and Volk) evaluates Q: with m = max(t, s) and
-    r = min(t, s) / m <= 1, Q = m^k times a Horner sum in r over the a_i,
-    ascending or descending; m^k is computed as (2m)^k 2^-k, where (2m)^k in
-    [1, 2^k] cannot underflow and ldexp scales it back.  Each term of the
-    computed H is the exact term times a factor within gamma_(4k+3) of 1:
-    C(k, i) and beta_i C(k, i) round once each, Horner rounds at most 2k
-    times, r^i carries at most k ratio roundings, (2m)^k at most k - 1
-    (`_power`), and the final product once.  Hence |H - Q| <= gamma_(4k+3) S.
+    and one sum).  One bound on S serves every column: S <= C (t + s)^k, and
+    s = fl(1 - t) is exact for t >= 1/2 (Sterbenz) and within u/2 of 1 - t
+    below, so t + s <= 1 + u and S <= C (1 + u)^k.  So only the values need
+    a pass, and it reads only the controls off the row's plateau.
 
-    Underflow adds an absolute error of at most 2^-1075 per product, which
-    the rest of the evaluation scales by less than 2: k (k + 1) products in
-    the sweep and 2k + 3 in the pass.  Sums of subnormals are exact, and r
+    The plateau m is the most frequent control, or 0.0 if none repeats, and
+    [lo, hi] spans the controls other than m (lo = hi = 0 if there are none).
+    As sum_i C(k, i) t^i s^(k-i) = (t + s)^k, exactly
+        Q = m (t + s)^k + R,   R = sum_(lo <= i <= hi) (beta_i - m) C(k, i) t^i s^(k-i).
+    The pass computes H = m + R~, R~ an O(k) evaluation of R (Schumaker and
+    Volk): with w = max(t, s) and r = min(t, s) / w <= 1, R is s^k r^lo
+    times a Horner sum in r of hi - lo steps left of the middle, and t^k
+    r^(k-hi) times one right of it; the skipped power of r is one `_power`
+    call, and w^k is (2w)^k 2^-k, where (2w)^k in [1, 2^k] cannot underflow
+    and ldexp scales it back.  A dense row (m = 0.0, lo = 0, hi = k) takes
+    the plain Horner pass over every control.
+
+    Rounding.  |m (t + s)^k - m| <= |m| gamma_k <= C gamma_k.  fl(beta_i - m)
+    rounds once and is 0 exactly when beta_i = m, so only zero terms are
+    left out.  Each term of R~ is the exact term times a factor within
+    gamma_(4k+3) of 1: beta_i - m, C(k, i) and their product round once
+    each; the Horner sum, the skipped power r^e and the product with it at
+    most 2 (hi - lo) + e <= 2k times; the term's power of r, at most k,
+    carries one ratio rounding per factor; (2w)^k at most k - 1 (`_power`),
+    and the product with it once.  R's magnitude sum is at most
+    sum_i (|beta_i| + |m|) C(k, i) t^i s^(k-i) <= 2 C (1 + u)^k, so
+    |R~ - R| <= 2 gamma_(4k+3) C (1 + u)^k, and H = fl(m + R~) rounds once
+    more, by at most u |m + R~| <= u C to first order.
+
+    Underflow adds an absolute error of at most 2^-1075 per product.  The
+    sweep's k (k + 1) products are scaled by less than 2 in the rest of it,
+    and the pass's others, at most 2k + 4, by at most 1 + O(k u): only factors
+    r, r^e and w^k <= 1 follow them.  Sums of subnormals are exact, and r
     itself does not underflow on a grid, where min(t, s) is 0 or at least
-    the grid step.  The term 2 (k + 2)^2 2^-1074 covers all of it.
+    the grid step.  The term 2 (k + 2)^2 2^-1074 covers all of it.  The
+    skipped power is the exception: its at most 19 products (k < 1024) put
+    less than 2^-1070 into r^e, which the Horner sum, at most 2 C 2^k,
+    then multiplies; the term 2^(k-1068) C covers it.
 
-    Write E = (6k + 8) u C + 2 (k + 2)^2 2^-1074.  To first order in u,
-    |D - H| <= (gamma_2k + gamma_(4k+3)) C (1 + u)^k needs (6k + 3) u C, and
+    Write E = ((12k + 16) u + 2^(k-1068)) C + 2 (k + 2)^2 2^-1074.  To first
+    order in u, |D - H| <= (2k + k + 2 (4k + 3) + 1) u C = (11k + 7) u C, and
     rounding |H| + E and |H| - E once each needs u |H| <= u C more.  The
-    remaining 4 u C absorbs every second-order term, those of (1 + u)^k and
-    of computing E included: they are O(k^2 u^2) C, below 10^-7 u C for
-    every degree below 1024.  So the computed |H| + E bounds |D| above and
-    |H| - E bounds it below.  A column whose upper bound falls short of the
-    largest lower bound cannot hold the maximum, and dropping it leaves
-    max |D| unchanged.  If any value or E is not finite, every column is
-    kept: so it is for huge controls, and from degree 1024 on, where (2m)^k
-    overflows at t = 0 (a binomial of 2^1023 or more, from degree 1029 on,
-    is taken as infinite rather than converted).
+    remaining (k + 8) u C absorbs every second-order term, those of
+    (1 + u)^k and of computing E included: they are O(k^2 u^2) C, below
+    10^-6 u C for every degree below 1024.  So the computed |H| + E bounds
+    |D| above and |H| - E bounds it below.  A column whose upper bound falls
+    short of the largest lower bound cannot hold the maximum, and dropping it
+    leaves max |D| unchanged.  If any control, m, value or E is not finite,
+    every column is kept: so it is for huge controls, and from degree 1024
+    on, where (2w)^k overflows at t = 0 (a binomial of 2^1023 or more, from
+    degree 1029 on, is taken as infinite rather than converted).
     """
     k = len(ctrl) - 1
-    binom = np.array([float(c) if c.bit_length() < 1024 else np.inf for c in _binomials(k)])
+    controls = ctrl.tolist()
+    counts = Counter(controls)
+    m = max(counts, key=counts.__getitem__)
+    if counts[m] == 1:
+        m = 0.0
+    off = [i for i, b in enumerate(controls) if b != m] or [0]
+    lo, hi = off[0], off[-1]
+    binom = np.array([float(c) if c.bit_length() < 1024 else np.inf
+                      for c in _binomials(k)[lo:hi + 1]])
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = ctrl * binom
+        coef = (ctrl[lo:hi + 1] - m) * binom
         value = np.empty(len(grid.t))
-        # Left of the middle Q = s^k sum_i a_i r^i, right of it t^k sum_i a_i r^(k-i).
-        for h, r, order in ((value[:grid.half], grid.left_ratio, coef[::-1]),
-                            (value[grid.half:], grid.right_ratio, coef)):
+        # Left of the middle R = s^k r^lo sum_i coef_i r^(i-lo), right of it
+        # R = t^k r^(k-hi) sum_i coef_i r^(hi-i).
+        for h, r, order, skip in ((value[:grid.half], grid.left_ratio, coef[::-1], lo),
+                                  (value[grid.half:], grid.right_ratio, coef, k - hi)):
             h[:] = order[0]
             for c in order[1:]:
                 h *= r
                 h += c
-        value = np.abs(np.ldexp(value * _power(grid.twice_max, k), -k))
-        err = (6 * k + 8) * 2.0 ** -53 * np.max(np.abs(ctrl)) + 2 * (k + 2) ** 2 * 2.0 ** -1074
+            h *= _power(r, skip)
+        value = np.abs(m + np.ldexp(value * _power(grid.twice_max, k), -k))
+        top = np.max(np.abs(ctrl))
+        err = ((12 * k + 16) * 2.0 ** -53 * top + np.ldexp(top, k - 1068)
+               + 2 * (k + 2) ** 2 * 2.0 ** -1074)
         high = value + err
         keep = high >= np.max(value - err)
     return keep if np.isfinite(high).all() else np.ones_like(keep)

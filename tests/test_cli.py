@@ -158,6 +158,14 @@ def test_config_naming_a_directory_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_config_path_with_a_nul_byte_exits_2(capsys):
+    """A NUL byte in the path is a fault of the path, not of the JSON."""
+    assert run(["spectrum", "--config", "a\x00b"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "invalid JSON" not in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["spectrum", "-h"],
                                   ["verify", "--help"], ["verify", "weak", "--count", "8", "-h"]])
 def test_help_prints_usage_and_exits_0(argv, capsys):

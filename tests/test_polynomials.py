@@ -583,10 +583,47 @@ def test_sup_candidates_keep_every_point_when_the_bound_overflows():
 
 
 def test_sup_candidates_prune_a_notch_derivative():
+    """A notch approximant p sits on the plateau 1.0 and p' on 0.0, each with
+    a few controls off it; the filter keeps few columns for either."""
     f = notch(2, make_spectrum("geometric", 16))
-    dp = approximate_with_derivative(f, 128).derivative()
-    ctrl = _floats(*_bernstein_controls(dp, f.a, f.b))
-    assert np.count_nonzero(_sup_candidates(ctrl, _grid(4096))) <= 4096 // 16
+    p = approximate_with_derivative(f, 128)
+    for q in (p, p.derivative()):
+        ctrl = _floats(*_bernstein_controls(q, f.a, f.b))
+        assert np.count_nonzero(_sup_candidates(ctrl, _grid(4096))) <= 4096 // 16
+
+
+@st.composite
+def plateau_rows(draw):
+    """Controls of degree 1 to 300 on a plateau, with 1 to 5 of them changed,
+    the first and the last among the candidates."""
+    k = draw(st.integers(1, 300))
+    m = draw(st.sampled_from([0.0, 1.0, 0.1, -2.5]))
+    ctrl = np.full(k + 1, m)
+    spots = st.one_of(st.sampled_from([0, k]), st.integers(0, k))
+    near = st.sampled_from([m + 2.0 ** -30, m - 2.0 ** -30, -m, 2 * m + 1])
+    for i in draw(st.lists(spots, min_size=1, max_size=5)):
+        ctrl[i] = draw(st.one_of(near, st.floats(-4, 4)))
+    return ctrl
+
+
+@settings(max_examples=8, deadline=None)  # each example sweeps all 4096 columns
+@given(plateau_rows())
+@example(np.array([0.1] * 5 + [0.0] + [0.1] * 5))  # a dip: the maximum is off the support
+@example(np.array([0.0] * 40 + [0.5]))  # only the last control changed
+@example(np.array([-3.0] + [1.0] * 40))  # only the first
+@example(np.array([1.0, 0.5] + [0.1] * 37 + [0.3, 1.0]))  # both ends and inner controls
+def test_sup_candidates_keep_the_largest_value_of_a_plateau_row(ctrl):
+    """On a plateau row the mask keeps the column of the largest |value| of
+    the plain sweep over the whole grid, and `_grid_sups` returns that value
+    bitwise.  The full sweep is `_de_casteljau`'s, which equals the plain one
+    bitwise (`test_batched_sweep_equals_plain_sweep_per_row`); the plain
+    sweep confirms it at the chosen column."""
+    grid = _grid(4096)
+    values = np.abs(_de_casteljau([(ctrl, grid.t, grid.s)])[0])
+    j = int(np.argmax(values))
+    assert abs(plain_de_casteljau(ctrl, grid.t[j:j + 1], grid.s[j:j + 1])[0]) == values[j]
+    assert _sup_candidates(ctrl, grid)[j]
+    assert _grid_sups([ctrl]) == [float(values[j])]
 
 
 def test_batched_sweep_equals_plain_sweep_per_row():

@@ -18,8 +18,9 @@ from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence,
                        operator_norm)
 from .amenability import (ApproximationStep, DerivationSpace, algebra_element,
                           approximate_identity_step, approximate_identity_steps, bai_defect,
-                          derivation_space, generation_defect, generation_defect_closed_form,
-                          idempotent_E, idempotent_norm_closed_form, idempotent_partial_sum,
+                          derivation_dimensions, derivation_space, generation_defect,
+                          generation_defect_closed_form, idempotent_E,
+                          idempotent_norm_closed_form, idempotent_partial_sum,
                           membership_residual, report_from_steps, unit_approximation_step,
                           unit_approximation_steps)
 from .similarity import (IntertwinerSolve, conjugate_by_upper_unipotent,
@@ -33,10 +34,11 @@ __all__ = [
     "MvtCheck", "NotchFunction", "Polynomial", "SpectrumSequence", "Surd", "algebra_element",
     "approximate_identity_step", "approximate_identity_steps", "approximate_with_derivative",
     "apply_poly_to_block", "as_fraction", "bai_defect", "build_T", "build_shifted_T",
-    "conjugate_by_upper_unipotent", "derivation_space", "divide_shifted", "evaluate_on_grid",
-    "exact_sqrt", "generation_defect", "generation_defect_closed_form", "idempotent_E",
-    "idempotent_norm_closed_form", "idempotent_partial_sum", "interval_sups", "is_exact_zero",
-    "make_spectrum", "membership_residual", "minimal_intertwiner", "mvt_bound_check", "notch",
-    "operator_norm", "report_from_steps", "similarity_growth_sweep", "sup_norm", "to_float",
+    "conjugate_by_upper_unipotent", "derivation_dimensions", "derivation_space",
+    "divide_shifted", "evaluate_on_grid", "exact_sqrt", "generation_defect",
+    "generation_defect_closed_form", "idempotent_E", "idempotent_norm_closed_form",
+    "idempotent_partial_sum", "interval_sups", "is_exact_zero", "make_spectrum",
+    "membership_residual", "minimal_intertwiner", "mvt_bound_check", "notch", "operator_norm",
+    "report_from_steps", "similarity_growth_sweep", "sup_norm", "to_float",
     "unit_approximation_step", "unit_approximation_steps", "unit_notch", "write_report",
 ]

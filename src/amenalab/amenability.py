@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import NamedTuple, Sequence
 
 from . import _rational_linalg as rl
@@ -356,6 +356,67 @@ def derivation_space(generators, bimodule=None) -> DerivationSpace:
         basis.append(tuple(_rows(_combination(c, images), n) for c in gen_coords))
     return DerivationSpace(tuple(_rows(g, n) for g in gens), module_kind,
                            tuple(_rows(x, n) for x in module), tuple(basis), algebra_dim)
+
+
+def derivation_dimensions(generator) -> tuple[int, int]:
+    """(dim Der(A, A), dim A) for the non-unital algebra A spanned by the
+    powers of one exact square matrix X, A acting on itself: the `dimension`
+    and `algebra_dim` of `derivation_space([X])`, with no Leibniz system.
+
+    Entries are int or Fraction, as for `derivation_space`.  N is X's integer
+    numerator matrix; it generates the same A.  The powers N, N^2, ... are
+    reduced fraction-free against one echelon, each with a unit coefficient
+    block of width n + 1 (`rl._reduce`), until one's matrix part reduces to
+    zero.  Its coefficients give the integer polynomial P of least degree with
+    P(0) = 0 and P(N) = 0, and deg P = d + 1 for d = dim A, the number of
+    powers before it.  The least-degree polynomial vanishing at N is the
+    minimal polynomial m, of degree at most n, so P = m if m(0) = 0 and z m
+    otherwise, and the loop ends by N^(n + 1).
+
+    Proof that dim Der(A, A) = deg gcd(P, P').  Evaluation at N maps zQ[z]
+    onto A with kernel P Q[z], so A = zQ[z] / (P).  A derivation D is fixed by
+    a = D(N) in A, and then D(q(N)) = q'(N) a for q in zQ[z] (Leibniz on
+    powers).  This is well defined iff q'(N) a = 0 whenever P divides q; for
+    q = P r, q'(N) a = r(N) P'(N) a, so the condition is P'(N) a = 0, and
+    any such a gives a derivation.  So Der(A, A) = {a in A : P'(N) a = 0}.
+    In B = Q[z] / (P) the annihilator of P' is (P / g) B, g = gcd(P, P'), of
+    dimension deg g.  If z^e exactly divides P (e >= 1), z^(e-1) exactly
+    divides P' and so g, and z divides P / g: the annihilator lies in zB = A.
+    A primitive pseudo-remainder sequence scales by nonzero constants only, so
+    its last nonzero term is g up to a constant.  Both numbers are unchanged
+    by X -> cX for c != 0, and over any field of characteristic 0.
+    """
+    x = _to_exact_matrix(generator)
+    size = len(x.nums)
+    n = math.isqrt(size)
+    power = x
+    echelon: dict[int, list[int]] = {}
+    for k in range(n + 1):
+        row = rl._reduce([*power.nums, *(int(i == k) for i in range(n + 1))], echelon)
+        pivot = next(i for i, v in enumerate(row) if v)
+        if pivot >= size:  # c_0 N + ... + c_k N^(k+1) = 0
+            p = [*reversed(row[size:size + k + 1]), 0]
+            return _gcd_degree(p, [(len(p) - 1 - i) * c for i, c in enumerate(p[:-1])]), k
+        echelon[pivot] = row
+        power = _mat_mul(power, x, n)
+    raise InternalConsistencyError("no dependency among the first n + 1 powers")
+
+
+def _gcd_degree(a: list[int], b: list[int]) -> int:
+    """deg gcd(a, b) of nonzero integer polynomials, leading coefficient
+    first, deg a >= deg b: a becomes the primitive part of b[0] a - a[0] b z^j
+    until its degree falls below b's, and then the two swap."""
+    while len(b) > 1:
+        while len(a) >= len(b):
+            f = a[0]
+            a = [b[0] * x - f * y for x, y in zip_longest(a, b, fillvalue=0)]
+            while a and not a[0]:
+                a.pop(0)
+            a = rl._primitive(a) or []
+        if not a:
+            return len(b) - 1
+        a, b = b, a
+    return 0
 
 
 # --- approximate identities --------------------------------------------------

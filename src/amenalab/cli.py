@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .amenability import (bai_defect, character_ladders, derivation_space,
+from .amenability import (bai_defect, character_ladders, derivation_dimensions,
                           generation_defect_closed_form, generation_sweep, idempotency_sweep,
                           idempotent_norm_closed_form, idempotent_sum, report_from_steps)
 from .membership import membership_trials
@@ -97,19 +97,27 @@ class Check(NamedTuple):
 
 
 def _as_int(value, field: str) -> int:
-    """An integer field: a JSON integer or a decimal string."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+    """An integer field: a JSON integer, or a string of ASCII digits with an
+    optional sign, blanks around it allowed (int() would also take '1_6' and
+    non-ASCII digits such as '８')."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        text = value.strip(" \t")
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(text)
+            except ValueError:  # more digits than int() converts
+                pass
     raise ConfigError(f"{field}: expected an integer, got {value!r}")
 
 
 def _int_list(items, field: str) -> tuple[int, ...]:
-    """A list field, given as a JSON list or a comma-separated string."""
+    """A list field, given as a JSON list or a comma-separated string; an
+    empty item is an error, not skipped."""
     if isinstance(items, str):
-        items = [part for part in items.split(",") if part.strip()]
+        items = items.split(",")
     if not isinstance(items, (list, tuple)):
         raise ConfigError(f"{field}: expected a list of integers")
     out = tuple(_as_int(x, field) for x in items)
@@ -159,10 +167,7 @@ def _tolerance(value, field: str) -> float:
 def _parse_degrees(text: str) -> tuple[int, ...]:
     if ":" in text:
         lo_s, _, hi_s = text.partition(":")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ConfigError("degrees: expected 'a:b' or a comma-separated list")
+        lo, hi = _as_int(lo_s, "degrees"), _as_int(hi_s, "degrees")
         if lo < 2 or hi < lo:
             raise ConfigError("degrees: range bounds must satisfy 2 <= a <= b")
         out = []
@@ -434,18 +439,17 @@ def _verify_derivations(cfg: RunConfig):
             case += 1
             diag = [[int(i == j and (mask >> i) & 1) for j in range(dim)]
                     for i in range(dim)]
-            space = derivation_space([diag])
-            rows.append((case, space.dimension, space.dimension, space.algebra_dim))
-            ok = ok and space.dimension == 0
+            dimension, algebra_dim = derivation_dimensions(diag)
+            rows.append((case, dimension, dimension, algebra_dim))
+            ok = ok and dimension == 0
     nilpotent_dims = []
     for size in (2, 3, 4):
         case += 1
         jordan = [[int(j == i + 1) for j in range(size)] for i in range(size)]
-        space = derivation_space([jordan])
-        nilpotent_dims.append(space.dimension)
-        rows.append((case, 0 if space.dimension >= 1 else 1,
-                     space.dimension, space.algebra_dim))
-        ok = ok and space.dimension >= 1
+        dimension, algebra_dim = derivation_dimensions(jordan)
+        nilpotent_dims.append(dimension)
+        rows.append((case, 0 if dimension >= 1 else 1, dimension, algebra_dim))
+        ok = ok and dimension >= 1
     report = ConvergenceReport(("index", "residual", "u_norm", "q_bound"),
                                tuple(rows), ok, True, 0.0)
     checks = [Check("derivations.dichotomy", ok,

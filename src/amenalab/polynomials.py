@@ -46,6 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import groupby
 from math import comb, factorial, gcd, lcm
 from typing import NamedTuple, Sequence
 
@@ -590,9 +591,11 @@ def _power(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _sup_candidates(ctrl: np.ndarray, grid: _Grid) -> np.ndarray:
+def _sup_candidates(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> np.ndarray:
     """Mask of the grid columns whose `_de_casteljau` value may have the
     largest magnitude; every other column provably has a smaller one.
+    `scale` is (2w)^k = `_power(grid.twice_max, k)` for the row's degree k,
+    which the caller computes once per degree.
 
     With u = 2^-53, gamma_n = n u / (1 - n u), C = max |beta_i| and, in
     exact arithmetic on the same doubles t and s,
@@ -673,7 +676,7 @@ def _sup_candidates(ctrl: np.ndarray, grid: _Grid) -> np.ndarray:
                 h *= r
                 h += c
             h *= _power(r, skip)
-        value = np.abs(m + np.ldexp(value * _power(grid.twice_max, k), -k))
+        value = np.abs(m + np.ldexp(value * scale, -k))
         top = np.max(np.abs(ctrl))
         err = ((12 * k + 16) * 2.0 ** -53 * top + np.ldexp(top, k - 1068)
                + 2 * (k + 2) ** 2 * 2.0 ** -1074)
@@ -701,21 +704,29 @@ def _grid_sups(ctrls: Sequence[np.ndarray]) -> list[float]:
     control 0.1 = C, but the sweep's maximum is 0.10000000000000012.
 
     Otherwise the row is swept only at the columns `_sup_candidates` keeps.
+    Those rows are filtered in order of degree, with (2w)^k computed once per
+    degree, so one such grid-sized array is alive at a time.
     """
     grid = _grid(DEFAULT_GRID)
     t, s = grid.t, grid.s
     sups: list = [None] * len(ctrls)
-    swept, rows = [], []
+    swept = []
     for i, ctrl in enumerate(ctrls):
         top = np.max(np.abs(ctrl))
         if (np.isfinite(top) and (top == abs(ctrl[0]) or top == abs(ctrl[-1]))
                 and np.all(top * s + top * t <= top)):
             sups[i] = float(top)
         else:
-            keep = _sup_candidates(ctrl, grid)
             swept.append(i)
-            rows.append((ctrl, t[keep], s[keep]))
-    for i, values in zip(swept, _de_casteljau(rows)):
+    rows = {}
+    for size, group in groupby(sorted(swept, key=lambda i: len(ctrls[i])),
+                               lambda i: len(ctrls[i])):
+        with np.errstate(over="ignore"):  # from degree 1024 on; the filter keeps every column
+            scale = _power(grid.twice_max, size - 1)
+        for i in group:
+            keep = _sup_candidates(ctrls[i], grid, scale)
+            rows[i] = (ctrls[i], t[keep], s[keep])
+    for i, values in zip(swept, _de_casteljau([rows[i] for i in swept])):
         sups[i] = float(np.max(np.abs(values)))
     return sups
 

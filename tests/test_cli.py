@@ -103,6 +103,23 @@ def test_verify_rejects_bad_tolerance(capsys):
     (None, ["--kind", "bogus"], "spectrum.kind:"),
     (None, ["--format", "xml"], "format:"),
     (None, ["--tol-analytic", "x"], "tol_analytic:"),
+    # text that int() reads but that is not a decimal integer, and empty items
+    (None, ["--count", "1_6"], "count:"),
+    (None, ["--count", "\uff18"], "count:"),  # a full-width 8
+    (None, ["--count", "\u0668"], "count:"),  # an Arabic-Indic 8
+    (None, ["--count", "8\u2003"], "count:"),  # an em space
+    (None, ["--count", ""], "count:"),
+    (None, ["--count", "+"], "count:"),
+    ({"spectrum": {"count": "1_6"}}, [], "count:"),
+    (None, ["--truncations", "4,,8"], "truncations:"),
+    (None, ["--truncations", "4,8,"], "truncations:"),
+    (None, ["--truncations", ","], "truncations:"),
+    (None, ["--truncations", "4,8_0"], "truncations:"),
+    ({"truncations": ["4", "1_6"]}, [], "truncations:"),
+    (None, ["--degrees", "8,16,"], "degrees:"),
+    (None, ["--degrees", ",8,16"], "degrees:"),
+    (None, ["--degrees", "8:1_28"], "degrees:"),
+    (None, ["--degrees", "\uff18:64"], "degrees:"),
 ])
 def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field):
     argv = ["verify", "similarity", "--out", str(tmp_path / "r"), *flags]
@@ -172,6 +189,19 @@ def test_help_prints_usage_and_exits_0(argv, capsys):
     assert run(argv) == 0
     assert capsys.readouterr().out == USAGE
     assert all(flag in USAGE for flag in FLAGS)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "all", "--count", "8"], "c7c9377e3931"),
+    (["verify", "all", "--count", "+8", "--truncations", " 4, 8,16 ", "--degrees", "8:64"],
+     "8f08dc4b49d1"),
+    (["verify", "similarity", "--truncations", "4,8,16", "--degrees", "8,16,32,64"],
+     "b7b0fc5f7013"),
+])
+def test_decimal_integer_fields_keep_their_digests(argv, digest):
+    """Valid integer text, a sign and blanks around items included, gives the
+    config digests recorded before integer fields became ASCII-only."""
+    assert config_hash(resolve_config(parse_argv(argv)[2])) == digest
 
 
 def test_flag_value_forms_agree():

@@ -14,7 +14,7 @@ from amenalab import (InternalConsistencyError, Polynomial, apply_poly_to_block,
                       evaluate_on_grid, exact_sqrt, interval_sups, make_spectrum,
                       mvt_bound_check, notch, sup_norm, unit_notch)
 from amenalab.polynomials import (GRID_BLOCK, _bernstein_controls, _de_casteljau, _floats,
-                                  _grid, _grid_sups, _sup_candidates, interval_sups_many)
+                                  _grid, _grid_sups, _power, _sup_candidates, interval_sups_many)
 from amenalab.membership import membership_trials
 from amenalab.scalars import as_fraction
 from oracle_utils import (approximant_oracle, bernstein_to_monomial, count_method_calls,
@@ -573,13 +573,19 @@ def test_hull_certificate_decides_endpoint_maxima_without_a_sweep(monkeypatch, c
     assert sum(len(rows) for rows, in calls) == sweeps
 
 
-def test_sup_candidates_keep_every_point_when_the_bound_overflows():
+def candidates(ctrl):
+    """`_sup_candidates` on the 4096-point grid, with the row's own (2w)^k."""
     grid = _grid(4096)
-    assert _sup_candidates(np.array([1e308, -1e308, 1e308]), grid).all()
+    with np.errstate(over="ignore"):
+        return _sup_candidates(ctrl, grid, _power(grid.twice_max, len(ctrl) - 1))
+
+
+def test_sup_candidates_keep_every_point_when_the_bound_overflows():
+    assert candidates(np.array([1e308, -1e308, 1e308])).all()
     # From degree 1024 (2 max(t, s))^k overflows at t = 0; at degree 1100 the
     # middle binomials leave the double range too.
-    assert _sup_candidates(np.ones(1025), grid).all()
-    assert _sup_candidates(np.ones(1101), grid).all()
+    assert candidates(np.ones(1025)).all()
+    assert candidates(np.ones(1101)).all()
 
 
 def test_sup_candidates_prune_a_notch_derivative():
@@ -589,7 +595,7 @@ def test_sup_candidates_prune_a_notch_derivative():
     p = approximate_with_derivative(f, 128)
     for q in (p, p.derivative()):
         ctrl = _floats(*_bernstein_controls(q, f.a, f.b))
-        assert np.count_nonzero(_sup_candidates(ctrl, _grid(4096))) <= 4096 // 16
+        assert np.count_nonzero(candidates(ctrl)) <= 4096 // 16
 
 
 @st.composite
@@ -622,7 +628,7 @@ def test_sup_candidates_keep_the_largest_value_of_a_plateau_row(ctrl):
     values = np.abs(_de_casteljau([(ctrl, grid.t, grid.s)])[0])
     j = int(np.argmax(values))
     assert abs(plain_de_casteljau(ctrl, grid.t[j:j + 1], grid.s[j:j + 1])[0]) == values[j]
-    assert _sup_candidates(ctrl, grid)[j]
+    assert candidates(ctrl)[j]
     assert _grid_sups([ctrl]) == [float(values[j])]
 
 
@@ -666,6 +672,30 @@ def test_grid_sups_sweep_a_batch_once(monkeypatch):
     grid = _grid(4096)
     for ctrl, sup in zip(rows, got):
         assert sup == float(np.max(np.abs(plain_de_casteljau(ctrl, grid.t, grid.s))))
+
+
+def test_grid_sups_raise_the_grid_once_per_degree(monkeypatch):
+    """Swept rows of four degrees, up to four rows of one degree, in an order
+    that mixes them: `_grid_sups` raises 2 max(t, s) once per degree, filters
+    each row with its own degree's power, and every sup is bitwise the
+    largest |value| of the full sweep of its row."""
+    s = make_spectrum("geometric", 16)
+    rows = []
+    for k in (33, 8, 16, 33, 8):
+        for f in (notch(2, s), notch(3, s)):
+            p = approximate_with_derivative(f, k)
+            rows.append(_floats(*_bernstein_controls(p, f.a, f.b)))
+    rows += [rows.pop(0), np.array([0.5, -1.0, 2.0, 0.25])]
+    grid = _grid(4096)
+    powers = record_calls(monkeypatch, "amenalab.polynomials", "_power")
+    filtered = record_calls(monkeypatch, "amenalab.polynomials", "_sup_candidates")
+    got = _grid_sups(rows)
+    assert len(filtered) == len(rows)
+    assert sorted(k for x, k in powers if x is grid.twice_max) == [3, 8, 16, 33]
+    for ctrl, _, scale in filtered:
+        assert scale.tobytes() == _power(grid.twice_max, len(ctrl) - 1).tobytes()
+    full = _de_casteljau([(ctrl, grid.t, grid.s) for ctrl in rows])
+    assert got == [float(np.max(np.abs(values))) for values in full]
 
 
 def test_interval_sups_many_equal_one_request_each(monkeypatch):

@@ -12,9 +12,9 @@ from itertools import accumulate, zip_longest
 from typing import NamedTuple, Sequence
 
 from . import _rational_linalg as rl
-from .polynomials import (InternalConsistencyError, Polynomial, _bernstein_controls, _horner,
-                          _weights, approximate_with_derivative, interval_sups,
-                          interval_sups_many, notch, unit_notch)
+from .polynomials import (InternalConsistencyError, Polynomial, _bernstein_controls,
+                          _bernstein_sum, _support, approximate_with_derivative,
+                          interval_sups, interval_sups_many, notch, unit_notch)
 from .reports import ConvergenceReport
 from .scalars import (_common_denominator, as_fraction, exact_key, hypot, is_exact_zero,
                       scaled_float, to_float)
@@ -450,8 +450,16 @@ def _step_coordinates(alpha: Fraction, beta: int, spectrum: SpectrumSequence) ->
             for (t, c), root in zip(pairs, spectrum.roots)]
 
 
+def _coordinate_powers(coords: list[tuple], degrees) -> dict[int, list[int]]:
+    """d^k for the d of each coordinate of `coords` (`_step_coordinates`)
+    at each degree k.  As lambda_m / lambda_1 = s / d, d is the same in
+    every ladder of a spectrum, so one table serves all of a run's ladders."""
+    return {k: [c[1] ** k for c in coords] for k in set(degrees)}
+
+
 def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: SpectrumSequence,
-                      coords: list[tuple]) -> tuple[float, float, _StepValues]:
+                      coords: list[tuple], powers: dict[int, list[int]]
+                      ) -> tuple[float, float, _StepValues]:
     """(||X u - X||, ||u||, values) for u = p(X), p(0) = 0, X = alpha I + beta T
     with beta = +-1, bitwise `operator_norm` of the floats of the exact
     X u - X and u, which are never built; neither is X.
@@ -466,14 +474,17 @@ def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: Spect
     for any other p).  a is the end t = 0 when beta = 1 and t = 1 when
     beta = -1, so p(a) is an end control and p'(a) beta k / lambda_1 times
     the end difference.  With lambda_m / lambda_1 = s / d, c sits at
-    t = s / d or 1 - s / d, and per coordinate one homogeneous pass gives
-    p(c) as sum_j c_j C(k, j) s^j (d - s)^(k-j) / (den d^k), or with s and
-    d - s swapped (`_horner`).  Then b Dp = sqrt(lambda_m) (p(c) - p(a)) /
-    lambda_m, free of beta.  Each entry is floated once from integers
-    (`scaled_float` for b); each float is that of an exact value, correctly
-    rounded, so it does not depend on the denominator it is taken over.  A
-    born approximant vanishes at 0 by construction; any other p has its
-    constant term checked.  `coords` is its `_step_coordinates`.
+    t = s / d or 1 - s / d, and p(c) is sum_j c_j C(k, j) s^j (d - s)^(k-j)
+    / (den d^k), or the same with s and d - s swapped: `_bernstein_sum`,
+    the plateau times d^k plus one pass over the controls off the plateau,
+    whose weights are computed once per p (`_support`).  Then b Dp =
+    sqrt(lambda_m) (p(c) - p(a)) / lambda_m, free of beta.  Each entry is
+    floated once from integers (`scaled_float` for b); each float is that of
+    an exact value, correctly rounded, so it does not depend on the
+    denominator it is taken over.  A born approximant vanishes at 0 by
+    construction; any other p has its constant term checked.  `coords` is
+    its `_step_coordinates`, and `powers` a `_coordinate_powers` table that
+    holds p's degree k, from which each d^k is read.
     """
     if p._birth is None and p._integers[0][0]:
         raise ValueError("constant term must vanish; the algebra model is non-unital")
@@ -481,7 +492,7 @@ def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: Spect
     lo = alpha if beta > 0 else alpha - lam_1
     ctrl, den = _bernstein_controls(p, lo, lo + lam_1)
     k = len(ctrl) - 1
-    weights = _weights(ctrl)
+    support = _support(ctrl)
     l1_num, l1_den = lam_1.numerator, lam_1.denominator
     big_a, e = alpha.numerator, alpha.denominator
     end = 0 if beta > 0 else -1  # the index of a's end control
@@ -490,10 +501,10 @@ def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: Spect
     values = _StepValues((h * l1_num, beta * k * (ctrl[end + beta] - h) * l1_den if k else 0,
                           den * l1_num), [])
     u, r = [], []
-    for s, d, root, c_num, c_den in coords:
-        dk = d ** k
+    for (s, d, root, c_num, c_den), dk in zip(coords, powers[k]):
         # den d^k p(c)
-        hc = _horner(weights, s, d - s) if beta > 0 else _horner(weights, d - s, s)
+        hc = (_bernstein_sum(support, s, d - s, dk) if beta > 0
+              else _bernstein_sum(support, d - s, s, dk))
         # with q = den d^k l1_num s, (p(c) - p(a)) / lambda_m = diff / q and p(c) = hc / q
         diff = (hc - h * dk) * d * l1_den
         q = den * dk * l1_num * s
@@ -522,18 +533,21 @@ def _divided_sup(lam_n: Fraction, values: _StepValues) -> float:
 
 
 def _step(p: Polynomial, n: int | None, spectrum: SpectrumSequence, sups: tuple[float, float],
-          coords: list[tuple]) -> ApproximationStep:
+          coords: list[tuple], powers: dict[int, list[int]]) -> ApproximationStep:
     """The step of the kernel-n ladder, or of the unit ladder for n None,
-    given p's `interval_sups` on its notch interval and `_step_coordinates`."""
+    given p's `interval_sups` on its notch interval, `_step_coordinates` and
+    `_coordinate_powers`."""
     lam_1 = spectrum.lam(1)
     p_sup, dp_sup = sups
     if n is None:
-        residual, element_norm, values = _polynomial_norms(p, Fraction(0), 1, spectrum, coords)
+        residual, element_norm, values = _polynomial_norms(p, Fraction(0), 1, spectrum, coords,
+                                                           powers)
         q_sup, bound = _quotient_sup(values), dp_sup
         certified = p_sup + math.sqrt(float(lam_1)) * bound
     else:
         lam_n = spectrum.lam(n)
-        residual, element_norm, values = _polynomial_norms(p, lam_n, -1, spectrum, coords)
+        residual, element_norm, values = _polynomial_norms(p, lam_n, -1, spectrum, coords,
+                                                           powers)
         q_sup, bound = _divided_sup(lam_n, values), p_sup + float(lam_n) * dp_sup
         certified = p_sup + math.sqrt(float(lam_1)) * (bound + p_sup) / float(lam_n)
     return ApproximationStep(max(p.degree, 0), residual, element_norm, bound,
@@ -553,8 +567,9 @@ def approximate_identity_step(p: Polynomial, n: int,
     composition with `divide_shifted` and `mvt_bound_check`.
     """
     lam_n = spectrum.lam(n)
-    return _step(p, n, spectrum, interval_sups(p, lam_n - spectrum.lam(1), lam_n),
-                 _step_coordinates(lam_n, -1, spectrum))
+    coords = _step_coordinates(lam_n, -1, spectrum)
+    return _step(p, n, spectrum, interval_sups(p, lam_n - spectrum.lam(1), lam_n), coords,
+                 _coordinate_powers(coords, [max(p.degree, 0)]))
 
 
 def approximate_identity_steps(n: int, spectrum: SpectrumSequence,
@@ -591,8 +606,9 @@ def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence) -> Approx
     """One sweep step against the generator itself: u = p(T) and the residual
     ||T u - T|| (`_polynomial_norms`), with q = p / z (`_quotient_sup`)
     bounded by sup|p'| on [0, lambda_1]."""
-    return _step(p, None, spectrum, interval_sups(p, Fraction(0), spectrum.lam(1)),
-                 _step_coordinates(Fraction(0), 1, spectrum))
+    coords = _step_coordinates(Fraction(0), 1, spectrum)
+    return _step(p, None, spectrum, interval_sups(p, Fraction(0), spectrum.lam(1)), coords,
+                 _coordinate_powers(coords, [max(p.degree, 0)]))
 
 
 def unit_approximation_steps(spectrum: SpectrumSequence,
@@ -605,19 +621,18 @@ def character_ladders(spectrum: SpectrumSequence, ladders: Sequence[int | None],
     """The steps at every degree of each ladder: the kernel n, or the unit
     for None (`_step`).  Every approximant is built first, then all their
     `interval_sups` come from one `interval_sups_many` call, and only then
-    run the exact norms; `verify character` makes one call for all its
-    ladders."""
+    run the exact norms, with one `_coordinate_powers` table for all the
+    ladders; `verify character` makes one call for all its ladders."""
     _validate_degrees(degrees)
     built = [(n, unit_notch(spectrum) if n is None else notch(n, spectrum)) for n in ladders]
     built = [(n, f, [approximate_with_derivative(f, k) for k in degrees]) for n, f in built]
     sups = iter(interval_sups_many([(p, f.a, f.b) for _, f, ps in built for p in ps]))
-    out = []
-    for n, f, ps in built:
-        # X is T for the unit (f.a = 0) and lambda_n I - T for a kernel (f.b = lambda_n)
-        coords = _step_coordinates(*((f.a, 1) if n is None else (f.b, -1)), spectrum)
-        out.append([_step(p, n, spectrum, next(sups), coords)._replace(degree=k)
-                    for p, k in zip(ps, degrees)])
-    return out
+    # X is T for the unit (f.a = 0) and lambda_n I - T for a kernel (f.b = lambda_n)
+    coords = [_step_coordinates(*((f.a, 1) if n is None else (f.b, -1)), spectrum)
+              for n, f, _ in built]
+    powers = _coordinate_powers(coords[0], [max(p.degree, 0) for *_, ps in built for p in ps])
+    return [[_step(p, n, spectrum, next(sups), c, powers)._replace(degree=k)
+             for p, k in zip(ps, degrees)] for (n, _, ps), c in zip(built, coords)]
 
 
 def _validate_degrees(degrees: Sequence[int]):

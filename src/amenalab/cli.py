@@ -282,8 +282,8 @@ def _spectrum_at(cfg: RunConfig, count: int) -> SpectrumSequence:
             spectrum = make_spectrum("explicit", values=cfg.values[:count])
         else:
             spectrum = make_spectrum(cfg.kind, count, ratio=cfg.ratio)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    except ValueError as exc:  # it names a field of the config's spectrum, as "ratio: ..."
+        raise ConfigError(f"spectrum.{exc}")
     # The float tier prints ||E_n|| = sqrt(1/lambda_n + 1) and the tails
     # sqrt(lambda_n + lambda_n^2); both must stay below the largest float.
     top, bottom = spectrum.lam(1), spectrum.lam(len(spectrum))

@@ -7,7 +7,11 @@ approximant is born as its Bernstein controls on its interval, on integer
 numerators over one denominator, in O(k) (`approximate_with_derivative`).
 The character steps evaluate and bound it on these controls alone; its
 coefficients in z are an on-demand view, computed by forward differences
-and one Taylor shift when first read.
+and one Taylor shift when first read.  A notch approximant equals its
+plateau, its most frequent control, at all but a few adjacent controls, so
+the exact Bernstein values run on those alone: the plateau times
+(x + y)^k plus a Horner pass over the span off it (`_bernstein_sum`, its
+weights computed once per polynomial by `_support`).
 Dense-grid evaluation runs a float de Casteljau sweep on the Bernstein
 controls of the interval of interest: high-degree monomial Horner in float
 is unusable here because the exact coefficients grow combinatorially large.
@@ -293,10 +297,9 @@ def unit_notch(spectrum: SpectrumSequence) -> NotchFunction:
 
 def _horner(weights: Sequence[int], x: int, y: int) -> int:
     """sum_j W_j x^j y^(k - j), W nonempty: the homogenised Horner pass
-    H <- H x + W_j y^(k-j) on integers, the one exact evaluation kernel.
-    With the coefficients' numerators and y = D it is D^k times their
-    polynomial at x / D; with the Bernstein weights c_j C(k, j) (`_weights`)
-    and y = D - T it is D^k times the Bernstein form at t = T / D."""
+    H <- H x + W_j y^(k-j) on integers.  With the coefficients' numerators
+    and y = D it is D^k times their polynomial at x / D; `_bernstein_sum`
+    runs it on the weights of the controls off their plateau."""
     acc = weights[-1]
     scale = 1
     for w in reversed(weights[:-1]):
@@ -335,9 +338,49 @@ def _binomials(k: int) -> tuple[int, ...]:
     return tuple(comb(k, j) for j in range(k + 1))
 
 
-def _weights(ctrl: Sequence[int]) -> list[int]:
-    """The Bernstein-Horner weights c_j C(k, j) of controls c_0..c_k."""
-    return [c * w for c, w in zip(ctrl, _binomials(len(ctrl) - 1))]
+def _plateau(controls: Sequence) -> tuple[object, int, int]:
+    """(m, lo, hi): the plateau m, the most frequent control (the first of
+    them on a tie), or a zero of its type if no control repeats, and the
+    span [lo, hi] of the controls other than m (lo = hi = 0 if there are
+    none)."""
+    counts = Counter(controls)
+    m = max(counts, key=counts.__getitem__)
+    if counts[m] == 1:
+        m = type(m)(0)
+    off = [i for i, c in enumerate(controls) if c != m] or [0]
+    return m, off[0], off[-1]
+
+
+class _Support(NamedTuple):
+    """Integer controls c_0..c_k read off their plateau m (`_plateau`): the
+    weights (c_(lo+i) - m) C(k, lo+i) of the span [lo, hi] of the controls
+    other than m.  Computed once per polynomial, read at every point."""
+
+    k: int
+    plateau: int
+    lo: int
+    weights: list[int]
+
+
+def _support(ctrl: Sequence[int]) -> _Support:
+    k = len(ctrl) - 1
+    m, lo, hi = _plateau(ctrl)
+    return _Support(k, m, lo, [(c - m) * w for c, w in
+                               zip(ctrl[lo:hi + 1], _binomials(k)[lo:hi + 1])])
+
+
+def _bernstein_sum(support: _Support, x: int, y: int, total: int) -> int:
+    """sum_j c_j C(k, j) x^j y^(k-j) of the controls of `support`, given
+    total = (x + y)^k; with y = D - T it is D^k times their Bernstein form
+    at t = T / D.  As sum_j C(k, j) x^j y^(k-j) = (x + y)^k, exactly
+
+        sum_j c_j C(k, j) x^j y^(k-j)
+            = m (x + y)^k + x^lo y^(k-hi) sum_i (c_(lo+i) - m) C(k, lo+i) x^i y^(hi-lo-i),
+
+    and the last sum is one `_horner` pass of hi - lo steps.  A dense row
+    is lo = 0, hi = k."""
+    k, m, lo, weights = support
+    return m * total + x ** lo * y ** (k - lo - len(weights) + 1) * _horner(weights, x, y)
 
 
 def _origin_pin(f, degree: int, a: Fraction, width: Fraction,
@@ -395,9 +438,10 @@ def _exact_degree(ctrl: list[int], den: int) -> tuple[list[int], int]:
     den > 0 and gcd(den, *controls) = 1, so zero is [0] over 1.  The top
     t-coefficient sum_j (-1)^(k-j) C(k, j) c_j of degree k controls vanishes
     exactly when the degree is below k; only then are the t-coefficients
-    trimmed and converted back by one Pascal pass."""
+    trimmed and converted back by one Pascal pass.  It is `_bernstein_sum`
+    at x = -1, y = 1, where (x + y)^k = 0 for k >= 1 drops the plateau."""
     k = len(ctrl) - 1
-    if k and not sum((-1) ** (k - j) * w for j, w in enumerate(_weights(ctrl))):
+    if k and not _bernstein_sum(_support(ctrl), -1, 1, 0):
         nums = _t_coefficients(ctrl)
         while len(nums) > 1 and not nums[-1]:
             nums.pop()
@@ -420,9 +464,10 @@ def approximate_with_derivative(f, degree: int) -> Polynomial:
     The raw approximant's controls are the node values f(a + (b - a) j / k),
     on integer numerators over one denominator (`_node_values`).  The root
     at the origin t0 = -a / (b - a) is enforced with the pin of
-    `_origin_pin`: p = raw - raw(t0) pin / pin(t0), both values from one
-    Bernstein-Horner pass, so p's controls are the node values except at
-    the few indices where the pin's are nonzero.  When the origin is an
+    `_origin_pin`: p = raw - raw(t0) pin / pin(t0), both values from
+    `_bernstein_sum` on the controls off their plateau (the pin's are zero
+    outside j0 .. j0 + len(pin) - 1), so p's controls are the node values
+    except at the few indices where the pin's are nonzero.  When the origin is an
     interval endpoint, raw(t0) is the node value f(0) = 0 and no pin is
     needed.  The controls are taken to the exact degree (`_exact_degree`),
     so the sup sweeps run at the same degree as on the trimmed coefficients.
@@ -437,11 +482,12 @@ def approximate_with_derivative(f, degree: int) -> Polynomial:
     ctrl, den = _node_values(f, degree, a, width)
     t0 = -a / width
     top, bottom = t0.numerator, t0.denominator
-    at_t0 = _horner(_weights(ctrl), top, bottom - top)
+    total = bottom ** degree
+    at_t0 = _bernstein_sum(_support(ctrl), top, bottom - top, total)
     if at_t0:
         j0, pin = _origin_pin(f, degree, a, width, t0)
-        pin_t0 = _horner(_weights([0] * j0 + pin + [0] * (degree + 1 - j0 - len(pin))),
-                         top, bottom - top)
+        pin_t0 = _bernstein_sum(_support([0] * j0 + pin + [0] * (degree + 1 - j0 - len(pin))),
+                                top, bottom - top, total)
         if pin_t0 == 0:
             raise InternalConsistencyError("origin pin degenerated to zero at the origin")
         # raw(t0) / pin(t0) = (at_t0 / (den D^degree)) / (pin_t0 / D^degree) = y / (den x)
@@ -607,8 +653,8 @@ def _sup_candidates(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> np.ndar
     below, so t + s <= 1 + u and S <= C (1 + u)^k.  So only the values need
     a pass, and it reads only the controls off the row's plateau.
 
-    The plateau m is the most frequent control, or 0.0 if none repeats, and
-    [lo, hi] spans the controls other than m (lo = hi = 0 if there are none).
+    The plateau m and the span [lo, hi] of the controls other than m are
+    those of `_plateau` (m = 0.0 if no control repeats).
     As sum_i C(k, i) t^i s^(k-i) = (t + s)^k, exactly
         Q = m (t + s)^k + R,   R = sum_(lo <= i <= hi) (beta_i - m) C(k, i) t^i s^(k-i).
     The pass computes H = m + R~, R~ an O(k) evaluation of R (Schumaker and
@@ -655,13 +701,7 @@ def _sup_candidates(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> np.ndar
     degree 1029 on, is taken as infinite rather than converted).
     """
     k = len(ctrl) - 1
-    controls = ctrl.tolist()
-    counts = Counter(controls)
-    m = max(counts, key=counts.__getitem__)
-    if counts[m] == 1:
-        m = 0.0
-    off = [i for i, b in enumerate(controls) if b != m] or [0]
-    lo, hi = off[0], off[-1]
+    m, lo, hi = _plateau(ctrl.tolist())
     binom = np.array([float(c) if c.bit_length() < 1024 else np.inf
                       for c in _binomials(k)[lo:hi + 1]])
     with np.errstate(over="ignore", invalid="ignore"):

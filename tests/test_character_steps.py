@@ -19,7 +19,8 @@ from amenalab import (ApproximationStep, Polynomial, apply_poly_to_block,
                       mvt_bound_check, notch, operator_norm, sup_norm, unit_approximation_step,
                       unit_notch)
 from amenalab import amenability
-from amenalab.amenability import _divided_sup, _polynomial_norms, _quotient_sup, _step_coordinates
+from amenalab.amenability import (_coordinate_powers, _divided_sup, _polynomial_norms,
+                                  _quotient_sup, _step_coordinates)
 from amenalab.polynomials import _from_integers, interval_sups_many
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from amenalab.cli import main
@@ -65,8 +66,10 @@ def oracle_unit_step(p, s):
 
 
 def polynomial_norms(p, alpha, beta, s):
-    """`_polynomial_norms` with the coordinates a ladder would pass."""
-    return _polynomial_norms(p, alpha, beta, s, _step_coordinates(alpha, beta, s))
+    """`_polynomial_norms` with the coordinates and powers a ladder would pass."""
+    coords = _step_coordinates(alpha, beta, s)
+    return _polynomial_norms(p, alpha, beta, s, coords,
+                             _coordinate_powers(coords, [max(p.degree, 0)]))
 
 
 def bits(step):
@@ -173,15 +176,15 @@ def test_verify_character_leaves_the_block_algebra(monkeypatch, tmp_path, capsys
 
 
 def spy_horner_passes(monkeypatch) -> list[Fraction]:
-    """t = x / (x + y) of every Bernstein pass of the character steps."""
+    """t = x / (x + y) of every Bernstein evaluation of the character steps."""
     calls = []
-    real = amenability._horner
+    real = amenability._bernstein_sum
 
-    def spy(weights, x, y):
+    def spy(support, x, y, total):
         calls.append(Fraction(x, x + y))
-        return real(weights, x, y)
+        return real(support, x, y, total)
 
-    monkeypatch.setattr(amenability, "_horner", spy)
+    monkeypatch.setattr(amenability, "_bernstein_sum", spy)
     return calls
 
 

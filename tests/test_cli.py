@@ -59,7 +59,7 @@ def test_verify_rejects_bad_explicit_spectrum(tmp_path, capsys):
     cfg.write_text(json.dumps({"spectrum": {"kind": "explicit", "values": [0.3, 0.4]}}))
     code = run(["verify", "all", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert code == 2
-    assert "values: not strictly decreasing at index 2" in capsys.readouterr().err
+    assert "error: spectrum.values: not strictly decreasing at index 2" in capsys.readouterr().err
 
 
 def test_verify_rejects_unsorted_degrees(capsys):
@@ -120,6 +120,15 @@ def test_verify_rejects_bad_tolerance(capsys):
     (None, ["--degrees", ",8,16"], "degrees:"),
     (None, ["--degrees", "8:1_28"], "degrees:"),
     (None, ["--degrees", "\uff18:64"], "degrees:"),
+    # a geometric ratio outside (0, 1), and an explicit value list that is no spectrum
+    *((None, ["--ratio", r], "spectrum.ratio: must lie strictly between 0 and 1")
+      for r in ("0", "1", "-1/2", "3/2")),
+    *(({"spectrum": {"ratio": r}}, [], "spectrum.ratio: must lie strictly between 0 and 1")
+      for r in (0, 1, "-1/2", "3/2", -0.5, 1.5)),
+    ({"spectrum": {"kind": "explicit", "values": ["1/2", "0"]}}, [],
+     "spectrum.values: not positive at index 2"),
+    ({"spectrum": {"kind": "explicit", "values": ["1/4", "1/2"]}}, [],
+     "spectrum.values: not strictly decreasing at index 2"),
 ])
 def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field):
     argv = ["verify", "similarity", "--out", str(tmp_path / "r"), *flags]

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -13,8 +15,9 @@ from amenalab import (InternalConsistencyError, Polynomial, apply_poly_to_block,
                       approximate_with_derivative, build_T, build_shifted_T, divide_shifted,
                       evaluate_on_grid, exact_sqrt, interval_sups, make_spectrum,
                       mvt_bound_check, notch, sup_norm, unit_notch)
-from amenalab.polynomials import (GRID_BLOCK, _bernstein_controls, _de_casteljau, _floats,
-                                  _grid, _grid_sups, _power, _sup_candidates, interval_sups_many)
+from amenalab.polynomials import (GRID_BLOCK, _bernstein_controls, _bernstein_sum, _de_casteljau,
+                                  _floats, _grid, _grid_sups, _power, _sup_candidates, _support,
+                                  interval_sups_many)
 from amenalab.membership import membership_trials
 from amenalab.scalars import as_fraction
 from oracle_utils import (approximant_oracle, bernstein_to_monomial, count_method_calls,
@@ -443,6 +446,76 @@ def test_origin_pin_guard():
     f = Anchored(Fraction(-1), Fraction(1), lambda x: x * x + 1)
     with pytest.raises(InternalConsistencyError, match="origin pin"):
         approximate_with_derivative(f, 8)
+
+
+# --- the exact Bernstein kernel on the plateau's support -------------------------
+
+def dense_bernstein_sum(ctrl, x, y):
+    """sum_j c_j C(k, j) x^j y^(k-j), term by term."""
+    k = len(ctrl) - 1
+    return sum(c * math.comb(k, j) * x ** j * y ** (k - j) for j, c in enumerate(ctrl))
+
+
+@st.composite
+def integer_rows(draw):
+    """Integer controls of degree 0 to 40: a dense random row, whose small
+    entries tie often, or a plateau (negative, zero or positive) with 1 to 5
+    controls changed, at either end or inside, to a neighbour of the
+    plateau, its negative or any value."""
+    k = draw(st.integers(0, 40))
+    values = st.integers(-10 ** 6, 10 ** 6)
+    if draw(st.booleans()):
+        return draw(st.lists(st.one_of(values, st.integers(-3, 3)),
+                             min_size=k + 1, max_size=k + 1))
+    m = draw(st.integers(-50, 50))
+    ctrl = [m] * (k + 1)
+    spots = st.one_of(st.sampled_from([0, k]), st.integers(0, k))
+    near = st.sampled_from([m + 1, m - 1, -m, 2 * m + 1])
+    for i in draw(st.lists(spots, min_size=1, max_size=5)):
+        ctrl[i] = draw(st.one_of(near, values))
+    return ctrl
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rows(), st.one_of(st.just((-1, 1)),
+                                 st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                                 st.tuples(st.integers(-10 ** 30, 10 ** 30),
+                                           st.integers(1, 10 ** 30))))
+@example([7], (3, 5))  # k = 0
+@example([3, -4], (2, 5))  # k = 1, no control repeats
+@example([5, 0, 0, 0, 7], (2, 3))  # off the plateau at both ends: lo = 0, hi = k
+@example([1, 2, 1, 2, 3], (2, -3))  # a tie for the most frequent control
+@example([-4, -4, -9, -4, -4], (-1, 1))  # the top t-coefficient, plateau negative
+@example([6, 6, 6, 6], (-1, 1))  # no control off the plateau
+def test_bernstein_sum_equals_the_dense_sum(ctrl, point):
+    """`_bernstein_sum` on `_support` equals the dense sum over every
+    control, at any integer point, (-1, 1) and k = 0 included.  The support
+    keeps every control off the plateau, a most frequent control (0 if none
+    repeats), and starts and ends at one unless there is none."""
+    x, y = point
+    support = _support(ctrl)
+    k, m, lo, weights = support
+    hi = lo + len(weights) - 1
+    counts = Counter(ctrl)
+    top = max(counts.values())
+    assert k == len(ctrl) - 1
+    assert counts[m] == top if top > 1 else m == 0
+    assert all(c == m for j, c in enumerate(ctrl) if not lo <= j <= hi)
+    assert (ctrl[lo] != m and ctrl[hi] != m) if any(c != m for c in ctrl) else weights == [0]
+    assert _bernstein_sum(support, x, y, (x + y) ** k) == dense_bernstein_sum(ctrl, x, y)
+
+
+@pytest.mark.parametrize("kind", ["geometric", "harmonic"])
+def test_notch_approximants_leave_their_plateau_at_most_three_times(kind):
+    """The structure `_bernstein_sum` runs on: every notch approximant of a
+    pipeline ladder, degree 8 to 256, has at most three controls off its
+    plateau, all in a span of at most three."""
+    s = make_spectrum(kind, 16)
+    for f in (unit_notch(s), notch(1, s), notch(2, s), notch(3, s)):
+        for k in (8, 16, 32, 64, 128, 256):
+            ctrl = approximate_with_derivative(f, k)._birth[2]
+            support = _support(ctrl)
+            assert 1 <= sum(c != support.plateau for c in ctrl) <= len(support.weights) <= 3
 
 
 # --- shifted division and the mean-value bound ---------------------------------

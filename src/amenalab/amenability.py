@@ -18,7 +18,8 @@ from .polynomials import (InternalConsistencyError, Polynomial, _bernstein_contr
 from .reports import ConvergenceReport
 from .scalars import (_common_denominator, as_fraction, exact_key, hypot, is_exact_zero,
                       scaled_float, to_float)
-from .spectrum import BlockOperator, DiagonalOperator, SpectrumSequence, build_T, operator_norm
+from .spectrum import (BlockOperator, DiagonalOperator, SpectrumSequence, build_T,
+                       float_block_norm, operator_norm)
 
 
 def algebra_element(spectrum: SpectrumSequence, symbol: Sequence) -> BlockOperator:
@@ -62,6 +63,18 @@ def idempotent_sum(spectrum: SpectrumSequence) -> BlockOperator:
     """U = sum_n E_n, the algebra element with symbol 1/sqrt(lambda_n) at
     every n: each E_n is U's coordinate-n block and zero elsewhere."""
     return algebra_element(spectrum, [1 / r for r in spectrum.roots])
+
+
+def unit_identity_exact(spectrum: SpectrumSequence) -> bool:
+    """Whether T U - T == 0 exactly for U = `idempotent_sum`, read per
+    coordinate with no operator built: block n of T is [[0, r], [0, lambda_n]]
+    with r = sqrt(lambda_n), and U's is [[0, g], [0, r g]] with g = 1 / r, so
+    block n of T U - T is [[0, r (r g) - r], [0, lambda_n (r g) - lambda_n]]."""
+    for root, lam in zip(spectrum.roots, spectrum.values):
+        bottom = root * (1 / root)
+        if not (is_exact_zero(root * bottom - root) and is_exact_zero(lam * bottom - lam)):
+            return False
+    return True
 
 
 def idempotent_partial_sum(m: int, spectrum: SpectrumSequence) -> BlockOperator:
@@ -462,7 +475,9 @@ def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: Spect
                       ) -> tuple[float, float, _StepValues]:
     """(||X u - X||, ||u||, values) for u = p(X), p(0) = 0, X = alpha I + beta T
     with beta = +-1, bitwise `operator_norm` of the floats of the exact
-    X u - X and u, which are never built; neither is X.
+    X u - X and u, which are never built; neither is X, nor any float
+    operator: the float triples of the coordinates go straight to
+    `float_block_norm`, the kernel that `operator_norm` runs.
 
     Coordinate m of X is [[a, b], [0, c]] with a = alpha, b = beta sqrt(lambda_m)
     and c = alpha + beta lambda_m, so u_m = [[p(a), b Dp], [0, p(c)]] and
@@ -515,8 +530,7 @@ def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: Spect
                   c_num * (hc - q) / (c_den * q)))
         values.rows.append((beta * diff, hc, q))
     # the rows of coordinates, transposed, are the three float diagonal blocks
-    return (operator_norm(BlockOperator(*map(DiagonalOperator, zip(*r)))),
-            operator_norm(BlockOperator(*map(DiagonalOperator, zip(*u)))), values)
+    return float_block_norm(*zip(*r)), float_block_norm(*zip(*u)), values
 
 
 def _divided_sup(lam_n: Fraction, values: _StepValues) -> float:

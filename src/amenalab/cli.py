@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .amenability import (bai_defect, character_ladders, derivation_dimensions,
                           generation_defect_closed_form, generation_sweep, idempotency_sweep,
-                          idempotent_norm_closed_form, idempotent_sum, report_from_steps)
+                          idempotent_norm_closed_form, report_from_steps, unit_identity_exact)
 from .membership import membership_trials
 from .polynomials import _from_integers
 from .reports import ConvergenceReport, write_report
@@ -220,6 +220,9 @@ def resolve_config(flags: dict[str, str]) -> RunConfig:
     kind = flags.get("kind", spec_cfg.get("kind", "geometric"))
     if kind not in ("geometric", "harmonic", "explicit"):
         raise ConfigError(f"spectrum.kind: unknown kind {kind!r}")
+    if kind != "geometric" and ("ratio" in flags or "ratio" in spec_cfg):
+        # it would be ignored, yet enter the digest; without one the default stays there
+        raise ConfigError("spectrum.ratio: only a geometric spectrum takes a ratio")
     ratio = _exact_number(flags.get("ratio", spec_cfg.get("ratio", "0.5")), "spectrum.ratio")
     count = flags.get("count", spec_cfg.get("count"))
     if count is not None:
@@ -295,12 +298,35 @@ def _spectrum_at(cfg: RunConfig, count: int) -> SpectrumSequence:
 
 # --- verify pipelines ---------------------------------------------------------
 
+def _membership_draws():
+    """The pairs [(a, b), ...] of each trial, one per coefficient a / b of
+    z^1..z^degree: the values of randint(1, 16) for the degree, then of
+    randint(-99, 99) and randint(1, 12) per coefficient, on
+    random.Random(MEMBERSHIP_SEED).  Each draw is what randint(lo, hi) runs
+    (CPython's `_randbelow_with_getrandbits`): getrandbits(n.bit_length())
+    for the width n = hi - lo + 1, redrawn until it falls below n, plus lo;
+    so the stream and the values are randint's, without its argument checks
+    and calls.  The widths 16, 199 and 12 take 5, 8 and 4 bits."""
+    getrandbits = random.Random(MEMBERSHIP_SEED).getrandbits
+    for _ in range(MEMBERSHIP_TRIALS):
+        degree = getrandbits(5)
+        while degree >= 16:
+            degree = getrandbits(5)
+        pairs = []
+        for _ in range(degree + 1):
+            a = getrandbits(8)
+            while a >= 199:
+                a = getrandbits(8)
+            b = getrandbits(4)
+            while b >= 12:
+                b = getrandbits(4)
+            pairs.append((a - 99, b + 1))
+        yield pairs
+
+
 def _membership_polynomials():
     """The trials' random polynomials, born as integers over the lcm of their denominators."""
-    rng = random.Random(MEMBERSHIP_SEED)
-    for _ in range(MEMBERSHIP_TRIALS):
-        degree = rng.randint(1, 16)
-        pairs = [(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(degree)]
+    for pairs in _membership_draws():
         den = math.lcm(*(b for _, b in pairs))
         yield _from_integers([0, *(a * (den // b) for a, b in pairs)], den)
 
@@ -379,8 +405,7 @@ def _verify_character(cfg: RunConfig):
                         "tests/test_amenability.py::test_unit_approximation_trend"))
     files.append(("character_unit", unit_report))
 
-    T = build_T(spectrum)
-    unit_exact = ((T @ idempotent_sum(spectrum)) - T).is_zero()
+    unit_exact = unit_identity_exact(spectrum)
     checks.append(Check("character.unit_exact_identity", unit_exact,
                         "unweighted idempotent sum is an exact identity on the truncation",
                         "tests/test_amenability.py::test_unit_exact_identity"))

@@ -29,9 +29,12 @@ hull certificate of `_grid_sups`), it is the sup and no sweep runs; otherwise
 a Bernstein-Horner pass on the values alone picks the points to sweep.  The
 pass reads only the controls off the row's plateau, its most frequent
 control: a notch approximant has 2 to 4 of them at any degree.  Its
-forward-error bound is one number per polynomial: the sweep's magnitude
-sums are at most max |control| (1 + u)^k on the grid, whose arrays are built
-once per process.  Either way the result is bitwise the full sweep's maximum.
+forward-error bound is first one number per polynomial, as the sweep's
+magnitude sums are at most max |control| (1 + u)^k on the grid, whose
+arrays are built once per process; its few survivors are then pruned with a
+bound of each column's own size, from the plateau and one more pass over
+the absolute weights off it.  Either way the result is bitwise the full
+sweep's maximum.
 `interval_sups` gives sup|p| and sup|p'| on an interval from p's controls
 there, and floats each control by one integer division.  `verify character`
 asks for every sup of its run in one `interval_sups_many` call, which takes
@@ -579,39 +582,41 @@ def _de_casteljau(rows: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
     """Float de Casteljau sweeps of rows (controls, t, s), all in one pass:
     each row's values at its columns (t_j, s_j).
 
-    Every column carries its row's controls.  The columns are ordered by
-    degree, highest first, and go in blocks of GRID_BLOCK; level r of a
-    block updates only its leading columns, those of degree at least r.  So
-    each step is still round(beta_i * s) + round(beta_(i+1) * t) on the
-    column's own controls, t_j and s_j: every value is bitwise that of the
-    plain sweep of its row alone, and the memory is one block at its degree.
+    Every column carries its row's controls, stored control-major: a
+    column's controls are contiguous, so level r updates beta[:w, :r], w
+    columns of r controls each.  The columns are ordered by degree, highest
+    first, and go in blocks of GRID_BLOCK; level r of a block updates only
+    its leading w columns, those of degree at least r.  So each step is
+    still round(beta_i * s) + round(beta_(i+1) * t) on the column's own
+    controls, t_j and s_j: every value is bitwise that of the plain sweep of
+    its row alone, and the memory is one block at its degree.
     """
     if not rows:
         return []
     order = sorted(range(len(rows)), key=lambda i: len(rows[i][0]), reverse=True)
     ctrls, ts, ss = zip(*(rows[i] for i in order))
-    ctrl = np.zeros((len(ctrls[0]), len(rows)))  # column j: the controls of sorted row j
+    ctrl = np.zeros((len(rows), len(ctrls[0])))  # row j: the controls of sorted row j
     for j, c in enumerate(ctrls):
-        ctrl[:len(c), j] = c
+        ctrl[j, :len(c)] = c
     sizes = [len(t) for t in ts]
     owner = np.repeat(np.arange(len(rows)), sizes)
     degrees = np.repeat([len(c) - 1 for c in ctrls], sizes)
-    t, s = np.concatenate(ts), np.concatenate(ss)
+    t, s = np.concatenate(ts)[:, None], np.concatenate(ss)[:, None]
     out = np.empty(len(t))
     for lo in range(0, len(t), GRID_BLOCK):
         block = slice(lo, lo + GRID_BLOCK)
         k = int(degrees[lo])
-        beta = ctrl[:k + 1, owner[block]]
-        scratch = np.empty((k, beta.shape[1]))
+        beta = ctrl[owner[block], :k + 1]
+        scratch = np.empty((beta.shape[0], k))
         # widths[r]: the number of leading columns of degree at least r
         widths = np.searchsorted(-degrees[block], -np.arange(k + 1), side="right").tolist()
         tb, sb = t[block], s[block]
         for r in range(k, 0, -1):
             w = widths[r]
-            np.multiply(beta[1:r + 1, :w], tb[:w], out=scratch[:r, :w])
-            beta[:r, :w] *= sb[:w]
-            beta[:r, :w] += scratch[:r, :w]
-        out[block] = beta[0]
+            np.multiply(beta[:w, 1:r + 1], tb[:w], out=scratch[:w, :r])
+            beta[:w, :r] *= sb[:w]
+            beta[:w, :r] += scratch[:w, :r]
+        out[block] = beta[:, 0]
     parts = np.split(out, np.cumsum(sizes)[:-1])
     return [parts[j] for j in np.argsort(order)]
 
@@ -637,6 +642,58 @@ def _power(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _span_weights(ctrl: np.ndarray) -> tuple[float, int, np.ndarray]:
+    """(m, lo, coef) of a row of float controls: its plateau m and the span
+    [lo, hi] of the other controls (`_plateau`), and the weights
+    coef_i = fl(fl(beta_(lo+i) - m) C(k, lo+i)) over the span, each binomial
+    floated once (one of 2^1023 or more is inf)."""
+    k = len(ctrl) - 1
+    m, lo, hi = _plateau(ctrl.tolist())
+    binom = np.array([float(c) if c.bit_length() < 1024 else np.inf
+                      for c in _binomials(k)[lo:hi + 1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return m, lo, (ctrl[lo:hi + 1] - m) * binom
+
+
+def _span_pass(coef: np.ndarray, lo: int, k: int, grid: _Grid, scale: np.ndarray,
+               cols: np.ndarray | None = None) -> np.ndarray:
+    """R~ = sum_i coef_i t^(lo+i) s^(k-lo-i) (the binomials are in coef) at
+    the sorted grid columns `cols`, or at every column: the O(k) pass of
+    `_sup_candidates`, in r = t / s left of the middle and r = s / t right
+    of it, with w^k from `scale` = (2w)^k.  Over/underflow is the caller's."""
+    hi = lo + len(coef) - 1
+    if cols is None:
+        left = right = cols = slice(None)
+    else:
+        split = int(np.searchsorted(cols, grid.half))
+        left, right = cols[:split], cols[split:] - grid.half
+    parts = []
+    for r, order, skip in ((grid.left_ratio[left], coef[::-1], lo),
+                           (grid.right_ratio[right], coef, k - hi)):
+        h = np.full(len(r), order[0])
+        for c in order[1:]:
+            h *= r
+            h += c
+        h *= _power(r, skip)
+        parts.append(h)
+    return np.ldexp(np.concatenate(parts) * scale[cols], -k)
+
+
+def _underflow(k: int, top: float) -> float:
+    """The absolute error that underflow may add to one O(k) pass of a row
+    with largest |control| `top` (`_sup_candidates`)."""
+    return np.ldexp(top, k - 1068) + 2 * (k + 2) ** 2 * 2.0 ** -1074
+
+
+def _kept(value: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """Mask of the columns whose upper bound value + err reaches the largest
+    lower bound value - err; every column if a bound is not finite."""
+    high = value + err
+    if not np.isfinite(high).all():
+        return np.ones(len(value), dtype=bool)
+    return high >= np.max(value - err)
+
+
 def _sup_candidates(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> np.ndarray:
     """Mask of the grid columns whose `_de_casteljau` value may have the
     largest magnitude; every other column provably has a smaller one.
@@ -658,12 +715,12 @@ def _sup_candidates(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> np.ndar
     As sum_i C(k, i) t^i s^(k-i) = (t + s)^k, exactly
         Q = m (t + s)^k + R,   R = sum_(lo <= i <= hi) (beta_i - m) C(k, i) t^i s^(k-i).
     The pass computes H = m + R~, R~ an O(k) evaluation of R (Schumaker and
-    Volk): with w = max(t, s) and r = min(t, s) / w <= 1, R is s^k r^lo
-    times a Horner sum in r of hi - lo steps left of the middle, and t^k
-    r^(k-hi) times one right of it; the skipped power of r is one `_power`
-    call, and w^k is (2w)^k 2^-k, where (2w)^k in [1, 2^k] cannot underflow
-    and ldexp scales it back.  A dense row (m = 0.0, lo = 0, hi = k) takes
-    the plain Horner pass over every control.
+    Volk; `_span_pass`): with w = max(t, s) and r = min(t, s) / w <= 1, R is
+    s^k r^lo times a Horner sum in r of hi - lo steps left of the middle,
+    and t^k r^(k-hi) times one right of it; the skipped power of r is one
+    `_power` call, and w^k is (2w)^k 2^-k, where (2w)^k in [1, 2^k] cannot
+    underflow and ldexp scales it back.  A dense row (m = 0.0, lo = 0,
+    hi = k) takes the plain Horner pass over every control.
 
     Rounding.  |m (t + s)^k - m| <= |m| gamma_k <= C gamma_k.  fl(beta_i - m)
     rounds once and is 0 exactly when beta_i = m, so only zero terms are
@@ -685,7 +742,7 @@ def _sup_candidates(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> np.ndar
     the grid step.  The term 2 (k + 2)^2 2^-1074 covers all of it.  The
     skipped power is the exception: its at most 19 products (k < 1024) put
     less than 2^-1070 into r^e, which the Horner sum, at most 2 C 2^k,
-    then multiplies; the term 2^(k-1068) C covers it.
+    then multiplies; the term 2^(k-1068) C covers it (`_underflow`).
 
     Write E = ((12k + 16) u + 2^(k-1068)) C + 2 (k + 2)^2 2^-1074.  To first
     order in u, |D - H| <= (2k + k + 2 (4k + 3) + 1) u C = (11k + 7) u C, and
@@ -701,28 +758,64 @@ def _sup_candidates(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> np.ndar
     degree 1029 on, is taken as infinite rather than converted).
     """
     k = len(ctrl) - 1
-    m, lo, hi = _plateau(ctrl.tolist())
-    binom = np.array([float(c) if c.bit_length() < 1024 else np.inf
-                      for c in _binomials(k)[lo:hi + 1]])
+    m, lo, coef = _span_weights(ctrl)
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = (ctrl[lo:hi + 1] - m) * binom
-        value = np.empty(len(grid.t))
-        # Left of the middle R = s^k r^lo sum_i coef_i r^(i-lo), right of it
-        # R = t^k r^(k-hi) sum_i coef_i r^(hi-i).
-        for h, r, order, skip in ((value[:grid.half], grid.left_ratio, coef[::-1], lo),
-                                  (value[grid.half:], grid.right_ratio, coef, k - hi)):
-            h[:] = order[0]
-            for c in order[1:]:
-                h *= r
-                h += c
-            h *= _power(r, skip)
-        value = np.abs(m + np.ldexp(value * scale, -k))
+        value = np.abs(m + _span_pass(coef, lo, k, grid, scale))
         top = np.max(np.abs(ctrl))
-        err = ((12 * k + 16) * 2.0 ** -53 * top + np.ldexp(top, k - 1068)
-               + 2 * (k + 2) ** 2 * 2.0 ** -1074)
-        high = value + err
-        keep = high >= np.max(value - err)
-    return keep if np.isfinite(high).all() else np.ones_like(keep)
+        return _kept(value, (12 * k + 16) * 2.0 ** -53 * top + _underflow(k, top))
+
+
+def _column_bounds(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray, cols: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(|H|, E) at the sorted grid columns `cols`: the value of the pass of
+    `_sup_candidates` and a bound of each column's own size, such that the
+    computed |H| + E and |H| - E bound the column's `_de_casteljau` |D|
+    above and below.  `cols` are survivors of `_sup_candidates`, so the
+    degree k is below 1024 or they hold the column t = 0, where (2w)^k
+    overflows and the bound is not finite.
+
+    The row bound spends C = max |beta_i| on every column.  The sweep's
+    error holds column by column, |D - Q| <= gamma_2k S_j, and off the span
+    beta_i = m, so with |beta_i| <= |m| + |beta_i - m| and t + s <= 1 + u
+        S_j <= |m| (1 + u)^k + A_j,   A_j = sum_(lo <= i <= hi) |beta_i - m| C(k, i) t^i s^(k-i).
+    A_j is also exactly R's magnitude sum, so it replaces the row's
+    2 C (1 + u)^k in the Horner term too: |R~ - R| <= gamma_(4k+3) A_j.
+    With |(t + s)^k - 1| <= gamma_k and |H - (m + R~)| <= u |H| (H rounds
+    m + R~ to nearest),
+        |D - H| <= gamma_2k (1 + u)^k |m| + gamma_k |m|
+                   + (gamma_2k + gamma_(4k+3)) A_j + u |H| + U,
+    where U = `_underflow` bounds what underflow adds to R~, as in
+    `_sup_candidates`.  A_j comes from one more `_span_pass` over |coef|,
+    rounded up: every term of that sum is >= 0 and is the exact term times a
+    factor within gamma_(4k+3) of 1, so the computed A~ satisfies
+    A_j <= (A~ + U) / (1 - gamma_(4k+3)).  To first order in u, the bound is
+    3k u |m| + (6k + 3) u A~ + u |H|, and rounding |H| + E and |H| - E once
+    each needs u |H| more: E = (1 + 2^-20) u (3k |m| + (6k + 3) A~ + 2 |H|)
+    + 2U.  The factor 1 + 2^-20 absorbs every second-order term, those of
+    gamma_n, (1 + u)^k, 1 / (1 - gamma_(4k+3)) and of computing E included:
+    they are at most 20 k u < 10^-11 times the first-order sum for k < 1024.
+    The second U covers the underflow of A~ and of computing U.  A non-finite
+    E keeps every column (`_kept`).
+    """
+    k = len(ctrl) - 1
+    m, lo, coef = _span_weights(ctrl)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.abs(m + _span_pass(coef, lo, k, grid, scale, cols))
+        size = _span_pass(np.abs(coef), lo, k, grid, scale, cols)
+        err = ((3 * k * abs(m) + (6 * k + 3) * size + 2 * value) * (2.0 ** -53 + 2.0 ** -73)
+               + 2 * _underflow(k, np.max(np.abs(ctrl))))
+    return value, err
+
+
+def _sweep_columns(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> np.ndarray:
+    """The grid columns to sweep for the largest |value| of a row: those
+    that `_sup_candidates` keeps with its row bound, pruned again with
+    `_column_bounds` when more than one survives.  The column of the
+    maximum survives both, and so do its ties."""
+    cols = np.flatnonzero(_sup_candidates(ctrl, grid, scale))
+    if len(cols) > 1:
+        cols = cols[_kept(*_column_bounds(ctrl, grid, scale, cols))]
+    return cols
 
 
 def _grid_sups(ctrls: Sequence[np.ndarray]) -> list[float]:
@@ -743,9 +836,17 @@ def _grid_sups(ctrls: Sequence[np.ndarray]) -> list[float]:
     fails, and rightly so.  p = 1/10 - z^8/1000 on [0, 1] has the endpoint
     control 0.1 = C, but the sweep's maximum is 0.10000000000000012.
 
-    Otherwise the row is swept only at the columns `_sup_candidates` keeps.
-    Those rows are filtered in order of degree, with (2w)^k computed once per
-    degree, so one such grid-sized array is alive at a time.
+    Otherwise the row is swept only at the columns `_sweep_columns` keeps:
+    first the row bound of `_sup_candidates`, one error bound C (12k + 16) u
+    for every column, then, on its few survivors, a bound of each column's
+    own size (`_column_bounds`): about u (3k |m| + 6k A_j), where m is the
+    row's plateau and A_j the part of the column's magnitude sum off it.  A
+    notch approximant's large controls sit far from most of its grid, so
+    where the row bound keeps tens of columns of an overshoot, the column
+    bound keeps a few.  Each pruning keeps the column of the maximum, so
+    the sup is bitwise the full sweep's.  The rows are filtered in order of
+    degree, with (2w)^k computed once per degree, so one such grid-sized
+    array is alive at a time.
     """
     grid = _grid(DEFAULT_GRID)
     t, s = grid.t, grid.s
@@ -764,8 +865,8 @@ def _grid_sups(ctrls: Sequence[np.ndarray]) -> list[float]:
         with np.errstate(over="ignore"):  # from degree 1024 on; the filter keeps every column
             scale = _power(grid.twice_max, size - 1)
         for i in group:
-            keep = _sup_candidates(ctrls[i], grid, scale)
-            rows[i] = (ctrls[i], t[keep], s[keep])
+            cols = _sweep_columns(ctrls[i], grid, scale)
+            rows[i] = (ctrls[i], t[cols], s[cols])
     for i, values in zip(swept, _de_casteljau([rows[i] for i in swept])):
         sups[i] = float(np.max(np.abs(values)))
     return sups

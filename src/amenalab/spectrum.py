@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import (_common_denominator, _Frozen, as_fraction, exact_sqrt, is_exact_zero,
-                      to_float)
+from .scalars import (_common_denominator, _Frozen, as_fraction, exact_sqrt, hypot,
+                      is_exact_zero, to_float)
 
 SpectrumKind = str  # "geometric" | "harmonic" | "explicit"
 
@@ -321,10 +321,26 @@ def block_norms(X: BlockOperator) -> np.ndarray:
     return np.hypot(a, b)
 
 
+def float_block_norm(b11: Sequence[float], b12: Sequence[float], b22: Sequence[float]) -> float:
+    """Spectral norm of the block operator with the float diagonal blocks
+    b11, b12 and b22, built as no operator.  A column block (every b11
+    entry 0.0) takes the exact closed form, the largest `hypot` of its
+    coordinate blocks, bitwise numpy's; anything else the dense SVD of the
+    2M x 2M matrix that `BlockOperator.to_dense` builds."""
+    if not any(b11):
+        return max(map(hypot, b12, b22), default=0.0)
+    m = len(b11)
+    i = np.arange(m)
+    dense = np.zeros((2 * m, 2 * m))
+    dense[i, i] = b11
+    dense[i, m + i] = b12
+    dense[m + i, m + i] = b22
+    return float(np.linalg.svd(dense, compute_uv=False)[0])
+
+
 def operator_norm(X: BlockOperator) -> float:
-    """Spectral norm.  Column-block operators (vanishing upper-left block) use
-    the exact closed form, the largest of their `block_norms`; anything else
-    goes to the dense SVD oracle."""
-    if X.b11.is_zero():
-        return float(np.max(block_norms(X), initial=0.0))
-    return float(np.linalg.svd(X.to_dense(), compute_uv=False)[0])
+    """Spectral norm: `float_block_norm` of X's floated blocks, so a column
+    block (a vanishing upper-left block) takes the closed form and anything
+    else the dense SVD oracle.  The column test reads the floats, so an
+    exact entry that underflows to 0.0 counts as zero."""
+    return float_block_norm(*([to_float(x) for x in d.diag] for d in (X.b11, X.b12, X.b22)))

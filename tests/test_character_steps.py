@@ -20,7 +20,7 @@ from amenalab import (ApproximationStep, Polynomial, apply_poly_to_block,
                       unit_notch)
 from amenalab import amenability
 from amenalab.amenability import (_coordinate_powers, _divided_sup, _polynomial_norms,
-                                  _quotient_sup, _step_coordinates)
+                                  _quotient_sup, _step_coordinates, idempotent_sum)
 from amenalab.polynomials import _from_integers, interval_sups_many
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from amenalab.cli import main
@@ -152,9 +152,9 @@ def test_steps_reject_a_constant_term():
 
 
 def test_verify_character_leaves_the_block_algebra(monkeypatch, tmp_path, capsys):
-    """No step builds X = lambda_n I - T or p(X), or divides p by a shift:
-    the pipeline's only exact block product is T U in
-    `character.unit_exact_identity`."""
+    """No step builds X = lambda_n I - T or p(X), or divides p by a shift,
+    and the pipeline takes no exact block product: `character.unit_exact_identity`
+    reads T U - T per coordinate (`unit_identity_exact`)."""
     shifted = count_calls(monkeypatch, "amenalab.spectrum", "build_shifted_T")
     compositions = count_calls(monkeypatch, "amenalab.spectrum", "apply_poly_to_block")
     divisions = count_calls(monkeypatch, "amenalab.polynomials", "divide_shifted")
@@ -172,7 +172,16 @@ def test_verify_character_leaves_the_block_algebra(monkeypatch, tmp_path, capsys
     assert shifted[0] == 0
     assert compositions[0] == 0
     assert divisions[0] == 0
-    assert products[0] == 1
+    assert products[0] == 0
+
+
+@pytest.mark.parametrize("case", sorted(SPECTRA))
+def test_unit_identity_exact_is_the_block_product(case):
+    """`unit_identity_exact` gives the verdict of the exact block product
+    T U - T == 0, U = `idempotent_sum`, on rational and irrational roots."""
+    s = SPECTRA[case]
+    T = build_T(s)
+    assert amenability.unit_identity_exact(s) is ((T @ idempotent_sum(s)) - T).is_zero() is True
 
 
 def spy_horner_passes(monkeypatch) -> list[Fraction]:
@@ -208,25 +217,42 @@ def test_steps_evaluate_p_at_the_upper_left_entry_once(monkeypatch, case):
     assert calls == ratios
 
 
-def test_steps_build_only_the_two_float_blocks(monkeypatch):
-    """A step builds no exact operator: its only `BlockOperator`s are the
-    float blocks of u and X u - X that it hands to `operator_norm`."""
+def refuse_operators(monkeypatch):
+    """Make every `BlockOperator` and `DiagonalOperator` construction raise."""
+    def refuse(self, *args):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    for cls in (BlockOperator, DiagonalOperator):
+        monkeypatch.setattr(cls, "__init__", refuse)
+
+
+def test_steps_build_no_operator(monkeypatch):
+    """A step builds no operator, exact or float: its norms come from the
+    coordinates' float triples (`float_block_norm`), and every field equals
+    that of the same step with operators allowed."""
     s = SPECTRA["mixed_grade_8"]
-    built = []
-    init = BlockOperator.__init__
+    p = Polynomial((0, 3, Fraction(-1, 2)))
+    steps = (lambda: approximate_identity_step(p, 2, s), lambda: unit_approximation_step(p, s))
+    want = [step() for step in steps]
+    refuse_operators(monkeypatch)
+    assert [step() for step in steps] == want
 
-    def recorded(self, *blocks):
-        init(self, *blocks)
-        built.append(self)
 
-    monkeypatch.setattr(BlockOperator, "__init__", recorded)
-    for step in (lambda p: approximate_identity_step(p, 2, s),
-                 lambda p: unit_approximation_step(p, s)):
-        built.clear()
-        step(Polynomial((0, 3, Fraction(-1, 2))))
-        assert len(built) == 2
-        assert all(type(x) is float for X in built for block in (X.b11, X.b12, X.b22)
-                   for x in block.diag)
+def test_verify_character_builds_no_block_operator(monkeypatch, tmp_path, capsys):
+    """`verify character` with `BlockOperator.__init__` made to raise gives
+    the exit code, stdout and report bytes of the plain run."""
+    def run(out):
+        code = main(["verify", "character", "--out", str(out)])
+        return code, capsys.readouterr().out, {f.name: f.read_bytes() for f in out.iterdir()}
+
+    plain = run(tmp_path / "plain")
+
+    def refuse(self, *args):
+        raise AssertionError("a BlockOperator was built")
+
+    monkeypatch.setattr(BlockOperator, "__init__", refuse)
+    code, out, reports = run(tmp_path / "refused")
+    assert (code, out.replace("refused", "plain"), reports) == plain
 
 
 @pytest.mark.parametrize("case", ["mixed_grade_8", "ratio_9_10_12"])

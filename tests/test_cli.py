@@ -129,6 +129,17 @@ def test_verify_rejects_bad_tolerance(capsys):
      "spectrum.values: not positive at index 2"),
     ({"spectrum": {"kind": "explicit", "values": ["1/4", "1/2"]}}, [],
      "spectrum.values: not strictly decreasing at index 2"),
+    # a ratio for a spectrum that has none, as a flag or a config key
+    *((config, flags, "spectrum.ratio: only a geometric spectrum takes a ratio")
+      for config, flags in (
+          (None, ["--kind", "harmonic", "--ratio", "1"]),
+          (None, ["--kind", "harmonic", "--ratio", "1/2"]),
+          (None, ["--kind", "explicit", "--ratio", "0.5"]),
+          ({"spectrum": {"kind": "harmonic", "ratio": 0.5}}, []),
+          ({"spectrum": {"kind": "explicit", "values": ["1", "1/2"], "ratio": "1/2"}}, []),
+          ({"spectrum": {"kind": "harmonic"}}, ["--ratio", "1/2"]),
+          ({"spectrum": {"ratio": "1/2"}}, ["--kind", "harmonic"]),
+          ({"spectrum": {"kind": "explicit", "values": ["1", "1/2"]}}, ["--ratio", "nan"]))),
 ])
 def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field):
     argv = ["verify", "similarity", "--out", str(tmp_path / "r"), *flags]
@@ -140,6 +151,17 @@ def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}") and "Traceback" not in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "similarity", "--kind", "harmonic", "--truncations", "4"], "d18262702473"),
+    (["verify", "all", "--kind", "harmonic", "--count", "8"], "06109a8ab7fb"),
+])
+def test_config_digests_without_a_ratio_are_kept(argv, digest):
+    """A harmonic run that gives no ratio keeps its digest (recorded before
+    harmonic and explicit spectra refused a ratio): the default ratio stays
+    in the canonical config."""
+    assert config_hash(resolve_config(parse_argv(argv)[2])) == digest
 
 
 @pytest.mark.parametrize("config, key", [
@@ -216,9 +238,9 @@ def test_decimal_integer_fields_keep_their_digests(argv, digest):
 def test_flag_value_forms_agree():
     """`--name=value` and `--name value` give the same config and digest; a
     later flag overrides an earlier one."""
-    spaced = ["verify", "all", "--kind", "harmonic", "--count", "8", "--degrees", "8:64",
+    spaced = ["verify", "all", "--kind", "geometric", "--count", "8", "--degrees", "8:64",
               "--tol-analytic", "1e-3", "--format", "json", "--ratio", "9/10"]
-    joined = ["verify", "all", "--kind=harmonic", "--count=8", "--degrees=8:64",
+    joined = ["verify", "all", "--kind=geometric", "--count=8", "--degrees=8:64",
               "--tol-analytic=1e-3", "--format=json", "--ratio=9/10"]
     a, b = (resolve_config(parse_argv(argv)[2]) for argv in (spaced, joined))
     assert a == b and config_hash(a) == config_hash(b)

@@ -15,9 +15,9 @@ from amenalab import (InternalConsistencyError, Polynomial, apply_poly_to_block,
                       approximate_with_derivative, build_T, build_shifted_T, divide_shifted,
                       evaluate_on_grid, exact_sqrt, interval_sups, make_spectrum,
                       mvt_bound_check, notch, sup_norm, unit_notch)
-from amenalab.polynomials import (GRID_BLOCK, _bernstein_controls, _bernstein_sum, _de_casteljau,
-                                  _floats, _grid, _grid_sups, _power, _sup_candidates, _support,
-                                  interval_sups_many)
+from amenalab.polynomials import (GRID_BLOCK, _bernstein_controls, _bernstein_sum, _column_bounds,
+                                  _de_casteljau, _floats, _grid, _grid_sups, _power,
+                                  _sup_candidates, _support, _sweep_columns, interval_sups_many)
 from amenalab.membership import membership_trials
 from amenalab.scalars import as_fraction
 from oracle_utils import (approximant_oracle, bernstein_to_monomial, count_method_calls,
@@ -703,6 +703,128 @@ def test_sup_candidates_keep_the_largest_value_of_a_plateau_row(ctrl):
     assert abs(plain_de_casteljau(ctrl, grid.t[j:j + 1], grid.s[j:j + 1])[0]) == values[j]
     assert candidates(ctrl)[j]
     assert _grid_sups([ctrl]) == [float(values[j])]
+
+
+def overshoot_row(degree=128):
+    """The Bernstein controls of the kernel_n2 approximant of degree 128 on
+    the geometric M = 16 spectrum: the plateau 1.0 with the controls -19.81
+    and 7.71 at indices 64 and 65.  Its swept maximum is an overshoot of
+    about 1 + 3.3e-11 near t = 0.76, so the row bound, which spends C = 19.8
+    on every column, keeps 30 columns."""
+    f = notch(2, make_spectrum("geometric", 16))
+    return _floats(*_bernstein_controls(approximate_with_derivative(f, degree), f.a, f.b))
+
+
+@st.composite
+def off_plateau_rows(draw):
+    """Controls of degree 1 to 128 on a plateau (positive, negative or 0.0)
+    with 1 to 3 adjacent controls off it: large ones of both signs, which
+    make overshoots, and ones a few ulps or 2^-30 off the plateau.  The
+    tests add degree 256 as an explicit example: each such row's full
+    sweep takes about 0.3 s."""
+    k = draw(st.one_of(st.integers(1, 48), st.sampled_from([64, 128])))
+    m = draw(st.sampled_from([1.0, -1.0, 0.1, -2.5, 0.0]))
+    ctrl = np.full(k + 1, m)
+    width = draw(st.integers(1, min(3, k)))
+    start = draw(st.integers(0, k + 1 - width))
+    near = st.sampled_from([m + 2.0 ** -30, m - 2.0 ** -30, np.nextafter(m, 9.0),
+                            np.nextafter(m, -9.0), -m, 2 * m + 1])
+    for i in range(start, start + width):
+        ctrl[i] = draw(st.one_of(near, st.floats(-30, 30), st.floats(-0.01, 0.01)))
+    return ctrl
+
+
+@settings(max_examples=12, deadline=None)  # each example sweeps all 4096 columns
+@given(off_plateau_rows())
+@example(overshoot_row())
+@example(np.array([1.0] * 64 + [-19.8, 7.7] + [1.0] * 63))
+@example(-overshoot_row(64))  # a negative plateau
+@example(np.array([0.1] * 200 + [0.1 + 2.0 ** -30] + [0.1] * 56))
+def test_sweep_columns_keep_the_column_of_the_maximum(ctrl):
+    """The twice-pruned columns (`_sweep_columns`: the row bound, then the
+    column bound on its survivors) hold the column of the largest |value|
+    of the sweep over the whole grid, and `_grid_sups` returns that value
+    bitwise.  The plain sweep (tests/oracle_utils.py) confirms the value at
+    that column."""
+    grid = _grid(4096)
+    values = np.abs(_de_casteljau([(ctrl, grid.t, grid.s)])[0])
+    j = int(np.argmax(values))
+    assert abs(plain_de_casteljau(ctrl, grid.t[j:j + 1], grid.s[j:j + 1])[0]) == values[j]
+    with np.errstate(over="ignore"):
+        cols = _sweep_columns(ctrl, grid, _power(grid.twice_max, len(ctrl) - 1))
+    assert j in cols and set(cols) <= set(np.flatnonzero(candidates(ctrl)))
+    assert _grid_sups([ctrl]) == [float(values[j])]
+
+
+def test_column_bound_prunes_the_overshoot():
+    """On the overshoot row the row bound keeps 30 columns and the column
+    bound 3 of them, among them the column of the maximum."""
+    ctrl = overshoot_row()
+    grid = _grid(4096)
+    values = np.abs(_de_casteljau([(ctrl, grid.t, grid.s)])[0])
+    cols = _sweep_columns(ctrl, grid, _power(grid.twice_max, 128))
+    assert np.count_nonzero(candidates(ctrl)) == 30 and len(cols) == 3
+    assert int(np.argmax(values)) in cols
+
+
+U = Fraction(1, 2 ** 53)
+
+
+def gamma(n):
+    return n * U / (1 - n * U)
+
+
+def proven_column_error(ctrl, t, s, value):
+    """The bound of `_column_bounds`' proof at one column, in exact
+    arithmetic on the doubles: with m the most frequent control (the first
+    on a tie, 0 if none repeats), A = sum_i |beta_i - m| C(k, i) t^i s^(k-i),
+    P = (t + s)^k and C = max |beta_i|,
+        gamma_2k (|m| P + A) + |m| |P - 1| + gamma_(4k+3) A + u |H|
+            + 2^(k-1068) C + 2 (k + 2)^2 2^-1074,
+    the last two terms what underflow may add (subnormal controls reach it).
+    """
+    k = len(ctrl) - 1
+    counts = Counter(ctrl.tolist())
+    m, most = counts.most_common(1)[0]
+    m = Fraction(m if most > 1 else 0.0)
+    t, s, h = Fraction(t), Fraction(s), Fraction(value)
+    power = (t + s) ** k
+    a = sum(abs(Fraction(b) - m) * math.comb(k, i) * t ** i * s ** (k - i)
+            for i, b in enumerate(ctrl.tolist()) if b != m)
+    underflow = (Fraction(max(map(abs, ctrl.tolist()))) * Fraction(2) ** (k - 1068)
+                 + 2 * (k + 2) ** 2 * Fraction(1, 2 ** 1074))
+    return (gamma(2 * k) * (abs(m) * power + a) + abs(m) * abs(power - 1) + gamma(4 * k + 3) * a
+            + U * h + underflow)
+
+
+@settings(max_examples=30, deadline=None)
+@given(off_plateau_rows(), st.randoms(use_true_random=False))
+@example(overshoot_row(), random.Random(0))
+@example(-overshoot_row(64), random.Random(1))
+@example(np.array([0.1] * 200 + [0.1 + 2.0 ** -30, -7.5] + [0.1] * 55), random.Random(2))
+@example(np.array([2.22507386e-311, 0.0]), random.Random(3))  # subnormal: only U covers it
+def test_column_bound_covers_the_proven_error(ctrl, rng):
+    """At the row bound's survivors, at the columns nearest the controls off
+    the plateau and at a few others, `_column_bounds` gives (|H|, E) with
+    E (1 - u) at least the proven bound on |D - H| plus u |H|, the rounding
+    of |H| + E and |H| - E; and the plain sweep's D lies within the proven
+    bound of H.  So E keeps each of its terms: |m|, A_j from |coef|, and u |H|."""
+    grid = _grid(4096)
+    k = len(ctrl) - 1
+    off = [i for i, b in enumerate(ctrl.tolist()) if b != Counter(ctrl.tolist()).most_common(1)[0][0]]
+    near = [int(round(4095 * i / k)) for i in off]
+    cols = set(np.flatnonzero(candidates(ctrl))[:40].tolist()) | set(near)
+    cols |= {rng.randrange(4096) for _ in range(6)}
+    cols = np.array(sorted(cols))
+    with np.errstate(over="ignore"):
+        value, err = _column_bounds(ctrl, grid, _power(grid.twice_max, k), cols)
+    if not np.isfinite(value + err).all():
+        return  # every column is kept
+    swept = plain_de_casteljau(ctrl, grid.t[cols], grid.s[cols])
+    for j, h, e, d in zip(cols.tolist(), value.tolist(), err.tolist(), swept.tolist()):
+        bound = proven_column_error(ctrl, grid.t[j], grid.s[j], h)
+        assert abs(abs(Fraction(d)) - Fraction(h)) <= bound, j
+        assert Fraction(e) * (1 - U) >= bound + U * Fraction(h), j
 
 
 def test_batched_sweep_equals_plain_sweep_per_row():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from amenalab import (BlockOperator, DiagonalOperator, Polynomial, apply_poly_to_block,
                       build_T, build_shifted_T, exact_sqrt, make_spectrum, operator_norm)
-from amenalab.spectrum import block_norms
+from amenalab.spectrum import block_norms, float_block_norm
 from oracle_utils import (dense_exact, matmul_exact, matpow_exact, poly_to_sympy,
                           random_rational_poly, spectral_norm_oracle, to_sympy)
 
@@ -264,6 +264,29 @@ def test_operator_norm_closed_form_vs_svd_random():
         bottom = DiagonalOperator(tuple(rng.standard_normal(m)))
         X = BlockOperator.column_block(top, bottom)
         assert abs(operator_norm(X) - spectral_norm_oracle(X.to_dense())) < 1e-10
+
+
+def test_float_block_norm_is_operator_norms_kernel():
+    """On column blocks the kernel is bitwise numpy's largest hypot, the
+    closed form `operator_norm` took from `block_norms`; on any other block
+    the SVD of `to_dense`; and `operator_norm` of the float operator gives
+    the same bits.  Zero blocks, one coordinate and -0.0 entries included."""
+    rng = np.random.default_rng(35)
+    cases = [([0.0], [0.0], [0.0]), ([-0.0, 0.0], [3.0, -0.0], [4.0, 1e-300])]
+    for m in (1, 2, 5, 16, 40):
+        for scale in (1e-3, 1.0, 1e150):
+            top, bottom = (list(rng.standard_normal(m) * scale) for _ in range(2))
+            cases.append(([0.0] * m, top, bottom))
+            cases.append((list(rng.standard_normal(m)), top, bottom))
+            cases.append(([0.0] * (m - 1) + [2.0 ** -1074], top, bottom))
+    for b11, b12, b22 in cases:
+        X = BlockOperator(*map(DiagonalOperator, (b11, b12, b22)))
+        got = float_block_norm(b11, b12, b22)
+        if any(b11):
+            want = spectral_norm_oracle(X.to_dense())
+        else:
+            want = float(np.max(np.hypot(b12, b22), initial=0.0))
+        assert got.hex() == want.hex() == operator_norm(X).hex()
 
 
 def test_shifted_generator_blocks():

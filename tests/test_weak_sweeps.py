@@ -23,7 +23,8 @@ from amenalab.amenability import generation_sweep, idempotency_sweep
 from amenalab.membership import membership_trials
 from amenalab.scalars import to_float
 from amenalab.spectrum import BlockOperator, DiagonalOperator
-from amenalab.cli import MEMBERSHIP_SEED, MEMBERSHIP_TRIALS, _membership_polynomials, main
+from amenalab.cli import (MEMBERSHIP_SEED, MEMBERSHIP_TRIALS, _membership_draws,
+                          _membership_polynomials, main)
 from oracle_utils import (count_calls, count_method_calls, fraction_membership_polynomials,
                           record_calls, reference_trial)
 
@@ -200,6 +201,28 @@ def test_membership_polynomials_equal_the_fraction_oracle():
     assert [p.coefficients for p in got] == [p.coefficients for p in want]
 
 
+def test_membership_draws_are_randints_values():
+    """The trials' raw draws, taken by getrandbits rejection loops, are the
+    values of randint(1, 16), randint(-99, 99) and randint(1, 12) on
+    random.Random(MEMBERSHIP_SEED), in order, and so is the stream after
+    them: 1834 draws in all."""
+    rng = random.Random(MEMBERSHIP_SEED)
+    want = []
+    for _ in range(MEMBERSHIP_TRIALS):
+        degree = rng.randint(1, 16)
+        want.append([(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(degree)])
+    got = list(_membership_draws())
+    assert got == want
+    assert sum(1 + 2 * len(pairs) for pairs in got) == 1834
+    # the draws leave the generator where randint leaves it
+    replay = random.Random(MEMBERSHIP_SEED)
+    for pairs in got:
+        replay.randint(1, 16)
+        for _ in pairs:
+            replay.randint(-99, 99), replay.randint(1, 12)
+    assert replay.getstate() == rng.getstate()
+
+
 def test_verify_character_sweeps_each_interval_sup_once(monkeypatch, tmp_path, capsys):
     """On a geometric spectrum `kernel_n1` and `unit` get the same controls
     on [0, lambda_1] at every degree: 5 degrees x (3 kernels + unit) = 20
@@ -215,6 +238,18 @@ def test_verify_character_sweeps_each_interval_sup_once(monkeypatch, tmp_path, c
     assert [len(requests) for requests, *_ in batches] == [20]
     assert [len(ctrls) for ctrls, in sups] == [30]
     assert [len(rows) for rows, in sweeps] == [20]
+
+
+def test_verify_character_sweeps_few_columns(monkeypatch, tmp_path, capsys):
+    """The perfbench `char_geo16_d128` argv sweeps at most 22 grid columns
+    over its 20 swept rows (49 under the row bound alone): 19 rows keep one
+    column each, and the degree-128 `kernel_n2` overshoot, where the row
+    bound keeps 30, keeps 3 under the column bound."""
+    sweeps = record_calls(monkeypatch, "amenalab.polynomials", "_de_casteljau")
+    main(["verify", "character", "--count", "16", "--degrees", "8:128", "--out", str(tmp_path)])
+    capsys.readouterr()
+    (rows,), = sweeps
+    assert len(rows) == 20 and sum(len(t) for _, t, _ in rows) <= 22
 
 
 @pytest.mark.parametrize("argv", [[], ["--count", "16", "--degrees", "8:128"]],

@@ -29,12 +29,11 @@ hull certificate of `_grid_sups`), it is the sup and no sweep runs; otherwise
 a Bernstein-Horner pass on the values alone picks the points to sweep.  The
 pass reads only the controls off the row's plateau, its most frequent
 control: a notch approximant has 2 to 4 of them at any degree.  Its
-forward-error bound is first one number per polynomial, as the sweep's
-magnitude sums are at most max |control| (1 + u)^k on the grid, whose
-arrays are built once per process; its few survivors are then pruned with a
-bound of each column's own size, from the plateau and one more pass over
-the absolute weights off it.  Either way the result is bitwise the full
-sweep's maximum.
+forward-error bound is one number per polynomial, from the plateau and the
+controls off it, each weighted by the peak of its Bernstein basis
+polynomial, which bounds the part of every column's magnitude sum off the
+plateau; the grid's arrays are built once per process.  The result is
+bitwise the full sweep's maximum.
 `interval_sups` gives sup|p| and sup|p'| on an interval from p's controls
 there, and floats each control by one integer division.  `verify character`
 asks for every sup of its run in one `interval_sups_many` call, which takes
@@ -551,7 +550,7 @@ def _floats(nums: Sequence[int], den: int) -> np.ndarray:
 
 class _Grid(NamedTuple):
     """The uniform grid t on [0, 1], endpoints included, s = fl(1 - t), and
-    what `_sup_candidates` reads of it.  t rises and s falls, so t <= s
+    what `_span_pass` reads of it.  t rises and s falls, so t <= s
     holds exactly on the first `half` columns.  There the filter writes its
     sums in r = t / s (`left_ratio`), beyond in r = s / t (`right_ratio`);
     `twice_max` is 2 max(t, s).  Every array is read-only."""
@@ -642,97 +641,76 @@ def _power(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _span_weights(ctrl: np.ndarray) -> tuple[float, int, np.ndarray]:
-    """(m, lo, coef) of a row of float controls: its plateau m and the span
-    [lo, hi] of the other controls (`_plateau`), and the weights
-    coef_i = fl(fl(beta_(lo+i) - m) C(k, lo+i)) over the span, each binomial
-    floated once (one of 2^1023 or more is inf)."""
-    k = len(ctrl) - 1
-    m, lo, hi = _plateau(ctrl.tolist())
-    binom = np.array([float(c) if c.bit_length() < 1024 else np.inf
-                      for c in _binomials(k)[lo:hi + 1]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return m, lo, (ctrl[lo:hi + 1] - m) * binom
-
-
-def _span_pass(coef: np.ndarray, lo: int, k: int, grid: _Grid, scale: np.ndarray,
-               cols: np.ndarray | None = None) -> np.ndarray:
+def _span_pass(coef: np.ndarray, lo: int, k: int, grid: _Grid, scale: np.ndarray) -> np.ndarray:
     """R~ = sum_i coef_i t^(lo+i) s^(k-lo-i) (the binomials are in coef) at
-    the sorted grid columns `cols`, or at every column: the O(k) pass of
-    `_sup_candidates`, in r = t / s left of the middle and r = s / t right
-    of it, with w^k from `scale` = (2w)^k.  Over/underflow is the caller's."""
-    hi = lo + len(coef) - 1
-    if cols is None:
-        left = right = cols = slice(None)
-    else:
-        split = int(np.searchsorted(cols, grid.half))
-        left, right = cols[:split], cols[split:] - grid.half
+    every grid column: the O(k) pass of `_sup_bound`, in r = t / s left of
+    the middle and r = s / t right of it, with w^k from `scale` = (2w)^k.
+    Over/underflow is the caller's."""
     parts = []
-    for r, order, skip in ((grid.left_ratio[left], coef[::-1], lo),
-                           (grid.right_ratio[right], coef, k - hi)):
+    for r, order, skip in ((grid.left_ratio, coef[::-1], lo),
+                           (grid.right_ratio, coef, k - lo - len(coef) + 1)):
         h = np.full(len(r), order[0])
         for c in order[1:]:
             h *= r
             h += c
         h *= _power(r, skip)
         parts.append(h)
-    return np.ldexp(np.concatenate(parts) * scale[cols], -k)
+    return np.ldexp(np.concatenate(parts) * scale, -k)
 
 
-def _underflow(k: int, top: float) -> float:
-    """The absolute error that underflow may add to one O(k) pass of a row
-    with largest |control| `top` (`_sup_candidates`)."""
-    return np.ldexp(top, k - 1068) + 2 * (k + 2) ** 2 * 2.0 ** -1074
+def _sup_bound(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> tuple[np.ndarray, float]:
+    """(|H|, E): at every grid column, the value |H| of an O(k) pass and one
+    error bound E for the row, such that the computed |H| + E and |H| - E
+    bound the column's `_de_casteljau` |D| above and below.  `scale` is
+    (2w)^k = `_power(grid.twice_max, k)` for the row's degree k, which the
+    caller computes once per degree.
 
-
-def _kept(value: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """Mask of the columns whose upper bound value + err reaches the largest
-    lower bound value - err; every column if a bound is not finite."""
-    high = value + err
-    if not np.isfinite(high).all():
-        return np.ones(len(value), dtype=bool)
-    return high >= np.max(value - err)
-
-
-def _sup_candidates(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> np.ndarray:
-    """Mask of the grid columns whose `_de_casteljau` value may have the
-    largest magnitude; every other column provably has a smaller one.
-    `scale` is (2w)^k = `_power(grid.twice_max, k)` for the row's degree k,
-    which the caller computes once per degree.
-
-    With u = 2^-53, gamma_n = n u / (1 - n u), C = max |beta_i| and, in
-    exact arithmetic on the same doubles t and s,
-        Q = sum_i beta_i C(k, i) t^i s^(k-i),   S = sum_i |beta_i| C(k, i) t^i s^(k-i),
+    With u = 2^-53, gamma_n = n u / (1 - n u), b_i = C(k, i) t^i s^(k-i)
+    and, in exact arithmetic on the same doubles t and s,
+        Q = sum_i beta_i b_i,   S = sum_i |beta_i| b_i,
     the sweep returns D with |D - Q| <= gamma_2k S (Farouki and Rajan 1987:
     every path from a control to the result passes k levels of one product
-    and one sum).  One bound on S serves every column: S <= C (t + s)^k, and
-    s = fl(1 - t) is exact for t >= 1/2 (Sterbenz) and within u/2 of 1 - t
-    below, so t + s <= 1 + u and S <= C (1 + u)^k.  So only the values need
-    a pass, and it reads only the controls off the row's plateau.
+    and one sum).  s = fl(1 - t) is exact for t >= 1/2 (Sterbenz) and within
+    u/2 of 1 - t below, so t + s <= 1 + u.
 
     The plateau m and the span [lo, hi] of the controls other than m are
-    those of `_plateau` (m = 0.0 if no control repeats).
-    As sum_i C(k, i) t^i s^(k-i) = (t + s)^k, exactly
-        Q = m (t + s)^k + R,   R = sum_(lo <= i <= hi) (beta_i - m) C(k, i) t^i s^(k-i).
-    The pass computes H = m + R~, R~ an O(k) evaluation of R (Schumaker and
-    Volk; `_span_pass`): with w = max(t, s) and r = min(t, s) / w <= 1, R is
-    s^k r^lo times a Horner sum in r of hi - lo steps left of the middle,
-    and t^k r^(k-hi) times one right of it; the skipped power of r is one
-    `_power` call, and w^k is (2w)^k 2^-k, where (2w)^k in [1, 2^k] cannot
-    underflow and ldexp scales it back.  A dense row (m = 0.0, lo = 0,
-    hi = k) takes the plain Horner pass over every control.
+    those of `_plateau` (m = 0.0 if no control repeats).  As
+    sum_i b_i = (t + s)^k, exactly
+        Q = m (t + s)^k + R,   R = sum_(lo <= i <= hi) (beta_i - m) b_i,
+    and with A = sum_(lo <= i <= hi) |beta_i - m| b_i, S <= |m| (t + s)^k + A.
+    One number bounds A on every column.  With x = t / (t + s),
+    b_i = (t + s)^k C(k, i) x^i (1 - x)^(k-i), and the Bernstein basis
+    polynomial peaks at x = i / k (Lorentz), so b_i <= (1 + u)^k P_i with
+    P_i = C(k, i) i^i (k - i)^(k-i) / k^k; and sum_i b_i <= (1 + u)^k.  So
+        A <= (1 + u)^k min(sum_i |beta_i - m| P_i, max_i |beta_i - m|) = (1 + u)^k A^,
+    over the span, and the computed A~ is A^ to within gamma_(k+4): the
+    difference, the peak (one correctly rounded integer division), the
+    product and at most k sums round once each.
 
-    Rounding.  |m (t + s)^k - m| <= |m| gamma_k <= C gamma_k.  fl(beta_i - m)
-    rounds once and is 0 exactly when beta_i = m, so only zero terms are
-    left out.  Each term of R~ is the exact term times a factor within
-    gamma_(4k+3) of 1: beta_i - m, C(k, i) and their product round once
-    each; the Horner sum, the skipped power r^e and the product with it at
-    most 2 (hi - lo) + e <= 2k times; the term's power of r, at most k,
-    carries one ratio rounding per factor; (2w)^k at most k - 1 (`_power`),
-    and the product with it once.  R's magnitude sum is at most
-    sum_i (|beta_i| + |m|) C(k, i) t^i s^(k-i) <= 2 C (1 + u)^k, so
-    |R~ - R| <= 2 gamma_(4k+3) C (1 + u)^k, and H = fl(m + R~) rounds once
-    more, by at most u |m + R~| <= u C to first order.
+    The pass computes H = fl(m + R~), R~ an O(k) evaluation of R (Schumaker
+    and Volk; `_span_pass`): with w = max(t, s) and r = min(t, s) / w <= 1,
+    R is s^k r^lo times a Horner sum in r of hi - lo steps left of the
+    middle, and t^k r^(k-hi) times one right of it; the skipped power of r
+    is one `_power` call, and w^k is (2w)^k 2^-k, where (2w)^k in [1, 2^k]
+    cannot underflow and ldexp scales it back.  A dense row (m = 0.0,
+    lo = 0, hi = k) takes the plain Horner pass over every control.
+    fl(beta_i - m) rounds once and is 0 exactly when beta_i = m, so only
+    zero terms are left out.  Each term of R~ is the exact term times a
+    factor within gamma_(4k+3) of 1: beta_i - m, C(k, i) and their product
+    round once each; the Horner sum, the skipped power r^e and the product
+    with it at most 2 (hi - lo) + e <= 2k times; the term's power of r, at
+    most k, carries one ratio rounding per factor; (2w)^k at most k - 1
+    (`_power`), and the product with it once.  So |R~ - R| <= gamma_(4k+3) A
+    + U, where U bounds what underflow adds (below), and
+    |H| <= (1 + u) (|m| + (1 + gamma_(4k+3)) A + U).  With
+    |m (t + s)^k - m| <= gamma_k |m|,
+        |D - H| <= gamma_2k ((1 + u)^k |m| + A) + gamma_k |m| + gamma_(4k+3) A + u |H| + U,
+    to first order u (3k |m| + (6k + 3) A + |H|) + U, and rounding |H| + E
+    and |H| - E once each needs u |H| more.  With the bound on |H|,
+        E = (1 + 2^-20) u ((3k + 2) |m| + (6k + 5) A~) + 2U.
+    The factor 1 + 2^-20 absorbs every second-order term, those of gamma_n,
+    (1 + u)^k, of A~ against A^ and of computing E included: they are below
+    16 (k + 1) u < 10^-11 times the first-order sum for k < 1024.
 
     Underflow adds an absolute error of at most 2^-1075 per product.  The
     sweep's k (k + 1) products are scaled by less than 2 in the rest of it,
@@ -741,81 +719,45 @@ def _sup_candidates(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> np.ndar
     itself does not underflow on a grid, where min(t, s) is 0 or at least
     the grid step.  The term 2 (k + 2)^2 2^-1074 covers all of it.  The
     skipped power is the exception: its at most 19 products (k < 1024) put
-    less than 2^-1070 into r^e, which the Horner sum, at most 2 C 2^k,
-    then multiplies; the term 2^(k-1068) C covers it (`_underflow`).
+    less than 2^-1070 into r^e, which the Horner sum, at most 2 C 2^k with
+    C = max |beta_i|, then multiplies; the term 2^(k-1068) C covers it.  So
+    U = 2^(k-1068) C + 2 (k + 2)^2 2^-1074, and the second U in E covers the
+    underflow of A~, of u |H| and of computing E.
 
-    Write E = ((12k + 16) u + 2^(k-1068)) C + 2 (k + 2)^2 2^-1074.  To first
-    order in u, |D - H| <= (2k + k + 2 (4k + 3) + 1) u C = (11k + 7) u C, and
-    rounding |H| + E and |H| - E once each needs u |H| <= u C more.  The
-    remaining (k + 8) u C absorbs every second-order term, those of
-    (1 + u)^k and of computing E included: they are O(k^2 u^2) C, below
-    10^-6 u C for every degree below 1024.  So the computed |H| + E bounds
-    |D| above and |H| - E bounds it below.  A column whose upper bound falls
-    short of the largest lower bound cannot hold the maximum, and dropping it
-    leaves max |D| unchanged.  If any control, m, value or E is not finite,
-    every column is kept: so it is for huge controls, and from degree 1024
-    on, where (2w)^k overflows at t = 0 (a binomial of 2^1023 or more, from
-    degree 1029 on, is taken as infinite rather than converted).
+    If any control, m, value or E is not finite, some |H| + E is not finite
+    and `_sup_candidates` keeps every column: so it is for huge controls,
+    and from degree 1024 on, where (2w)^k overflows at t = 0 (a binomial of
+    2^1023 or more, from degree 1029 on, is taken as infinite rather than
+    converted).
     """
     k = len(ctrl) - 1
-    m, lo, coef = _span_weights(ctrl)
+    m, lo, hi = _plateau(ctrl.tolist())
+    binom = _binomials(k)[lo:hi + 1]
     with np.errstate(over="ignore", invalid="ignore"):
+        diff = ctrl[lo:hi + 1] - m
+        coef = diff * np.array([float(c) if c.bit_length() < 1024 else np.inf for c in binom])
         value = np.abs(m + _span_pass(coef, lo, k, grid, scale))
+        off, power = np.abs(diff).tolist(), k ** k
+        size = min(sum(d * (c * i ** i * (k - i) ** (k - i) / power)
+                       for i, c, d in zip(range(lo, hi + 1), binom, off)), max(off))
         top = np.max(np.abs(ctrl))
-        return _kept(value, (12 * k + 16) * 2.0 ** -53 * top + _underflow(k, top))
+        under = np.ldexp(top, k - 1068) + 2 * (k + 2) ** 2 * 2.0 ** -1074
+        return value, (((3 * k + 2) * abs(m) + (6 * k + 5) * size) * (2.0 ** -53 + 2.0 ** -73)
+                       + 2 * under)
 
 
-def _column_bounds(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray, cols: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(|H|, E) at the sorted grid columns `cols`: the value of the pass of
-    `_sup_candidates` and a bound of each column's own size, such that the
-    computed |H| + E and |H| - E bound the column's `_de_casteljau` |D|
-    above and below.  `cols` are survivors of `_sup_candidates`, so the
-    degree k is below 1024 or they hold the column t = 0, where (2w)^k
-    overflows and the bound is not finite.
-
-    The row bound spends C = max |beta_i| on every column.  The sweep's
-    error holds column by column, |D - Q| <= gamma_2k S_j, and off the span
-    beta_i = m, so with |beta_i| <= |m| + |beta_i - m| and t + s <= 1 + u
-        S_j <= |m| (1 + u)^k + A_j,   A_j = sum_(lo <= i <= hi) |beta_i - m| C(k, i) t^i s^(k-i).
-    A_j is also exactly R's magnitude sum, so it replaces the row's
-    2 C (1 + u)^k in the Horner term too: |R~ - R| <= gamma_(4k+3) A_j.
-    With |(t + s)^k - 1| <= gamma_k and |H - (m + R~)| <= u |H| (H rounds
-    m + R~ to nearest),
-        |D - H| <= gamma_2k (1 + u)^k |m| + gamma_k |m|
-                   + (gamma_2k + gamma_(4k+3)) A_j + u |H| + U,
-    where U = `_underflow` bounds what underflow adds to R~, as in
-    `_sup_candidates`.  A_j comes from one more `_span_pass` over |coef|,
-    rounded up: every term of that sum is >= 0 and is the exact term times a
-    factor within gamma_(4k+3) of 1, so the computed A~ satisfies
-    A_j <= (A~ + U) / (1 - gamma_(4k+3)).  To first order in u, the bound is
-    3k u |m| + (6k + 3) u A~ + u |H|, and rounding |H| + E and |H| - E once
-    each needs u |H| more: E = (1 + 2^-20) u (3k |m| + (6k + 3) A~ + 2 |H|)
-    + 2U.  The factor 1 + 2^-20 absorbs every second-order term, those of
-    gamma_n, (1 + u)^k, 1 / (1 - gamma_(4k+3)) and of computing E included:
-    they are at most 20 k u < 10^-11 times the first-order sum for k < 1024.
-    The second U covers the underflow of A~ and of computing U.  A non-finite
-    E keeps every column (`_kept`).
-    """
-    k = len(ctrl) - 1
-    m, lo, coef = _span_weights(ctrl)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = np.abs(m + _span_pass(coef, lo, k, grid, scale, cols))
-        size = _span_pass(np.abs(coef), lo, k, grid, scale, cols)
-        err = ((3 * k * abs(m) + (6 * k + 3) * size + 2 * value) * (2.0 ** -53 + 2.0 ** -73)
-               + 2 * _underflow(k, np.max(np.abs(ctrl))))
-    return value, err
-
-
-def _sweep_columns(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> np.ndarray:
-    """The grid columns to sweep for the largest |value| of a row: those
-    that `_sup_candidates` keeps with its row bound, pruned again with
-    `_column_bounds` when more than one survives.  The column of the
-    maximum survives both, and so do its ties."""
-    cols = np.flatnonzero(_sup_candidates(ctrl, grid, scale))
-    if len(cols) > 1:
-        cols = cols[_kept(*_column_bounds(ctrl, grid, scale, cols))]
-    return cols
+def _sup_candidates(ctrl: np.ndarray, grid: _Grid, scale: np.ndarray) -> np.ndarray:
+    """Mask of the grid columns whose `_de_casteljau` value may have the
+    largest magnitude, from `_sup_bound`: those whose upper bound |H| + E
+    reaches the largest lower bound |H| - E.  Every other column provably
+    has a smaller one, so dropping it leaves max |D| unchanged.  If a bound
+    is not finite, every column is kept."""
+    value, err = _sup_bound(ctrl, grid, scale)
+    with np.errstate(over="ignore"):
+        high = value + err
+    if not np.isfinite(high).all():
+        return np.ones(len(value), dtype=bool)
+    return high >= np.max(value - err)
 
 
 def _grid_sups(ctrls: Sequence[np.ndarray]) -> list[float]:
@@ -836,17 +778,16 @@ def _grid_sups(ctrls: Sequence[np.ndarray]) -> list[float]:
     fails, and rightly so.  p = 1/10 - z^8/1000 on [0, 1] has the endpoint
     control 0.1 = C, but the sweep's maximum is 0.10000000000000012.
 
-    Otherwise the row is swept only at the columns `_sweep_columns` keeps:
-    first the row bound of `_sup_candidates`, one error bound C (12k + 16) u
-    for every column, then, on its few survivors, a bound of each column's
-    own size (`_column_bounds`): about u (3k |m| + 6k A_j), where m is the
-    row's plateau and A_j the part of the column's magnitude sum off it.  A
-    notch approximant's large controls sit far from most of its grid, so
-    where the row bound keeps tens of columns of an overshoot, the column
-    bound keeps a few.  Each pruning keeps the column of the maximum, so
-    the sup is bitwise the full sweep's.  The rows are filtered in order of
-    degree, with (2w)^k computed once per degree, so one such grid-sized
-    array is alive at a time.
+    Otherwise the row is swept only at the columns `_sup_candidates` keeps,
+    with one error bound for the row (`_sup_bound`): about
+    u (3k |m| + 6k A^), where m is the row's plateau and A^ bounds the part
+    of every column's magnitude sum off it by the peaks of the Bernstein
+    basis over the span.  A notch approximant's few large controls sit on
+    basis polynomials of small peak, so an overshoot keeps a few columns.
+    The column of the maximum is kept, so the sup is bitwise the full
+    sweep's.  The rows are filtered in order of degree, with (2w)^k
+    computed once per degree, so one such grid-sized array is alive at a
+    time.
     """
     grid = _grid(DEFAULT_GRID)
     t, s = grid.t, grid.s
@@ -865,8 +806,8 @@ def _grid_sups(ctrls: Sequence[np.ndarray]) -> list[float]:
         with np.errstate(over="ignore"):  # from degree 1024 on; the filter keeps every column
             scale = _power(grid.twice_max, size - 1)
         for i in group:
-            cols = _sweep_columns(ctrls[i], grid, scale)
-            rows[i] = (ctrls[i], t[cols], s[cols])
+            keep = _sup_candidates(ctrls[i], grid, scale)
+            rows[i] = (ctrls[i], t[keep], s[keep])
     for i, values in zip(swept, _de_casteljau([rows[i] for i in swept])):
         sups[i] = float(np.max(np.abs(values)))
     return sups
@@ -887,8 +828,8 @@ def interval_sups(p: Polynomial, a, b) -> tuple[float, float]:
 
     Each is bitwise the largest |value| of `evaluate_on_grid`, decided by the
     hull certificate of `_grid_sups` when it applies, and otherwise by a de
-    Casteljau sweep over only the points that an O(k) evaluation with a
-    proven error bound cannot rule out (`_sup_candidates`).
+    Casteljau sweep over only the points that an O(k) evaluation with one
+    proven error bound per row cannot rule out (`_sup_candidates`).
 
     With p's controls c_i of degree d on [a, b], p' has the controls
     d (c_(i+1) - c_i) / (b - a), so p' is not converted again.

@@ -310,17 +310,6 @@ def apply_poly_to_block(coefficients: Sequence, X: BlockOperator) -> BlockOperat
                          DiagonalOperator(tuple(bot)))
 
 
-def block_norms(X: BlockOperator) -> np.ndarray:
-    """Norm of each coordinate block of a column-block operator (vanishing
-    upper-left block): sqrt(B12[n]^2 + B22[n]^2), as floats.  Exact entries
-    are floated once each, so an exact X needs no float copy first."""
-    if not X.b11.is_zero():
-        raise ValueError("block_norms needs a vanishing upper-left block")
-    a = np.array([to_float(x) for x in X.b12.diag])
-    b = np.array([to_float(x) for x in X.b22.diag])
-    return np.hypot(a, b)
-
-
 def float_block_norm(b11: Sequence[float], b12: Sequence[float], b22: Sequence[float]) -> float:
     """Spectral norm of the block operator with the float diagonal blocks
     b11, b12 and b22, built as no operator.  A column block (every b11

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -15,9 +16,9 @@ from amenalab import (InternalConsistencyError, Polynomial, apply_poly_to_block,
                       approximate_with_derivative, build_T, build_shifted_T, divide_shifted,
                       evaluate_on_grid, exact_sqrt, interval_sups, make_spectrum,
                       mvt_bound_check, notch, sup_norm, unit_notch)
-from amenalab.polynomials import (GRID_BLOCK, _bernstein_controls, _bernstein_sum, _column_bounds,
-                                  _de_casteljau, _floats, _grid, _grid_sups, _power,
-                                  _sup_candidates, _support, _sweep_columns, interval_sups_many)
+from amenalab.polynomials import (GRID_BLOCK, _bernstein_controls, _bernstein_sum, _de_casteljau,
+                                  _floats, _grid, _grid_sups, _power, _sup_bound,
+                                  _sup_candidates, _support, interval_sups_many)
 from amenalab.membership import membership_trials
 from amenalab.scalars import as_fraction
 from oracle_utils import (approximant_oracle, bernstein_to_monomial, count_method_calls,
@@ -709,8 +710,8 @@ def overshoot_row(degree=128):
     """The Bernstein controls of the kernel_n2 approximant of degree 128 on
     the geometric M = 16 spectrum: the plateau 1.0 with the controls -19.81
     and 7.71 at indices 64 and 65.  Its swept maximum is an overshoot of
-    about 1 + 3.3e-11 near t = 0.76, so the row bound, which spends C = 19.8
-    on every column, keeps 30 columns."""
+    about 1 + 3.3e-11 near t = 0.76, so a bound that spent C = 19.8 on
+    every column would keep 30 columns."""
     f = notch(2, make_spectrum("geometric", 16))
     return _floats(*_bernstein_controls(approximate_with_derivative(f, degree), f.a, f.b))
 
@@ -741,30 +742,27 @@ def off_plateau_rows(draw):
 @example(-overshoot_row(64))  # a negative plateau
 @example(np.array([0.1] * 200 + [0.1 + 2.0 ** -30] + [0.1] * 56))
 def test_sweep_columns_keep_the_column_of_the_maximum(ctrl):
-    """The twice-pruned columns (`_sweep_columns`: the row bound, then the
-    column bound on its survivors) hold the column of the largest |value|
-    of the sweep over the whole grid, and `_grid_sups` returns that value
-    bitwise.  The plain sweep (tests/oracle_utils.py) confirms the value at
-    that column."""
+    """The swept columns (`_sup_candidates`, one error bound for the row)
+    hold the column of the largest |value| of the sweep over the whole
+    grid, and `_grid_sups` returns that value bitwise.  The plain sweep
+    (tests/oracle_utils.py) confirms the value at that column."""
     grid = _grid(4096)
     values = np.abs(_de_casteljau([(ctrl, grid.t, grid.s)])[0])
     j = int(np.argmax(values))
     assert abs(plain_de_casteljau(ctrl, grid.t[j:j + 1], grid.s[j:j + 1])[0]) == values[j]
-    with np.errstate(over="ignore"):
-        cols = _sweep_columns(ctrl, grid, _power(grid.twice_max, len(ctrl) - 1))
-    assert j in cols and set(cols) <= set(np.flatnonzero(candidates(ctrl)))
+    assert candidates(ctrl)[j]
     assert _grid_sups([ctrl]) == [float(values[j])]
 
 
 def test_column_bound_prunes_the_overshoot():
-    """On the overshoot row the row bound keeps 30 columns and the column
-    bound 3 of them, among them the column of the maximum."""
+    """On the overshoot row the filter keeps at most 8 columns, among them
+    the column of the maximum: its large controls sit on basis polynomials
+    whose peaks are about 0.07."""
     ctrl = overshoot_row()
     grid = _grid(4096)
     values = np.abs(_de_casteljau([(ctrl, grid.t, grid.s)])[0])
-    cols = _sweep_columns(ctrl, grid, _power(grid.twice_max, 128))
-    assert np.count_nonzero(candidates(ctrl)) == 30 and len(cols) == 3
-    assert int(np.argmax(values)) in cols
+    kept = candidates(ctrl)
+    assert np.count_nonzero(kept) <= 8 and kept[int(np.argmax(values))]
 
 
 U = Fraction(1, 2 ** 53)
@@ -775,7 +773,7 @@ def gamma(n):
 
 
 def proven_column_error(ctrl, t, s, value):
-    """The bound of `_column_bounds`' proof at one column, in exact
+    """The bound of `_sup_bound`'s proof at one column, in exact
     arithmetic on the doubles: with m the most frequent control (the first
     on a tie, 0 if none repeats), A = sum_i |beta_i - m| C(k, i) t^i s^(k-i),
     P = (t + s)^k and C = max |beta_i|,
@@ -797,34 +795,57 @@ def proven_column_error(ctrl, t, s, value):
             + U * h + underflow)
 
 
+@cache
+def farthest_sum_column():
+    """The grid column whose t + s is farthest from 1, in exact arithmetic."""
+    grid = _grid(4096)
+    return max(range(4096), key=lambda j: abs(Fraction(grid.t[j]) + Fraction(grid.s[j]) - 1))
+
+
 @settings(max_examples=30, deadline=None)
 @given(off_plateau_rows(), st.randoms(use_true_random=False))
 @example(overshoot_row(), random.Random(0))
 @example(-overshoot_row(64), random.Random(1))
 @example(np.array([0.1] * 200 + [0.1 + 2.0 ** -30, -7.5] + [0.1] * 55), random.Random(2))
 @example(np.array([2.22507386e-311, 0.0]), random.Random(3))  # subnormal: only U covers it
+# One control off the plateau at i = 3 of k = 9: column 1365 is t = 1/3 = i / k,
+# where its basis polynomial peaks and A_j reaches the bound's A^.
+@example(np.array([1.0] * 3 + [-6.5] + [1.0] * 6), random.Random(4))
+# A dense row (no control repeats, m = 0): the sum of the peaks exceeds 1,
+# so A^ takes max |beta_i - m|.
+@example(np.linspace(1.0, 2.0, 33) * (-1.0) ** np.arange(33), random.Random(5))
+# C(1100, 550) >= 2^1023 is taken as infinite: no finite bound, every column kept.
+@example(np.array([1.0] * 550 + [3.0] + [1.0] * 550), random.Random(6))
+# Degree 2 on the plateau 1.0: at the column where t + s is farthest from 1 the
+# plateau's own error, |m| (gamma_2k + gamma_k), nears its bound.
+@example(np.array([1.0, 1.0, 1.0 + 2.0 ** -30]), random.Random(7))
 def test_column_bound_covers_the_proven_error(ctrl, rng):
-    """At the row bound's survivors, at the columns nearest the controls off
-    the plateau and at a few others, `_column_bounds` gives (|H|, E) with
-    E (1 - u) at least the proven bound on |D - H| plus u |H|, the rounding
-    of |H| + E and |H| - E; and the plain sweep's D lies within the proven
-    bound of H.  So E keeps each of its terms: |m|, A_j from |coef|, and u |H|."""
+    """At the kept columns, at the columns nearest the controls off the
+    plateau, at the column where t + s is farthest from 1 and at a few
+    others, `_sup_bound` gives |H| and the row's E with E (1 - u) at least
+    the proven bound on |D - H| of each column plus u |H|, the rounding of
+    |H| + E and |H| - E; and the plain sweep's D lies within the proven
+    bound of H.  So E keeps each of its terms: |m|, the peaks' bound on
+    every A_j, and u |H|.  A row with no finite bound keeps every column."""
     grid = _grid(4096)
     k = len(ctrl) - 1
+    with np.errstate(over="ignore"):
+        value, err = _sup_bound(ctrl, grid, _power(grid.twice_max, k))
+    kept = candidates(ctrl)
+    if not np.isfinite(value + err).all():
+        assert kept.all()
+        return
     off = [i for i, b in enumerate(ctrl.tolist()) if b != Counter(ctrl.tolist()).most_common(1)[0][0]]
     near = [int(round(4095 * i / k)) for i in off]
-    cols = set(np.flatnonzero(candidates(ctrl))[:40].tolist()) | set(near)
+    cols = set(np.flatnonzero(kept)[:40].tolist()) | set(near) | {farthest_sum_column()}
     cols |= {rng.randrange(4096) for _ in range(6)}
     cols = np.array(sorted(cols))
-    with np.errstate(over="ignore"):
-        value, err = _column_bounds(ctrl, grid, _power(grid.twice_max, k), cols)
-    if not np.isfinite(value + err).all():
-        return  # every column is kept
     swept = plain_de_casteljau(ctrl, grid.t[cols], grid.s[cols])
-    for j, h, e, d in zip(cols.tolist(), value.tolist(), err.tolist(), swept.tolist()):
+    for j, d in zip(cols.tolist(), swept.tolist()):
+        h = value[j]
         bound = proven_column_error(ctrl, grid.t[j], grid.s[j], h)
         assert abs(abs(Fraction(d)) - Fraction(h)) <= bound, j
-        assert Fraction(e) * (1 - U) >= bound + U * Fraction(h), j
+        assert Fraction(err) * (1 - U) >= bound + U * Fraction(h), j
 
 
 def test_batched_sweep_equals_plain_sweep_per_row():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from amenalab import (BlockOperator, DiagonalOperator, Polynomial, apply_poly_to_block,
                       build_T, build_shifted_T, exact_sqrt, make_spectrum, operator_norm)
-from amenalab.spectrum import block_norms, float_block_norm
+from amenalab.spectrum import float_block_norm
 from oracle_utils import (dense_exact, matmul_exact, matpow_exact, poly_to_sympy,
                           random_rational_poly, spectral_norm_oracle, to_sympy)
 
@@ -250,10 +250,11 @@ def test_operator_norm_examples():
     diag_only = BlockOperator(DiagonalOperator((3, 1, 2)), DiagonalOperator.zeros(3),
                               DiagonalOperator.zeros(3))
     assert operator_norm(diag_only) == pytest.approx(3.0, abs=1e-12)
-    with pytest.raises(ValueError, match="upper-left"):
-        block_norms(diag_only)  # the per-coordinate form needs a column block
-    X = BlockOperator.column_block(DiagonalOperator((3, 0, 1)), DiagonalOperator((4, 0, -1)))
-    assert block_norms(X).tolist() == [5.0, 0.0, math.sqrt(2)]
+    # a column block's norm is the largest of its coordinate blocks',
+    # sqrt(B12[n]^2 + B22[n]^2)
+    for top, bottom, norm in (((3, 0, 1), (4, 0, -1), 5.0), ((0, 1), (0, -1), math.sqrt(2))):
+        X = BlockOperator.column_block(DiagonalOperator(top), DiagonalOperator(bottom))
+        assert operator_norm(X) == float(np.max(np.hypot(top, bottom))) == norm
 
 
 def test_operator_norm_closed_form_vs_svd_random():
@@ -268,9 +269,9 @@ def test_operator_norm_closed_form_vs_svd_random():
 
 def test_float_block_norm_is_operator_norms_kernel():
     """On column blocks the kernel is bitwise numpy's largest hypot, the
-    closed form `operator_norm` took from `block_norms`; on any other block
-    the SVD of `to_dense`; and `operator_norm` of the float operator gives
-    the same bits.  Zero blocks, one coordinate and -0.0 entries included."""
+    closed form of a column block's norm; on any other block the SVD of
+    `to_dense`; and `operator_norm` of the float operator gives the same
+    bits.  Zero blocks, one coordinate and -0.0 entries included."""
     rng = np.random.default_rng(35)
     cases = [([0.0], [0.0], [0.0]), ([-0.0, 0.0], [3.0, -0.0], [4.0, 1e-300])]
     for m in (1, 2, 5, 16, 40):

@@ -443,16 +443,6 @@ class ApproximationStep(NamedTuple):
     certified_bound: float
 
 
-class _StepValues(NamedTuple):
-    """The exact values that `_polynomial_norms` computes and the closed forms
-    of sup|q| read again: `head` = (H, G, d) with p(a) = H / d and
-    p'(a) = G / d at the upper-left entry a, and `rows` holds (G, H_c, d)
-    per coordinate, with Dp = G / d and p(c) = H_c / d."""
-
-    head: tuple[int, int, int]
-    rows: list[tuple[int, int, int]]
-
-
 def _step_coordinates(alpha: Fraction, beta: int, spectrum: SpectrumSequence) -> list[tuple]:
     """What `_polynomial_norms` reads of each coordinate m of X = alpha I +
     beta T at every degree, computed once per ladder: (s, d, sqrt(lambda_m),
@@ -472,11 +462,11 @@ def _coordinate_powers(coords: list[tuple], degrees) -> dict[int, list[int]]:
 
 def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: SpectrumSequence,
                       coords: list[tuple], powers: dict[int, list[int]]
-                      ) -> tuple[float, float, _StepValues]:
-    """(||X u - X||, ||u||, values) for u = p(X), p(0) = 0, X = alpha I + beta T
-    with beta = +-1, bitwise `operator_norm` of the floats of the exact
-    X u - X and u, which are never built; neither is X, nor any float
-    operator: the float triples of the coordinates go straight to
+                      ) -> tuple[float, float, float]:
+    """(||X u - X||, ||u||, sup|q|) for u = p(X), p(0) = 0, X = alpha I + beta T
+    with beta = +-1.  The norms are bitwise `operator_norm` of the floats of
+    the exact X u - X and u, which are never built; neither is X, nor any
+    float operator: the float triples of the coordinates go straight to
     `float_block_norm`, the kernel that `operator_norm` runs.
 
     Coordinate m of X is [[a, b], [0, c]] with a = alpha, b = beta sqrt(lambda_m)
@@ -500,6 +490,14 @@ def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: Spect
     construction; any other p has its constant term checked.  `coords` is
     its `_step_coordinates`, and `powers` a `_coordinate_powers` table that
     holds p's degree k, from which each d^k is read.
+
+    sup|q| is over the spectrum and the origin, for the divided polynomial q
+    of the mean-value verdict, taken in the same loop.  For beta = -1, z q(z)
+    = a p(a) - (a - z) p(a - z), the q of `divide_shifted(p, lambda_n)` at
+    a = lambda_n: q(lambda_m) = a Dp + p(c) and q(0) = p(a) + a p'(a).  For
+    beta = 1, z q(z) = p(a + z) - p(a), p / z at a = 0: q(lambda_m) = Dp and
+    q(0) = p'(a).  Each value is one integer division, correctly rounded, so
+    sup|q| is bitwise `sup_norm` of q.
     """
     if p._birth is None and p._integers[0][0]:
         raise ValueError("constant term must vanish; the algebra model is non-unital")
@@ -513,8 +511,10 @@ def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: Spect
     end = 0 if beta > 0 else -1  # the index of a's end control
     h = ctrl[end]  # p(a) = h / den
     pa, ra = h / den, big_a * (h - den) / (e * den)
-    values = _StepValues((h * l1_num, beta * k * (ctrl[end + beta] - h) * l1_den if k else 0,
-                          den * l1_num), [])
+    # den l1_num p'(a)
+    g = beta * k * (ctrl[end + beta] - h) * l1_den if k else 0
+    q_sup = abs((e * h * l1_num + big_a * g) / (e * den * l1_num) if beta < 0
+                else g / (den * l1_num))
     u, r = [], []
     for (s, d, root, c_num, c_den), dk in zip(coords, powers[k]):
         # den d^k p(c)
@@ -528,22 +528,10 @@ def _polynomial_norms(p: Polynomial, alpha: Fraction, beta: int, spectrum: Spect
         # b (a Dp + p(c) - 1) = sqrt(lambda_m) (a diff + beta (hc - q)) / q
         r.append((ra, scaled_float(root, big_a * diff + beta * e * (hc - q), e * q),
                   c_num * (hc - q) / (c_den * q)))
-        values.rows.append((beta * diff, hc, q))
+        # q(lambda_m): a Dp + p(c) = (e hc - a diff) / (e q), or Dp = diff / q
+        q_sup = max(q_sup, abs((e * hc - big_a * diff) / (e * q) if beta < 0 else diff / q))
     # the rows of coordinates, transposed, are the three float diagonal blocks
-    return float_block_norm(*zip(*r)), float_block_norm(*zip(*u)), values
-
-
-def _divided_sup(lam_n: Fraction, values: _StepValues) -> float:
-    """sup|q| over the spectrum and the origin for the q of `divide_shifted`,
-    z q(z) = lambda_n p(lambda_n) - (lambda_n - z) p(lambda_n - z), bitwise
-    `sup_norm(divide_shifted(p, lam_n), spectrum)`, from closed forms in the
-    `_polynomial_norms` values of lambda_n I - T: at coordinate m,
-    a = lambda_n and c = lambda_n - lambda_m, so q(lambda_m) = a Dp + p(c),
-    and q(0) = p(a) + a p'(a) from the head."""
-    top, bottom = lam_n.numerator, lam_n.denominator
-    h, dp, d = values.head
-    return max(abs((bottom * h + top * dp) / (bottom * d)),
-               *(abs((top * g + bottom * hc) / (bottom * d)) for g, hc, d in values.rows))
+    return float_block_norm(*zip(*r)), float_block_norm(*zip(*u)), q_sup
 
 
 def _step(p: Polynomial, n: int | None, spectrum: SpectrumSequence, sups: tuple[float, float],
@@ -553,17 +541,14 @@ def _step(p: Polynomial, n: int | None, spectrum: SpectrumSequence, sups: tuple[
     `_coordinate_powers`."""
     lam_1 = spectrum.lam(1)
     p_sup, dp_sup = sups
+    alpha, beta = (Fraction(0), 1) if n is None else (spectrum.lam(n), -1)
+    residual, element_norm, q_sup = _polynomial_norms(p, alpha, beta, spectrum, coords, powers)
     if n is None:
-        residual, element_norm, values = _polynomial_norms(p, Fraction(0), 1, spectrum, coords,
-                                                           powers)
-        q_sup, bound = _quotient_sup(values), dp_sup
+        bound = dp_sup
         certified = p_sup + math.sqrt(float(lam_1)) * bound
     else:
-        lam_n = spectrum.lam(n)
-        residual, element_norm, values = _polynomial_norms(p, lam_n, -1, spectrum, coords,
-                                                           powers)
-        q_sup, bound = _divided_sup(lam_n, values), p_sup + float(lam_n) * dp_sup
-        certified = p_sup + math.sqrt(float(lam_1)) * (bound + p_sup) / float(lam_n)
+        bound = p_sup + float(alpha) * dp_sup
+        certified = p_sup + math.sqrt(float(lam_1)) * (bound + p_sup) / float(alpha)
     return ApproximationStep(max(p.degree, 0), residual, element_norm, bound,
                              q_sup <= bound + 1e-12, certified)
 
@@ -576,7 +561,7 @@ def approximate_identity_step(p: Polynomial, n: int,
     norm from scalar sup bounds only.
 
     The certificate combines the eigenvalue sup of p with the mean-value bound
-    for the divided polynomial q (`_divided_sup`), which controls the
+    for the divided polynomial q (`_polynomial_norms`), which controls the
     off-diagonal block.  The floats are bitwise those of the exact block
     composition with `divide_shifted` and `mvt_bound_check`.
     """
@@ -607,19 +592,10 @@ def report_from_steps(steps: Sequence[ApproximationStep], tolerance: float | Non
                              rows, met, bounded, tol_field)
 
 
-def _quotient_sup(values: _StepValues) -> float:
-    """sup|p / z| over the spectrum and the origin, bitwise
-    `sup_norm(Polynomial(p.coefficients[1:]), spectrum)`: at coordinate m of
-    T, a = 0 and c = lambda_m, so q(lambda_m) = Dp from its
-    `_polynomial_norms` values, and q(0) = p'(0) from the head."""
-    _, g0, d0 = values.head
-    return max(abs(g0 / d0), *(abs(g / d) for g, _, d in values.rows))
-
-
 def unit_approximation_step(p: Polynomial, spectrum: SpectrumSequence) -> ApproximationStep:
     """One sweep step against the generator itself: u = p(T) and the residual
-    ||T u - T|| (`_polynomial_norms`), with q = p / z (`_quotient_sup`)
-    bounded by sup|p'| on [0, lambda_1]."""
+    ||T u - T|| (`_polynomial_norms`, with sup|q| for q = p / z),
+    and sup|q| bounded by sup|p'| on [0, lambda_1]."""
     coords = _step_coordinates(Fraction(0), 1, spectrum)
     return _step(p, None, spectrum, interval_sups(p, Fraction(0), spectrum.lam(1)), coords,
                  _coordinate_powers(coords, [max(p.degree, 0)]))

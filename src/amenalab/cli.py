@@ -194,7 +194,9 @@ def resolve_config(flags: dict[str, str]) -> RunConfig:
     file values pass the same checks, so each error names the config field."""
     file_cfg: dict = {}
     path = flags.get("config")
-    if path:
+    if path == "":
+        raise ConfigError("config: expected a file path")
+    if path is not None:
         try:
             raw = Path(path).read_bytes()
         except FileNotFoundError:
@@ -223,6 +225,8 @@ def resolve_config(flags: dict[str, str]) -> RunConfig:
     if kind != "geometric" and ("ratio" in flags or "ratio" in spec_cfg):
         # it would be ignored, yet enter the digest; without one the default stays there
         raise ConfigError("spectrum.ratio: only a geometric spectrum takes a ratio")
+    if kind != "explicit" and "values" in spec_cfg:  # the same: ignored, yet in the digest
+        raise ConfigError("spectrum.values: only an explicit spectrum takes values")
     ratio = _exact_number(flags.get("ratio", spec_cfg.get("ratio", "0.5")), "spectrum.ratio")
     count = flags.get("count", spec_cfg.get("count"))
     if count is not None:
@@ -255,8 +259,8 @@ def resolve_config(flags: dict[str, str]) -> RunConfig:
     fmt = flags.get("format", file_cfg.get("format", "csv"))
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: must be 'csv' or 'json', got {fmt!r}")
-    out = flags.get("out") or file_cfg.get("out", "reports")
-    if not isinstance(out, str):
+    out = flags.get("out", file_cfg.get("out", "reports"))
+    if not isinstance(out, str) or not out:  # "" would be the working directory
         raise ConfigError("out: expected a directory path")
 
     cfg = RunConfig(kind, ratio, count, values, truncations, degrees,

@@ -19,8 +19,8 @@ from amenalab import (ApproximationStep, Polynomial, apply_poly_to_block,
                       mvt_bound_check, notch, operator_norm, sup_norm, unit_approximation_step,
                       unit_notch)
 from amenalab import amenability
-from amenalab.amenability import (_coordinate_powers, _divided_sup, _polynomial_norms,
-                                  _quotient_sup, _step_coordinates, idempotent_sum)
+from amenalab.amenability import (_coordinate_powers, _polynomial_norms, _step_coordinates,
+                                  idempotent_sum)
 from amenalab.polynomials import _from_integers, interval_sups_many
 from amenalab.spectrum import BlockOperator, DiagonalOperator
 from amenalab.cli import main
@@ -115,19 +115,20 @@ def test_unit_steps_bitwise_equal_block_composition(case):
 @pytest.mark.parametrize("case", sorted(SPECTRA))
 def test_quotient_sups_bitwise_equal_sup_norm(case):
     """A step's sup|q| enters its fields only through the mean-value verdict,
-    which holds for every true q; so its closed forms are compared directly
-    with `sup_norm` of the divided polynomial, evaluated by Horner."""
+    which holds for every true q; so the sup|q| that `_polynomial_norms`
+    returns is compared directly with `sup_norm` of the divided polynomial,
+    evaluated by Horner: `divide_shifted` for a kernel, p / z for the unit."""
     s = SPECTRA[case]
     for n in (1, 2, 3):
         lam = s.lam(n)
         for p in kernel_polynomials(n, s):
-            _, _, values = polynomial_norms(p, lam, -1, s)
+            _, _, q_sup = polynomial_norms(p, lam, -1, s)
             want = sup_norm(divide_shifted(p, lam), s)
-            assert _divided_sup(lam, values).hex() == want.hex(), (n, p)
+            assert q_sup.hex() == want.hex(), (n, p)
     for p in unit_polynomials(s):
-        _, _, values = polynomial_norms(p, Fraction(0), 1, s)
+        _, _, q_sup = polynomial_norms(p, Fraction(0), 1, s)
         want = sup_norm(Polynomial(p.coefficients[1:]), s)
-        assert _quotient_sup(values).hex() == want.hex(), p
+        assert q_sup.hex() == want.hex(), p
 
 
 def test_special_polynomials_reach_the_closed_form_norm():
@@ -257,12 +258,15 @@ def test_verify_character_builds_no_block_operator(monkeypatch, tmp_path, capsys
 
 @pytest.mark.parametrize("case", ["mixed_grade_8", "ratio_9_10_12"])
 def test_polynomial_norms_values_on_alpha_i_plus_beta_t(case):
-    """On X = alpha I + beta T, the head is (p(a), p'(a)) at a = alpha and
-    row m is (Dp, p(c)) at c = alpha + beta lambda_m, exactly, by Horner on
-    the coefficients (`Polynomial.__call__`, `derivative`); and the norms are
-    bitwise those of the exact block composition.  Born approximants run on
-    their birth interval and off it, z-form polynomials, zero included, at
-    the kernel and unit entries and at an upper-left entry of neither."""
+    """On X = alpha I + beta T the norms are bitwise those of the exact block
+    composition, and sup|q| is the float of the exact maximum of |q| over the
+    origin and the spectrum, by Horner on the coefficients
+    (`Polynomial.__call__`, `derivative`): q(0) = p(a) + a p'(a) and
+    q(lambda_m) = a Dp + p(c) for beta = -1, q(0) = p'(a) and q(lambda_m) = Dp
+    for beta = 1, at c = alpha + beta lambda_m with Dp the divided difference.
+    Born approximants run on their birth interval and off it, z-form
+    polynomials, zero included, at the kernel and unit entries and at an
+    upper-left entry of neither."""
     s = SPECTRA[case]
     M = len(s)
     T = build_T(s)
@@ -278,15 +282,15 @@ def test_polynomial_norms_values_on_alpha_i_plus_beta_t(case):
         for p in born + zform:
             u = apply_poly_to_block(p.coefficients, X)
             want = (operator_norm(((X @ u) - X).to_float()), operator_norm(u.to_float()))
-            residual, element_norm, values = polynomial_norms(p, alpha, beta, s)
+            residual, element_norm, q_sup = polynomial_norms(p, alpha, beta, s)
             assert (residual.hex(), element_norm.hex()) == tuple(x.hex() for x in want), p
-            dp = p.derivative()
-            h, g, d = values.head
-            assert (Fraction(h, d), Fraction(g, d)) == (p(alpha), dp(alpha))
-            assert len(values.rows) == M
-            for (g, hc, d), lam in zip(values.rows, s.values):
-                c = alpha + beta * lam
-                assert (Fraction(g, d), Fraction(hc, d)) == ((p(c) - p(alpha)) / (c - alpha), p(c))
+            a, dp = alpha, p.derivative()
+            cs = [a + beta * lam for lam in s.values]
+            if beta < 0:
+                qs = [p(a) + a * dp(a), *(a * (p(c) - p(a)) / (c - a) + p(c) for c in cs)]
+            else:
+                qs = [dp(a), *((p(c) - p(a)) / (c - a) for c in cs)]
+            assert q_sup.hex() == float(max(map(abs, qs))).hex(), (alpha, beta, p)
 
 
 def test_a_polynomial_hashes_by_its_integers():

@@ -140,6 +140,13 @@ def test_verify_rejects_bad_tolerance(capsys):
           ({"spectrum": {"kind": "harmonic"}}, ["--ratio", "1/2"]),
           ({"spectrum": {"ratio": "1/2"}}, ["--kind", "harmonic"]),
           ({"spectrum": {"kind": "explicit", "values": ["1", "1/2"]}}, ["--ratio", "nan"]))),
+    # values for a spectrum that has none: they would be ignored, yet enter the digest
+    *((config, flags, "spectrum.values: only an explicit spectrum takes values")
+      for config, flags in (
+          ({"spectrum": {"kind": "geometric", "values": ["1/2", "1/4"]}}, []),
+          ({"spectrum": {"values": ["1/2", "1/4"]}}, []),
+          ({"spectrum": {"kind": "harmonic", "values": ["1", "1/2"]}}, []),
+          ({"spectrum": {"kind": "explicit", "values": ["1", "1/2"]}}, ["--kind", "geometric"]))),
 ])
 def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field):
     argv = ["verify", "similarity", "--out", str(tmp_path / "r"), *flags]
@@ -156,11 +163,13 @@ def test_verify_rejects_malformed_values(tmp_path, capsys, config, flags, field)
 @pytest.mark.parametrize("argv, digest", [
     (["verify", "similarity", "--kind", "harmonic", "--truncations", "4"], "d18262702473"),
     (["verify", "all", "--kind", "harmonic", "--count", "8"], "06109a8ab7fb"),
+    (["spectrum", "--count", "2"], "a3a989a97741"),
 ])
 def test_config_digests_without_a_ratio_are_kept(argv, digest):
-    """A harmonic run that gives no ratio keeps its digest (recorded before
-    harmonic and explicit spectra refused a ratio): the default ratio stays
-    in the canonical config."""
+    """A harmonic run that gives no ratio, and a geometric run that gives no
+    values, keep their digests (recorded before harmonic and explicit spectra
+    refused a ratio, and non-explicit spectra values): the default ratio and
+    the null values stay in the canonical config."""
     assert config_hash(resolve_config(parse_argv(argv)[2])) == digest
 
 
@@ -261,6 +270,27 @@ def test_verify_rejects_unwritable_out(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: out: ") and "Traceback" not in err
     assert taken.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("config, flags, field", [
+    (None, ["--out="], "out: expected a directory path"),
+    (None, ["--out", ""], "out: expected a directory path"),
+    ({"out": ""}, [], "out: expected a directory path"),
+    (None, ["--config="], "config: expected a file path"),
+])
+def test_empty_paths_exit_2(tmp_path, monkeypatch, capsys, config, flags, field):
+    """An empty path names no directory or file: the run exits 2 rather than
+    write into ./reports or the working directory, or run without its config."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "derivations", *flags]
+    if config is not None:
+        Path("cfg.json").write_text(json.dumps(config))
+        argv += ["--config", "cfg.json"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field}") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if config else [])
 
 
 def test_closed_stdout_pipe_exits_without_traceback():
